@@ -1,17 +1,23 @@
 # Local and CI invocations are the same commands: .github/workflows/ci.yml
-# runs build, vet, fmt-check, race, bench-smoke and serve-smoke as individual
-# steps, and `make ci` chains those same targets locally. Keep the two in
-# sync when adding a step.
+# runs build, bench-build, vet, fmt-check, race, bench-smoke and serve-smoke
+# as individual steps, and `make ci` chains those same targets locally. Keep
+# the two in sync when adding a step.
 
 GO ?= go
 # PR numbers the perf-trajectory artifact (BENCH_pr$(PR).json); bump it each
 # PR so one artifact per PR accumulates in the repo.
-PR ?= 10
+PR ?= 12
 
-.PHONY: build test race race4 bench bench-smoke bench-json serve serve-smoke soak soak-smoke fleet-smoke fmt fmt-check vet lint lint-extra ci
+.PHONY: build bench-build test race race4 bench bench-smoke bench-json serve serve-smoke soak soak-smoke fleet-smoke fmt fmt-check vet lint lint-extra ci
 
 build:
 	$(GO) build ./...
+
+# Compile the repo benchmark (perfbench/, BENCHMARK.json) offline. It is its
+# own Go module, so `go build ./...` above never compiles it: an API removal
+# that breaks it would otherwise only show up as a failed benchmark run.
+bench-build:
+	cd perfbench && GOFLAGS=-mod=readonly GOPROXY=off $(GO) vet .
 
 test:
 	$(GO) test ./...
@@ -19,10 +25,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race detection with a multi-core scheduler: the dev container may default
-# to one CPU, which serializes the worker pools and can hide races in
-# branch-split scheduling (workers stealing branch tasks of each other's
-# solves). CI runs this as its own job.
+# Race detection with a multi-core scheduler: a single-CPU machine
+# serializes the worker pools and can hide races in the solver pool's and the
+# fair-share queues' interleavings. CI runs this as its own job.
 race4:
 	GOMAXPROCS=4 $(GO) test -race ./...
 
@@ -36,9 +41,9 @@ bench-smoke:
 
 # Perf trajectory artifact: engine scaling + streaming pipeline + HTTP
 # serving-path ns/op per worker count and the solver-memo hit rates, as
-# machine-readable JSON. Pinned to a 4-way scheduler: the adaptive
-# split-scheduling rows compare off/static/adaptive modes on multicore, and
-# a single-CPU dev container would flatten exactly those comparisons.
+# machine-readable JSON. Pinned to a 4-way scheduler: the worker-count rows
+# compare 1/2/4/8 workers, and a single-CPU machine would flatten exactly
+# those comparisons.
 bench-json:
 	GOMAXPROCS=4 $(GO) run ./cmd/benchjson -pr $(PR) -out BENCH_pr$(PR).json
 
@@ -94,4 +99,4 @@ lint-extra:
 
 # race4 subsumes race locally (same suite, stronger scheduler); CI runs race
 # in the main job and race4 as its own parallel job.
-ci: build vet fmt-check lint race4 bench-smoke serve-smoke soak-smoke fleet-smoke
+ci: build bench-build vet fmt-check lint race4 bench-smoke serve-smoke soak-smoke fleet-smoke

@@ -5,7 +5,6 @@
 //
 //	BenchmarkTable1Detection     — idiom detection over all 21 benchmarks
 //	BenchmarkDetectParallel      — concurrent engine scaling, fresh solves
-//	BenchmarkSolveSplit          — intra-solve branch fan-out on the stream
 //	BenchmarkPipeline            — streaming compile→detect, memo on/off
 //	BenchmarkServeMatch          — /v1/match/stream over the HTTP front door
 //	BenchmarkTable2CompileTime   — per-benchmark compile + detect cost
@@ -91,45 +90,6 @@ func BenchmarkDetectParallel(b *testing.B) {
 				total := 0
 				for _, res := range results {
 					total += len(res.Instances)
-				}
-				if total != 60 {
-					b.Fatalf("detected %d idioms, want 60", total)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSolveSplit measures intra-solve parallelism on the streaming
-// path: the full suite streams through a 4-worker engine while each fresh
-// backtracking search may fork into split root branches on that same pool.
-// split=1 is the baseline (identical scheduling, no forking); on multicore
-// the higher factors cut the critical path from the largest single solve
-// (~60ms, lbm/GEMM) to its largest branch. Memoization is off so every
-// iteration measures fresh searches, and the instance total doubles as a
-// determinism smoke check.
-func BenchmarkSolveSplit(b *testing.B) {
-	named := compileAll(b)
-	for _, split := range []int{1, 2, 4, 8} {
-		split := split
-		b.Run(fmt.Sprintf("split=%d", split), func(b *testing.B) {
-			eng, err := detect.NewEngine(detect.Options{Workers: 4, SolveSplit: split, NoMemo: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st := eng.Stream(len(named))
-				for _, nm := range named {
-					st.Submit(nm.mod)
-				}
-				st.Close()
-				total := 0
-				for sr := range st.Results() {
-					if sr.Err != nil {
-						b.Fatal(sr.Err)
-					}
-					total += len(sr.Result.Instances)
 				}
 				if total != 60 {
 					b.Fatalf("detected %d idioms, want 60", total)

@@ -2,12 +2,10 @@
 // detection-engine scaling benchmark, the streaming pipeline benchmark and
 // the HTTP serving-path benchmark programmatically (via testing.Benchmark)
 // and writes a machine-readable JSON file — ns/op per worker count plus the
-// solver-memo hit rate — so each PR's numbers are comparable. It also runs
-// the adaptive split-scheduling comparison (off / static / adaptive, batch
-// and stream, cold and warm, plus the worst-case single module at 1 and 4
-// CPUs). CI runs `make bench-json` at GOMAXPROCS=4 as a smoke step — the
-// multicore rows are meaningless on one CPU — and uploads the file as a
-// workflow artifact named for the PR (BENCH_pr<N>.json).
+// solver-memo hit rate — so each PR's numbers are comparable. CI runs
+// `make bench-json` at GOMAXPROCS=4 as a smoke step — the worker-count rows
+// are meaningless on one CPU — and uploads the file as a workflow artifact
+// named for the PR (BENCH_pr<N>.json).
 //
 // Usage:
 //
@@ -42,7 +40,6 @@ import (
 type benchRow struct {
 	Name       string  `json:"name"`
 	Workers    int     `json:"workers"`
-	CPUs       int     `json:"cpus,omitempty"`
 	Iterations int     `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
 }
@@ -64,29 +61,16 @@ type pruneModeStats struct {
 	OverheadPct float64 `json:"overhead_pct"`
 }
 
-// splitModeStats summarizes one scheduling mode's single cold suite pass:
-// how many fresh solves actually forked, how often idle-pool re-splitting
-// fired below the root fork, and how many solves the cost gate kept
-// sequential because the predicted solve was cheaper than a fork is worth.
-type splitModeStats struct {
-	Mode         string `json:"mode"`
-	Decisions    int64  `json:"split_decisions"`
-	Resplits     int64  `json:"split_resplits"`
-	SkippedCheap int64  `json:"split_skipped_cheap"`
-}
-
 type artifact struct {
-	PR            int              `json:"pr"`
-	GoVersion     string           `json:"go_version"`
-	GOOS          string           `json:"goos"`
-	GOARCH        string           `json:"goarch"`
-	GOMAXPROCS    int              `json:"gomaxprocs"`
-	WorstModule   string           `json:"worst_module,omitempty"`
-	Benchmarks    []benchRow       `json:"benchmarks"`
-	Memo          memoStats        `json:"memo"`
-	ServeMemo     memoStats        `json:"serve_memo"`
-	Prune         []pruneModeStats `json:"prune"`
-	AdaptiveSplit []splitModeStats `json:"adaptive_split"`
+	PR         int              `json:"pr"`
+	GoVersion  string           `json:"go_version"`
+	GOOS       string           `json:"goos"`
+	GOARCH     string           `json:"goarch"`
+	GOMAXPROCS int              `json:"gomaxprocs"`
+	Benchmarks []benchRow       `json:"benchmarks"`
+	Memo       memoStats        `json:"memo"`
+	ServeMemo  memoStats        `json:"serve_memo"`
+	Prune      []pruneModeStats `json:"prune"`
 }
 
 func main() {
@@ -126,130 +110,6 @@ func main() {
 			}
 		})
 		a.Benchmarks = append(a.Benchmarks, row("DetectParallel", workers, r))
-	}
-
-	// Intra-solve parallelism: the suite streamed through a 4-worker engine
-	// with each fresh backtracking search forked into split branches on that
-	// same pool. split=1 is the baseline; on multicore the higher factors
-	// cut the critical path from the largest solve to its largest branch.
-	for _, split := range []int{1, 2, 4, 8} {
-		eng, err := detect.NewEngine(detect.Options{Workers: 4, SolveSplit: split, NoMemo: true})
-		if err != nil {
-			fatal(err)
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := streamBatch(eng, mods); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		a.Benchmarks = append(a.Benchmarks, benchRow{
-			Name:       fmt.Sprintf("SolveSplit/split=%d", split),
-			Workers:    4,
-			Iterations: r.N,
-			NsPerOp:    float64(r.NsPerOp()),
-		})
-	}
-
-	// Adaptive split scheduling, the three modes compared head to head:
-	// off (sequential solves), static (root fork only, the pre-adaptive
-	// behavior), adaptive (widest-variable split + cost gating + idle-pool
-	// re-splitting). The module rows isolate the worst-case single solve —
-	// the critical path a lone expensive translation unit pays — at 1 and 4
-	// CPUs; splitting buys nothing at 1 CPU (the rows pin that it also costs
-	// next to nothing) and must beat static at 4. The suite rows run the
-	// whole batch through both front doors, cold and warm: warm solves are
-	// memo hits, so the cost gate keeps nearly everything sequential and the
-	// three modes should converge.
-	splitModes := []struct {
-		name           string
-		split, resplit int
-	}{{"off", 1, 0}, {"static", 4, 0}, {"adaptive", 4, 2}}
-	worst, worstName, err := worstModule(mods)
-	if err != nil {
-		fatal(err)
-	}
-	a.WorstModule = worstName
-	for _, cpus := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(cpus)
-		for _, m := range splitModes {
-			eng, err := detect.NewEngine(detect.Options{
-				Workers: 4, SolveSplit: m.split, ResplitDepth: m.resplit, NoMemo: true,
-			})
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				fatal(err)
-			}
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := streamOne(eng, worst); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			a.Benchmarks = append(a.Benchmarks, benchRow{
-				Name:       fmt.Sprintf("AdaptiveSplit/module/mode=%s/cold/cpus=%d", m.name, cpus),
-				Workers:    4,
-				CPUs:       cpus,
-				Iterations: r.N,
-				NsPerOp:    float64(r.NsPerOp()),
-			})
-		}
-		runtime.GOMAXPROCS(prev)
-	}
-	for _, m := range splitModes {
-		for _, path := range []string{"batch", "stream"} {
-			run := streamBatch
-			if path == "batch" {
-				run = detectBatch
-			}
-			cold, err := detect.NewEngine(detect.Options{
-				Workers: 4, SolveSplit: m.split, ResplitDepth: m.resplit, NoMemo: true,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := run(cold, mods); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			a.Benchmarks = append(a.Benchmarks, benchRow{
-				Name:       fmt.Sprintf("AdaptiveSplit/%s/mode=%s/cold", path, m.name),
-				Workers:    4,
-				Iterations: r.N,
-				NsPerOp:    float64(r.NsPerOp()),
-			})
-
-			warm, err := detect.NewEngine(detect.Options{
-				Workers: 4, SolveSplit: m.split, ResplitDepth: m.resplit,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			r = testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := run(warm, mods); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			a.Benchmarks = append(a.Benchmarks, benchRow{
-				Name:       fmt.Sprintf("AdaptiveSplit/%s/mode=%s/warm", path, m.name),
-				Workers:    4,
-				Iterations: r.N,
-				NsPerOp:    float64(r.NsPerOp()),
-			})
-		}
-
-		ss, err := adaptiveOnePass(m.split, m.resplit, m.name, mods)
-		if err != nil {
-			fatal(err)
-		}
-		a.AdaptiveSplit = append(a.AdaptiveSplit, ss)
 	}
 
 	// Similarity-guided prescreening: the suite streamed per prune mode, cold
@@ -341,7 +201,7 @@ func main() {
 		fatal(err)
 	}
 	for _, memo := range []bool{false, true} {
-		var lastStats idiomatic.ServiceStats
+		var lastStats idiomatic.StatsResponse
 		for _, workers := range workerCounts {
 			svc, err := idiomatic.NewService(idiomatic.ServiceOptions{
 				Workers: workers, QueueLimit: -1, NoMemo: !memo,
@@ -492,7 +352,7 @@ func detectBatch(eng *detect.Engine, mods []*ir.Module) error {
 }
 
 // streamBatch runs the whole batch through the engine's streaming front door
-// (the path intra-solve splitting applies to) and checks the instance total.
+// and checks the instance total.
 func streamBatch(eng *detect.Engine, mods []*ir.Module) error {
 	st := eng.Stream(len(mods))
 	for _, mod := range mods {
@@ -507,61 +367,6 @@ func streamBatch(eng *detect.Engine, mods []*ir.Module) error {
 		results = append(results, sr.Result)
 	}
 	return assertTotal(results)
-}
-
-// streamOne pushes a single module through the engine's streaming front door —
-// the worst-case single-solve critical path that intra-solve splitting and
-// re-splitting exist to shorten.
-func streamOne(eng *detect.Engine, mod *ir.Module) error {
-	st := eng.Stream(1)
-	st.Submit(mod)
-	st.Close()
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			return sr.Err
-		}
-	}
-	return nil
-}
-
-// worstModule finds the suite's most expensive single detection — the module
-// whose sequential solve dominates any one-module request's latency.
-func worstModule(mods []*ir.Module) (*ir.Module, string, error) {
-	ws := workloads.All()
-	var worst *ir.Module
-	var name string
-	var worstDur time.Duration
-	for i, mod := range mods {
-		start := time.Now()
-		if _, err := detect.Module(mod, detect.Options{}); err != nil {
-			return nil, "", fmt.Errorf("%s: %w", ws[i].Name, err)
-		}
-		if d := time.Since(start); d > worstDur {
-			worst, name, worstDur = mod, ws[i].Name, d
-		}
-	}
-	return worst, name, nil
-}
-
-// adaptiveOnePass streams the suite once through a fresh cold engine in the
-// given scheduling mode and reads the split decision counters off it.
-func adaptiveOnePass(split, resplit int, mode string, mods []*ir.Module) (splitModeStats, error) {
-	eng, err := detect.NewEngine(detect.Options{
-		Workers: 4, SolveSplit: split, ResplitDepth: resplit, NoMemo: true,
-	})
-	if err != nil {
-		return splitModeStats{}, err
-	}
-	if err := streamBatch(eng, mods); err != nil {
-		return splitModeStats{}, err
-	}
-	decisions, resplits, skipped := eng.SplitStats()
-	return splitModeStats{
-		Mode:         mode,
-		Decisions:    decisions,
-		Resplits:     resplits,
-		SkippedCheap: skipped,
-	}, nil
 }
 
 func pipelineRun(workers int, memo bool, cache *constraint.SolveCache) error {

@@ -21,8 +21,6 @@
 //	                               # (-target best ranks all three devices)
 //	idiomcc -idioms SPMV,GEMM ...  # restrict the idiom set
 //	idiomcc -j 8 file.c ...        # worker count (0 = GOMAXPROCS)
-//	idiomcc -split 4 file.c        # fork each solve into up to 4 branches
-//	idiomcc -split 4 -resplit-depth 1 file.c  # adaptive re-splitting
 package main
 
 import (
@@ -41,8 +39,6 @@ func main() {
 	target := flag.String("target", "", "profile-driven backend selection for -transform: CPU, iGPU, GPU, or best (empty = the paper's fixed backend mapping)")
 	idiomList := flag.String("idioms", "", "comma-separated idiom subset (default: all)")
 	jobs := flag.Int("j", 0, "compile/detection worker count (0 = GOMAXPROCS)")
-	split := flag.Int("split", 1, "intra-solve branch fan-out (<=1 = sequential searches)")
-	resplitDepth := flag.Int("resplit-depth", 0, "adaptive re-split budget below the root fork (0 = never re-split)")
 	prune := flag.String("prune", "reorder", "similarity prescreen mode: reorder (identical output), on (skip provably unmatchable solves), off")
 	flag.Parse()
 
@@ -54,10 +50,8 @@ func main() {
 	svc, err := idiomatic.NewService(idiomatic.ServiceOptions{
 		Workers: *jobs,
 		// The CLI's batch is its whole workload; never shed it.
-		QueueLimit:   -1,
-		SolveSplit:   *split,
-		ResplitDepth: *resplitDepth,
-		Prune:        *prune,
+		QueueLimit: -1,
+		Prune:      *prune,
 	})
 	if err != nil {
 		fatal(err)
@@ -143,7 +137,7 @@ func report(svc *idiomatic.Service, task *idiomatic.Task, doTransform bool, targ
 			}
 		}
 	case doTransform:
-		calls, err := prog.Accelerate(det)
+		calls, err := svc.Accelerate(context.Background(), prog, det)
 		if err != nil {
 			return err
 		}

@@ -10,8 +10,6 @@
 //	idiomd -j 8                    # compile/solver worker count (0 = GOMAXPROCS)
 //	idiomd -queue 512              # max in-flight modules before 429
 //	idiomd -memo-max 65536         # solve-cache LRU bound (entries)
-//	idiomd -split 4                # fork each solve into up to 4 branches
-//	idiomd -split 8 -resplit-depth 2  # re-split branches while the pool is idle
 //	idiomd -keys keys.txt          # API-key auth (keyfile: "<key> <name> [weight] [admin]")
 //	idiomd -client-queue 64        # per-client in-flight bound (named clients)
 //	idiomd -client-rate 10         # per-client token bucket: rate*weight req/s
@@ -70,8 +68,6 @@ func main() {
 	queue := flag.Int("queue", idiomatic.DefaultQueueLimit, "max in-flight modules before requests are shed with 429 (<0 = unbounded)")
 	memoMax := flag.Int("memo-max", 0, "solve-cache LRU bound in entries (0 = default, <0 = unbounded)")
 	noMemo := flag.Bool("no-memo", false, "disable solver memoization")
-	split := flag.Int("split", 1, "intra-solve branch fan-out: fork each backtracking search into up to N branches on the solver pool (<=1 = sequential)")
-	resplitDepth := flag.Int("resplit-depth", 0, "adaptive re-split budget: branches of a split solve may fork again up to N nesting levels when the pool is idle (0 = never)")
 	maxPacks := flag.Int("packs-max", 0, "max distinct registered idiom-pack names (0 = default, <0 = unbounded)")
 	keys := flag.String("keys", "", "API-key file enabling auth: one \"<key> <name> [weight] [admin]\" per line (empty = anonymous tier, no auth)")
 	clientQueue := flag.Int("client-queue", 0, "per-client in-flight bound for named clients (0 = unbounded)")
@@ -102,8 +98,6 @@ func main() {
 		QueueLimit:     *queue,
 		MemoMaxEntries: *memoMax,
 		NoMemo:         *noMemo,
-		SolveSplit:     *split,
-		ResplitDepth:   *resplitDepth,
 		MaxPacks:       *maxPacks,
 		ClientQueue:    *clientQueue,
 		ClientRate:     *clientRate,

@@ -26,7 +26,7 @@
 //
 // Usage:
 //
-//	soak [-duration 30s] [-j 4] [-split 2] [-slots 2] [-min-share 0.4] [-p99-floor 150ms]
+//	soak [-duration 30s] [-j 4] [-slots 2] [-min-share 0.4] [-p99-floor 150ms]
 //	soak -addr http://127.0.0.1:8174 [-duration 10s] [-min-share 0.2]
 //	soak -print-keys > keys.txt
 package main
@@ -76,7 +76,6 @@ const keyfile = lightKey + " light 1\n" + heavyKey + " heavy 1\n" + adminKey + "
 type config struct {
 	duration time.Duration
 	workers  int
-	split    int
 	slots    int
 	minShare float64
 	p99Floor time.Duration
@@ -94,7 +93,6 @@ func main() {
 	var cfg config
 	flag.DurationVar(&cfg.duration, "duration", 30*time.Second, "total soak length (25% baseline, 75% mixed flood)")
 	flag.IntVar(&cfg.workers, "j", 4, "service compile/solver workers")
-	flag.IntVar(&cfg.split, "split", 2, "intra-solve branch fan-out")
 	flag.IntVar(&cfg.slots, "slots", 2, "solver-pool slot bound (small keeps the fair-share gate hot: a light module waits behind at most slots-1 heavy ones)")
 	flag.Float64Var(&cfg.minShare, "min-share", 0.4, "light tenant's minimum served-module share during the flood")
 	flag.DurationVar(&cfg.p99Floor, "p99-floor", 150*time.Millisecond, "noise floor for the p99 comparison (budget = 2 * max(baseline p99, floor))")
@@ -108,7 +106,7 @@ func main() {
 	}
 
 	// In -addr mode the target server owns its own lifecycle and tuning
-	// flags (-j, -split, -slots act on the in-process service only); the
+	// flags (-j, -slots act on the in-process service only); the
 	// harness is a pure client, so the drain assert reads gauges over HTTP.
 	var svc *idiomatic.Service
 	h := &harness{cfg: cfg, client: &http.Client{}}
@@ -118,7 +116,6 @@ func main() {
 		var err error
 		svc, err = idiomatic.NewService(idiomatic.ServiceOptions{
 			Workers:     cfg.workers,
-			SolveSplit:  cfg.split,
 			QueueLimit:  -1,
 			DetectSlots: cfg.slots,
 			NoMemo:      true, // every solve pays full price, so fairness is load-bearing
@@ -417,36 +414,11 @@ func (h *harness) clientRows() map[string]httpapi.ClientInfo {
 
 // drainStats is the subset of a replica's stats the drain assert watches.
 // It unmarshals from both an in-process StatsResponse and the /statsz wire
-// shape of a single idiomd. Alongside the drain-to-zero gauges it carries
-// the schema-v4 split-decision counters, which the drain assert checks for
-// internal consistency (cumulative, so they never drain — but a drained pool
-// with a chosen-variable histogram that doesn't account for every recorded
-// fork means branch accounting leaked).
+// shape of a single idiomd.
 type drainStats struct {
-	InFlight          int `json:"in_flight"`
-	SolveActive       int `json:"solve_active"`
-	SolveBranchActive int `json:"solve_branch_active"`
-	DetectActive      int `json:"detect_active"`
-
-	SplitDecisions    int64            `json:"split_decisions"`
-	SplitResplits     int64            `json:"split_resplits"`
-	SplitSkippedCheap int64            `json:"split_skipped_cheap"`
-	SplitVarHist      map[string]int64 `json:"split_var_hist"`
-}
-
-// splitConsistent verifies the split-decision counters of one drained
-// replica: nothing negative, and the chosen-variable histogram sums exactly
-// to the decision count (every fork picked a variable, every pick was a
-// fork).
-func (g drainStats) splitConsistent() bool {
-	if g.SplitDecisions < 0 || g.SplitResplits < 0 || g.SplitSkippedCheap < 0 {
-		return false
-	}
-	var hist int64
-	for _, n := range g.SplitVarHist {
-		hist += n
-	}
-	return hist == g.SplitDecisions
+	InFlight     int `json:"in_flight"`
+	SolveActive  int `json:"solve_active"`
+	DetectActive int `json:"detect_active"`
 }
 
 // drainProbe additionally understands idiomfront's aggregated /statsz, where
@@ -485,14 +457,6 @@ func (h *harness) assertDrained(svc *idiomatic.Service) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// Drained: the split-decision counters must be internally consistent on
-	// every replica (histogram accounts for every fork, nothing negative).
-	for _, g := range h.gaugesNow(svc) {
-		if !g.splitConsistent() {
-			h.failf("drain: split gauges inconsistent after drain: decisions=%d resplits=%d skipped_cheap=%d hist=%v",
-				g.SplitDecisions, g.SplitResplits, g.SplitSkippedCheap, g.SplitVarHist)
-		}
-	}
 }
 
 // gaugesNow snapshots every replica's drain gauges. With an in-process
@@ -503,14 +467,9 @@ func (h *harness) gaugesNow(svc *idiomatic.Service) []drainStats {
 	if svc != nil {
 		st := svc.Stats()
 		return []drainStats{{
-			InFlight:          st.InFlight,
-			SolveActive:       st.SolveActive,
-			SolveBranchActive: st.SolveBranchActive,
-			DetectActive:      st.DetectActive,
-			SplitDecisions:    st.SplitDecisions,
-			SplitResplits:     st.SplitResplits,
-			SplitSkippedCheap: st.SplitSkippedCheap,
-			SplitVarHist:      st.SplitVarHist,
+			InFlight:     st.InFlight,
+			SolveActive:  st.SolveActive,
+			DetectActive: st.DetectActive,
 		}}
 	}
 	status, body := h.do(http.MethodGet, "/statsz", adminKey, nil, nil)
@@ -531,7 +490,7 @@ func (h *harness) idleNow(svc *idiomatic.Service) bool {
 		return false
 	}
 	for _, g := range gauges {
-		if g.InFlight != 0 || g.SolveActive != 0 || g.SolveBranchActive != 0 || g.DetectActive != 0 {
+		if g.InFlight != 0 || g.SolveActive != 0 || g.DetectActive != 0 {
 			return false
 		}
 	}

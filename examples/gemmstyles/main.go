@@ -98,7 +98,7 @@ func main() {
 	}
 	fmt.Println("\nboth syntactic styles matched the same GEMM idiom (paper §4.3)")
 
-	if _, err := acc.Accelerate(det); err != nil {
+	if _, err := svc.Accelerate(context.Background(), acc, det); err != nil {
 		log.Fatal(err)
 	}
 	accRun, err := acc.Run("both", args()...)

@@ -36,7 +36,8 @@ End`
 func main() {
 	// The process-wide Service is the blessed entry point; it owns the
 	// compile→detect pipeline every Program routes through.
-	prog, err := idiomatic.Default().Compile(context.Background(), "figure3", source)
+	svc := idiomatic.Default()
+	prog, err := svc.Compile(context.Background(), "figure3", source)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func main() {
 	fmt.Println("Resulting LLVM-style IR:")
 	fmt.Println(prog.IR())
 
-	sols, err := prog.Match(factorizationIDL, "FactorizationOpportunity", "example")
+	sols, err := svc.MatchIDL(context.Background(), prog, factorizationIDL, "FactorizationOpportunity", "example")
 	if err != nil {
 		log.Fatal(err)
 	}

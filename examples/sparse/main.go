@@ -85,7 +85,7 @@ func main() {
 	for _, inst := range det.Instances {
 		fmt.Printf("detected %s (%s) in %s\n", inst.Idiom, inst.Class, inst.Function)
 	}
-	calls, err := acc.Accelerate(det)
+	calls, err := svc.Accelerate(context.Background(), acc, det)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,9 +21,9 @@
 // Program path of the paper's Figure 1, still routed through the service:
 //
 //	prog, _ := svc.Compile(ctx, "demo", src)
-//	det, _ := prog.Detect()            // constraint-based idiom discovery
-//	calls, _ := prog.Accelerate(det)   // replace idioms with API calls
-//	out, _ := prog.Run("sum", args...) // execute under the interpreter
+//	det, _ := prog.Detect()                   // constraint-based idiom discovery
+//	calls, _ := svc.Accelerate(ctx, prog, det) // replace idioms with API calls
+//	out, _ := prog.Run("sum", args...)        // execute under the interpreter
 //
 // plus direct access to the Idiom Description Language for user-defined
 // idioms (Service.MatchIDL for one-shot probes, Service.RegisterPack for
@@ -50,25 +50,6 @@ type Program struct {
 	Module *ir.Module
 
 	svc *Service
-}
-
-// Compile translates a C source file into SSA form (the clang-to-LLVM-IR
-// stage of the paper's workflow) on the process-wide default service.
-//
-// Deprecated: use Service.Compile (or Service.Detect for the full
-// source-to-findings path); a Service carries the context support, intake
-// bounds and serving statistics this wrapper cannot offer.
-func Compile(name, source string) (*Program, error) {
-	return Default().Compile(context.Background(), name, source)
-}
-
-// service resolves the owning service, falling back to the process default
-// for Programs built by the deprecated free functions.
-func (p *Program) service() *Service {
-	if p.svc != nil {
-		return p.svc
-	}
-	return Default()
 }
 
 // IR renders the program's SSA form like the paper's LLVM IR listings.
@@ -102,13 +83,13 @@ type Detection struct {
 // Detect runs the paper's idiom library (~500 lines of IDL) over the
 // program, on the owning service's engine.
 func (p *Program) Detect() (*Detection, error) {
-	return p.service().DetectProgram(context.Background(), p)
+	return p.svc.DetectProgram(context.Background(), p)
 }
 
 // DetectOnly restricts detection to the named idioms (order is merge
 // precedence, as in the sequential driver).
 func (p *Program) DetectOnly(names ...string) (*Detection, error) {
-	return p.service().DetectProgram(context.Background(), p, names...)
+	return p.svc.DetectProgram(context.Background(), p, names...)
 }
 
 func wrapDetection(res *detect.Result) *Detection {
@@ -137,17 +118,6 @@ type APICall struct {
 	RuntimeChecks []string
 	// Rendering is the Figure 6 style call listing.
 	Rendering string
-}
-
-// Accelerate replaces every detected idiom with a call to the appropriate
-// heterogeneous API (libraries for GEMM/SPMV, DSL kernels for reductions,
-// histograms and stencils), rewriting the program in place.
-//
-// Deprecated: use Service.Accelerate (the same fixed backend mapping) or
-// Service.Plan / Service.Match for profile-driven backend selection with
-// ranked per-device offload estimates.
-func (p *Program) Accelerate(d *Detection) ([]APICall, error) {
-	return p.service().Accelerate(context.Background(), p, d)
 }
 
 // Value is an execution argument or result.
@@ -234,18 +204,6 @@ func (r *RunResult) EstimateBest(dev Device) (Choice, bool) {
 // SequentialSeconds models the sequential run of the counted work.
 func (r *RunResult) SequentialSeconds() float64 {
 	return hetero.SequentialSeconds(r.Counts)
-}
-
-// Match compiles a user-written IDL specification and returns all solutions
-// of the named constraint over the given function — the paper's
-// extensibility story: "new idioms can be easily added ... without touching
-// the core compiler".
-//
-// Deprecated: use Service.MatchIDL for the one-shot probe, or register the
-// IDL as a pack (Service.RegisterPack) to get full detection,
-// transformation and backend selection for it — including over HTTP.
-func (p *Program) Match(idlSource, constraintName, function string) ([]string, error) {
-	return p.service().MatchIDL(context.Background(), p, idlSource, constraintName, function)
 }
 
 // LibrarySource returns the built-in idiom library's IDL text.

@@ -1,6 +1,7 @@
 package idiomatic
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -23,7 +24,7 @@ func dotArgs() []Value {
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
-	prog, err := Compile("demo", dotSource)
+	prog, err := Default().Compile(context.Background(), "demo", dotSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("untransformed run made %d API calls", ref.Calls)
 	}
 
-	calls, err := prog.Accelerate(det)
+	calls, err := Default().Accelerate(context.Background(), prog, det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeDetectOnly(t *testing.T) {
-	prog, err := Compile("demo", dotSource)
+	prog, err := Default().Compile(context.Background(), "demo", dotSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +106,12 @@ func TestFacadeDetectOnly(t *testing.T) {
 }
 
 func TestFacadeMatchCustomIdiom(t *testing.T) {
-	prog, err := Compile("demo", `
+	prog, err := Default().Compile(context.Background(), "demo", `
 int f(int a, int b) { return (a*b) + (b*a); }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := prog.Match(`
+	sols, err := Default().MatchIDL(context.Background(), prog, `
 Constraint TwoMuls
 ( {sum} is add instruction and
   {l} is first argument of {sum} and
@@ -127,17 +128,17 @@ End`, "TwoMuls", "f")
 }
 
 func TestFacadeErrors(t *testing.T) {
-	if _, err := Compile("bad", "not C at all {{{"); err == nil {
+	if _, err := Default().Compile(context.Background(), "bad", "not C at all {{{"); err == nil {
 		t.Error("expected parse error")
 	}
-	prog, _ := Compile("demo", dotSource)
+	prog, _ := Default().Compile(context.Background(), "demo", dotSource)
 	if _, err := prog.Run("nonesuch"); err == nil {
 		t.Error("expected missing-function error")
 	}
-	if _, err := prog.Match("Constraint X ( {a} is add instruction ) End", "Y", "dot"); err == nil {
+	if _, err := Default().MatchIDL(context.Background(), prog, "Constraint X ( {a} is add instruction ) End", "Y", "dot"); err == nil {
 		t.Error("expected unknown-constraint error")
 	}
-	if _, err := prog.Match("garbage", "X", "dot"); err == nil {
+	if _, err := Default().MatchIDL(context.Background(), prog, "garbage", "X", "dot"); err == nil {
 		t.Error("expected IDL parse error")
 	}
 }

@@ -55,21 +55,6 @@ type ServiceOptions struct {
 	MemoMaxEntries int
 	// NoMemo disables solver memoization entirely.
 	NoMemo bool
-	// SolveSplit caps intra-solve parallelism: each fresh backtracking
-	// search may fork at its split variable's candidate list (the widest
-	// relevant, unbound variable the search reaches deterministically) into
-	// up to this many branch tasks on the shared solver pool, cutting a
-	// single large solve's latency from the whole search to its largest
-	// branch. The actual fan-out per solve is cost-gated: solves the memo
-	// cost table predicts cheaper than fork overhead stay sequential, and
-	// costlier ones fork proportionally up to this cap. 0 or 1 keeps
-	// searches sequential. Output is byte-identical either way.
-	SolveSplit int
-	// ResplitDepth lets a branch of a split solve fork its remaining
-	// candidates again — up to this many nesting levels below the root fork
-	// — whenever the solver pool reports idle capacity, adapting fan-out to
-	// load. 0 never re-splits. Output is byte-identical either way.
-	ResplitDepth int
 	// MaxPacks bounds the number of distinct registered idiom-pack names
 	// (registrations hold compiled problems for the process lifetime, so
 	// the bound caps memory like the memo LRU does). 0 means
@@ -173,12 +158,10 @@ func NewService(o ServiceOptions) (*Service, error) {
 		return nil, err
 	}
 	dopts := detect.Options{
-		Workers:      o.Workers,
-		Idioms:       names,
-		NoMemo:       o.NoMemo,
-		SolveSplit:   o.SolveSplit,
-		ResplitDepth: o.ResplitDepth,
-		Prune:        prune,
+		Workers: o.Workers,
+		Idioms:  names,
+		NoMemo:  o.NoMemo,
+		Prune:   prune,
 	}
 	if !o.NoMemo {
 		max := o.MemoMaxEntries
@@ -245,15 +228,14 @@ var (
 	defaultSvc  *Service
 )
 
-// Default returns the lazily-built process-wide Service used by the
-// deprecated package-level free functions and by Programs not created
-// through an explicit Service.
+// Default returns the lazily-built process-wide Service, for in-process
+// callers that do not need their own pool, bounds or statistics.
 func Default() *Service {
 	defaultOnce.Do(func() {
 		// Unbounded intake: the default service backs blocking in-process
-		// library calls (Program.Detect and the deprecated free functions),
-		// which must never fail with ErrOverloaded the way network traffic
-		// may. Explicit services choose their own bound.
+		// library calls (Program.Detect and friends), which must never fail
+		// with ErrOverloaded the way network traffic may. Explicit services
+		// choose their own bound.
 		svc, err := NewService(ServiceOptions{QueueLimit: -1})
 		if err != nil {
 			// The built-in idiom library always compiles; reaching this means
@@ -751,10 +733,11 @@ func (s *Service) Idioms() []IdiomInfo {
 // gauges (prune_mode, prune_skipped, prune_reordered, prescreen_ns_total)
 // and the memo cost-table size (memo.cost_entries). v3 added the
 // persistence block (store.*: blob gauge, spill hit/miss, sync spills,
-// pack-log counters). v4 added the adaptive split-scheduling gauges
-// (resplit_depth, split_decisions, split_resplits, split_skipped_cheap,
-// split_var_hist).
-const StatsSchemaVersion = 4
+// pack-log counters). v4 added the adaptive split-scheduling gauges. v5
+// removed intra-solve splitting and with it all seven split fields
+// (solve_split, solve_branch_active, the re-split depth and the four
+// split-decision gauges).
+const StatsSchemaVersion = 5
 
 // StatsResponse is the versioned /statsz wire payload: queue depth, worker
 // utilization, memoization state and per-client fairness gauges. Fields are
@@ -773,24 +756,6 @@ type StatsResponse struct {
 	CompileWorkers int `json:"compile_workers"`
 	SolveWorkers   int `json:"solve_workers"`
 	SolveActive    int `json:"solve_active"`
-	// SolveSplit is the configured intra-solve branch fan-out cap (1 =
-	// sequential searches); SolveBranchActive is how many branch subtasks of
-	// split solves are running right now.
-	SolveSplit        int `json:"solve_split"`
-	SolveBranchActive int `json:"solve_branch_active"`
-	// ResplitDepth is the configured adaptive re-split budget below the root
-	// fork (0 = branches never re-split).
-	ResplitDepth int `json:"resplit_depth"`
-	// Split-decision counters (schema v4, cumulative): SplitDecisions counts
-	// solves that actually forked at a split variable, SplitResplits the
-	// adaptive branch re-splits across them, and SplitSkippedCheap the
-	// splittable solves kept sequential because the memo cost table
-	// predicted them cheaper than fork overhead. SplitVarHist is the
-	// chosen-variable histogram: forked solves per split variable.
-	SplitDecisions    int64            `json:"split_decisions"`
-	SplitResplits     int64            `json:"split_resplits"`
-	SplitSkippedCheap int64            `json:"split_skipped_cheap"`
-	SplitVarHist      map[string]int64 `json:"split_var_hist"`
 	// ReadyQueue counts compiled modules waiting for a solver slot;
 	// DetectSlots is the slot bound (-1 = unbounded) and DetectActive how
 	// many slots are occupied right now.
@@ -822,11 +787,6 @@ type StatsResponse struct {
 	Clients []ClientStatsRow `json:"clients,omitempty"`
 }
 
-// ServiceStats is the pre-v1 name of the stats payload.
-//
-// Deprecated: use StatsResponse.
-type ServiceStats = StatsResponse
-
 // ClientStatsRow is one per-tenant fairness row in StatsResponse.
 type ClientStatsRow struct {
 	// Name is the tenant ("" = anonymous tier); Weight its fair-share weight.
@@ -848,32 +808,25 @@ type ClientStatsRow struct {
 func (s *Service) Stats() StatsResponse {
 	ps := s.pipe.Stats()
 	out := StatsResponse{
-		Schema:            StatsSchemaVersion,
-		InFlight:          ps.InFlight,
-		QueueLimit:        ps.MaxQueue,
-		CompileQueue:      ps.CompileQueue,
-		CompileWorkers:    ps.CompileWorkers,
-		SolveWorkers:      ps.SolveWorkers,
-		SolveActive:       ps.SolveActive,
-		SolveSplit:        ps.SolveSplit,
-		SolveBranchActive: ps.SolveBranchActive,
-		ResplitDepth:      ps.ResplitDepth,
-		SplitDecisions:    ps.SplitDecisions,
-		SplitResplits:     ps.SplitResplits,
-		SplitSkippedCheap: ps.SplitSkippedCheap,
-		SplitVarHist:      ps.SplitVars,
-		ReadyQueue:        ps.ReadyQueue,
-		DetectSlots:       ps.DetectSlots,
-		DetectActive:      ps.DetectActive,
-		PruneMode:         ps.PruneMode,
-		PruneSkipped:      ps.PruneSkipped,
-		PruneReordered:    ps.PruneReordered,
-		PrescreenNsTotal:  ps.PrescreenNs,
-		Submitted:         ps.Submitted,
-		Completed:         ps.Completed,
-		Packs:             len(s.reg.Packs()),
-		Memo:              s.memoSnapshot(),
-		Store:             s.storeStats(),
+		Schema:           StatsSchemaVersion,
+		InFlight:         ps.InFlight,
+		QueueLimit:       ps.MaxQueue,
+		CompileQueue:     ps.CompileQueue,
+		CompileWorkers:   ps.CompileWorkers,
+		SolveWorkers:     ps.SolveWorkers,
+		SolveActive:      ps.SolveActive,
+		ReadyQueue:       ps.ReadyQueue,
+		DetectSlots:      ps.DetectSlots,
+		DetectActive:     ps.DetectActive,
+		PruneMode:        ps.PruneMode,
+		PruneSkipped:     ps.PruneSkipped,
+		PruneReordered:   ps.PruneReordered,
+		PrescreenNsTotal: ps.PrescreenNs,
+		Submitted:        ps.Submitted,
+		Completed:        ps.Completed,
+		Packs:            len(s.reg.Packs()),
+		Memo:             s.memoSnapshot(),
+		Store:            s.storeStats(),
 	}
 	for _, c := range ps.Clients {
 		out.Clients = append(out.Clients, ClientStatsRow{

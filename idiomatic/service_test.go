@@ -63,15 +63,12 @@ func wantWire(t *testing.T, opts RequestOptions) []DetectResult {
 // criterion: streaming the full 21-workload suite through DetectStream and
 // reassembling by sequence number is byte-identical (canonical wire
 // encoding, findings with full solutions) to detect.Modules over the same
-// batch; DetectBatch must agree as well. The split variant runs every
-// backtracking search forked 4 ways on the shared pool — the wire contract
-// is identical bytes either way.
+// batch; DetectBatch must agree as well. In the sequential subtest each
+// search is one sequential backtracking solve and the pool schedules whole
+// (function × idiom) tasks.
 func TestServiceStreamMatchesModules(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) {
 		testServiceStreamMatchesModules(t, ServiceOptions{Workers: 4})
-	})
-	t.Run("split=4", func(t *testing.T) {
-		testServiceStreamMatchesModules(t, ServiceOptions{Workers: 4, SolveSplit: 4})
 	})
 }
 

@@ -8,9 +8,9 @@ import (
 	"repro/idiomatic"
 )
 
-// The wire schema carries three map-typed fields — StatsResponse.SplitVarHist,
-// Finding.Solution, and BackendInfo.Kinds — whose byte-level determinism
-// rests entirely on encoding/json sorting map keys. These tests pin that
+// The wire schema carries two map-typed fields — Finding.Solution and
+// BackendInfo.Kinds — whose byte-level determinism rests entirely on
+// encoding/json sorting map keys. These tests pin that
 // contract from both sides: the encoder side (identical contents, hostile
 // insertion orders, identical bytes) and the population side (repeated
 // Backends calls marshal identically). If any of these fields is ever moved
@@ -32,28 +32,6 @@ func marshalBoth[T any](t *testing.T, build func(insertReversed bool) T) ([]byte
 		t.Fatal(err)
 	}
 	return a, b
-}
-
-func TestStatsSplitVarHistMarshalsSorted(t *testing.T) {
-	entries := []struct {
-		k string
-		v int64
-	}{{"Z_mul", 9}, {"A_add", 3}, {"m_acc", 7}, {"B_red", 1}}
-	a, b := marshalBoth(t, func(rev bool) idiomatic.StatsResponse {
-		var s idiomatic.StatsResponse
-		s.SplitVarHist = map[string]int64{}
-		for i := range entries {
-			e := entries[i]
-			if rev {
-				e = entries[len(entries)-1-i]
-			}
-			s.SplitVarHist[e.k] = e.v
-		}
-		return s
-	})
-	if !bytes.Equal(a, b) {
-		t.Errorf("SplitVarHist encoding depends on insertion order:\n  %s\n  %s", a, b)
-	}
 }
 
 func TestFindingSolutionMarshalsSorted(t *testing.T) {

@@ -1,8 +1,24 @@
 package constraint
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
+
+// bigKernelSource generates a function with n add-of-mul statements (each a
+// genuine factorization opportunity): enough feasible partial assignments
+// that the search runs well past the solver's 64-step cancellation poll
+// interval.
+func bigKernelSource(n int) string {
+	var b strings.Builder
+	b.WriteString("int kernel(int a, int b, int c) {\n int acc = a;\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " acc = acc + ((a*b) + (c*a));\n")
+	}
+	b.WriteString(" return acc;\n}")
+	return b.String()
+}
 
 // TestCancelUnwindDoesNoLateBinds pins the per-candidate cancellation check
 // in the sequential search: once the periodic poll observes Cancel deep in
@@ -31,30 +47,5 @@ func TestCancelUnwindDoesNoLateBinds(t *testing.T) {
 	if s.lateBinds != 0 {
 		t.Errorf("%d candidate bindings after cancellation was observed; "+
 			"step frames must check the cancelled flag once per candidate while unwinding", s.lateBinds)
-	}
-}
-
-// TestCancelUnwindSplitDoesNoLateBinds is the same pin for the split path:
-// searchChunk's per-candidate poll must stop each branch before it binds
-// another candidate after cancellation.
-func TestCancelUnwindSplitDoesNoLateBinds(t *testing.T) {
-	prob := mustProblem(t, figure2, "FactorizationOpportunity", nil)
-	info := analyzeC(t, bigKernelSource(120), "kernel")
-
-	cancel := make(chan struct{})
-	s := NewSolver(prob, info)
-	s.Split = 4
-	s.Run = func(n int, task func(i int)) {
-		close(cancel)
-		parallelRunner(n, task)
-	}
-	s.Cancel = cancel
-	s.Solve()
-
-	if !s.Cancelled() {
-		t.Fatal("mid-split cancellation not reported")
-	}
-	if s.lateBinds != 0 {
-		t.Errorf("%d candidate bindings after cancellation in the merged solve", s.lateBinds)
 	}
 }

@@ -237,10 +237,10 @@ func TestSolveCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCancelledSplitSolveNotMemoized pins the split × memo poison contract:
-// a split solve with any cancelled branch reports Cancelled, the caller-side
-// guard (the detection engine's) therefore never stores it, and the cache
-// only ever serves the complete enumeration.
+// TestCancelledSplitSolveNotMemoized pins the cancel × memo poison contract: a
+// cancelled solve reports Cancelled, the caller-side guard (the detection
+// engine's) therefore never stores it, and the cache only ever serves the
+// complete enumeration.
 func TestCancelledSplitSolveNotMemoized(t *testing.T) {
 	prob := mustProblem(t, figure2, "FactorizationOpportunity", nil)
 	info := analyzeC(t, bigKernelSource(120), "kernel")
@@ -257,26 +257,20 @@ func TestCancelledSplitSolveNotMemoized(t *testing.T) {
 	}
 
 	cancel := make(chan struct{})
+	close(cancel) // deterministic abort at the first periodic poll
 	aborted := NewSolver(prob, info)
-	aborted.Split = 4
 	aborted.Cancel = cancel
-	aborted.Run = func(n int, task func(i int)) {
-		close(cancel) // deterministic mid-split abort
-		parallelRunner(n, task)
-	}
 	partial := solveThrough(aborted)
 	if !aborted.Cancelled() {
-		t.Fatal("mid-split cancellation not reported")
+		t.Fatal("cancellation not reported")
 	}
 	if c.Len() != 0 {
 		t.Fatalf("cancelled solve was memoized (%d entries)", c.Len())
 	}
 
-	// A complete split solve memoizes, and the entry rehydrates to exactly
-	// the full enumeration — not the aborted prefix.
+	// A complete solve memoizes, and the entry rehydrates to exactly the
+	// full enumeration — not the aborted prefix.
 	full := NewSolver(prob, info)
-	full.Split = 4
-	full.Run = parallelRunner
 	want := solveThrough(full)
 	if len(want) == 0 || len(partial) >= len(want) {
 		t.Fatalf("aborted solve found %d solutions, complete found %d; test needs a real prefix",
@@ -284,7 +278,7 @@ func TestCancelledSplitSolveNotMemoized(t *testing.T) {
 	}
 	got, steps, ok := c.Get(prob, fp, info)
 	if !ok {
-		t.Fatal("complete split solve was not memoized")
+		t.Fatal("complete solve was not memoized")
 	}
 	if steps != full.Steps || len(got) != len(want) {
 		t.Fatalf("rehydrated %d solutions / %d steps, want %d / %d",

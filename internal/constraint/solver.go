@@ -228,63 +228,6 @@ func collectInfoFor(c *NCollect) *collectInfo {
 	return ci
 }
 
-// TaskRunner executes task(0..n-1), returning only when all n calls have
-// completed. The tasks are independent and may run concurrently; the
-// detection engine installs a runner backed by its shared worker pool so
-// branch searches of one solve interleave with other solves. A nil runner
-// runs the tasks inline (sequentially) on the calling goroutine.
-type TaskRunner func(n int, task func(i int))
-
-// searchState is the mutable state of one backtracking search: the
-// assignment stack, the incremental node-evaluation cache, the solutions
-// found so far and the step/cancel bookkeeping. It is embedded by value in
-// Solver (field promotion keeps every accessor unqualified) and forked —
-// copied assignment, fresh result set — when a split search spawns its root
-// branches, so each branch owns its mutable state exclusively until the
-// serial merge joins it back.
-type searchState struct {
-	assign map[string]ir.Value
-
-	// node evaluation cache (invalidated per variable via idx.varNodes).
-	nodeVal   []tribool
-	nodeKnown []bool
-
-	sols    []Solution
-	solKeys map[string]bool
-
-	// collectMemo caches resolved collects keyed by the binding signature of
-	// the body's outer variables.
-	collectMemo map[string]*collectResult
-
-	// collectLedger records, per collect-memo key, the step count of that
-	// key's first resolution in this search. Branches resolve their collects
-	// independently, so one key may be paid for in several branches; the
-	// merge consults the ledgers to charge each unique key exactly once,
-	// which is what the sequential search's shared memo does. nil outside
-	// branch searches (the sequential path needs no reconciliation).
-	collectLedger map[string]int
-
-	cancelled bool
-
-	// lateBinds counts variable bindings performed after cancellation was
-	// observed — wasted unwinding work. The per-candidate cancel checks in
-	// step and searchChunk keep it at zero.
-	lateBinds int
-
-	// Steps counts backtracking search steps (the paper's compile-time cost
-	// metric). It is owned by the goroutine running the search: branch
-	// searches keep private counters that merge aggregates only after every
-	// branch task has joined, so the field is never written concurrently and
-	// reading it after Solve returns is race-free even at Split > 1.
-	Steps int
-
-	// resplits counts how many times this search (including its merged
-	// branches, recursively) forked a branch's remaining candidate chunk into
-	// sub-branches. Owned like Steps: written only by the goroutine running
-	// the search, aggregated at merge after every branch task has joined.
-	resplits int
-}
-
 // Solver searches one analysed function for all solutions of a problem.
 type Solver struct {
 	prob *Problem
@@ -298,7 +241,30 @@ type Solver struct {
 	// byOpcode indexes the instructions for candidate generation.
 	byOpcode map[ir.Opcode][]ir.Value
 
-	searchState
+	// assign is the current partial assignment of the backtracking search.
+	assign map[string]ir.Value
+
+	// node evaluation cache (invalidated per variable via idx.varNodes).
+	nodeVal   []tribool
+	nodeKnown []bool
+
+	sols    []Solution
+	solKeys map[string]bool
+
+	// collectMemo caches resolved collects keyed by the binding signature of
+	// the body's outer variables.
+	collectMemo map[string]*collectResult
+
+	cancelled bool
+
+	// lateBinds counts variable bindings performed after cancellation was
+	// observed — wasted unwinding work. The per-candidate cancel check in
+	// step keeps it at zero.
+	lateBinds int
+
+	// Steps counts backtracking search steps (the paper's compile-time cost
+	// metric).
+	Steps int
 
 	// Limit bounds the number of solutions collected (0 = unlimited).
 	Limit int
@@ -311,45 +277,8 @@ type Solver struct {
 	// Cancel, when non-nil, aborts the backtracking search as soon as the
 	// channel is closed: Solve returns whatever it has found so far and
 	// Cancelled reports true. An aborted search is incomplete — callers must
-	// not treat (or memoize) its result as a full enumeration. A split
-	// search shares the channel with every branch, so one close sheds all of
-	// them at their next poll.
+	// not treat (or memoize) its result as a full enumeration.
 	Cancel <-chan struct{}
-
-	// Split caps how many independent branch searches Solve may fork at the
-	// split variable's candidate list; <= 1 keeps the search fully
-	// sequential. The split variable is chosen by solveSplit: the widest
-	// relevant, unbound variable the sequential search can reach on its
-	// forced prefix (ties broken by problem variable order). Splitting
-	// preserves the sequential solver's output exactly (solutions, order,
-	// dedup precedence and aggregated step count) — see solveSplit.
-	Split int
-
-	// Run schedules the branch tasks of a split search; nil runs them inline
-	// on the calling goroutine. Runners must execute every task even when
-	// saturated (the detection engine's runner has the submitting worker help
-	// run unclaimed branches, so scheduling cannot deadlock the pool).
-	Run TaskRunner
-
-	// ResplitDepth is the remaining re-split budget: how many more times a
-	// branch of this search may fork its unprocessed candidate chunk into
-	// sub-branches when Idle reports spare pool capacity. 0 (the default)
-	// keeps branches strictly sequential after the root fork. Each fork
-	// level hands its sub-branches a budget one lower, so total branch
-	// nesting is bounded at 1+ResplitDepth regardless of how often the pool
-	// goes idle.
-	ResplitDepth int
-
-	// Idle, consulted only when ResplitDepth > 0, reports whether the branch
-	// scheduler has spare capacity right now. It is a heuristic probe (the
-	// answer may be stale by the time sub-branches are queued); correctness
-	// never depends on it because merged output is byte-identical to the
-	// sequential search whether or not a re-split fires. nil never re-splits.
-	Idle func() bool
-
-	// splitVar records the variable the last Solve forked at ("" when the
-	// search ran sequentially). Root-only: branch solvers never set it.
-	splitVar string
 }
 
 type collectResult struct {
@@ -364,8 +293,7 @@ type binding struct {
 
 // NewSolver prepares a solver for one function.
 func NewSolver(prob *Problem, info *analysis.Info) *Solver {
-	s := &Solver{prob: prob, info: info}
-	s.assign = map[string]ir.Value{}
+	s := &Solver{prob: prob, info: info, assign: map[string]ir.Value{}}
 	for _, arg := range info.Fn.Args {
 		s.domain = append(s.domain, arg)
 	}
@@ -431,286 +359,12 @@ func (s *Solver) unbind(v string) {
 	}
 }
 
-// Solve enumerates all solutions. With Split > 1 the search forks at the
-// split variable's candidate list into independent branch searches (scheduled
-// through Run, optionally re-splitting under ResplitDepth); the result is
-// byte-identical to the sequential search either way.
+// Solve enumerates all solutions by one sequential backtracking search.
 func (s *Solver) Solve() []Solution {
 	s.sols = nil
 	s.solKeys = map[string]bool{}
-	s.splitVar = ""
-	s.resplits = 0
-	if !s.solveSplit() {
-		s.step(0)
-	}
+	s.step(0)
 	return s.sols
-}
-
-// SplitVar reports the variable the last Solve forked at, or "" when the
-// search ran sequentially (splitting off, inapplicable, or fewer than two
-// candidates at the split point).
-func (s *Solver) SplitVar() string { return s.splitVar }
-
-// Resplits reports how many branch re-split forks the last Solve performed
-// across all (recursively merged) branches. Always 0 when ResplitDepth is 0.
-func (s *Solver) Resplits() int { return s.resplits }
-
-// inlineRunner runs split branch tasks on the calling goroutine when no
-// pool-backed TaskRunner is configured.
-func inlineRunner(n int, task func(i int)) {
-	for i := 0; i < n; i++ {
-		task(i)
-	}
-}
-
-// solveSplit attempts the branch-split search. The split variable is the
-// widest splittable point the sequential search can reach deterministically:
-// solveSplit replays step(0)'s forced prefix — variables that are pre-bound
-// (verify and continue), irrelevant (bound Unconstrained), or mono-candidate
-// (width ≤ 1, so the search walks straight through them) — and stops at the
-// first variable whose candidate list has two or more entries. Every variable
-// on the prefix has width ≤ 1, so that frontier variable is exactly the
-// relevant, unbound variable with the widest candidate list among those the
-// search visits on a single path; ties cannot arise, and problem variable
-// order decides which multi-candidate variable is reached first. Splitting
-// any deeper would require duplicating the enumeration above it across
-// branches, which breaks the byte-identical step count — so the frontier is
-// both the widest and the only sound split point.
-//
-// The frontier's candidate list is partitioned into up to Split contiguous
-// chunks, each searched by a forked branch solver, and the branch outcomes
-// are merged serially in candidate order — the exact order the sequential
-// search visits — so solutions, dedup precedence and the aggregated step
-// count are byte-identical to step(0). It reports false (restoring the
-// search state) when splitting is off or cannot apply: a Limit-bounded
-// search (its global early-exit cannot be decomposed), or a search whose
-// forced prefix ends — at a dead end handled inline, or at finish — before
-// any variable with two candidates.
-func (s *Solver) solveSplit() bool {
-	if s.Split <= 1 || s.Limit > 0 || len(s.prob.Vars) == 0 {
-		return false
-	}
-
-	// Replay the forced prefix on the root solver, recording our own
-	// bindings so state is restored however the walk ends. Pre-bound
-	// variables are verified but never bound here, exactly like step's
-	// already-bound path.
-	var walked []string
-	restore := func() {
-		for i := len(walked) - 1; i >= 0; i-- {
-			s.unbind(walked[i])
-		}
-	}
-	// dead mirrors the sequential dead-end accounting: reaching depth k
-	// costs k+1 steps (one per step() entry on the path), after which the
-	// single-path search unwinds with no solutions.
-	dead := func(depth int) bool {
-		s.Steps += depth + 1
-		restore()
-		return true
-	}
-
-	for depth := 0; depth < len(s.prob.Vars); depth++ {
-		v := s.prob.Vars[depth]
-		if _, already := s.assign[v]; already {
-			if s.evalNode(s.idx.root) == triFalse {
-				return dead(depth)
-			}
-			continue
-		}
-		vid, ok := s.idx.varID[v]
-		if !ok || !s.relevantID(s.idx.root, vid) {
-			s.bind(v, Unconstrained)
-			walked = append(walked, v)
-			continue
-		}
-		cands := s.candidateList(v)
-		switch {
-		case len(cands) == 0:
-			return dead(depth)
-		case len(cands) == 1:
-			// Width 1: the sequential search tries the lone candidate and
-			// either walks into its subtree or unwinds the whole search.
-			s.bind(v, cands[0])
-			walked = append(walked, v)
-			if s.evalNode(s.idx.root) == triFalse {
-				return dead(depth)
-			}
-			continue
-		}
-
-		// Frontier found: v is the widest relevant, unbound variable on the
-		// path. Entering depths 0..depth cost one step each, exactly like
-		// the sequential step() entries; each branch then counts only the
-		// subtrees of its candidates.
-		s.Steps += depth + 1
-		s.splitVar = v
-
-		n := s.Split
-		if n > len(cands) {
-			n = len(cands)
-		}
-		branches := make([]*Solver, n)
-		for bi := range branches {
-			b := s.fork()
-			b.Split, b.Run, b.Idle = s.Split, s.Run, s.Idle
-			b.ResplitDepth = s.ResplitDepth
-			branches[bi] = b
-		}
-		run := s.Run
-		if run == nil {
-			run = inlineRunner
-		}
-		run(n, func(bi int) {
-			lo, hi := bi*len(cands)/n, (bi+1)*len(cands)/n
-			branches[bi].searchChunk(depth, v, cands[lo:hi])
-		})
-		s.merge(branches)
-		restore()
-		return true
-	}
-
-	// The forced prefix reached the end of the variable list: the whole
-	// search is a single path with nothing to fork. Fall back to the
-	// sequential search from a clean slate.
-	restore()
-	return false
-}
-
-// searchChunk runs one branch's contiguous slice of the split variable's
-// candidates, in candidate order — the body of the sequential candidate loop
-// restricted to the chunk. Before each candidate it may re-split: when at
-// least two candidates remain unprocessed, re-split budget is left, and the
-// pool reports idle capacity, the rest of the chunk forks into sub-branches
-// (merged back in candidate order, so the branch's outcome is unchanged).
-func (s *Solver) searchChunk(k int, v string, cands []ir.Value) {
-	for i, c := range cands {
-		if s.cancelled {
-			return
-		}
-		// Re-split branches can be much smaller than the 64-step polling
-		// interval in step(), so a branch-local Steps counter alone may never
-		// observe Cancel. One non-blocking poll per frontier candidate keeps
-		// cancellation latency bounded regardless of how finely the chunk was
-		// re-split, at a cost proportional to the frontier width only.
-		if s.Cancel != nil {
-			select {
-			case <-s.Cancel:
-				s.cancelled = true
-				return
-			default:
-			}
-		}
-		if len(cands)-i >= 2 && s.ResplitDepth > 0 && s.Idle != nil && s.Idle() {
-			s.forkChunk(k, v, cands[i:])
-			return
-		}
-		s.tryCandidate(k, v, c)
-	}
-}
-
-// forkChunk forks the given candidate slice into up to Split sub-branches
-// with a re-split budget one lower, schedules them through Run, and merges
-// them back into s in candidate order — the root split's discipline applied
-// recursively, so steps, ledgers, dedup precedence and cancellation
-// aggregate exactly as if s had searched the slice itself.
-func (s *Solver) forkChunk(k int, v string, cands []ir.Value) {
-	n := s.Split
-	if n > len(cands) {
-		n = len(cands)
-	}
-	s.resplits++
-	branches := make([]*Solver, n)
-	for bi := range branches {
-		b := s.fork()
-		b.Split, b.Run, b.Idle = s.Split, s.Run, s.Idle
-		b.ResplitDepth = s.ResplitDepth - 1
-		branches[bi] = b
-	}
-	run := s.Run
-	if run == nil {
-		run = inlineRunner
-	}
-	run(n, func(bi int) {
-		lo, hi := bi*len(cands)/n, (bi+1)*len(cands)/n
-		branches[bi].searchChunk(k, v, cands[lo:hi])
-	})
-	s.merge(branches)
-}
-
-// fork clones the solver for one branch of a split search. The immutable
-// parts (problem, index, analysis info, domain) are shared; the assignment
-// and node-evaluation cache are copied (they reflect the pre-fork state);
-// the solution set, collect memo and step counter start fresh so the branch
-// owns its mutable state exclusively. Scheduling configuration (Split, Run,
-// Idle, ResplitDepth) is deliberately not inherited here: the forking sites
-// set it explicitly, decrementing the re-split budget per nesting level, so
-// branch fan-out stays bounded no matter how often the pool reports idle.
-// Deadlock is impossible even with re-splitting because runners make the
-// forking worker help execute unclaimed branch tasks: a nested fork waits
-// only on work that is already running, never on pool capacity.
-func (s *Solver) fork() *Solver {
-	b := &Solver{
-		prob: s.prob, info: s.info, idx: s.idx,
-		domain: s.domain, byOpcode: s.byOpcode,
-		Limit: s.Limit, NaiveCandidates: s.NaiveCandidates, Cancel: s.Cancel,
-	}
-	b.assign = make(map[string]ir.Value, len(s.assign))
-	for k, val := range s.assign {
-		b.assign[k] = val
-	}
-	b.nodeVal = append([]tribool(nil), s.nodeVal...)
-	b.nodeKnown = append([]bool(nil), s.nodeKnown...)
-	b.solKeys = map[string]bool{}
-	b.collectLedger = map[string]int{}
-	return b
-}
-
-// merge joins branch outcomes back into the parent solver, serially, in
-// branch (candidate) order. Solutions are re-deduplicated globally: a
-// solution rediscovered across branches keeps its first — lowest-candidate —
-// occurrence, exactly what the sequential search's running solKeys would
-// keep. Cancellation ORs (one aborted branch makes the whole solve
-// incomplete, so callers must not memoize it), and step counters aggregate
-// with each unique collect resolution charged once via the branch ledgers.
-// The discipline is recursive: when the parent is itself a branch (a
-// re-split merging its sub-branches), keys the parent already paid for are
-// subtracted too, and first occurrences are recorded into the parent's own
-// ledger so the next merge level dedups across them as well — the net effect
-// at the root is each unique key charged exactly once, which is what the
-// sequential search's shared collect memo does.
-func (s *Solver) merge(branches []*Solver) {
-	seenCollect := map[string]bool{}
-	for _, b := range branches {
-		s.Steps += b.Steps
-		s.resplits += b.resplits
-		s.lateBinds += b.lateBinds
-		for key, steps := range b.collectLedger {
-			charged := seenCollect[key]
-			if !charged && s.collectLedger != nil {
-				_, charged = s.collectLedger[key]
-			}
-			if charged {
-				s.Steps -= steps
-			} else {
-				seenCollect[key] = true
-				if s.collectLedger != nil {
-					s.collectLedger[key] = steps
-				}
-			}
-		}
-		if b.cancelled {
-			s.cancelled = true
-		}
-		for _, sol := range b.sols {
-			key := canonicalKey(sol)
-			if s.solKeys[key] {
-				continue
-			}
-			s.solKeys[key] = true
-			s.sols = append(s.sols, sol)
-		}
-	}
 }
 
 // Cancelled reports whether the last Solve was aborted through Cancel before
@@ -782,9 +436,7 @@ func (s *Solver) candidateList(v string) []ir.Value {
 }
 
 // tryCandidate binds v to c, recurses into the next variable when the
-// formula stays satisfiable, and unbinds. It is the per-candidate body of
-// both the sequential loop (step) and the branch chunks of a split search —
-// one copy, so the two cannot drift apart.
+// formula stays satisfiable, and unbinds: the per-candidate body of step.
 func (s *Solver) tryCandidate(k int, v string, c ir.Value) {
 	s.bind(v, c)
 	if s.evalNode(s.idx.root) != triFalse {
@@ -1093,9 +745,9 @@ func (s *Solver) resolveCollect(c *NCollect, extra map[string]ir.Value) tribool 
 		info:     s.info,
 		domain:   s.domain,
 		byOpcode: s.byOpcode,
+		assign:   map[string]ir.Value{},
 		Cancel:   s.Cancel,
 	}
-	sub.assign = map[string]ir.Value{}
 	sub.attachIndex(buildIndex(ci.proto, free))
 	for k, v := range s.assign {
 		sub.assign[k] = v
@@ -1112,11 +764,6 @@ func (s *Solver) resolveCollect(c *NCollect, extra map[string]ir.Value) tribool 
 		}
 	}
 	s.Steps += sub.Steps
-	if s.collectLedger != nil {
-		// Branch search: remember what this key's first resolution cost so
-		// the split merge can de-duplicate charges across branches.
-		s.collectLedger[key] = sub.Steps
-	}
 	if len(subSols) < c.Min {
 		return triFalse
 	}

@@ -163,14 +163,11 @@ func TestStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestSplitCancellation pins load shedding under intra-solve parallelism:
-// cancelling a request while its split solves are in flight must abort every
-// branch task promptly (freeing all branch workers, not just the forking
-// one) and must never memoize the partial merged result — a later fresh
+// TestSplitCancellation pins load shedding against a shared memo:
+// cancelling a request while its solves are in flight must free every worker
+// promptly and must never memoize a partial enumeration — a later fresh
 // detection of the same modules has to rebuild the complete answer, not
-// rehydrate a poisoned cache entry. ResplitDepth is set so cancellation also
-// lands mid-re-split: nested sub-branches forked off an idle-pool probe must
-// be freed and their partial enumerations discarded just like root branches.
+// rehydrate a poisoned cache entry.
 func TestSplitCancellation(t *testing.T) {
 	var mods []*ir.Module
 	for _, w := range workloads.All() {
@@ -188,14 +185,14 @@ func TestSplitCancellation(t *testing.T) {
 	// A private cache makes the poisoning observable: after the cancelled
 	// round, re-detecting through the same engine must still be complete.
 	cache := constraint.NewSolveCache()
-	eng, err := detect.NewEngine(detect.Options{Workers: 4, SolveSplit: 4, ResplitDepth: 2, Memo: cache})
+	eng, err := detect.NewEngine(detect.Options{Workers: 4, Memo: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := eng.Stream(2 * len(mods))
 
-	// Round 1: every module under one context, cancelled while solves (and
-	// their branches) are in flight.
+	// Round 1: every module under one context, cancelled while solves are in
+	// flight.
 	ctx, cancel := context.WithCancel(context.Background())
 	for _, mod := range mods {
 		st.SubmitJob(detect.Submission{Mod: mod, Ctx: ctx})
@@ -242,12 +239,11 @@ func TestSplitCancellation(t *testing.T) {
 		}
 	}
 
-	// Every worker — including branch helpers — must be free promptly.
+	// Every worker must be free promptly.
 	deadline := time.Now().Add(5 * time.Second)
-	for st.Active() != 0 || st.ActiveBranches() != 0 {
+	for st.Active() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d workers / %d branches still active after cancellation drain",
-				st.Active(), st.ActiveBranches())
+			t.Fatalf("%d workers still active after cancellation drain", st.Active())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -105,26 +105,6 @@ type Options struct {
 	// signature proves no solution can exist. The sequential Module/Function
 	// drivers never prescreen — they are the soundness baseline.
 	Prune PruneMode
-	// SolveSplit caps intra-solve parallelism: each fresh backtracking
-	// search may fork at its split variable's candidate list (the widest
-	// relevant, unbound variable the search reaches deterministically; see
-	// constraint.Solver) into up to this many branch tasks, scheduled on the
-	// same shared worker pool as whole (function × idiom) solves (no second
-	// pool; see Stream). Zero or one keeps every search sequential. Splitting
-	// never changes output: solutions, merge precedence and step counts are
-	// byte-identical to the sequential solver. Batch Modules rides the same
-	// branch scheduler as Stream, so a single huge module parallelizes in
-	// batch mode too; with Workers: 1 the pool has one worker and every
-	// solve stays sequential by construction, so the paper's sequential
-	// metrics (Table 2) are unaffected.
-	SolveSplit int
-	// ResplitDepth lets a branch of a split solve fork its unprocessed
-	// candidate chunk again — up to this many nesting levels below the root
-	// fork — whenever the shared pool reports idle capacity, adapting
-	// fan-out to load instead of fixing it at intake. 0 (the default) never
-	// re-splits (the pre-adaptive behavior). Like SolveSplit, re-splitting
-	// never changes output.
-	ResplitDepth int
 }
 
 // PruneMode selects how the engine uses similarity-prescreen scores.
@@ -219,7 +199,7 @@ func function(fn *ir.Function, opts Options, res *Result) error {
 		if err != nil {
 			return err
 		}
-		per[i] = solveIdiom(nil, solvePlan{split: 1}, idm, prob, info)
+		per[i] = solveIdiom(nil, idm, prob, info)
 	}
 	merge(fn, per, res)
 	return nil
@@ -238,50 +218,19 @@ type idiomSolutions struct {
 	// A skipped entry merges as zero solutions and zero steps.
 	skipped    bool
 	skipReason string
-	// splitVar is the variable the solve forked at ("" = ran sequentially)
-	// and resplits the number of adaptive branch re-splits it performed —
-	// the raw material of the engine's split-decision gauges.
-	splitVar string
-	resplits int
-}
-
-// solvePlan is one solve's scheduling decision: the runner branch tasks are
-// executed through, how many ways to fork at the split variable (1 =
-// sequential), how many re-split levels branches may nest, and the
-// idle-capacity probe re-splitting consults. The engine derives it per solve
-// from configuration and the memo layer's cost table (see Engine.splitPlan);
-// the zero value runs fully sequential.
-type solvePlan struct {
-	run     constraint.TaskRunner
-	split   int
-	resplit int
-	idle    func() bool
 }
 
 // solveIdiom runs one constraint problem over one analysed function and
 // sorts the solutions deterministically. It touches no shared mutable state,
 // so any number of solves may run concurrently against the same Info. done,
-// when non-nil, cancels the backtracking search once closed. plan, when
-// populated, lets the search fork at its split variable's candidate list
-// into up to plan.split branch tasks executed through plan.run (the engine's
-// shared pool), re-splitting adaptively under plan.resplit/plan.idle; the
-// outcome —
-// solutions, order and step count — is byte-identical to the sequential
-// search, and a solve with any cancelled branch reports aborted so it is
-// never merged or memoized.
-func solveIdiom(done <-chan struct{}, plan solvePlan, idm idioms.Idiom, prob *constraint.Problem, info *analysis.Info) idiomSolutions {
+// when non-nil, cancels the backtracking search once closed; a cancelled
+// solve reports aborted so it is never merged or memoized.
+func solveIdiom(done <-chan struct{}, idm idioms.Idiom, prob *constraint.Problem, info *analysis.Info) idiomSolutions {
 	solver := constraint.NewSolver(prob, info)
 	solver.Cancel = done
-	solver.Split = plan.split
-	solver.Run = plan.run
-	solver.ResplitDepth = plan.resplit
-	solver.Idle = plan.idle
 	sols := solver.Solve()
 	sortSolutions(sols)
-	return idiomSolutions{
-		idiom: idm, sols: sols, steps: solver.Steps, aborted: solver.Cancelled(),
-		splitVar: solver.SplitVar(), resplits: solver.Resplits(),
-	}
+	return idiomSolutions{idiom: idm, sols: sols, steps: solver.Steps, aborted: solver.Cancelled()}
 }
 
 // sortSolutions imposes the deterministic pre-claim order. Memo-rehydrated

@@ -3,7 +3,6 @@ package detect
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,8 +25,6 @@ type Engine struct {
 	probs     []*constraint.Problem // parallel to roster
 	rosterIdx map[string]int        // idiom name -> roster position
 	workers   int
-	split     int // intra-solve branch fan-out cap (>= 1)
-	resplit   int // adaptive re-split depth budget below the root fork (>= 0)
 
 	// memo is the solver memoization cache (nil when disabled): completed
 	// (function-fingerprint × problem) solves are stored position-encoded, so
@@ -45,16 +42,6 @@ type Engine struct {
 	pruneSkipped   atomic.Int64            // solves skipped outright (PruneOn)
 	pruneReordered atomic.Int64            // solves scheduled out of natural order
 	prescreenNs    atomic.Int64            // time spent extracting + scoring
-
-	// Split-decision gauges: solves that actually forked, adaptive branch
-	// re-splits across them, splittable solves kept sequential because the
-	// cost table predicted them cheap, and a histogram of the variables
-	// solves forked at (the /statsz chosen-variable gauge).
-	splitDecisions    atomic.Int64
-	splitResplits     atomic.Int64
-	splitSkippedCheap atomic.Int64
-	splitVarMu        sync.Mutex
-	splitVars         map[string]int64
 }
 
 // NewEngine compiles the idiom roster for opts and sizes the worker pool.
@@ -67,16 +54,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		sigs:      make([]*similarity.Signature, len(ros)),
 		rosterIdx: make(map[string]int, len(ros)),
 		workers:   opts.Workers,
-		split:     opts.SolveSplit,
-		resplit:   opts.ResplitDepth,
 		prune:     opts.Prune,
-		splitVars: map[string]int64{},
-	}
-	if e.split < 1 {
-		e.split = 1
-	}
-	if e.resplit < 0 {
-		e.resplit = 0
 	}
 	for i, idm := range ros {
 		e.rosterIdx[idm.Name] = i
@@ -109,35 +87,6 @@ func NewEngine(opts Options) (*Engine, error) {
 
 // Workers reports the configured pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// SolveSplit reports the configured intra-solve branch fan-out cap (1 =
-// sequential searches).
-func (e *Engine) SolveSplit() int { return e.split }
-
-// ResplitDepth reports the configured adaptive re-split budget: how many
-// nesting levels below the root fork a branch may fork again when the pool
-// reports idle capacity (0 = never).
-func (e *Engine) ResplitDepth() int { return e.resplit }
-
-// SplitStats reports the cumulative split-decision counters: solves that
-// actually forked at a split variable, adaptive branch re-splits across
-// them, and splittable solves kept sequential because the memo cost table
-// predicted them cheaper than fork overhead.
-func (e *Engine) SplitStats() (decisions, resplits, skippedCheap int64) {
-	return e.splitDecisions.Load(), e.splitResplits.Load(), e.splitSkippedCheap.Load()
-}
-
-// SplitVars reports a copy of the chosen-split-variable histogram: how many
-// forked solves picked each variable as their split point.
-func (e *Engine) SplitVars() map[string]int64 {
-	e.splitVarMu.Lock()
-	defer e.splitVarMu.Unlock()
-	out := make(map[string]int64, len(e.splitVars))
-	for v, n := range e.splitVars {
-		out[v] = n
-	}
-	return out
-}
 
 // MemoStats reports this engine's solver memoization counters: hits are
 // (function × idiom) solves served from the cache, misses are fresh
@@ -218,64 +167,6 @@ func (e *Engine) fingerprint(info *analysis.Info) constraint.Fingerprint {
 	return constraint.FingerprintInfo(info)
 }
 
-// SplitCheapCost is the predicted solve duration below which a splittable
-// solve stays sequential: forking, scheduling and merging branches costs
-// real work, and a solve this short finishes before parallelism pays for
-// it. It also sizes the fan-out of solves above the threshold — one branch
-// per SplitCheapCost of predicted work, capped at the configured SolveSplit
-// — so a 4ms solve forks 2 ways while a worst-case solve takes the full cap.
-const SplitCheapCost = 2 * time.Millisecond
-
-// splitPlan decides one solve's branch scheduling from configuration and
-// the memo layer's measured cost table. No runner or no configured split
-// keeps the solve sequential. With a cost prediction available, solves
-// predicted cheaper than SplitCheapCost skip fork overhead entirely (the
-// split_skipped_cheap gauge counts them) and costlier solves fork
-// proportionally to predicted duration; without a prediction (cold cost
-// table, memoization off) the plan is optimistic full fan-out — the
-// pre-adaptive behavior.
-func (e *Engine) splitPlan(run constraint.TaskRunner, idle func() bool, prob *constraint.Problem, info *analysis.Info) solvePlan {
-	if run == nil || e.split <= 1 {
-		return solvePlan{split: 1}
-	}
-	plan := solvePlan{run: run, split: e.split, resplit: e.resplit, idle: idle}
-	if e.memo == nil {
-		return plan
-	}
-	pred, ok := e.memo.PredictCost(prob, info)
-	if !ok {
-		return plan
-	}
-	if pred < SplitCheapCost {
-		e.splitSkippedCheap.Add(1)
-		return solvePlan{split: 1}
-	}
-	ways := int(pred / SplitCheapCost)
-	if ways < 2 {
-		ways = 2
-	}
-	if ways > e.split {
-		ways = e.split
-	}
-	plan.split = ways
-	return plan
-}
-
-// recordSplit feeds one fresh solve's outcome into the split-decision
-// gauges: a solve that forked counts as a decision, its adaptive re-splits
-// accumulate, and its chosen variable lands in the histogram. Solves that
-// ran sequentially (unsplittable, or planned sequential) record nothing.
-func (e *Engine) recordSplit(ps idiomSolutions) {
-	if ps.splitVar == "" {
-		return
-	}
-	e.splitDecisions.Add(1)
-	e.splitResplits.Add(int64(ps.resplits))
-	e.splitVarMu.Lock()
-	e.splitVars[ps.splitVar]++
-	e.splitVarMu.Unlock()
-}
-
 // solveResolved runs one (function × idiom) task — an explicit (idiom,
 // problem) pair, the shared path of the engine's own roster and
 // per-submission pack rosters — through the memo cache. The solver is
@@ -284,18 +175,11 @@ func (e *Engine) recordSplit(ps idiomSolutions) {
 // Memo keys include the problem (and its pack version), so pack solves
 // share the same cache without ever colliding across registrations. done,
 // when non-nil, aborts the backtracking search once closed; an aborted
-// (incomplete) outcome is marked and never memoized — with splitting, one
-// cancelled branch (however deeply re-split) is enough to poison the whole
-// solve for the cache, so the memo only ever stores complete merged
-// enumerations. run, when non-nil, is the pool-backed scheduler for branch
-// fan-out (sized per solve by splitPlan); a nil run keeps the search
-// sequential.
-func (e *Engine) solveResolved(done <-chan struct{}, run constraint.TaskRunner, idle func() bool, r Resolved, info *analysis.Info, fp constraint.Fingerprint) idiomSolutions {
-	plan := e.splitPlan(run, idle, r.Prob, info)
+// (incomplete) outcome is marked and never memoized, so the memo only ever
+// stores complete enumerations.
+func (e *Engine) solveResolved(done <-chan struct{}, r Resolved, info *analysis.Info, fp constraint.Fingerprint) idiomSolutions {
 	if e.memo == nil {
-		ps := solveIdiom(done, plan, r.Idiom, r.Prob, info)
-		e.recordSplit(ps)
-		return ps
+		return solveIdiom(done, r.Idiom, r.Prob, info)
 	}
 	if sols, steps, ok := e.memo.Get(r.Prob, fp, info); ok {
 		e.memoHits.Add(1)
@@ -304,8 +188,7 @@ func (e *Engine) solveResolved(done <-chan struct{}, run constraint.TaskRunner, 
 	}
 	e.memoMisses.Add(1)
 	start := time.Now()
-	ps := solveIdiom(done, plan, r.Idiom, r.Prob, info)
-	e.recordSplit(ps)
+	ps := solveIdiom(done, r.Idiom, r.Prob, info)
 	if !ps.aborted {
 		e.memo.Put(r.Prob, fp, info, ps.sols, ps.steps)
 		// Feed the scheduler's cost model: measured duration of a complete
@@ -325,14 +208,12 @@ func (e *Engine) Module(mod *ir.Module) (*Result, error) {
 }
 
 // Modules detects idioms across a batch of modules, returning one Result per
-// module (index-aligned with mods). The batch rides the stream's branch
-// scheduler: every module is submitted to a private Stream over the engine's
-// pool, so all (function × idiom) solves across the whole batch interleave —
-// small modules do not serialize the pipeline — and, unlike the pre-adaptive
-// batch path, split solves fork here too: a single huge module parallelizes
-// in batch mode exactly as it would streaming. With Workers: 1 the pool is
-// one worker, so every stage task and every solve runs sequentially by
-// construction (the paper's Table 2 sequential metrics are unaffected).
+// module (index-aligned with mods). Every module is submitted to a private
+// Stream over the engine's pool, so all (function × idiom) solves across the
+// whole batch interleave — small modules do not serialize the pipeline. With
+// Workers: 1 the pool is one worker, so every stage task and every solve runs
+// sequentially by construction (the paper's Table 2 sequential metrics are
+// unaffected).
 // Because solves interleave across modules, per-module wall time is not
 // meaningful here: every Result carries the whole batch's Elapsed (batch
 // semantics, kept deliberately). Use Stream for true per-module wall times.

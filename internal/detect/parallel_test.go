@@ -152,3 +152,92 @@ func TestEngineModuleBatch(t *testing.T) {
 		}
 	}
 }
+
+// sameResults compares per-module results against the sequential reference:
+// instances, claim sets, order and solver step totals.
+func sameResults(t *testing.T, names []string, got, want []*detect.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		wk, gk := resultKeys(t, want[i]), resultKeys(t, got[i])
+		if len(wk) != len(gk) {
+			t.Fatalf("%s: %d instances, want %d", names[i], len(gk), len(wk))
+		}
+		for j := range wk {
+			if wk[j] != gk[j] {
+				t.Errorf("%s: instance %d differs:\n  sequential: %s\n  engine:     %s",
+					names[i], j, wk[j], gk[j])
+			}
+		}
+		if got[i].SolverSteps != want[i].SolverSteps {
+			t.Errorf("%s: solver steps %d, want %d", names[i], got[i].SolverSteps, want[i].SolverSteps)
+		}
+	}
+}
+
+// sequentialResults runs the sequential per-module driver over mods.
+func sequentialResults(t *testing.T, mods []*ir.Module, names []string) []*detect.Result {
+	t.Helper()
+	want := make([]*detect.Result, len(mods))
+	for i, mod := range mods {
+		res, err := detect.Module(mod, detect.Options{})
+		if err != nil {
+			t.Fatalf("%s: sequential detect: %v", names[i], err)
+		}
+		want[i] = res
+	}
+	return want
+}
+
+// TestSplitMatchesSequential pins the streaming engine against the
+// sequential driver with the memo off, so every search is a fresh solve:
+// submitting every workload to one Workers:4 stream delivers byte-identical
+// results, and every worker is idle once the results are drained.
+func TestSplitMatchesSequential(t *testing.T) {
+	mods, names := compileAll(t)
+	want := sequentialResults(t, mods, names)
+
+	eng, err := detect.NewEngine(detect.Options{Workers: 4, NoMemo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stream(len(mods))
+	for _, mod := range mods {
+		st.Submit(mod)
+	}
+	st.Close()
+	got, _ := collectBySeq(t, st, len(mods))
+	sameResults(t, names, got, want)
+	if a := st.Active(); a != 0 {
+		t.Errorf("Active = %d after drain, want 0", a)
+	}
+}
+
+// TestBatchMatchesSequential pins the batch path: Engine.Modules runs the
+// whole slice on the same task stream as Submit, so with the memo off its
+// results are byte-identical to the sequential per-module driver, and a
+// second batch on the same engine repeats them exactly. With Workers:1 the
+// batch is sequential by construction.
+func TestBatchMatchesSequential(t *testing.T) {
+	mods, names := compileAll(t)
+	want := sequentialResults(t, mods, names)
+
+	for _, workers := range []int{1, 4} {
+		workers := workers
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			eng, err := detect.NewEngine(detect.Options{Workers: workers, NoMemo: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				got, err := eng.Modules(mods)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, names, got, want)
+			}
+		})
+	}
+}

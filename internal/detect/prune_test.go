@@ -54,8 +54,8 @@ func streamKeys(t *testing.T, opts detect.Options, mods []*ir.Module) ([][]strin
 // TestReorderByteIdenticalToOff pins the tentpole's central invariant: the
 // default reorder mode only reschedules solves, so its output — instances,
 // order, claim sets AND solver step totals — is byte-identical to the
-// prescreen-free engine at every worker count and split factor, on both the
-// batch and streaming paths. Run under -race this also exercises the
+// prescreen-free engine at every worker count, on both the batch and
+// streaming paths. Run under -race this also exercises the
 // prescreen's shared-state paths.
 func TestReorderByteIdenticalToOff(t *testing.T) {
 	mods, names := compileAll(t)
@@ -89,31 +89,28 @@ func TestReorderByteIdenticalToOff(t *testing.T) {
 		})
 	}
 
-	// Streaming path: worker count × intra-solve split grid.
+	// Streaming path at the same worker counts. The split=1 label names the
+	// sequential search, the only one the solver has.
 	offKeys, offSteps := streamKeys(t, detect.Options{Workers: 4, Prune: detect.PruneOff}, mods)
 	for _, workers := range []int{1, 4, 8} {
-		for _, split := range []int{1, 4} {
-			workers, split := workers, split
-			t.Run(fmt.Sprintf("stream/workers=%d/split=%d", workers, split), func(t *testing.T) {
-				keys, steps := streamKeys(t, detect.Options{
-					Workers: workers, SolveSplit: split, Prune: detect.PruneReorder,
-				}, mods)
-				for i := range offKeys {
-					if len(keys[i]) != len(offKeys[i]) {
-						t.Fatalf("%s: %d instances, want %d", names[i], len(keys[i]), len(offKeys[i]))
-					}
-					for j := range offKeys[i] {
-						if keys[i][j] != offKeys[i][j] {
-							t.Errorf("%s: instance %d differs:\n  off:     %s\n  reorder: %s",
-								names[i], j, offKeys[i][j], keys[i][j])
-						}
-					}
-					if steps[i] != offSteps[i] {
-						t.Errorf("%s: solver steps %d, want %d", names[i], steps[i], offSteps[i])
+		workers := workers
+		t.Run(fmt.Sprintf("stream/workers=%d/split=1", workers), func(t *testing.T) {
+			keys, steps := streamKeys(t, detect.Options{Workers: workers, Prune: detect.PruneReorder}, mods)
+			for i := range offKeys {
+				if len(keys[i]) != len(offKeys[i]) {
+					t.Fatalf("%s: %d instances, want %d", names[i], len(keys[i]), len(offKeys[i]))
+				}
+				for j := range offKeys[i] {
+					if keys[i][j] != offKeys[i][j] {
+						t.Errorf("%s: instance %d differs:\n  off:     %s\n  reorder: %s",
+							names[i], j, offKeys[i][j], keys[i][j])
 					}
 				}
-			})
-		}
+				if steps[i] != offSteps[i] {
+					t.Errorf("%s: solver steps %d, want %d", names[i], steps[i], offSteps[i])
+				}
+			}
+		})
 	}
 }
 

@@ -81,25 +81,19 @@ type Submission struct {
 // Scheduling: stage tasks enter a deadline-ordered queue (earliest deadline
 // first; deadline-free tasks after every deadlined one, FIFO among
 // themselves), so under mixed traffic the pool prefers the work whose
-// deadline is soonest. Branch subtasks of split solves still outrank
-// everything — finishing a forked solve releases its waiting worker, while
-// new intake only deepens the queue. Determinism is unaffected: tasks write
-// into dense per-module grids and merges are serial, so execution order
-// never changes output bytes.
+// deadline is soonest. Determinism is unaffected: tasks write into dense
+// per-module grids and merges are serial, so execution order never changes
+// output bytes.
 type Stream struct {
 	eng     *Engine
 	results chan StreamResult
 
-	// qmu guards the two-level task queue: branchQ (branch subtasks of split
-	// solves, strict priority) and taskQ (stage tasks, EDF order).
+	// qmu guards the stage-task queue (EDF order).
 	qmu       sync.Mutex
 	qcond     *sync.Cond
-	branchQ   []*branchSet
 	taskQ     taskQueue
 	taskOrder int64 // FIFO tiebreak for equal/absent deadlines
 	qclosed   bool
-
-	branchActive atomic.Int64 // branch tasks executing right now
 
 	inflight sync.WaitGroup // submitted modules not yet delivered
 	workers  sync.WaitGroup // pool goroutines
@@ -155,34 +149,6 @@ func (q *taskQueue) Pop() any {
 	return t
 }
 
-// branchSet is one split solve's fan-out: n branch tasks claimed by atomic
-// index, so the forking worker and any helping workers partition them without
-// coordination. wg releases the forking worker once every claimed task has
-// finished.
-type branchSet struct {
-	n     int
-	next  atomic.Int64
-	task  func(i int)
-	wg    sync.WaitGroup
-	gauge *atomic.Int64
-}
-
-// help claims and runs branch tasks until none remain unclaimed. It is safe
-// to call from any goroutine, any number of times; a drained set returns
-// immediately.
-func (bs *branchSet) help() {
-	for {
-		i := int(bs.next.Add(1)) - 1
-		if i >= bs.n {
-			return
-		}
-		bs.gauge.Add(1)
-		bs.task(i)
-		bs.gauge.Add(-1)
-		bs.wg.Done()
-	}
-}
-
 // Stream starts a worker pool of the engine's configured size and returns a
 // new Stream over it. buffer is the capacity of the Results channel (0 means
 // unbuffered). Close the stream to release the pool.
@@ -201,20 +167,8 @@ func (e *Engine) Stream(buffer int) *Stream {
 			defer s.workers.Done()
 			for {
 				s.qmu.Lock()
-				for len(s.branchQ) == 0 && s.taskQ.Len() == 0 && !s.qclosed {
+				for s.taskQ.Len() == 0 && !s.qclosed {
 					s.qcond.Wait()
-				}
-				// Branch subtasks of in-flight split solves take priority
-				// over stage tasks: finishing a forked solve releases its
-				// waiting worker, while new intake only deepens the queue.
-				if len(s.branchQ) > 0 {
-					bs := s.branchQ[0]
-					s.branchQ = s.branchQ[1:]
-					s.qmu.Unlock()
-					s.active.Add(1)
-					bs.help()
-					s.active.Add(-1)
-					continue
 				}
 				if s.taskQ.Len() > 0 {
 					t := heap.Pop(&s.taskQ).(streamTask)
@@ -232,59 +186,10 @@ func (e *Engine) Stream(buffer int) *Stream {
 	return s
 }
 
-// fanout is the constraint.TaskRunner the stream hands to split solves: it
-// advertises the branch set to idle workers, then helps run the branches
-// itself and waits for stragglers. The forking worker executing everything
-// nobody claims is what makes nested scheduling deadlock-free — a split
-// solve never waits on pool capacity, only on work that is already running.
-func (s *Stream) fanout(n int, task func(i int)) {
-	if n <= 0 {
-		return
-	}
-	bs := &branchSet{n: n, task: task, gauge: &s.branchActive}
-	bs.wg.Add(n)
-	// Advertise the set to up to n-1 workers (the caller is the n-th pair of
-	// hands). Workers that pop an already-drained set just fall through —
-	// a stale advert costs a lock round-trip, never progress.
-	s.qmu.Lock()
-	for i := 0; i < n-1; i++ {
-		s.branchQ = append(s.branchQ, bs)
-	}
-	s.qcond.Broadcast()
-	s.qmu.Unlock()
-	bs.help()
-	bs.wg.Wait()
-}
-
 // Active reports how many pool workers are executing a task right now — the
 // numerator of the serving layer's worker-utilization gauge (the denominator
-// is the engine's Workers). Branch subtasks of split solves count too: a
-// worker helping another solve's branches is every bit as busy as one
-// running a whole solve.
+// is the engine's Workers).
 func (s *Stream) Active() int { return int(s.active.Load()) }
-
-// ActiveBranches reports how many branch subtasks of split solves are
-// executing right now, across all workers (including the solves' own forking
-// workers). Always 0 on an engine built with SolveSplit <= 1.
-func (s *Stream) ActiveBranches() int { return int(s.branchActive.Load()) }
-
-// IdleCapacity reports whether the pool has a worker idle right now with no
-// queued work it could pick up instead — the probe adaptive re-splitting
-// consults before forking a branch's remaining candidates. It is
-// deliberately conservative: advertised branch sets and queued stage tasks
-// both count as pending work (an idle worker will claim those first), and a
-// fully active pool never re-splits. The answer is a racy snapshot; the
-// solver treats it as a hint only, so staleness costs at most a fork that
-// ends up sharing workers (or one that didn't happen), never correctness.
-func (s *Stream) IdleCapacity() bool {
-	if int(s.active.Load()) >= s.eng.workers {
-		return false
-	}
-	s.qmu.Lock()
-	idle := len(s.branchQ) == 0 && s.taskQ.Len() == 0
-	s.qmu.Unlock()
-	return idle
-}
 
 // Submit enqueues one module for detection and returns its sequence number.
 // It never blocks on detection work.
@@ -419,12 +324,6 @@ func (s *Stream) detect(seq int, sub Submission) {
 		ros = e.resolved(e.subset(sub.Idioms))
 	}
 	nIdioms := len(ros)
-	var run constraint.TaskRunner
-	var idle func() bool
-	if e.split > 1 {
-		run = s.fanout
-		idle = s.IdleCapacity
-	}
 	grid := make([]idiomSolutions, len(fns)*nIdioms)
 	var scores []float64
 	var costs []int64
@@ -443,7 +342,7 @@ func (s *Stream) detect(seq int, sub Submission) {
 				return
 			}
 		}
-		grid[t] = e.solveResolved(done, run, idle, ros[si], infos[fi], fps[fi])
+		grid[t] = e.solveResolved(done, ros[si], infos[fi], fps[fi])
 	})
 	if err := ctxErr(); err != nil {
 		fail(err)

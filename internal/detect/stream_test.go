@@ -236,3 +236,49 @@ func TestMemoZeroFreshSolves(t *testing.T) {
 		t.Errorf("solver steps %d vs %d; memo must report the skipped search's count", res1.SolverSteps, res2.SolverSteps)
 	}
 }
+
+// TestSplitMemoizedMatchesSequential pins the memo's rehydration contract on
+// the streaming path: the cache only ever stores complete solves, so a warm
+// hit rehydrates exactly what the sequential solver produces — same
+// instances, same claim sets and the same step totals — in every round.
+func TestSplitMemoizedMatchesSequential(t *testing.T) {
+	mod, err := workloads.ByName("sgemm").Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := detect.Module(mod, detect.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := detect.NewEngine(detect.Options{Workers: 4, Memo: constraint.NewSolveCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		st := eng.Stream(1)
+		st.Submit(mod)
+		st.Close()
+		for sr := range st.Results() {
+			if sr.Err != nil {
+				t.Fatalf("round %d: %v", round, sr.Err)
+			}
+			wk, gk := resultKeys(t, want), resultKeys(t, sr.Result)
+			if len(wk) != len(gk) {
+				t.Fatalf("round %d: %d instances, want %d", round, len(gk), len(wk))
+			}
+			for j := range wk {
+				if wk[j] != gk[j] {
+					t.Errorf("round %d: instance %d differs", round, j)
+				}
+			}
+			if sr.Result.SolverSteps != want.SolverSteps {
+				t.Errorf("round %d: steps %d, want %d", round, sr.Result.SolverSteps, want.SolverSteps)
+			}
+		}
+	}
+	hits, misses := eng.MemoStats()
+	if hits == 0 {
+		t.Errorf("second round did no memo hits (hits=%d misses=%d)", hits, misses)
+	}
+}

@@ -14,21 +14,20 @@ import (
 )
 
 // TestDeadlineHeaderShedsMidSolve extends the PR 4 cancellation pins to
-// header-derived deadlines at the HTTP layer, under intra-solve parallelism
-// (SolveSplit 4): a whole-suite stream under a tight X-Deadline-Ms must
-// deliver one line per request — deadline-exceeded reported in-band per
-// module, never a torn stream or a partial result — free every branch
-// worker, and never memoize an aborted solve: a second pass without a
-// deadline on the same service is byte-identical to the sequential
-// reference.
+// header-derived deadlines at the HTTP layer: a whole-suite stream under a
+// tight X-Deadline-Ms must deliver one line per request — deadline-exceeded
+// reported in-band per module, never a torn stream or a partial result —
+// free every worker, and never memoize an aborted solve: a second pass
+// without a deadline on the same service is byte-identical to the
+// sequential reference.
 func TestDeadlineHeaderShedsMidSolve(t *testing.T) {
 	opts := idiomatic.RequestOptions{Solutions: true}
 	want := wantSuite(t, opts)
-	ts, svc := newServer(t, idiomatic.ServiceOptions{Workers: 4, SolveSplit: 4})
+	ts, svc := newServer(t, idiomatic.ServiceOptions{Workers: 4})
 	body := suiteBody(t, opts)
 
 	// Round 1: the whole suite under a deadline tight enough to expire while
-	// solves (and their branch tasks) are in flight.
+	// solves are in flight.
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect/stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +73,12 @@ func TestDeadlineHeaderShedsMidSolve(t *testing.T) {
 	}
 	t.Logf("deadline expired on %d/%d modules", expired, lines)
 
-	// Every worker — including branch helpers — must be free promptly.
+	// Every worker must be free promptly.
 	waitDrained(t, svc)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := svc.Stats()
-		if st.SolveActive == 0 && st.SolveBranchActive == 0 && st.DetectActive == 0 {
+		if st.SolveActive == 0 && st.DetectActive == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

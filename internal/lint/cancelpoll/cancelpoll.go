@@ -1,11 +1,9 @@
-// Package cancelpoll pins the PR 9 cancellation discipline in the solver:
-// every candidate-enumeration loop must react to cancellation once per
-// candidate. The periodic 64-step poll inside step() alone is not enough —
-// re-split branch chunks can be smaller than one polling interval, so a
-// chunk loop that never checks can run to completion after the request was
-// shed (the exact bug PR 9 retrofitted per-candidate polls for), and the
-// sequential loop must at least observe the cancelled flag so a deep abort
-// doesn't keep enumerating siblings through bind/eval work on the way out.
+// Package cancelpoll pins the solver's cancellation discipline: every
+// candidate-enumeration loop must react to cancellation once per candidate.
+// The periodic 64-step poll inside step() sets the cancelled flag deep in the
+// recursion; the sequential candidate loop must observe that flag after every
+// candidate, or an abort keeps enumerating siblings through bind/eval work at
+// every frame on the way out (the unwinding leak PR 10 fixed).
 package cancelpoll
 
 import (
@@ -21,7 +19,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "cancelpoll",
 	Doc:       "flags candidate-enumeration loops in solve paths that never check cancellation",
-	Rationale: "solver loops must poll Cancel (or observe the cancelled flag) every candidate: re-split chunks can be smaller than the 64-step poll interval, so a loop without a per-iteration check has unbounded cancellation latency (PR 9 retrofit)",
+	Rationale: "solver loops must poll Cancel (or observe the cancelled flag) every candidate: the 64-step poll fires deep in the recursion, and a loop without a per-iteration check keeps binding and evaluating sibling candidates on the way out after the abort (PR 10 fix)",
 	Scope:     []string{"internal/constraint"},
 	Run:       run,
 }
@@ -70,7 +68,7 @@ func run(pass *analysis.Pass) error {
 
 // isCandidateRange reports whether the range expression enumerates solver
 // candidates: a call to candidateList/candidates, or a variable whose name
-// starts with "cand" (the chunk-slice convention).
+// starts with "cand" (a candidate slice).
 func isCandidateRange(rs *ast.RangeStmt) bool {
 	switch x := rs.X.(type) {
 	case *ast.CallExpr:

@@ -1,8 +1,7 @@
-// Package a seeds the cancelpoll analyzer with the solver's loop shapes:
-// the flagged functions reproduce the two historical bugs (the check-free
-// chunk loop PR 9 retrofitted per-candidate polls into, and the unwind loop
-// PR 10 fixed), the clean ones are the disciplines the production solver
-// uses today.
+// Package a seeds the cancelpoll analyzer with candidate-loop shapes: the
+// flagged functions reproduce the two historical bugs (a check-free loop over
+// a candidate slice, and the unwind loop PR 10 fixed), the clean ones are the
+// accepted disciplines.
 package a
 
 type val int
@@ -35,17 +34,16 @@ func (s *solver) stepGood(k int, v string) {
 	}
 }
 
-// chunkBad is the PR 9 bug: a branch chunk can be smaller than the periodic
-// poll interval, so a chunk loop with no per-candidate check has unbounded
-// cancellation latency.
+// chunkBad loops over a candidate slice with no per-candidate check: once
+// cancellation is observed it keeps enumerating.
 func (s *solver) chunkBad(cands []val) {
 	for _, c := range cands { // want "never checks cancellation"
 		s.tryCandidate(0, "v", c)
 	}
 }
 
-// chunkGood is the production discipline: flag check plus a non-blocking
-// channel poll before every candidate.
+// chunkGood checks the flag and polls the channel without blocking before
+// every candidate.
 func (s *solver) chunkGood(cands []val) {
 	for _, c := range cands {
 		if s.cancelled {

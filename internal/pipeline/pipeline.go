@@ -337,20 +337,6 @@ type Stats struct {
 	// CompileWorkers and SolveWorkers are the two pool sizes; SolveActive is
 	// how many solver-pool workers are executing a task right now.
 	CompileWorkers, SolveWorkers, SolveActive int
-	// SolveSplit is the engine's intra-solve branch fan-out cap (1 =
-	// sequential searches); SolveBranchActive is how many branch subtasks of
-	// split solves are executing right now. ResplitDepth is the configured
-	// adaptive re-split budget below the root fork (0 = never re-split).
-	SolveSplit, SolveBranchActive, ResplitDepth int
-	// Split-decision counters (cumulative): solves that actually forked at a
-	// split variable, adaptive branch re-splits across them, and splittable
-	// solves kept sequential because the memo cost table predicted them
-	// cheaper than fork overhead. SplitVars is the chosen-variable
-	// histogram: forked solves per split variable.
-	SplitDecisions    int64
-	SplitResplits     int64
-	SplitSkippedCheap int64
-	SplitVars         map[string]int64
 	// MaxQueue is the configured intake bound (0 = unbounded).
 	MaxQueue int
 	// ReadyQueue is the number of compiled modules waiting for a solver slot
@@ -392,31 +378,23 @@ func (p *Pipeline) Stats() Stats {
 	p.mu.Unlock()
 	sub, comp := p.submitted.Load(), p.completed.Load()
 	skipped, reordered, prescreenNs := p.eng.PruneStats()
-	decisions, resplits, skippedCheap := p.eng.SplitStats()
 	return Stats{
-		Submitted:         sub,
-		Completed:         comp,
-		InFlight:          int(sub - comp),
-		CompileQueue:      queued,
-		CompileWorkers:    p.compileWorkers,
-		SolveWorkers:      p.eng.Workers(),
-		SolveActive:       p.stream.Active(),
-		SolveSplit:        p.eng.SolveSplit(),
-		SolveBranchActive: p.stream.ActiveBranches(),
-		ResplitDepth:      p.eng.ResplitDepth(),
-		SplitDecisions:    decisions,
-		SplitResplits:     resplits,
-		SplitSkippedCheap: skippedCheap,
-		SplitVars:         p.eng.SplitVars(),
-		MaxQueue:          p.maxQueue,
-		ReadyQueue:        ready,
-		DetectSlots:       p.detectSlots,
-		DetectActive:      slots,
-		PruneMode:         p.eng.Prune().String(),
-		PruneSkipped:      skipped,
-		PruneReordered:    reordered,
-		PrescreenNs:       prescreenNs,
-		Clients:           rows,
+		Submitted:      sub,
+		Completed:      comp,
+		InFlight:       int(sub - comp),
+		CompileQueue:   queued,
+		CompileWorkers: p.compileWorkers,
+		SolveWorkers:   p.eng.Workers(),
+		SolveActive:    p.stream.Active(),
+		MaxQueue:       p.maxQueue,
+		ReadyQueue:     ready,
+		DetectSlots:    p.detectSlots,
+		DetectActive:   slots,
+		PruneMode:      p.eng.Prune().String(),
+		PruneSkipped:   skipped,
+		PruneReordered: reordered,
+		PrescreenNs:    prescreenNs,
+		Clients:        rows,
 	}
 }
 
