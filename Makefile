@@ -1,14 +1,12 @@
 # Local and CI invocations are the same commands: .github/workflows/ci.yml
-# runs build, bench-build, vet, fmt-check, race, bench-smoke and serve-smoke
-# as individual steps, and `make ci` chains those same targets locally. Keep
-# the two in sync when adding a step.
+# runs build, bench-build, vet, fmt-check, race, bench-smoke, bench-smoke-e2e,
+# serve-smoke, soak-smoke and fleet-smoke as individual steps (plus lint and
+# race4 as parallel jobs), and `make ci` chains those same targets locally.
+# Keep the two in sync when adding a step.
 
 GO ?= go
-# PR numbers the perf-trajectory artifact (BENCH_pr$(PR).json); bump it each
-# PR so one artifact per PR accumulates in the repo.
-PR ?= 12
 
-.PHONY: build bench-build test race race4 bench bench-smoke bench-json serve serve-smoke soak soak-smoke fleet-smoke fmt fmt-check vet lint lint-extra ci
+.PHONY: build bench-build test race race4 bench bench-smoke bench-smoke-e2e serve serve-smoke soak soak-smoke fleet-smoke fmt fmt-check vet lint lint-extra ci
 
 build:
 	$(GO) build ./...
@@ -35,17 +33,26 @@ race4:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# One-iteration smoke of the detection benchmarks so the harness cannot rot.
+# One-iteration smoke of the paper-table, solver, ablation and end-to-end
+# benchmarks so the harness cannot rot. `go test -bench` passes when its
+# pattern selects nothing, so each name is first checked against the
+# package's benchmark list: a renamed or deleted benchmark fails here instead
+# of silently dropping out of the smoke.
 bench-smoke:
-	$(GO) test -bench='BenchmarkTable1Detection|BenchmarkDetectParallel|BenchmarkPipeline' -benchtime=1x -run='^$$' .
+	@list="$$($(GO) test -list . .)" || exit 1; pat=; \
+	for b in 'BenchmarkTable1Detection$$' BenchmarkSolver BenchmarkAblation BenchmarkEndToEndPipeline; do \
+		echo "$$list" | grep -Eq "^$$b" || { echo "bench-smoke: no benchmark matches $$b" >&2; exit 1; }; \
+		pat="$$pat|$$b"; \
+	done; \
+	$(GO) test -bench="^($${pat#|})" -benchtime=1x -run='^$$' .
 
-# Perf trajectory artifact: engine scaling + streaming pipeline + HTTP
-# serving-path ns/op per worker count and the solver-memo hit rates, as
-# machine-readable JSON. Pinned to a 4-way scheduler: the worker-count rows
-# compare 1/2/4/8 workers, and a single-CPU machine would flatten exactly
-# those comparisons.
-bench-json:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchjson -pr $(PR) -out BENCH_pr$(PR).json
+# Short answer-checked run of every repo-benchmark workload (perfbench/,
+# BENCHMARK.json). run.sh exits non-zero, with `correct: false`, on any wrong
+# answer against the paper's Table 1, failed request or failed self-check.
+bench-smoke-e2e:
+	for w in cold-suite warm-serve fleet-churn; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 || exit 1; \
+	done
 
 # Run the HTTP detection server locally.
 serve:
@@ -99,4 +106,4 @@ lint-extra:
 
 # race4 subsumes race locally (same suite, stronger scheduler); CI runs race
 # in the main job and race4 as its own parallel job.
-ci: build bench-build vet fmt-check lint race4 bench-smoke serve-smoke soak-smoke fleet-smoke
+ci: build bench-build vet fmt-check lint race4 bench-smoke bench-smoke-e2e serve-smoke soak-smoke fleet-smoke

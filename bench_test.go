@@ -1,12 +1,10 @@
 // Package repro_test holds the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (run with `go test -bench=.`),
-// plus the ablation benchmarks for the design choices called out in
-// DESIGN.md §5:
+// plus ablation benchmarks for the solver and runtime design choices the
+// paper evaluates (§4.4). Serving-path performance is measured by the
+// repository benchmark, perfbench, not here:
 //
 //	BenchmarkTable1Detection     — idiom detection over all 21 benchmarks
-//	BenchmarkDetectParallel      — concurrent engine scaling, fresh solves
-//	BenchmarkPipeline            — streaming compile→detect, memo on/off
-//	BenchmarkServeMatch          — /v1/match/stream over the HTTP front door
 //	BenchmarkTable2CompileTime   — per-benchmark compile + detect cost
 //	BenchmarkTable3APIs          — full per-API performance sweep
 //	BenchmarkFig16Classes        — per-benchmark idiom classes
@@ -17,27 +15,18 @@
 package repro_test
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
-	"repro/idiomatic"
 	"repro/internal/analysis"
 	"repro/internal/cc"
 	"repro/internal/constraint"
 	"repro/internal/detect"
 	"repro/internal/experiments"
 	"repro/internal/hetero"
-	"repro/internal/httpapi"
 	"repro/internal/idioms"
 	"repro/internal/idl"
 	"repro/internal/ir"
-	"repro/internal/pipeline"
 	"repro/internal/workloads"
 )
 
@@ -49,7 +38,7 @@ func BenchmarkTable1Detection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total := 0
 		for _, mod := range mods {
-			res, err := detect.Module(mod.mod, detect.Options{})
+			res, err := detect.Module(mod, detect.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -57,88 +46,6 @@ func BenchmarkTable1Detection(b *testing.B) {
 		}
 		if total != 60 {
 			b.Fatalf("detected %d idioms, want 60", total)
-		}
-	}
-}
-
-// BenchmarkDetectParallel measures the concurrent engine over the full
-// workloads.All() suite at several worker counts. workers=1 is the scaling
-// baseline (identical task graph, no pool fan-out); compare against higher
-// counts for speedup. Memoization is disabled so every iteration measures
-// fresh backtracking solves (BenchmarkPipeline covers the memoized path).
-// Results are asserted identical to the sequential total, so the benchmark
-// doubles as a determinism smoke check.
-func BenchmarkDetectParallel(b *testing.B) {
-	named := compileAll(b)
-	mods := make([]*ir.Module, len(named))
-	for i, nm := range named {
-		mods[i] = nm.mod
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng, err := detect.NewEngine(detect.Options{Workers: workers, NoMemo: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				results, err := eng.Modules(mods)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total := 0
-				for _, res := range results {
-					total += len(res.Instances)
-				}
-				if total != 60 {
-					b.Fatalf("detected %d idioms, want 60", total)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPipeline measures the streaming compile→detect pipeline end to
-// end over all 21 workloads: every iteration submits each workload's compile
-// thunk and collects per-module results, so frontend and solver work overlap
-// (no compileAll barrier). memo=off measures fresh solves; memo=on shares a
-// solve cache across iterations and measures the fingerprint-memoized steady
-// state (compile + analysis + cache rehydration).
-func BenchmarkPipeline(b *testing.B) {
-	ws := workloads.All()
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, memo := range []bool{false, true} {
-			workers, memo := workers, memo
-			b.Run(fmt.Sprintf("workers=%d/memo=%v", workers, memo), func(b *testing.B) {
-				opts := detect.Options{Workers: workers, NoMemo: !memo}
-				if memo {
-					opts.Memo = constraint.NewSolveCache()
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p, err := pipeline.New(pipeline.Options{Detect: opts})
-					if err != nil {
-						b.Fatal(err)
-					}
-					jobs := make([]*pipeline.Job, 0, len(ws))
-					for _, w := range ws {
-						jobs = append(jobs, p.Submit(w.Name, w.Compile))
-					}
-					results, err := pipeline.Collect(jobs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					p.Close()
-					total := 0
-					for _, res := range results {
-						total += len(res.Instances)
-					}
-					if total != 60 {
-						b.Fatalf("detected %d idioms, want 60", total)
-					}
-				}
-			})
 		}
 	}
 }
@@ -418,62 +325,6 @@ func BenchmarkAblationAPIChoice(b *testing.B) {
 	})
 }
 
-// --- Serving-path match benchmark ---
-
-// BenchmarkServeMatch measures the full match pipeline behind the HTTP
-// front door: the 21-workload suite POSTed to /v1/match/stream — compile,
-// detect, transform, backend selection and NDJSON framing per request.
-// Compare against benchjson's ServeStream rows for the transformation leg's
-// marginal cost.
-func BenchmarkServeMatch(b *testing.B) {
-	svc, err := idiomatic.NewService(idiomatic.ServiceOptions{Workers: 4, QueueLimit: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	ts := httptest.NewServer(httpapi.New(svc))
-	defer ts.Close()
-	var reqs []idiomatic.MatchRequest
-	for _, w := range workloads.All() {
-		reqs = append(reqs, idiomatic.MatchRequest{Name: w.Name, Source: w.Source})
-	}
-	body, err := json.Marshal(reqs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(ts.URL+"/v1/match/stream", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		lines, plans := 0, 0
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		for sc.Scan() {
-			if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-				continue
-			}
-			var res idiomatic.MatchResult
-			if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-				b.Fatal(err)
-			}
-			if res.Err != "" {
-				b.Fatalf("%s: %s", res.Name, res.Err)
-			}
-			lines++
-			plans += len(res.Plans)
-		}
-		resp.Body.Close()
-		if err := sc.Err(); err != nil {
-			b.Fatal(err)
-		}
-		if lines != len(reqs) || plans != 60 {
-			b.Fatalf("stream delivered %d lines / %d plans, want %d / 60", lines, plans, len(reqs))
-		}
-	}
-}
-
 // --- End-to-end pipeline benchmark ---
 
 func BenchmarkEndToEndPipeline(b *testing.B) {
@@ -496,17 +347,12 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 
 // --- helpers ---
 
-type namedModule struct {
-	name string
-	mod  *ir.Module
-}
-
 // compileAll compiles every workload concurrently (the sequential compile
 // barrier is gone here too; benchmark setup cost shrinks with cores).
-func compileAll(b *testing.B) []namedModule {
+func compileAll(b *testing.B) []*ir.Module {
 	b.Helper()
 	ws := workloads.All()
-	out := make([]namedModule, len(ws))
+	out := make([]*ir.Module, len(ws))
 	errs := make([]error, len(ws))
 	var wg sync.WaitGroup
 	for i, w := range ws {
@@ -514,9 +360,7 @@ func compileAll(b *testing.B) []namedModule {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mod, err := w.Compile()
-			out[i] = namedModule{w.Name, mod}
-			errs[i] = err
+			out[i], errs[i] = w.Compile()
 		}()
 	}
 	wg.Wait()

@@ -9,7 +9,8 @@
 // are not printed in the paper, so they are authored here against the same
 // published atomic vocabulary (Figure 7), with one documented extension: the
 // "all operands of {v} come from {list} below {w}" atomic expressing
-// well-behaved kernel functions (see DESIGN.md).
+// well-behaved kernel functions (KernelFunctionSource below; the atomic is
+// documented in package idl).
 package idioms
 
 // SESESource is the paper's Figure 9 single-entry single-exit region.

@@ -3,7 +3,7 @@
 // NPB: BT, CG, DC, EP, FT, IS, LU, MG, SP, UA) and Parboil (bfs, cutcp,
 // histo, lbm, mri-gridding, mri-q, sad, sgemm, spmv, stencil, tpacf).
 //
-// Substitution note (see DESIGN.md): the original suites are tens of
+// Substitution note: the original suites are tens of
 // thousands of lines of C; what the paper's experiments consume from them is
 // (a) the idiom instances they contain, and (b) the share of sequential
 // execution time those idioms cover. Each workload here is therefore a
