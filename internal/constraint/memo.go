@@ -248,9 +248,9 @@ func (c *SolveCache) Put(prob *Problem, fp Fingerprint, info *analysis.Info, sol
 	st := c.store
 	var evicted []*lruEntry
 	if el, exists := c.m[key]; exists {
-		le = el.Value.(*lruEntry)
-		le.e = e
-		le.spilled.Store(false)
+		// Swap in the fresh entry rather than mutate the old one: a
+		// concurrent Put of the same key may be reading it to spill.
+		el.Value = le
 		c.lru.MoveToFront(el)
 	} else {
 		c.m[key] = c.lru.PushFront(le)

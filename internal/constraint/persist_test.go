@@ -293,3 +293,34 @@ func TestSpillKeyIdentity(t *testing.T) {
 		t.Error("StoreID ignores the IDL source text")
 	}
 }
+
+// TestConcurrentPutSameKey pins that re-Putting a key never mutates an entry
+// another Put is still spilling: concurrent solves of one function shape
+// both store their (identical) outcome, and under -race the spill of the
+// first must not read an entry the second rewrites. The cache then serves
+// the outcome unchanged.
+func TestConcurrentPutSameKey(t *testing.T) {
+	prob := storableProblem(t)
+	info := analyzeC(t, memoTestC, "example")
+	fp := FingerprintInfo(info)
+	s := NewSolver(prob, info)
+	sols := s.Solve()
+
+	c := NewSolveCache()
+	c.AttachStore(newFakeSpill(true))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				c.Put(prob, fp, info, sols, s.Steps)
+			}
+		}()
+	}
+	wg.Wait()
+	got, steps, ok := c.Get(prob, fp, info)
+	if !ok || steps != s.Steps || len(got) != len(sols) {
+		t.Fatalf("Get = %d solutions / %d steps / %v; want %d / %d / true", len(got), steps, ok, len(sols), s.Steps)
+	}
+}

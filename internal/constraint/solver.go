@@ -596,19 +596,6 @@ func canonicalKey(sol Solution) string {
 	return b.String()
 }
 
-func sameSolution(a, b Solution) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || !sameValue(v, w) {
-			return false
-		}
-	}
-	return true
-}
-
 // sameValue compares values; constants compare by type and payload.
 func sameValue(a, b ir.Value) bool {
 	if a == b {
@@ -620,44 +607,6 @@ func sameValue(a, b ir.Value) bool {
 		return false
 	}
 	return ca.Null == cb.Null && ca.IntVal == cb.IntVal && ca.FloatVal == cb.FloatVal
-}
-
-// --- three-valued evaluation (uncached walk used by final validation) ---
-
-// eval evaluates the formula under the current partial assignment. When
-// final is true, collects and list atomics are fully resolved.
-func (s *Solver) eval(n Node, final bool) tribool {
-	switch t := n.(type) {
-	case *NAnd:
-		out := triTrue
-		for _, k := range t.Kids {
-			switch s.eval(k, final) {
-			case triFalse:
-				return triFalse
-			case triUnknown:
-				out = triUnknown
-			}
-		}
-		return out
-	case *NOr:
-		out := triFalse
-		for _, k := range t.Kids {
-			switch s.eval(k, final) {
-			case triTrue:
-				return triTrue
-			case triUnknown:
-				out = triUnknown
-			}
-		}
-		return out
-	case *NAtom:
-		return s.evalAtom(t, final)
-	case *NCollect:
-		// Collects never prune the partial search; they are resolved in
-		// evalFinal.
-		return triUnknown
-	}
-	return triUnknown
 }
 
 // evalFinal evaluates with all regular variables assigned, resolving
@@ -757,12 +706,6 @@ func (s *Solver) resolveCollect(c *NCollect, extra map[string]ir.Value) tribool 
 		s.cancelled = true
 	}
 	s.lateBinds += sub.lateBinds
-	if debugCollect {
-		fmt.Printf("resolveCollect: free=%v assign-keys=%d subSols=%d\n", free, len(s.assign), len(subSols))
-		for i, ss := range subSols {
-			fmt.Printf("  sub %d: %s\n", i, ss)
-		}
-	}
 	s.Steps += sub.Steps
 	if len(subSols) < c.Min {
 		return triFalse
@@ -1039,6 +982,3 @@ func (s *Solver) usersOf(x ir.Value) []*ir.Instruction {
 	}
 	return out
 }
-
-// debugCollect enables tracing of collect resolution (tests only).
-var debugCollect bool

@@ -19,6 +19,3 @@ func (unconstrainedValue) Operand() string { return "?" }
 
 // Unconstrained is the singleton marker value.
 var Unconstrained ir.Value = unconstrainedValue{}
-
-// DebugCollect toggles collect-resolution tracing (diagnostics only).
-func DebugCollect(on bool) { debugCollect = on }

@@ -13,10 +13,10 @@ import (
 )
 
 // TestStreamIdiomSubsetMatchesSequential pins the per-submission roster
-// subset: a Submission carrying Idioms must be byte-identical to the
-// sequential driver run with the same Options.Idioms (same instances, same
-// precedence, same step count), while other submissions on the same stream
-// keep the full roster.
+// subset: a Detect call whose Submission carries Idioms must be
+// byte-identical to the sequential driver run with the same Options.Idioms
+// (same instances, same precedence, same step count), while a concurrent call
+// on the same stream keeps the full roster.
 func TestStreamIdiomSubsetMatchesSequential(t *testing.T) {
 	mod, err := workloads.ByName("CG").Compile()
 	if err != nil {
@@ -36,17 +36,16 @@ func TestStreamIdiomSubsetMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stream(2)
-	st.SubmitJob(detect.Submission{Mod: mod, Idioms: subset})
-	st.Submit(mod) // full roster rides the same stream
+	st := eng.Stream()
+	got, errs, _ := detectAsync(st, []detect.Submission{
+		{Mod: mod, Idioms: subset},
+		{Mod: mod}, // full roster rides the same stream
+	})()
 	st.Close()
-
-	got := make([]*detect.Result, 2)
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			t.Fatalf("seq %d: %v", sr.Seq, sr.Err)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
 		}
-		got[sr.Seq] = sr.Result
 	}
 	for name, pair := range map[string][2]*detect.Result{
 		"subset": {want, got[0]},
@@ -68,9 +67,9 @@ func TestStreamIdiomSubsetMatchesSequential(t *testing.T) {
 }
 
 // TestStreamCancellation pins load shedding: cancelling a submission's
-// context makes the stream deliver the context error for that sequence
-// number (instead of wedging or delivering partial results), frees the
-// worker pool, and leaves the stream fully usable for later submissions.
+// context makes its Detect call return the context error (instead of wedging
+// or returning a partial result), frees the worker pool, and leaves the
+// stream fully usable for later calls.
 func TestStreamCancellation(t *testing.T) {
 	var mods []*ir.Module
 	for _, w := range workloads.All() {
@@ -89,68 +88,60 @@ func TestStreamCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stream(len(mods) + 1)
+	st := eng.Stream()
 
 	// A pre-cancelled context must never run any detection work.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	st.SubmitJob(detect.Submission{Mod: mods[0], Ctx: pre})
+	if _, err := st.Detect(detect.Submission{Mod: mods[0], Ctx: pre}); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled submission: err = %v, want context.Canceled", err)
+	}
 
 	// The rest get a context cancelled while solves are in flight.
 	ctx, cancel := context.WithCancel(context.Background())
-	for _, mod := range mods {
-		st.SubmitJob(detect.Submission{Mod: mod, Ctx: ctx})
+	subs := make([]detect.Submission, len(mods))
+	for i, mod := range mods {
+		subs[i] = detect.Submission{Mod: mod, Ctx: ctx}
 	}
+	wait := detectAsync(st, subs)
 	cancel()
 
 	// One uncancelled straggler proves the pool survives shedding.
-	lastSeq := st.SubmitJob(detect.Submission{Mod: mods[0]})
-	st.Close()
-
-	delivered := 0
-	for sr := range st.Results() {
-		delivered++
-		switch {
-		case sr.Seq == 0:
-			if !errors.Is(sr.Err, context.Canceled) {
-				t.Errorf("pre-cancelled submission: err = %v, want context.Canceled", sr.Err)
-			}
-		case sr.Seq == lastSeq:
-			if sr.Err != nil {
-				t.Errorf("uncancelled submission failed: %v", sr.Err)
-				break
-			}
-			wk, gk := resultKeys(t, ref[0]), resultKeys(t, sr.Result)
-			if len(wk) != len(gk) {
-				t.Fatalf("straggler: %d instances, want %d", len(gk), len(wk))
-			}
-			for i := range wk {
-				if wk[i] != gk[i] {
-					t.Errorf("straggler instance %d differs after shedding", i)
-				}
-			}
-		default:
-			// Raced with cancel: either a clean cancellation error or a full,
-			// correct result — never a partial one.
-			if sr.Err != nil {
-				if !errors.Is(sr.Err, context.Canceled) {
-					t.Errorf("seq %d: err = %v, want context.Canceled", sr.Seq, sr.Err)
-				}
-				break
-			}
-			wk, gk := resultKeys(t, ref[sr.Seq-1]), resultKeys(t, sr.Result)
-			if len(wk) != len(gk) {
-				t.Fatalf("seq %d: %d instances, want %d (partial result leaked)", sr.Seq, len(gk), len(wk))
-			}
-			for i := range wk {
-				if wk[i] != gk[i] {
-					t.Errorf("seq %d: instance %d differs", sr.Seq, i)
-				}
+	last, err := st.Detect(detect.Submission{Mod: mods[0]})
+	if err != nil {
+		t.Errorf("uncancelled submission failed: %v", err)
+	} else {
+		wk, gk := resultKeys(t, ref[0]), resultKeys(t, last)
+		if len(wk) != len(gk) {
+			t.Fatalf("straggler: %d instances, want %d", len(gk), len(wk))
+		}
+		for i := range wk {
+			if wk[i] != gk[i] {
+				t.Errorf("straggler instance %d differs after shedding", i)
 			}
 		}
 	}
-	if want := len(mods) + 2; delivered != want {
-		t.Fatalf("delivered %d results, want %d (every submission must resolve)", delivered, want)
+
+	// Every cancelled call must return — raced with cancel, either a clean
+	// cancellation error or a full, correct result, never a partial one.
+	got, errs, _ := wait()
+	st.Close()
+	for mi, res := range got {
+		if errs[mi] != nil {
+			if !errors.Is(errs[mi], context.Canceled) {
+				t.Errorf("module %d: err = %v, want context.Canceled", mi, errs[mi])
+			}
+			continue
+		}
+		wk, gk := resultKeys(t, ref[mi]), resultKeys(t, res)
+		if len(wk) != len(gk) {
+			t.Fatalf("module %d: %d instances, want %d (partial result leaked)", mi, len(gk), len(wk))
+		}
+		for i := range wk {
+			if wk[i] != gk[i] {
+				t.Errorf("module %d: instance %d differs", mi, i)
+			}
+		}
 	}
 
 	// The pool must drain completely once the stream is done.
@@ -189,53 +180,59 @@ func TestSplitCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stream(2 * len(mods))
+	st := eng.Stream()
 
 	// Round 1: every module under one context, cancelled while solves are in
 	// flight.
 	ctx, cancel := context.WithCancel(context.Background())
-	for _, mod := range mods {
-		st.SubmitJob(detect.Submission{Mod: mod, Ctx: ctx})
+	subs := make([]detect.Submission, 2*len(mods))
+	for i, mod := range mods {
+		subs[i] = detect.Submission{Mod: mod, Ctx: ctx}
 	}
+	wait1 := detectAsync(st, subs[:len(mods)])
 	cancel()
 
 	// Round 2 on the same stream: the same modules, uncancelled. Whatever
 	// round 1 memoized must be complete, so these have to match the
 	// sequential reference exactly.
 	base := len(mods)
-	for _, mod := range mods {
-		st.SubmitJob(detect.Submission{Mod: mod})
+	for i, mod := range mods {
+		subs[base+i] = detect.Submission{Mod: mod}
 	}
+	wait2 := detectAsync(st, subs[base:])
+	got1, errs1, _ := wait1()
+	got2, errs2, _ := wait2()
 	st.Close()
+	got, errs := append(got1, got2...), append(errs1, errs2...)
 
-	for sr := range st.Results() {
-		if sr.Seq < base {
+	for seq, res := range got {
+		if seq < base {
 			// Raced with cancel: a clean context error or a full result.
-			if sr.Err != nil {
-				if !errors.Is(sr.Err, context.Canceled) {
-					t.Errorf("seq %d: err = %v, want context.Canceled", sr.Seq, sr.Err)
+			if errs[seq] != nil {
+				if !errors.Is(errs[seq], context.Canceled) {
+					t.Errorf("call %d: err = %v, want context.Canceled", seq, errs[seq])
 				}
 				continue
 			}
 		}
-		mi := sr.Seq % base
-		if sr.Err != nil {
-			t.Errorf("seq %d: unexpected error %v", sr.Seq, sr.Err)
+		mi := seq % base
+		if errs[seq] != nil {
+			t.Errorf("call %d: unexpected error %v", seq, errs[seq])
 			continue
 		}
-		wk, gk := resultKeys(t, ref[mi]), resultKeys(t, sr.Result)
+		wk, gk := resultKeys(t, ref[mi]), resultKeys(t, res)
 		if len(wk) != len(gk) {
-			t.Fatalf("seq %d: %d instances, want %d (partial solve leaked%s)",
-				sr.Seq, len(gk), len(wk),
-				map[bool]string{true: " through the memo", false: ""}[sr.Seq >= base])
+			t.Fatalf("call %d: %d instances, want %d (partial solve leaked%s)",
+				seq, len(gk), len(wk),
+				map[bool]string{true: " through the memo", false: ""}[seq >= base])
 		}
 		for i := range wk {
 			if wk[i] != gk[i] {
-				t.Errorf("seq %d: instance %d differs", sr.Seq, i)
+				t.Errorf("call %d: instance %d differs", seq, i)
 			}
 		}
-		if sr.Result.SolverSteps != ref[mi].SolverSteps {
-			t.Errorf("seq %d: steps %d, want %d", sr.Seq, sr.Result.SolverSteps, ref[mi].SolverSteps)
+		if res.SolverSteps != ref[mi].SolverSteps {
+			t.Errorf("call %d: steps %d, want %d", seq, res.SolverSteps, ref[mi].SolverSteps)
 		}
 	}
 

@@ -7,7 +7,9 @@
 // problem once and fans the independent (function × idiom) solves out over a
 // worker pool. Both produce byte-identical results: solutions are re-sorted
 // deterministically and claim-based de-duplication always runs serially in
-// roster precedence order.
+// roster precedence order. Long-lived callers use Engine.Stream instead: each
+// blocking Stream.Detect call detects one module on the engine's shared pool,
+// so the solves of concurrent callers interleave.
 package detect
 
 import (
@@ -92,11 +94,6 @@ type Options struct {
 	// uses this so its compile-time overhead rows keep measuring fresh
 	// constraint solves.
 	NoMemo bool
-	// MemoMaxEntries, when positive and Memo is nil, gives the engine a
-	// private solve cache LRU-bounded at this many entries instead of the
-	// process-wide shared cache (which is itself bounded at
-	// constraint.DefaultMemoMaxEntries).
-	MemoMaxEntries int
 	// Prune selects the similarity-prescreen mode of the parallel engine
 	// (Engine, Modules, Stream). The zero value is PruneReorder: solves are
 	// scheduled best-score-first and longest-likely-solve-first but never

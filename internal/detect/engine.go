@@ -3,6 +3,7 @@ package detect
 import (
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,8 +65,6 @@ func NewEngine(opts Options) (*Engine, error) {
 		// leave e.memo nil
 	case opts.Memo != nil:
 		e.memo = opts.Memo
-	case opts.MemoMaxEntries > 0:
-		e.memo = constraint.NewSolveCacheSize(opts.MemoMaxEntries)
 	default:
 		e.memo = constraint.SharedSolveCache()
 	}
@@ -208,31 +207,30 @@ func (e *Engine) Module(mod *ir.Module) (*Result, error) {
 }
 
 // Modules detects idioms across a batch of modules, returning one Result per
-// module (index-aligned with mods). Every module is submitted to a private
-// Stream over the engine's pool, so all (function × idiom) solves across the
-// whole batch interleave — small modules do not serialize the pipeline. With
-// Workers: 1 the pool is one worker, so every stage task and every solve runs
-// sequentially by construction (the paper's Table 2 sequential metrics are
-// unaffected).
+// module (index-aligned with mods). Every module runs as its own Detect call
+// on a private Stream over the engine's pool, one goroutine per module, so
+// all (function × idiom) solves across the whole batch interleave — small
+// modules do not serialize the pipeline. With Workers: 1 the pool is one
+// worker, so every stage task and every solve runs sequentially by
+// construction (the paper's Table 2 sequential metrics are unaffected).
 // Because solves interleave across modules, per-module wall time is not
 // meaningful here: every Result carries the whole batch's Elapsed (batch
 // semantics, kept deliberately). Use Stream for true per-module wall times.
 func (e *Engine) Modules(mods []*ir.Module) ([]*Result, error) {
 	start := time.Now()
-	st := e.Stream(len(mods))
-	for _, mod := range mods {
-		st.SubmitAt(mod, start)
-	}
-	st.Close()
+	st := e.Stream()
 	out := make([]*Result, len(mods))
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			// Unreachable today: batch submissions carry no context, and a
-			// nil context never cancels. Kept for defense in depth.
-			return nil, sr.Err
-		}
-		out[sr.Seq] = sr.Result
+	var wg sync.WaitGroup
+	for i, mod := range mods {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A submission without a context never fails.
+			out[i], _ = st.Detect(Submission{Mod: mod, Start: start})
+		}()
 	}
+	wg.Wait()
+	st.Close()
 	elapsed := time.Since(start)
 	for _, r := range out {
 		r.Elapsed = elapsed

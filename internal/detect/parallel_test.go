@@ -193,8 +193,8 @@ func sequentialResults(t *testing.T, mods []*ir.Module, names []string) []*detec
 
 // TestSplitMatchesSequential pins the streaming engine against the
 // sequential driver with the memo off, so every search is a fresh solve:
-// submitting every workload to one Workers:4 stream delivers byte-identical
-// results, and every worker is idle once the results are drained.
+// detecting every workload concurrently on one Workers:4 stream returns
+// byte-identical results, and every worker is idle once the calls return.
 func TestSplitMatchesSequential(t *testing.T) {
 	mods, names := compileAll(t)
 	want := sequentialResults(t, mods, names)
@@ -203,12 +203,9 @@ func TestSplitMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stream(len(mods))
-	for _, mod := range mods {
-		st.Submit(mod)
-	}
+	st := eng.Stream()
+	got, _ := detectAll(t, st, mods)
 	st.Close()
-	got, _ := collectBySeq(t, st, len(mods))
 	sameResults(t, names, got, want)
 	if a := st.Active(); a != 0 {
 		t.Errorf("Active = %d after drain, want 0", a)
@@ -216,7 +213,7 @@ func TestSplitMatchesSequential(t *testing.T) {
 }
 
 // TestBatchMatchesSequential pins the batch path: Engine.Modules runs the
-// whole slice on the same task stream as Submit, so with the memo off its
+// whole slice on the same task stream as Stream.Detect, so with the memo off its
 // results are byte-identical to the sequential per-module driver, and a
 // second batch on the same engine repeats them exactly. With Workers:1 the
 // batch is sequential by construction.

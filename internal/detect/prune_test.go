@@ -26,27 +26,23 @@ func compileAll(t *testing.T) ([]*ir.Module, []string) {
 	return mods, names
 }
 
-// streamKeys runs every module through a fresh engine's stream and returns
-// per-module instance keys plus step counts, reassembled in submit order.
+// streamKeys runs every module as a concurrent Detect call on a fresh
+// engine's stream and returns per-module instance keys plus step counts, in
+// submit order.
 func streamKeys(t *testing.T, opts detect.Options, mods []*ir.Module) ([][]string, []int) {
 	t.Helper()
 	eng, err := detect.NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stream(len(mods))
-	for _, mod := range mods {
-		st.Submit(mod)
-	}
+	st := eng.Stream()
+	got, _ := detectAll(t, st, mods)
 	st.Close()
 	keys := make([][]string, len(mods))
 	steps := make([]int, len(mods))
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			t.Fatalf("seq %d: %v", sr.Seq, sr.Err)
-		}
-		keys[sr.Seq] = resultKeys(t, sr.Result)
-		steps[sr.Seq] = sr.Result.SolverSteps
+	for i, res := range got {
+		keys[i] = resultKeys(t, res)
+		steps[i] = res.SolverSteps
 	}
 	return keys, steps
 }
@@ -198,17 +194,19 @@ func TestPrunePackRosterSound(t *testing.T) {
 			t.Fatal(err)
 		}
 		ros := packRoster(t)
-		st := eng.Stream(len(mods))
-		for _, mod := range mods {
-			st.SubmitJob(detect.Submission{Mod: mod, Roster: ros})
+		subs := make([]detect.Submission, len(mods))
+		for i, mod := range mods {
+			subs[i] = detect.Submission{Mod: mod, Roster: ros}
 		}
+		st := eng.Stream()
+		got, errs, _ := detectAsync(st, subs)()
 		st.Close()
 		keys := make([][]string, len(mods))
-		for sr := range st.Results() {
-			if sr.Err != nil {
-				t.Fatalf("seq %d: %v", sr.Seq, sr.Err)
+		for i, res := range got {
+			if errs[i] != nil {
+				t.Fatalf("module %d: %v", i, errs[i])
 			}
-			keys[sr.Seq] = resultKeys(t, sr.Result)
+			keys[i] = resultKeys(t, res)
 		}
 		return keys
 	}

@@ -14,16 +14,6 @@ import (
 	"repro/internal/similarity"
 )
 
-// StreamResult couples one streamed module's detection outcome with the
-// sequence number its Submit call returned. Results arrive in completion
-// order; reassembling them by Seq reproduces submit order. Err is non-nil
-// when the submission's context was cancelled before detection completed.
-type StreamResult struct {
-	Seq    int
-	Result *Result
-	Err    error
-}
-
 // Submission describes one module entering a Stream.
 type Submission struct {
 	Mod *ir.Module
@@ -33,7 +23,7 @@ type Submission struct {
 	Start time.Time
 	// Ctx, when non-nil, cancels the submission: queued stage tasks become
 	// no-ops, in-flight backtracking searches abort at their next poll, and
-	// the StreamResult carries Ctx.Err(). A nil Ctx never cancels.
+	// Detect returns Ctx.Err(). A nil Ctx never cancels.
 	Ctx context.Context
 	// Deadline, when non-zero, is the submission's completion deadline. The
 	// solver pool schedules deadlined stage tasks soonest-deadline-first,
@@ -63,20 +53,19 @@ type Submission struct {
 	Explain bool
 }
 
-// Stream is the incremental front door of an Engine: modules are submitted
-// one at a time and one Result per module is delivered on Results as soon as
-// its merge completes, while the (function × idiom) solves of every in-flight
-// module interleave over a single shared worker pool — the same pool shape
-// Modules uses, without its whole-batch barrier.
+// Stream is the incremental front door of an Engine: each Detect call runs
+// one module and blocks until its Result is merged, while the (function ×
+// idiom) solves of every in-flight call interleave over a single shared
+// worker pool — the same pool shape Modules uses, without its whole-batch
+// barrier. Callers choose their own concurrency by calling Detect from as
+// many goroutines as they want modules in flight.
 //
 // Determinism: solves for one module land in a dense per-module grid and are
-// merged serially in function order, exactly as in Modules, so collecting a
-// stream in submit order is byte-identical (instances and step counts) to
-// Modules over the same batch at any worker count. Unlike batch Modules,
-// each streamed Result carries its own wall time: from the start recorded at
-// SubmitAt (compile start, when fed by a pipeline) to merge completion.
-//
-// Consumers must drain Results; in-flight modules block delivering onto it.
+// merged serially in function order, exactly as in Modules, so every Detect
+// result is byte-identical (instances and step counts) to Modules over the
+// same module at any worker count. Unlike batch Modules, each Result carries
+// its own wall time: from Submission.Start (compile start, when fed by a
+// pipeline) to merge completion.
 //
 // Scheduling: stage tasks enter a deadline-ordered queue (earliest deadline
 // first; deadline-free tasks after every deadlined one, FIFO among
@@ -85,23 +74,19 @@ type Submission struct {
 // per-module grids and merges are serial, so execution order never changes
 // output bytes.
 type Stream struct {
-	eng     *Engine
-	results chan StreamResult
+	eng *Engine
 
-	// qmu guards the stage-task queue (EDF order).
-	qmu       sync.Mutex
+	// mu guards the stage-task queue (EDF order) and the two close flags.
+	mu        sync.Mutex
 	qcond     *sync.Cond
 	taskQ     taskQueue
 	taskOrder int64 // FIFO tiebreak for equal/absent deadlines
-	qclosed   bool
+	closed    bool  // Close called: Detect panics
+	stopped   bool  // in-flight calls drained: workers exit
 
-	inflight sync.WaitGroup // submitted modules not yet delivered
+	inflight sync.WaitGroup // Detect calls not yet returned
 	workers  sync.WaitGroup // pool goroutines
 	active   atomic.Int64   // workers currently executing a task
-
-	mu      sync.Mutex
-	nextSeq int
-	closed  bool
 }
 
 // streamTask is one queued stage task with its scheduling key.
@@ -150,36 +135,28 @@ func (q *taskQueue) Pop() any {
 }
 
 // Stream starts a worker pool of the engine's configured size and returns a
-// new Stream over it. buffer is the capacity of the Results channel (0 means
-// unbuffered). Close the stream to release the pool.
-func (e *Engine) Stream(buffer int) *Stream {
-	if buffer < 0 {
-		buffer = 0
-	}
-	s := &Stream{
-		eng:     e,
-		results: make(chan StreamResult, buffer),
-	}
-	s.qcond = sync.NewCond(&s.qmu)
+// new Stream over it. Close the stream to release the pool.
+func (e *Engine) Stream() *Stream {
+	s := &Stream{eng: e}
+	s.qcond = sync.NewCond(&s.mu)
 	for w := 0; w < e.workers; w++ {
 		s.workers.Add(1)
 		go func() {
 			defer s.workers.Done()
 			for {
-				s.qmu.Lock()
-				for s.taskQ.Len() == 0 && !s.qclosed {
+				s.mu.Lock()
+				for s.taskQ.Len() == 0 && !s.stopped {
 					s.qcond.Wait()
 				}
-				if s.taskQ.Len() > 0 {
-					t := heap.Pop(&s.taskQ).(streamTask)
-					s.qmu.Unlock()
-					s.active.Add(1)
-					t.fn()
-					s.active.Add(-1)
-					continue
+				if s.taskQ.Len() == 0 { // stopped and drained
+					s.mu.Unlock()
+					return
 				}
-				s.qmu.Unlock() // closed and drained
-				return
+				t := heap.Pop(&s.taskQ).(streamTask)
+				s.mu.Unlock()
+				s.active.Add(1)
+				t.fn()
+				s.active.Add(-1)
 			}
 		}()
 	}
@@ -191,22 +168,36 @@ func (e *Engine) Stream(buffer int) *Stream {
 // is the engine's Workers).
 func (s *Stream) Active() int { return int(s.active.Load()) }
 
-// Submit enqueues one module for detection and returns its sequence number.
-// It never blocks on detection work.
-func (s *Stream) Submit(mod *ir.Module) int {
-	return s.SubmitJob(Submission{Mod: mod})
+// Close stops intake, waits for in-flight Detect calls to return, then stops
+// the worker pool. It is idempotent; it must not be called from inside a
+// Detect call.
+func (s *Stream) Close() {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed = true
+	s.mu.Unlock()
+	s.inflight.Wait()
+	// Every call has returned, so every stage has joined and the task queue
+	// is empty — wake the workers to observe the stop.
+	s.mu.Lock()
+	s.stopped = true
+	s.qcond.Broadcast()
+	s.mu.Unlock()
+	s.workers.Wait()
 }
 
-// SubmitAt is Submit with an explicit wall-clock start for the module's
-// Result.Elapsed.
-func (s *Stream) SubmitAt(mod *ir.Module, start time.Time) int {
-	return s.SubmitJob(Submission{Mod: mod, Start: start})
-}
-
-// SubmitJob enqueues one submission (module, optional start time, optional
-// cancellation context, optional idiom subset) and returns its sequence
-// number. It never blocks on detection work.
-func (s *Stream) SubmitJob(sub Submission) int {
+// Detect runs one submission and blocks until its Result is merged: the same
+// analyse → solve-grid → serial merge staging as Modules, with the stage
+// tasks executed by the shared pool so concurrent calls interleave at
+// (function × idiom) granularity. A cancelled context short-circuits the
+// remaining stage tasks (queued ones become no-ops, running solves abort at
+// their next poll) and Detect returns the context error instead of a Result,
+// so the pool is freed promptly under load shedding. Detect panics after
+// Close.
+func (s *Stream) Detect(sub Submission) (*Result, error) {
 	if sub.Start.IsZero() {
 		sub.Start = time.Now()
 	}
@@ -218,70 +209,22 @@ func (s *Stream) SubmitJob(sub Submission) int {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		panic("detect: Submit on closed Stream")
+		panic("detect: Detect on closed Stream")
 	}
-	seq := s.nextSeq
-	s.nextSeq++
 	s.inflight.Add(1)
 	s.mu.Unlock()
-	go s.detect(seq, sub)
-	return seq
-}
-
-// Results delivers one StreamResult per submitted module, in completion
-// order. The channel closes after Close once every in-flight module has been
-// delivered.
-func (s *Stream) Results() <-chan StreamResult {
-	return s.results
-}
-
-// Close stops intake. Delivery of in-flight modules continues; the Results
-// channel closes (and the worker pool exits) once they drain. Close does not
-// block and is idempotent.
-func (s *Stream) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	go func() {
-		s.inflight.Wait()
-		// Every submission has delivered, so every stage has joined and the
-		// task queue is empty — wake the workers to observe the close.
-		s.qmu.Lock()
-		s.qclosed = true
-		s.qcond.Broadcast()
-		s.qmu.Unlock()
-		s.workers.Wait()
-		close(s.results)
-	}()
-}
-
-// detect orchestrates one module: the same analyse → solve-grid → serial
-// merge staging as Modules, with the stage tasks executed by the shared pool
-// so concurrent modules interleave at (function × idiom) granularity. A
-// cancelled context short-circuits remaining stage tasks (queued ones become
-// no-ops, running solves abort at their next poll) and delivers the context
-// error instead of a Result, so the pool is freed promptly under load
-// shedding.
-func (s *Stream) detect(seq int, sub Submission) {
 	defer s.inflight.Done()
+
 	e := s.eng
 	mod := sub.Mod
 	var done <-chan struct{}
 	ctxErr := func() error { return nil }
 	if sub.Ctx != nil {
 		done = sub.Ctx.Done()
-		ctxErr = func() error { return sub.Ctx.Err() }
-	}
-	fail := func(err error) {
-		s.results <- StreamResult{Seq: seq, Err: err}
+		ctxErr = sub.Ctx.Err
 	}
 	if err := ctxErr(); err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 
 	fns := mod.Functions
@@ -302,7 +245,7 @@ func (s *Stream) detect(seq int, sub Submission) {
 			ascores[i] = math.Inf(1)
 		}
 	}
-	s.stageKeyed(len(fns), sub.Deadline, ascores, nil, func(i int) {
+	s.stage(len(fns), sub.Deadline, ascores, nil, func(i int) {
 		if cancelled(done) {
 			return
 		}
@@ -315,8 +258,7 @@ func (s *Stream) detect(seq int, sub Submission) {
 		}
 	})
 	if err := ctxErr(); err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 
 	ros := sub.Roster
@@ -331,7 +273,7 @@ func (s *Stream) detect(seq int, sub Submission) {
 		pre := e.prescreen(feats, infos, ros)
 		scores, costs = pre.scores, pre.costs
 	}
-	s.stageKeyed(len(grid), sub.Deadline, scores, costs, func(t int) {
+	s.stage(len(grid), sub.Deadline, scores, costs, func(t int) {
 		if cancelled(done) {
 			return
 		}
@@ -345,8 +287,7 @@ func (s *Stream) detect(seq int, sub Submission) {
 		grid[t] = e.solveResolved(done, ros[si], infos[fi], fps[fi])
 	})
 	if err := ctxErr(); err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 
 	res := &Result{}
@@ -357,7 +298,7 @@ func (s *Stream) detect(seq int, sub Submission) {
 		res.NearMisses = nearMisses(ros, fns, feats, res, e.prune == PruneOn)
 	}
 	res.Elapsed = time.Since(sub.Start)
-	s.results <- StreamResult{Seq: seq, Result: res}
+	return res, nil
 }
 
 func cancelled(done <-chan struct{}) bool {
@@ -375,23 +316,17 @@ func cancelled(done <-chan struct{}) bool {
 // stage enqueues f(0..n-1) onto the shared pool under the submission's
 // deadline and waits for all of them. Tasks of concurrent stages (other
 // modules) interleave freely, with soonest-deadline tasks scheduled first;
-// results must be written by index, as in Engine.run.
-func (s *Stream) stage(n int, deadline time.Time, f func(i int)) {
-	s.stageKeyed(n, deadline, nil, nil, f)
-}
-
-// stageKeyed is stage with per-task prescreen keys: scores[i]/costs[i] become
-// task i's queue priority within its deadline class. Either slice may be nil
-// (all-zero keys — plain FIFO within the class).
-func (s *Stream) stageKeyed(n int, deadline time.Time, scores []float64, costs []int64, f func(i int)) {
+// results must be written by index into the submission's grids.
+// scores[i]/costs[i] become task i's queue priority within its deadline class; either slice may
+// be nil (all-zero keys — plain FIFO within the class).
+func (s *Stream) stage(n int, deadline time.Time, scores []float64, costs []int64, f func(i int)) {
 	if n == 0 {
 		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(n)
-	s.qmu.Lock()
+	s.mu.Lock()
 	for i := 0; i < n; i++ {
-		i := i
 		t := streamTask{
 			fn:       func() { defer wg.Done(); f(i) },
 			deadline: deadline,
@@ -407,6 +342,6 @@ func (s *Stream) stageKeyed(n int, deadline time.Time, scores []float64, costs [
 		heap.Push(&s.taskQ, t)
 	}
 	s.qcond.Broadcast()
-	s.qmu.Unlock()
+	s.mu.Unlock()
 	wg.Wait()
 }

@@ -2,6 +2,7 @@ package detect_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,32 +13,51 @@ import (
 	"repro/internal/workloads"
 )
 
-// collectBySeq drains a stream after Close and reassembles results in submit
-// order, recording the arrival order as a side channel.
-func collectBySeq(t *testing.T, st *detect.Stream, n int) (bySeq []*detect.Result, arrival []int) {
+// detectAsync starts one Detect call per submission, each on its own
+// goroutine, and returns a wait function yielding the results and errors
+// index-aligned with subs plus the order in which the calls returned.
+func detectAsync(st *detect.Stream, subs []detect.Submission) func() ([]*detect.Result, []error, []int) {
+	res := make([]*detect.Result, len(subs))
+	errs := make([]error, len(subs))
+	var arrival []int
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for i, sub := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = st.Detect(sub)
+			mu.Lock()
+			arrival = append(arrival, i)
+			mu.Unlock()
+		}()
+	}
+	return func() ([]*detect.Result, []error, []int) {
+		wg.Wait()
+		return res, errs, arrival
+	}
+}
+
+// detectAll runs every module as its own concurrent Detect call on st and
+// returns the results in submit order plus the order the calls returned,
+// failing the test on any error.
+func detectAll(t *testing.T, st *detect.Stream, mods []*ir.Module) ([]*detect.Result, []int) {
 	t.Helper()
-	bySeq = make([]*detect.Result, n)
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			t.Fatalf("seq %d: %v", sr.Seq, sr.Err)
-		}
-		if sr.Seq < 0 || sr.Seq >= n {
-			t.Fatalf("seq %d out of range [0,%d)", sr.Seq, n)
-		}
-		if bySeq[sr.Seq] != nil {
-			t.Fatalf("seq %d delivered twice", sr.Seq)
-		}
-		bySeq[sr.Seq] = sr.Result
-		arrival = append(arrival, sr.Seq)
+	subs := make([]detect.Submission, len(mods))
+	for i, mod := range mods {
+		subs[i] = detect.Submission{Mod: mod}
 	}
-	if len(arrival) != n {
-		t.Fatalf("delivered %d results, want %d", len(arrival), n)
+	res, errs, arrival := detectAsync(st, subs)()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("module %d: %v", i, err)
+		}
 	}
-	return bySeq, arrival
+	return res, arrival
 }
 
 // TestStreamMatchesBatch asserts the streaming intake is deterministic:
-// collecting the stream in submit order is byte-identical (instances and
+// concurrent Detect calls on one stream return results byte-identical (instances and
 // solver steps) to the batch Modules call over the same modules, at 1, 4 and
 // 8 workers, with solver memoization both off and on. Under -race this also
 // exercises cross-module task interleaving on the shared pool and the memo
@@ -73,12 +93,9 @@ func TestStreamMatchesBatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := eng.Stream(len(mods))
-				for _, mod := range mods {
-					st.Submit(mod)
-				}
+				st := eng.Stream()
+				got, _ := detectAll(t, st, mods)
 				st.Close()
-				got, _ := collectBySeq(t, st, len(mods))
 				for i := range want {
 					wk, gk := resultKeys(t, want[i]), resultKeys(t, got[i])
 					if len(wk) != len(gk) {
@@ -102,12 +119,12 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamOutOfOrderCompletion pins that delivery order is completion
-// order, not submit order, and that sequence numbers alone carry the
-// determinism: every submitted module's result is delivered exactly once and
-// matches its sequential reference no matter when it arrives. Submitting the
-// heaviest module first at several workers makes interleaved completion
-// overwhelmingly likely (the test's assertions do not depend on it).
+// TestStreamOutOfOrderCompletion pins that concurrent Detect calls on one
+// stream return in completion order, not call order, and that each call
+// still gets exactly its own module's result, matching the sequential
+// reference no matter when it returns. Starting the heaviest module first at
+// several workers makes interleaved completion overwhelmingly likely (the
+// test's assertions do not depend on it).
 func TestStreamOutOfOrderCompletion(t *testing.T) {
 	leakcheck.Register(t)
 	names := []string{"lbm", "EP", "IS", "sgemm", "histo"}
@@ -132,12 +149,9 @@ func TestStreamOutOfOrderCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stream(0)
-	for _, mod := range mods {
-		st.Submit(mod)
-	}
+	st := eng.Stream()
+	got, arrival := detectAll(t, st, mods)
 	st.Close()
-	got, arrival := collectBySeq(t, st, len(mods))
 	t.Logf("arrival order: %v", arrival)
 	for i := range want {
 		wk, gk := resultKeys(t, want[i]), resultKeys(t, got[i])
@@ -153,8 +167,8 @@ func TestStreamOutOfOrderCompletion(t *testing.T) {
 }
 
 // TestStreamSubmitAtElapsed pins the per-module wall-time contract: Elapsed
-// spans from the caller-provided start (compile start in a pipeline) to
-// merge completion.
+// spans from Submission.Start (compile start in a pipeline) to merge
+// completion.
 func TestStreamSubmitAtElapsed(t *testing.T) {
 	leakcheck.Register(t)
 	mod, err := workloads.ByName("EP").Compile()
@@ -165,17 +179,38 @@ func TestStreamSubmitAtElapsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stream(1)
+	st := eng.Stream()
+	defer st.Close()
 	offset := 250 * time.Millisecond
-	st.SubmitAt(mod, time.Now().Add(-offset))
+	res, err := st.Detect(detect.Submission{Mod: mod, Start: time.Now().Add(-offset)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Elapsed < offset {
+		t.Errorf("Elapsed = %v, want >= %v (must span from the provided start)", res.Elapsed, offset)
+	}
+}
+
+// TestStreamDetectAfterClosePanics pins the intake contract: once Close has
+// been called, Detect panics rather than queueing work on a stopped pool.
+func TestStreamDetectAfterClosePanics(t *testing.T) {
+	leakcheck.Register(t)
+	mod, err := workloads.ByName("EP").Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := detect.NewEngine(detect.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stream()
 	st.Close()
-	sr := <-st.Results()
-	if sr.Err != nil {
-		t.Fatal(sr.Err)
-	}
-	if sr.Result.Elapsed < offset {
-		t.Errorf("Elapsed = %v, want >= %v (must span from the provided start)", sr.Result.Elapsed, offset)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Detect after Close did not panic")
+		}
+	}()
+	st.Detect(detect.Submission{Mod: mod})
 }
 
 // TestMemoZeroFreshSolves asserts the acceptance criterion directly: the
@@ -238,7 +273,7 @@ func TestMemoZeroFreshSolves(t *testing.T) {
 }
 
 // TestSplitMemoizedMatchesSequential pins the memo's rehydration contract on
-// the streaming path: the cache only ever stores complete solves, so a warm
+// the Stream.Detect path: the cache only ever stores complete solves, so a warm
 // hit rehydrates exactly what the sequential solver produces — same
 // instances, same claim sets and the same step totals — in every round.
 func TestSplitMemoizedMatchesSequential(t *testing.T) {
@@ -256,25 +291,23 @@ func TestSplitMemoizedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		st := eng.Stream(1)
-		st.Submit(mod)
+		st := eng.Stream()
+		got, err := st.Detect(detect.Submission{Mod: mod})
 		st.Close()
-		for sr := range st.Results() {
-			if sr.Err != nil {
-				t.Fatalf("round %d: %v", round, sr.Err)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		wk, gk := resultKeys(t, want), resultKeys(t, got)
+		if len(wk) != len(gk) {
+			t.Fatalf("round %d: %d instances, want %d", round, len(gk), len(wk))
+		}
+		for j := range wk {
+			if wk[j] != gk[j] {
+				t.Errorf("round %d: instance %d differs", round, j)
 			}
-			wk, gk := resultKeys(t, want), resultKeys(t, sr.Result)
-			if len(wk) != len(gk) {
-				t.Fatalf("round %d: %d instances, want %d", round, len(gk), len(wk))
-			}
-			for j := range wk {
-				if wk[j] != gk[j] {
-					t.Errorf("round %d: instance %d differs", round, j)
-				}
-			}
-			if sr.Result.SolverSteps != want.SolverSteps {
-				t.Errorf("round %d: steps %d, want %d", round, sr.Result.SolverSteps, want.SolverSteps)
-			}
+		}
+		if got.SolverSteps != want.SolverSteps {
+			t.Errorf("round %d: steps %d, want %d", round, got.SolverSteps, want.SolverSteps)
 		}
 	}
 	hits, misses := eng.MemoStats()

@@ -658,24 +658,35 @@ func (f *Front) streamGroup(ctx context.Context, owner int, group []routedItem, 
 		emitAllErr(fmt.Sprintf("fleet: replica rejected sub-batch: %s: %s", resp.Status, bytes.TrimSpace(body)))
 		return
 	}
+	// Exactly one line per item: replica lines that are malformed, out of
+	// range or repeat a delivered sub-seq are dropped, and every item the
+	// replica never delivered gets an in-band error once its stream ends.
 	dec := json.NewDecoder(resp.Body)
-	delivered := 0
+	delivered := make([]bool, len(group))
+	msg := "fleet: replica stream ended without this result"
 	for {
 		var raw json.RawMessage
 		if err := dec.Decode(&raw); err != nil {
-			if !errors.Is(err, io.EOF) && ctx.Err() == nil {
-				emitAllErr("fleet: replica stream broke: " + err.Error())
+			if !errors.Is(err, io.EOF) {
+				msg = "fleet: replica stream broke: " + err.Error()
 			}
 			break
 		}
 		val, sub, err := codec.rewrite(raw, globalOf)
-		if err != nil || globalOf(sub) < 0 {
+		if err != nil || globalOf(sub) < 0 || delivered[sub] {
 			continue
 		}
+		delivered[sub] = true
 		emit(val)
-		delivered++
 	}
-	_ = delivered
+	if ctx.Err() != nil {
+		return // the client is gone; nobody reads the errors
+	}
+	for sub, it := range group {
+		if !delivered[sub] {
+			emit(codec.errResult(it.global, it.name, msg))
+		}
+	}
 }
 
 // --- control-plane endpoints ---

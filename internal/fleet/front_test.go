@@ -405,3 +405,70 @@ func TestAggregatedSurfaces(t *testing.T) {
 		t.Errorf("user served = %d across the fleet; want the 4 batch modules", userServed)
 	}
 }
+
+// TestStreamOneLinePerRequest pins the front's NDJSON contract against a
+// misbehaving replica: whether the replica's stream breaks after one line or
+// ends cleanly one line short, the client still gets exactly one line per
+// request seq — the delivered result once, and an in-band error for the
+// missing one.
+func TestStreamOneLinePerRequest(t *testing.T) {
+	reqs := testSources()[:2]
+	for _, tc := range []struct {
+		name  string
+		abort bool
+	}{{"broken", true}, {"short", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/healthz" {
+					return
+				}
+				io.Copy(io.Discard, r.Body)
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				json.NewEncoder(w).Encode(idiomatic.DetectResult{Seq: 0, Name: reqs[0].Name})
+				w.(http.Flusher).Flush()
+				if tc.abort {
+					panic(http.ErrAbortHandler) // drop the connection mid-stream
+				}
+			}))
+			defer replica.Close()
+			front, err := fleet.New(fleet.Options{Replicas: []string{replica.URL}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer front.Close()
+			front.CheckNow()
+			fs := httptest.NewServer(front.Handler())
+			defer fs.Close()
+
+			body, _ := json.Marshal(reqs)
+			resp, err := http.Post(fs.URL+"/v1/detect/stream", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			lines := make([][]idiomatic.DetectResult, len(reqs))
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				var r idiomatic.DetectResult
+				if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+					t.Fatalf("bad NDJSON line: %v (%s)", err, sc.Bytes())
+				}
+				if r.Seq < 0 || r.Seq >= len(reqs) {
+					t.Fatalf("line carries out-of-range seq %d", r.Seq)
+				}
+				lines[r.Seq] = append(lines[r.Seq], r)
+			}
+			for seq, ls := range lines {
+				if len(ls) != 1 {
+					t.Fatalf("seq %d: %d lines, want exactly 1: %+v", seq, len(ls), ls)
+				}
+			}
+			if lines[0][0].Err != "" {
+				t.Errorf("seq 0: delivered result replaced by error %q", lines[0][0].Err)
+			}
+			if lines[1][0].Err == "" || lines[1][0].Name != reqs[1].Name {
+				t.Errorf("seq 1: got %+v, want an in-band error naming %s", lines[1][0], reqs[1].Name)
+			}
+		})
+	}
+}

@@ -1,6 +1,6 @@
 // Package leakcheck asserts that a test leaves no repo-owned goroutines
 // behind. The services under test run real worker pools — the detection
-// pipeline, the stream dispatcher, the HTTP server's watchers — and a
+// pipeline, the solver pool, the HTTP server's watchers — and a
 // Close/Drain path that forgets one goroutine keeps every subsequent test's
 // scheduler noisy and, in production, leaks a pool per reload.
 //

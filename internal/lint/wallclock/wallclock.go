@@ -11,7 +11,9 @@ package wallclock
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -28,6 +30,8 @@ var Analyzer = &analysis.Analyzer{
 
 // approvedSites lists, per scoped package, the functions allowed to read the
 // wall clock — the timing/measurement surface. Methods are Receiver.Name.
+// Every entry must name a function the package declares: a stale entry is
+// reported, so it cannot silently exempt a future function of that name.
 var approvedSites = map[string]map[string]bool{
 	"internal/constraint": {},
 	"internal/detect": {
@@ -36,8 +40,7 @@ var approvedSites = map[string]map[string]bool{
 		"Engine.Modules":       true, // batch Elapsed timing
 		"Engine.solveResolved": true, // solve-cost measurement for RecordCost
 		"Engine.prescreen":     true, // prescreen_ns accounting
-		"Stream.SubmitJob":     true, // per-module wall-time start stamp
-		"Stream.detect":        true, // per-module Elapsed + prescreen_ns
+		"Stream.Detect":        true, // per-module start stamp, Elapsed + prescreen_ns
 	},
 }
 
@@ -48,20 +51,40 @@ func run(pass *analysis.Pass) error {
 			approved = set
 		}
 	}
+	declared := map[string]bool{}
+	var pkgPos token.Pos
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
+		}
+		if !pkgPos.IsValid() {
+			pkgPos = f.Package
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if approved[qualifiedName(fd)] {
+			name := qualifiedName(fd)
+			declared[name] = true
+			if approved[name] {
 				continue
 			}
 			checkFunc(pass, fd)
 		}
+	}
+	if !pkgPos.IsValid() {
+		return nil // test-only package: nothing declared, nothing to compare
+	}
+	stale := make([]string, 0, len(approved))
+	for name := range approved {
+		if !declared[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	for _, name := range stale {
+		pass.Reportf(pkgPos, "approved wall-clock site %s is not declared in %s; remove the stale entry", name, pass.PkgPath)
 	}
 	return nil
 }

@@ -4,12 +4,13 @@
 // via Submit as compile thunks, a compile worker pool fans the frontend out,
 // and each compiled module feeds straight into the detection engine's shared
 // solver pool (detect.Stream), so frontend and solver work overlap instead of
-// barriering. Per-module results are delivered as they complete.
+// barriering. Each job completes on its own: await it with Job.Done or
+// Job.Wait, or gather a batch in submit order with Collect.
 //
-// Determinism: detection inherits detect.Stream's guarantees, so collecting
-// jobs in submit order is byte-identical (instances and solver steps) to
-// detect.Modules over the same batch at any worker count. Each Result's
-// Elapsed is the module's true wall time, compile-start → merge-done.
+// Determinism: detection inherits detect.Stream's guarantees, so every job's
+// result is byte-identical (instances and solver steps) to detect.Modules
+// over the same batch at any worker count. Each Result's Elapsed is the
+// module's true wall time, compile-start → merge-done.
 //
 // Serving controls: SubmitOpts threads a context through the whole
 // compile→solve path (cancelled jobs shed their remaining work and finish
@@ -63,8 +64,6 @@ type Options struct {
 	// CompileWorkers bounds the frontend pool. Zero or negative means the
 	// engine's worker count, mirroring the solver pool shape.
 	CompileWorkers int
-	// Buffer is the capacity of the Results channel (0 = unbuffered).
-	Buffer int
 	// MaxQueue bounds the number of in-flight jobs (submitted, not yet
 	// finished). Submissions beyond the bound fail fast with ErrOverloaded
 	// instead of queueing without limit. Zero or negative means unbounded.
@@ -152,8 +151,7 @@ func (j *Job) Wait() (*detect.Result, error) {
 
 // Pipeline is the streaming compile→detect front door. Submit never blocks
 // on pipeline work, and jobs complete independently: await an individual
-// job's Done/Wait, or call Results (before submitting) and range it for
-// completion-order delivery.
+// job's Done/Wait, or Collect a batch.
 type Pipeline struct {
 	eng            *detect.Engine
 	stream         *detect.Stream
@@ -161,8 +159,7 @@ type Pipeline struct {
 	maxQueue       int
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	pending map[int]*Job // stream seq -> job awaiting detection
+	cond    *sync.Cond // signals compile intake
 	nextSeq int
 	closed  bool
 
@@ -183,20 +180,6 @@ type Pipeline struct {
 
 	inflight             sync.WaitGroup // submitted jobs not yet finished
 	submitted, completed atomic.Int64
-
-	// The completion-order stream is opt-in: the dispatch queue, its
-	// goroutine and the results channel exist only once Results has been
-	// called, so Done/Wait-only consumers (a long-lived shared pipeline,
-	// benchmarks) retain no finished jobs and leak no goroutine. Finished
-	// jobs pass through the unbounded outQ so completing workers never block
-	// on a slow reader.
-	outMu      sync.Mutex
-	outCond    *sync.Cond
-	outActive  bool
-	outQ       []*Job
-	outDone    bool
-	results    chan *Job
-	resultsCap int
 }
 
 // New builds and starts a pipeline.
@@ -208,10 +191,6 @@ func New(o Options) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	buffer := o.Buffer
-	if buffer < 0 {
-		buffer = 0
 	}
 	slots := o.DetectSlots
 	if slots == 0 {
@@ -226,10 +205,8 @@ func New(o Options) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		eng:         eng,
-		stream:      eng.Stream(buffer),
+		stream:      eng.Stream(),
 		maxQueue:    o.MaxQueue,
-		pending:     map[int]*Job{},
-		resultsCap:  buffer,
 		clients:     map[string]*clientState{},
 		detectSlots: slots,
 		clientQueue: o.ClientQueue,
@@ -237,7 +214,6 @@ func New(o Options) (*Pipeline, error) {
 		clientBurst: burst,
 	}
 	p.cond = sync.NewCond(&p.mu)
-	p.outCond = sync.NewCond(&p.outMu)
 	workers := o.CompileWorkers
 	if workers <= 0 {
 		workers = eng.Workers()
@@ -246,7 +222,6 @@ func New(o Options) (*Pipeline, error) {
 	for w := 0; w < workers; w++ {
 		go p.compileWorker()
 	}
-	go p.collector()
 	return p, nil
 }
 
@@ -311,18 +286,9 @@ func (p *Pipeline) SubmitOpts(name string, compile CompileFunc, so SubmitOptions
 	cs.inFlight.Add(1)
 	cs.intake = append(cs.intake, job)
 	p.intakeCount++
-	// Broadcast, not Signal: the collector waits on the same cond (for
-	// pending registration), so a single wakeup could land there and strand
-	// the queued job.
-	p.cond.Broadcast()
+	p.cond.Signal()
 	p.mu.Unlock()
 	return job, nil
-}
-
-// SubmitModule enqueues an already-compiled module (the compile stage is a
-// no-op; detection still streams).
-func (p *Pipeline) SubmitModule(name string, mod *ir.Module) *Job {
-	return p.Submit(name, func() (*ir.Module, error) { return mod, nil })
 }
 
 // Stats is a point-in-time snapshot of pipeline load, consumed by the
@@ -398,25 +364,8 @@ func (p *Pipeline) Stats() Stats {
 	}
 }
 
-// Results activates the completion-order stream and returns its channel. It
-// is forward-only: jobs that finished before the first Results call are not
-// replayed (nothing is buffered for a stream nobody asked for), so call
-// Results before submitting to observe every job. Per-job Done/Wait works
-// regardless. The channel closes after Close once all in-flight jobs have
-// drained; repeated calls return the same channel.
-func (p *Pipeline) Results() <-chan *Job {
-	p.outMu.Lock()
-	defer p.outMu.Unlock()
-	if !p.outActive {
-		p.outActive = true
-		p.results = make(chan *Job, p.resultsCap)
-		go p.dispatcher()
-	}
-	return p.results
-}
-
-// Close stops intake; in-flight jobs still complete and Results closes once
-// they drain. Close does not block and is idempotent.
+// Close stops intake; in-flight jobs still complete, and the solver pool
+// stops once they drain. Close does not block and is idempotent.
 func (p *Pipeline) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -491,8 +440,8 @@ func (p *Pipeline) compileWorker() {
 // dispatchLocked moves compiled jobs from the per-client ready queues into
 // the solver stream while detect slots remain, picking clients by deficit
 // round-robin — the fairness decision happens at the solver's door on every
-// admission. Jobs cancelled while waiting are shed without consuming a slot.
-// Callers hold p.mu.
+// admission. Each admitted job detects on its own goroutine; jobs cancelled
+// while waiting are shed without consuming a slot. Callers hold p.mu.
 func (p *Pipeline) dispatchLocked() {
 	for p.readyCount > 0 && (p.detectSlots < 0 || p.slotsUsed < p.detectSlots) {
 		job := drrPick(p.clientOrder, &p.readyCur, readyQ, readyDef)
@@ -509,42 +458,23 @@ func (p *Pipeline) dispatchLocked() {
 			}
 		}
 		p.slotsUsed++
-		// Register the job under the stream sequence before anyone else can
-		// observe the result, so the collector can always resolve it.
-		seq := p.stream.SubmitJob(detect.Submission{
-			Mod: job.Mod, Start: job.start, Ctx: job.ctx, Idioms: job.idioms, Roster: job.roster,
-			Client: job.cs.name, Explain: job.explain,
-		})
-		p.pending[seq] = job
+		go p.detect(job)
 	}
-	// The collector waits on the same cond for pending registration.
-	p.cond.Broadcast()
 }
 
-// collector resolves stream results back to their jobs. It owns the only
-// read side of the stream, so detection orchestrators never stall on an
-// unread Results channel.
-func (p *Pipeline) collector() {
-	for sr := range p.stream.Results() {
-		p.mu.Lock()
-		job := p.pending[sr.Seq]
-		for job == nil {
-			p.cond.Wait()
-			job = p.pending[sr.Seq]
-		}
-		delete(p.pending, sr.Seq)
-		// A completion frees a detect slot: re-run dispatch so the next
-		// fair-share pick enters the stream immediately.
-		p.slotsUsed--
-		p.dispatchLocked()
-		p.mu.Unlock()
-		job.Res, job.Err = sr.Result, sr.Err
-		p.finish(job)
-	}
-	p.outMu.Lock()
-	p.outDone = true
-	p.outCond.Broadcast()
-	p.outMu.Unlock()
+// detect runs one admitted job through the solver stream. Its completion
+// frees the detect slot and re-runs dispatch — so the next fair-share pick
+// enters the stream — before the job's Done closes.
+func (p *Pipeline) detect(job *Job) {
+	job.Res, job.Err = p.stream.Detect(detect.Submission{
+		Mod: job.Mod, Start: job.start, Ctx: job.ctx, Idioms: job.idioms, Roster: job.roster,
+		Client: job.cs.name, Explain: job.explain,
+	})
+	p.mu.Lock()
+	p.slotsUsed--
+	p.dispatchLocked()
+	p.mu.Unlock()
+	p.finish(job)
 }
 
 func (p *Pipeline) finish(job *Job) {
@@ -556,29 +486,5 @@ func (p *Pipeline) finish(job *Job) {
 		job.cs.served.Add(1)
 	}
 	close(job.done)
-	p.outMu.Lock()
-	if p.outActive {
-		p.outQ = append(p.outQ, job)
-		p.outCond.Broadcast()
-	}
-	p.outMu.Unlock()
 	p.inflight.Done()
-}
-
-func (p *Pipeline) dispatcher() {
-	for {
-		p.outMu.Lock()
-		for len(p.outQ) == 0 && !p.outDone {
-			p.outCond.Wait()
-		}
-		if len(p.outQ) == 0 {
-			p.outMu.Unlock()
-			close(p.results)
-			return
-		}
-		job := p.outQ[0]
-		p.outQ = p.outQ[1:]
-		p.outMu.Unlock()
-		p.results <- job
-	}
 }

@@ -1,9 +1,12 @@
 package pipeline_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cc"
 	"repro/internal/constraint"
@@ -91,44 +94,78 @@ func TestPipelineMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestPipelineResultsStream drains the completion-order channel and checks
-// every job arrives exactly once with its Done already closed. The stream is
-// activated before the first Submit — Results is forward-only and replays
-// nothing that finished before it was requested.
-func TestPipelineResultsStream(t *testing.T) {
+// TestDetectCancelMidSolve pins the completion path's error branch: with one
+// detect slot, a heavy job cancelled while its solves are in flight finishes
+// with context.Canceled, frees its slot so the jobs queued behind it complete
+// with their sequential results, and leaves the slot gauges and the
+// goroutine set drained after Close.
+func TestDetectCancelMidSolve(t *testing.T) {
 	leakcheck.Register(t)
-	p, err := pipeline.New(pipeline.Options{Detect: detect.Options{Workers: 4, NoMemo: true}})
+	p, err := pipeline.New(pipeline.Options{
+		Detect:      detect.Options{Workers: 2, Memo: constraint.NewSolveCache()},
+		DetectSlots: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := p.Results()
-	names := []string{"lbm", "EP", "IS", "sgemm", "histo", "CG"}
-	submitted := map[string]bool{}
+	defer p.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	heavy, err := p.SubmitOpts("lbm", workloads.ByName("lbm").Compile, pipeline.SubmitOptions{Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"EP", "sgemm"}
+	var jobs []*pipeline.Job
 	for _, n := range names {
-		p.Submit(n, workloads.ByName(n).Compile)
-		submitted[n] = true
+		jobs = append(jobs, p.Submit(n, workloads.ByName(n).Compile))
 	}
-	p.Close()
-	seen := map[string]bool{}
-	for job := range results {
-		if job.Err != nil {
-			t.Fatalf("%s: %v", job.Name, job.Err)
+	// A memo miss is counted as a fresh solve starts: cancel only once the
+	// heavy job is past analysis and solving.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, misses := p.Engine().MemoStats(); misses > 0 {
+			break
 		}
-		select {
-		case <-job.Done():
-		default:
-			t.Errorf("%s delivered on Results with Done still open", job.Name)
+		if time.Now().After(deadline) {
+			t.Fatal("heavy job never started solving")
 		}
-		if !submitted[job.Name] || seen[job.Name] {
-			t.Fatalf("unexpected or duplicate job %q", job.Name)
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+
+	if _, err := heavy.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("heavy job err = %v, want context.Canceled", err)
+	}
+	got, err := pipeline.Collect(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range names {
+		mod, err := workloads.ByName(n).Compile()
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[job.Name] = true
-		if job.Mod == nil || job.Res == nil {
-			t.Errorf("%s: incomplete job on Results", job.Name)
+		want, err := detect.Module(mod, detect.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wk, gk := resultKeys(want), resultKeys(got[i])
+		if len(wk) != len(gk) {
+			t.Fatalf("%s: %d instances, want %d", n, len(gk), len(wk))
+		}
+		for j := range wk {
+			if wk[j] != gk[j] {
+				t.Errorf("%s: instance %d differs:\n  sequential: %s\n  pipeline:   %s", n, j, wk[j], gk[j])
+			}
+		}
+		if got[i].SolverSteps != want.SolverSteps {
+			t.Errorf("%s: solver steps %d, want %d", n, got[i].SolverSteps, want.SolverSteps)
 		}
 	}
-	if len(seen) != len(names) {
-		t.Fatalf("delivered %d jobs, want %d", len(seen), len(names))
+	if st := p.Stats(); st.DetectActive != 0 || st.ReadyQueue != 0 {
+		t.Fatalf("final stats = %+v, want DetectActive 0 and ReadyQueue 0", st)
 	}
 }
 
