@@ -3,7 +3,6 @@ package idiomatic
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/constraint"
@@ -296,16 +295,7 @@ func (s *Service) Match(ctx context.Context, req MatchRequest) (MatchResult, err
 // submit order (Seq = index into reqs), with the same intake semantics as
 // DetectBatch.
 func (s *Service) MatchBatch(ctx context.Context, reqs []MatchRequest) ([]MatchResult, error) {
-	tasks, cancel, err := s.submitAllMatch(ctx, reqs)
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
-	out := make([]MatchResult, len(tasks))
-	for i, t := range tasks {
-		out[i] = t.MatchResult(i, reqs[i].Target)
-	}
-	return out, nil
+	return runBatch(ctx, s, reqs, s.submitMatch, matchRender(reqs))
 }
 
 // MatchStream runs a batch of match requests and returns a channel
@@ -314,44 +304,13 @@ func (s *Service) MatchBatch(ctx context.Context, reqs []MatchRequest) ([]MatchR
 // guarantee as DetectStream: reassembling by Seq is byte-identical to
 // MatchBatch over the same requests.
 func (s *Service) MatchStream(ctx context.Context, reqs []MatchRequest) (<-chan MatchResult, error) {
-	tasks, cancel, err := s.submitAllMatch(ctx, reqs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan MatchResult, len(tasks))
-	var wg sync.WaitGroup
-	for i, t := range tasks {
-		i, t := i, t
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out <- t.MatchResult(i, reqs[i].Target)
-		}()
-	}
-	go func() {
-		wg.Wait()
-		cancel()
-		close(out)
-	}()
-	return out, nil
+	return runStream(ctx, s, reqs, s.submitMatch, matchRender(reqs))
 }
 
-// submitAllMatch mirrors submitAll for match requests.
-func (s *Service) submitAllMatch(ctx context.Context, reqs []MatchRequest) ([]*Task, context.CancelFunc, error) {
-	if s.queueLimit > 0 && len(reqs) > s.queueLimit {
-		return nil, nil, ErrBatchTooLarge
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	tasks := make([]*Task, len(reqs))
-	for i, req := range reqs {
-		t, err := s.submitMatch(cctx, req)
-		if err != nil {
-			cancel()
-			return nil, nil, err
-		}
-		tasks[i] = t
-	}
-	return tasks, cancel, nil
+// matchRender renders the batch's i-th task as a match result for its
+// request's target.
+func matchRender(reqs []MatchRequest) func(*Task, int) MatchResult {
+	return func(t *Task, i int) MatchResult { return t.MatchResult(i, reqs[i].Target) }
 }
 
 // --- idiom-pack registration surface ---

@@ -590,39 +590,72 @@ func (s *Service) Detect(ctx context.Context, req DetectRequest) (DetectResult, 
 // submit order (Seq = index into reqs). On intake failure mid-batch the
 // already-submitted requests are cancelled and the intake error is returned.
 func (s *Service) DetectBatch(ctx context.Context, reqs []DetectRequest) ([]DetectResult, error) {
-	tasks, cancel, err := s.submitAll(ctx, reqs)
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
-	out := make([]DetectResult, len(tasks))
-	for i, t := range tasks {
-		out[i] = t.Result(i)
-	}
-	return out, nil
+	return runBatch(ctx, s, reqs, s.Submit, (*Task).Result)
 }
 
 // DetectStream runs a batch of requests and returns a channel delivering one
 // wire result per request in completion order, with Seq carrying the
-// submit-order position — the same sequence-number semantics as the
-// in-process detect.Stream, so reassembling by Seq is byte-identical to
+// submit-order position, so reassembling by Seq is byte-identical to
 // DetectBatch. The channel is buffered for the whole batch (a slow consumer
 // never blocks the pipeline) and closes after the last result. On intake
 // failure mid-batch the already-submitted requests are cancelled and the
 // intake error is returned.
 func (s *Service) DetectStream(ctx context.Context, reqs []DetectRequest) (<-chan DetectResult, error) {
-	tasks, cancel, err := s.submitAll(ctx, reqs)
+	return runStream(ctx, s, reqs, s.Submit, (*Task).Result)
+}
+
+// submitAll enqueues a whole batch under one derived context, one submit call
+// per request; any intake failure cancels the requests already submitted. A
+// batch that could never fit the queue is rejected up front as
+// ErrBatchTooLarge.
+func submitAll[Q any](ctx context.Context, s *Service, reqs []Q, submit func(context.Context, Q) (*Task, error)) ([]*Task, context.CancelFunc, error) {
+	if s.queueLimit > 0 && len(reqs) > s.queueLimit {
+		return nil, nil, ErrBatchTooLarge
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	tasks := make([]*Task, len(reqs))
+	for i, req := range reqs {
+		t, err := submit(cctx, req)
+		if err != nil {
+			cancel()
+			return nil, nil, err
+		}
+		tasks[i] = t
+	}
+	return tasks, cancel, nil
+}
+
+// runBatch submits a batch and renders every task, in submit order, under its
+// batch index. It is the body of DetectBatch and MatchBatch.
+func runBatch[Q, R any](ctx context.Context, s *Service, reqs []Q, submit func(context.Context, Q) (*Task, error), render func(*Task, int) R) ([]R, error) {
+	tasks, cancel, err := submitAll(ctx, s, reqs, submit)
 	if err != nil {
 		return nil, err
 	}
-	out := make(chan DetectResult, len(tasks))
+	defer cancel()
+	out := make([]R, len(tasks))
+	for i, t := range tasks {
+		out[i] = render(t, i)
+	}
+	return out, nil
+}
+
+// runStream submits a batch and delivers every task's rendering, under its
+// batch index, on a channel buffered for the whole batch, in completion
+// order; the channel closes after the last one. It is the body of
+// DetectStream and MatchStream.
+func runStream[Q, R any](ctx context.Context, s *Service, reqs []Q, submit func(context.Context, Q) (*Task, error), render func(*Task, int) R) (<-chan R, error) {
+	tasks, cancel, err := submitAll(ctx, s, reqs, submit)
+	if err != nil {
+		return nil, err
+	}
+	out := make(chan R, len(tasks))
 	var wg sync.WaitGroup
 	for i, t := range tasks {
-		i, t := i, t
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out <- t.Result(i)
+			out <- render(t, i)
 		}()
 	}
 	go func() {
@@ -631,26 +664,6 @@ func (s *Service) DetectStream(ctx context.Context, reqs []DetectRequest) (<-cha
 		close(out)
 	}()
 	return out, nil
-}
-
-// submitAll enqueues a whole batch under one derived context; any intake
-// failure cancels the requests already submitted. A batch that could never
-// fit the queue is rejected up front as ErrBatchTooLarge.
-func (s *Service) submitAll(ctx context.Context, reqs []DetectRequest) ([]*Task, context.CancelFunc, error) {
-	if s.queueLimit > 0 && len(reqs) > s.queueLimit {
-		return nil, nil, ErrBatchTooLarge
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	tasks := make([]*Task, len(reqs))
-	for i, req := range reqs {
-		t, err := s.Submit(cctx, req)
-		if err != nil {
-			cancel()
-			return nil, nil, err
-		}
-		tasks[i] = t
-	}
-	return tasks, cancel, nil
 }
 
 // --- in-process blessed path ---

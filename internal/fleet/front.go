@@ -26,7 +26,11 @@
 // forward is marked down immediately and retried by the prober. A routed
 // group fails over to the next replica on the ring, and when every replica
 // is down the outcome is reported in-band per module (the Err field), the
-// same way deadline expiry is — never as a torn response.
+// same way deadline expiry is — never as a torn response. A replica reply
+// that skips, repeats or mis-numbers a result is repaired the same way:
+// every request gets exactly one result. Body bounds, error envelopes and
+// method dispatch are internal/httpapi's own, so the front rejects a request
+// with the same status and envelope a replica would.
 package fleet
 
 import (
@@ -46,6 +50,7 @@ import (
 	"time"
 
 	"repro/idiomatic"
+	"repro/internal/httpapi"
 )
 
 // Options configure a Front.
@@ -260,60 +265,48 @@ func (f *Front) forward(ctx context.Context, idx int, method, path string, hdr h
 
 // Handler returns the front's HTTP handler.
 func (f *Front) Handler() http.Handler {
+	detect := func(r *idiomatic.DetectResult) *idiomatic.DetectResult { return r }
+	match := func(r *idiomatic.MatchResult) *idiomatic.DetectResult { return &r.DetectResult }
+	post := func(h http.HandlerFunc) http.HandlerFunc {
+		return httpapi.Methods(map[string]http.HandlerFunc{http.MethodPost: h})
+	}
+	get := func(h http.HandlerFunc) http.HandlerFunc {
+		return httpapi.Methods(map[string]http.HandlerFunc{http.MethodGet: h})
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/detect", func(w http.ResponseWriter, r *http.Request) {
-		proxyBatch(f, w, r, "/v1/detect", detectCodec{})
-	})
-	mux.HandleFunc("/v1/match", func(w http.ResponseWriter, r *http.Request) {
-		proxyBatch(f, w, r, "/v1/match", matchCodec{})
-	})
-	mux.HandleFunc("/v1/detect/stream", func(w http.ResponseWriter, r *http.Request) {
-		proxyStream(f, w, r, "/v1/detect/stream", detectCodec{})
-	})
-	mux.HandleFunc("/v1/match/stream", func(w http.ResponseWriter, r *http.Request) {
-		proxyStream(f, w, r, "/v1/match/stream", matchCodec{})
-	})
-	mux.HandleFunc("/v1/idioms", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			f.broadcastPack(w, r)
-		case http.MethodGet, http.MethodHead:
-			f.relayFirstLive(w, r, "/v1/idioms")
-		default:
-			writeFrontError(w, http.StatusMethodNotAllowed, idiomatic.CodeMethodNotAllowed,
-				fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path))
-		}
-	})
-	mux.HandleFunc("/v1/backends", func(w http.ResponseWriter, r *http.Request) {
-		f.relayFirstLive(w, r, "/v1/backends")
-	})
-	mux.HandleFunc("/v1/clients", func(w http.ResponseWriter, r *http.Request) {
-		f.aggregateClients(w, r)
-	})
+	mux.HandleFunc("/v1/detect", post(proxyBatch(f, "/v1/detect", detect)))
+	mux.HandleFunc("/v1/match", post(proxyBatch(f, "/v1/match", match)))
+	mux.HandleFunc("/v1/detect/stream", post(proxyStream(f, "/v1/detect/stream", detect)))
+	mux.HandleFunc("/v1/match/stream", post(proxyStream(f, "/v1/match/stream", match)))
+	mux.HandleFunc("/v1/idioms", httpapi.Methods(map[string]http.HandlerFunc{
+		http.MethodPost: f.broadcastPack,
+		http.MethodGet:  f.relayFirstLive,
+	}))
+	mux.HandleFunc("/v1/backends", get(f.relayFirstLive))
+	mux.HandleFunc("/v1/clients", get(f.aggregateClients))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		live := len(f.live())
 		status := http.StatusOK
 		if live == 0 {
 			status = http.StatusServiceUnavailable
 		}
-		writeIndentedJSON(w, status, map[string]any{"ok": live > 0, "live": live, "replicas": len(f.replicas)})
+		httpapi.WriteJSON(w, status, map[string]any{"ok": live > 0, "live": live, "replicas": len(f.replicas)})
 	})
-	mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {
-		f.aggregateStats(w, r)
-	})
+	mux.HandleFunc("/statsz", f.aggregateStats)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeFrontError(w, http.StatusNotFound, idiomatic.CodeNotFound, fmt.Sprintf("no such endpoint %s", r.URL.Path))
+		httpapi.WriteError(w, http.StatusNotFound, idiomatic.CodeNotFound, fmt.Sprintf("no such endpoint %s", r.URL.Path))
 	})
 	return mux
 }
 
 // --- batch routing ---
 
-// routedItem is one request of a batch: its raw JSON, peeked routing fields,
-// and its global submit index.
+// routedItem is one request of a batch: its raw JSON, the name that labels
+// its in-band errors, its routed owner and its global submit index.
 type routedItem struct {
 	raw    json.RawMessage
 	name   string
+	owner  int
 	global int
 }
 
@@ -324,65 +317,23 @@ type routePeek struct {
 	Source string `json:"source"`
 }
 
-// resultCodec adapts the two wire result types to the router: decode a
-// replica's result, rewrite its sub-batch seq to the global one, and
-// fabricate in-band error results when no replica is reachable.
-type resultCodec interface {
-	// rewrite decodes one result, returning the value re-sequenced to
-	// global and the sub-batch seq it carried.
-	rewrite(raw []byte, globalOf func(sub int) int) (val any, sub int, err error)
-	errResult(global int, name, msg string) any
-}
-
-type detectCodec struct{}
-
-func (detectCodec) rewrite(raw []byte, globalOf func(int) int) (any, int, error) {
-	var res idiomatic.DetectResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, 0, err
-	}
-	sub := res.Seq
-	res.Seq = globalOf(sub)
-	return res, sub, nil
-}
-
-func (detectCodec) errResult(global int, name, msg string) any {
-	return idiomatic.DetectResult{Seq: global, Name: name, Err: msg}
-}
-
-type matchCodec struct{}
-
-func (matchCodec) rewrite(raw []byte, globalOf func(int) int) (any, int, error) {
-	var res idiomatic.MatchResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, 0, err
-	}
-	sub := res.Seq
-	res.Seq = globalOf(sub)
-	return res, sub, nil
-}
-
-func (matchCodec) errResult(global int, name, msg string) any {
-	return idiomatic.MatchResult{DetectResult: idiomatic.DetectResult{Seq: global, Name: name, Err: msg}}
-}
-
 // decodeRouted splits the request body (one object or an array — the same
-// contract as the replicas) into routable items.
-func decodeRouted(w http.ResponseWriter, r *http.Request) ([]routedItem, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeFrontError(w, http.StatusRequestEntityTooLarge, idiomatic.CodeBodyTooLarge, err.Error())
+// contract, body bound and error envelopes as the replicas) into routable
+// items.
+func (f *Front) decodeRouted(w http.ResponseWriter, r *http.Request) ([]routedItem, bool) {
+	body, ok := httpapi.ReadBody(w, r)
+	if !ok {
 		return nil, false
 	}
 	body = bytes.TrimLeft(body, " \t\r\n")
 	var raws []json.RawMessage
 	if len(body) > 0 && body[0] == '[' {
 		if err := json.Unmarshal(body, &raws); err != nil {
-			writeFrontError(w, http.StatusBadRequest, idiomatic.CodeInvalidRequest, fmt.Sprintf("invalid request array: %v", err))
+			invalid(w, fmt.Sprintf("invalid request array: %v", err))
 			return nil, false
 		}
 		if len(raws) == 0 {
-			writeFrontError(w, http.StatusBadRequest, idiomatic.CodeInvalidRequest, "empty request batch")
+			invalid(w, "empty request batch")
 			return nil, false
 		}
 	} else {
@@ -392,27 +343,29 @@ func decodeRouted(w http.ResponseWriter, r *http.Request) ([]routedItem, bool) {
 	for i, raw := range raws {
 		var peek routePeek
 		if err := json.Unmarshal(raw, &peek); err != nil {
-			writeFrontError(w, http.StatusBadRequest, idiomatic.CodeInvalidRequest, fmt.Sprintf("invalid request: %v", err))
+			invalid(w, fmt.Sprintf("invalid request: %v", err))
 			return nil, false
 		}
 		name := peek.Name
 		if name == "" {
 			name = "input.c"
 		}
-		items[i] = routedItem{raw: raw, name: name, global: i}
+		owner := f.candidates(RouteKey(peek.Source))[0]
+		items[i] = routedItem{raw: raw, name: name, owner: owner, global: i}
 	}
 	return items, true
 }
 
+func invalid(w http.ResponseWriter, msg string) {
+	httpapi.WriteError(w, http.StatusBadRequest, idiomatic.CodeInvalidRequest, msg)
+}
+
 // groupByReplica buckets items by their routed owner, preserving submit
 // order inside each bucket (sub-batch seq = index in bucket).
-func (f *Front) groupByReplica(items []routedItem) map[int][]routedItem {
+func groupByReplica(items []routedItem) map[int][]routedItem {
 	groups := map[int][]routedItem{}
 	for _, it := range items {
-		var peek routePeek
-		_ = json.Unmarshal(it.raw, &peek)
-		owner := f.candidates(RouteKey(peek.Source))[0]
-		groups[owner] = append(groups[owner], it)
+		groups[it.owner] = append(groups[it.owner], it)
 	}
 	return groups
 }
@@ -478,17 +431,58 @@ func without(xs []int, drop int) []int {
 	return out
 }
 
-const maxBodyBytes = 16 << 20
+// delivery makes one routed group answer exactly one result per item, for
+// the batch and the stream path alike. R is the endpoint's wire result type
+// and core reaches its embedded DetectResult: the field deliver re-sequences
+// and the one miss fills with an in-band error.
+type delivery[R any] struct {
+	group     []routedItem
+	core      func(*R) *idiomatic.DetectResult
+	emit      func(R)
+	delivered []bool
+}
 
-// groupOutcome is one bucket's merged contribution to a single-shot reply.
-type groupOutcome struct {
-	firstGlobal int
-	results     []any
-	// relay holds a replica's non-200 response (status + body) to pass
-	// through verbatim; nil when the group succeeded or failed in-band.
-	relayStatus int
-	relayBody   []byte
-	relayType   string
+func newDelivery[R any](group []routedItem, core func(*R) *idiomatic.DetectResult, emit func(R)) *delivery[R] {
+	return &delivery[R]{group: group, core: core, emit: emit, delivered: make([]bool, len(group))}
+}
+
+// deliver decodes one replica result, rewrites its sub-batch seq to the
+// global submit index and emits it. Malformed results, out-of-range seqs and
+// repeats of a delivered seq are dropped.
+func (d *delivery[R]) deliver(raw []byte) {
+	var res R
+	if json.Unmarshal(raw, &res) != nil {
+		return
+	}
+	dr := d.core(&res)
+	sub := dr.Seq
+	if sub < 0 || sub >= len(d.group) || d.delivered[sub] {
+		return
+	}
+	d.delivered[sub] = true
+	dr.Seq = d.group[sub].global
+	d.emit(res)
+}
+
+// miss emits an in-band error result, named after its request, for every
+// item not delivered yet.
+func (d *delivery[R]) miss(msg string) {
+	for sub, it := range d.group {
+		if !d.delivered[sub] {
+			d.delivered[sub] = true
+			var res R
+			*d.core(&res) = idiomatic.DetectResult{Seq: it.global, Name: it.name, Err: msg}
+			d.emit(res)
+		}
+	}
+}
+
+// relayed is a replica's non-200 answer to a sub-batch, passed through
+// verbatim.
+type relayed struct {
+	status      int
+	contentType string
+	body        []byte
 }
 
 // proxyBatch serves POST /v1/detect and /v1/match: split, forward, merge in
@@ -496,173 +490,118 @@ type groupOutcome struct {
 // the whole request with that replica's envelope relayed verbatim (the same
 // all-or-nothing contract a single replica gives a batch); an unreachable
 // shard degrades in-band per module instead.
-func proxyBatch(f *Front, w http.ResponseWriter, r *http.Request, path string, codec resultCodec) {
-	if r.Method != http.MethodPost {
-		writeFrontError(w, http.StatusMethodNotAllowed, idiomatic.CodeMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path))
-		return
-	}
-	items, ok := decodeRouted(w, r)
-	if !ok {
-		return
-	}
-	groups := f.groupByReplica(items)
-	outcomes := make([]*groupOutcome, 0, len(groups))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for owner, group := range groups {
-		owner, group := owner, group
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := f.runGroup(r.Context(), owner, group, path, r.Header, codec)
-			mu.Lock()
-			outcomes = append(outcomes, out)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	// Deterministic error precedence: the failing group containing the
-	// earliest submitted request wins.
-	sort.Slice(outcomes, func(a, b int) bool { return outcomes[a].firstGlobal < outcomes[b].firstGlobal })
-	for _, out := range outcomes {
-		if out.relayStatus != 0 {
-			relay(w, out.relayStatus, out.relayType, out.relayBody)
+func proxyBatch[R any](f *Front, path string, core func(*R) *idiomatic.DetectResult) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		items, ok := f.decodeRouted(w, r)
+		if !ok {
 			return
 		}
-	}
-	merged := make([]any, len(items))
-	for _, out := range outcomes {
-		for _, res := range out.results {
-			switch v := res.(type) {
-			case idiomatic.DetectResult:
-				merged[v.Seq] = v
-			case idiomatic.MatchResult:
-				merged[v.Seq] = v
+		merged := make([]R, len(items))
+		// Indexed by each group's first global seq, so the failing group
+		// holding the earliest submitted request wins deterministically.
+		relays := make([]*relayed, len(items))
+		var wg sync.WaitGroup
+		for owner, group := range groupByReplica(items) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				emit := func(res R) { merged[core(&res).Seq] = res }
+				relays[group[0].global] = runGroup(r.Context(), f, owner, group, path, r.Header, newDelivery(group, core, emit))
+			}()
+		}
+		wg.Wait()
+		for _, rl := range relays {
+			if rl != nil {
+				relay(w, rl.status, rl.contentType, rl.body)
+				return
 			}
 		}
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": merged})
 	}
-	writeIndentedJSON(w, http.StatusOK, map[string]any{"results": merged})
 }
 
-// runGroup forwards one bucket and decodes its results (or fabricates
-// in-band errors when no replica was reachable).
-func (f *Front) runGroup(ctx context.Context, owner int, group []routedItem, path string, hdr http.Header, codec resultCodec) *groupOutcome {
-	out := &groupOutcome{firstGlobal: group[0].global}
-	globalOf := func(sub int) int {
-		if sub < 0 || sub >= len(group) {
-			return -1
-		}
-		return group[sub].global
-	}
+// runGroup forwards one bucket and delivers its results, with an in-band
+// error for every item the replica's reply lacks (or for all of them when no
+// replica was reachable). A non-200 reply is returned for relaying instead.
+func runGroup[R any](ctx context.Context, f *Front, owner int, group []routedItem, path string, hdr http.Header, d *delivery[R]) *relayed {
 	resp, err := f.forwardGroup(ctx, owner, path, hdr, encodeGroup(group))
 	if err != nil {
-		for _, it := range group {
-			out.results = append(out.results, codec.errResult(it.global, it.name, "fleet: no replica reachable: "+err.Error()))
-		}
-		return out
+		d.miss("fleet: no replica reachable: " + err.Error())
+		return nil
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		for _, it := range group {
-			out.results = append(out.results, codec.errResult(it.global, it.name, "fleet: reading replica response: "+err.Error()))
-		}
-		return out
+		d.miss("fleet: reading replica response: " + err.Error())
+		return nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		out.relayStatus = resp.StatusCode
-		out.relayBody = body
-		out.relayType = resp.Header.Get("Content-Type")
-		return out
+		return &relayed{resp.StatusCode, resp.Header.Get("Content-Type"), body}
 	}
 	var envelope struct {
 		Results []json.RawMessage `json:"results"`
 	}
-	if err := json.Unmarshal(body, &envelope); err != nil || len(envelope.Results) != len(group) {
-		for _, it := range group {
-			out.results = append(out.results, codec.errResult(it.global, it.name, "fleet: malformed replica response"))
-		}
-		return out
+	if err := json.Unmarshal(body, &envelope); err != nil {
+		d.miss("fleet: malformed replica response")
+		return nil
 	}
 	for _, raw := range envelope.Results {
-		val, sub, err := codec.rewrite(raw, globalOf)
-		if err != nil || globalOf(sub) < 0 {
-			out.results = append(out.results, codec.errResult(group[0].global, group[0].name, "fleet: malformed replica result"))
-			continue
-		}
-		out.results = append(out.results, val)
+		d.deliver(raw)
 	}
-	return out
+	d.miss("fleet: replica response lacked this result")
+	return nil
 }
 
 // proxyStream serves the NDJSON endpoints: every bucket streams from its
 // replica concurrently, each line re-sequenced to the global submit index
 // and flushed as it lands — completion order across the whole fleet, exactly
 // the single-replica stream contract.
-func proxyStream(f *Front, w http.ResponseWriter, r *http.Request, path string, codec resultCodec) {
-	if r.Method != http.MethodPost {
-		writeFrontError(w, http.StatusMethodNotAllowed, idiomatic.CodeMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path))
-		return
-	}
-	items, ok := decodeRouted(w, r)
-	if !ok {
-		return
-	}
-	groups := f.groupByReplica(items)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var wmu sync.Mutex
-	emit := func(v any) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if enc.Encode(v) == nil && flusher != nil {
-			flusher.Flush()
+func proxyStream[R any](f *Front, path string, core func(*R) *idiomatic.DetectResult) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		items, ok := f.decodeRouted(w, r)
+		if !ok {
+			return
 		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		flusher, _ := w.(http.Flusher)
+		enc := json.NewEncoder(w)
+		var wmu sync.Mutex
+		emit := func(res R) {
+			wmu.Lock()
+			defer wmu.Unlock()
+			if enc.Encode(res) == nil && flusher != nil {
+				flusher.Flush()
+			}
+		}
+		var wg sync.WaitGroup
+		for owner, group := range groupByReplica(items) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				streamGroup(r.Context(), f, owner, group, path, r.Header, newDelivery(group, core, emit))
+			}()
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for owner, group := range groups {
-		owner, group := owner, group
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f.streamGroup(r.Context(), owner, group, path, r.Header, codec, emit)
-		}()
-	}
-	wg.Wait()
 }
 
-func (f *Front) streamGroup(ctx context.Context, owner int, group []routedItem, path string, hdr http.Header, codec resultCodec, emit func(any)) {
-	globalOf := func(sub int) int {
-		if sub < 0 || sub >= len(group) {
-			return -1
-		}
-		return group[sub].global
-	}
-	emitAllErr := func(msg string) {
-		for _, it := range group {
-			emit(codec.errResult(it.global, it.name, msg))
-		}
-	}
+// streamGroup relays one bucket's replica stream line by line. Once the
+// stream ends — broken, short or rejected — every item it did not deliver
+// gets an in-band error, unless the client is gone.
+func streamGroup[R any](ctx context.Context, f *Front, owner int, group []routedItem, path string, hdr http.Header, d *delivery[R]) {
 	resp, err := f.forwardGroup(ctx, owner, path, hdr, encodeGroup(group))
 	if err != nil {
-		emitAllErr("fleet: no replica reachable: " + err.Error())
+		d.miss("fleet: no replica reachable: " + err.Error())
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		emitAllErr(fmt.Sprintf("fleet: replica rejected sub-batch: %s: %s", resp.Status, bytes.TrimSpace(body)))
+		d.miss(fmt.Sprintf("fleet: replica rejected sub-batch: %s: %s", resp.Status, bytes.TrimSpace(body)))
 		return
 	}
-	// Exactly one line per item: replica lines that are malformed, out of
-	// range or repeat a delivered sub-seq are dropped, and every item the
-	// replica never delivered gets an in-band error once its stream ends.
 	dec := json.NewDecoder(resp.Body)
-	delivered := make([]bool, len(group))
 	msg := "fleet: replica stream ended without this result"
 	for {
 		var raw json.RawMessage
@@ -672,21 +611,12 @@ func (f *Front) streamGroup(ctx context.Context, owner int, group []routedItem, 
 			}
 			break
 		}
-		val, sub, err := codec.rewrite(raw, globalOf)
-		if err != nil || globalOf(sub) < 0 || delivered[sub] {
-			continue
-		}
-		delivered[sub] = true
-		emit(val)
+		d.deliver(raw)
 	}
 	if ctx.Err() != nil {
 		return // the client is gone; nobody reads the errors
 	}
-	for sub, it := range group {
-		if !delivered[sub] {
-			emit(codec.errResult(it.global, it.name, msg))
-		}
-	}
+	d.miss(msg)
 }
 
 // --- control-plane endpoints ---
@@ -696,14 +626,13 @@ func (f *Front) streamGroup(ctx context.Context, owner int, group []routedItem, 
 // replica would surface as sporadic "unknown pack" errors. All-or-error:
 // the first failing replica's envelope is relayed with its status.
 func (f *Front) broadcastPack(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeFrontError(w, http.StatusRequestEntityTooLarge, idiomatic.CodeBodyTooLarge, err.Error())
+	body, ok := httpapi.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	live := f.live()
 	if len(live) == 0 {
-		writeFrontError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, "fleet: no live replicas")
+		httpapi.WriteError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, "fleet: no live replicas")
 		return
 	}
 	var okBody []byte
@@ -711,7 +640,7 @@ func (f *Front) broadcastPack(w http.ResponseWriter, r *http.Request) {
 	for _, idx := range live {
 		resp, err := f.forward(r.Context(), idx, http.MethodPost, "/v1/idioms", r.Header, body)
 		if err != nil {
-			writeFrontError(w, http.StatusBadGateway, idiomatic.CodeUnavailable,
+			httpapi.WriteError(w, http.StatusBadGateway, idiomatic.CodeUnavailable,
 				fmt.Sprintf("fleet: registering on %s: %v", f.replicas[idx].base, err))
 			return
 		}
@@ -726,20 +655,12 @@ func (f *Front) broadcastPack(w http.ResponseWriter, r *http.Request) {
 	relay(w, http.StatusOK, okType, okBody)
 }
 
-// relayFirstLive forwards a read-only request to the first live replica
-// (introspection data is identical fleet-wide once packs are broadcast).
-func (f *Front) relayFirstLive(w http.ResponseWriter, r *http.Request, path string) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeFrontError(w, http.StatusMethodNotAllowed, idiomatic.CodeMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path))
-		return
-	}
-	target := path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
+// relayFirstLive forwards a read-only request, path and query, to the first
+// live replica (introspection data is identical fleet-wide once packs are
+// broadcast).
+func (f *Front) relayFirstLive(w http.ResponseWriter, r *http.Request) {
 	for _, idx := range f.live() {
-		resp, err := f.forward(r.Context(), idx, http.MethodGet, target, r.Header, nil)
+		resp, err := f.forward(r.Context(), idx, http.MethodGet, r.URL.RequestURI(), r.Header, nil)
 		if err != nil {
 			continue
 		}
@@ -748,36 +669,19 @@ func (f *Front) relayFirstLive(w http.ResponseWriter, r *http.Request, path stri
 		relay(w, resp.StatusCode, resp.Header.Get("Content-Type"), body)
 		return
 	}
-	writeFrontError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, "fleet: no live replicas")
-}
-
-// clientRow mirrors httpapi.ClientInfo for aggregation.
-type clientRow struct {
-	Name        string `json:"name"`
-	Weight      int    `json:"weight"`
-	Admin       bool   `json:"admin,omitempty"`
-	InFlight    int64  `json:"in_flight"`
-	IntakeQueue int    `json:"intake_queue"`
-	ReadyQueue  int    `json:"ready_queue"`
-	Served      int64  `json:"served"`
-	Shed        int64  `json:"shed"`
+	httpapi.WriteError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, "fleet: no live replicas")
 }
 
 // aggregateClients sums each tenant's gauges across replicas, so fairness
 // asserts (cmd/soak) read fleet-wide shares through the router. Replicas
 // enforce auth themselves: the first non-200 (401/403) is relayed verbatim.
 func (f *Front) aggregateClients(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeFrontError(w, http.StatusMethodNotAllowed, idiomatic.CodeMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path))
-		return
-	}
 	live := f.live()
 	if len(live) == 0 {
-		writeFrontError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, "fleet: no live replicas")
+		httpapi.WriteError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, "fleet: no live replicas")
 		return
 	}
-	sums := map[string]*clientRow{}
+	sums := map[string]*httpapi.ClientInfo{}
 	var order []string
 	for _, idx := range live {
 		resp, err := f.forward(r.Context(), idx, http.MethodGet, "/v1/clients", r.Header, nil)
@@ -791,7 +695,7 @@ func (f *Front) aggregateClients(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var payload struct {
-			Clients []clientRow `json:"clients"`
+			Clients []httpapi.ClientInfo `json:"clients"`
 		}
 		if json.Unmarshal(body, &payload) != nil {
 			continue
@@ -811,11 +715,11 @@ func (f *Front) aggregateClients(w http.ResponseWriter, r *http.Request) {
 			acc.Shed += row.Shed
 		}
 	}
-	out := make([]clientRow, 0, len(order))
+	out := make([]httpapi.ClientInfo, 0, len(order))
 	for _, name := range order {
 		out = append(out, *sums[name])
 	}
-	writeIndentedJSON(w, http.StatusOK, map[string]any{"clients": out})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"clients": out})
 }
 
 // FleetStatsSchemaVersion versions the aggregated /statsz payload.
@@ -853,9 +757,9 @@ type FleetStatsResponse struct {
 
 func (f *Front) aggregateStats(w http.ResponseWriter, r *http.Request) {
 	out := FleetStatsResponse{Schema: FleetStatsSchemaVersion, Replicas: len(f.replicas)}
-	for _, rep := range f.replicas {
+	for i, rep := range f.replicas {
 		row := ReplicaStats{Addr: rep.base, Up: rep.up.Load()}
-		resp, err := f.forward(r.Context(), indexOf(f.replicas, rep), http.MethodGet, "/statsz", r.Header, nil)
+		resp, err := f.forward(r.Context(), i, http.MethodGet, "/statsz", r.Header, nil)
 		if err == nil {
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
@@ -876,16 +780,7 @@ func (f *Front) aggregateStats(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	writeIndentedJSON(w, http.StatusOK, out)
-}
-
-func indexOf(reps []*replica, rep *replica) int {
-	for i, r := range reps {
-		if r == rep {
-			return i
-		}
-	}
-	return 0
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- response helpers ---
@@ -897,21 +792,4 @@ func relay(w http.ResponseWriter, status int, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(status)
 	w.Write(body)
-}
-
-// writeFrontError emits the v1 error envelope the replicas use, so clients
-// parse fleet-level failures with the same code they parse replica ones.
-func writeFrontError(w http.ResponseWriter, status int, code, message string) {
-	writeIndentedJSON(w, status, idiomatic.ErrorEnvelope{Error: idiomatic.ErrorBody{Code: code, Message: message}})
-}
-
-// writeIndentedJSON matches the replicas' response formatting (two-space
-// indent), keeping single-shot responses byte-comparable across the fleet
-// boundary.
-func writeIndentedJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -472,3 +472,226 @@ func TestStreamOneLinePerRequest(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchOneResultPerRequest pins the single-shot merge against a
+// misbehaving replica: whether the replica's sub-batch reply repeats a seq or
+// carries an out-of-range one, the client gets exactly one non-null result per
+// global seq — the first delivered result for item 0, and an in-band error
+// naming item 1's module for the result the replica never sent.
+func TestBatchOneResultPerRequest(t *testing.T) {
+	reqs := testSources()[:2]
+	for _, tc := range []struct {
+		name string
+		seqs []int
+	}{{"repeated", []int{0, 0}}, {"out-of-range", []int{0, 7}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/healthz" {
+					return
+				}
+				io.Copy(io.Discard, r.Body)
+				var results []idiomatic.DetectResult
+				for i, seq := range tc.seqs {
+					results = append(results, idiomatic.DetectResult{Seq: seq, Name: reqs[0].Name, SolverSteps: i + 1})
+				}
+				json.NewEncoder(w).Encode(map[string]any{"results": results})
+			}))
+			defer replica.Close()
+			front, err := fleet.New(fleet.Options{Replicas: []string{replica.URL}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer front.Close()
+			front.CheckNow()
+			fs := httptest.NewServer(front.Handler())
+			defer fs.Close()
+
+			body, _ := json.Marshal(reqs)
+			resp, err := http.Post(fs.URL+"/v1/detect", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			var out struct {
+				Results []*idiomatic.DetectResult `json:"results"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Results) != len(reqs) {
+				t.Fatalf("%d results, want %d", len(out.Results), len(reqs))
+			}
+			for seq, r := range out.Results {
+				if r == nil {
+					t.Fatalf("seq %d: null result", seq)
+				}
+				if r.Seq != seq {
+					t.Errorf("slot %d carries seq %d", seq, r.Seq)
+				}
+			}
+			if r := out.Results[0]; r.Err != "" || r.SolverSteps != 1 {
+				t.Errorf("seq 0: got %+v, want the first delivered result kept", r)
+			}
+			if r := out.Results[1]; r.Err == "" || r.Name != reqs[1].Name {
+				t.Errorf("seq 1: got %+v, want an in-band error naming %s", r, reqs[1].Name)
+			}
+		})
+	}
+}
+
+// TestOversizeBodyMatchesReplica pins the front's body bound to the
+// replicas': a body over the 16 MiB limit gets the same status and a
+// byte-identical error envelope whether it is posted to the front or
+// straight to a replica, on the routed and the broadcast endpoints alike.
+func TestOversizeBodyMatchesReplica(t *testing.T) {
+	backs, _, fs := newFleet(t, 1, nil)
+	body := bytes.Repeat([]byte(" "), 16<<20+1)
+	post := func(url string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	for _, path := range []string{"/v1/detect", "/v1/match/stream", "/v1/idioms"} {
+		wantStatus, want := post(backs[0].ts.URL + path)
+		gotStatus, got := post(fs.URL + path)
+		if wantStatus != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: replica answered %d to an oversize body: %s", path, wantStatus, want)
+		}
+		if gotStatus != wantStatus || got != want {
+			t.Errorf("%s: front answered %d %q; replica %d %q", path, gotStatus, got, wantStatus, want)
+		}
+	}
+}
+
+func canonicalMatch(t *testing.T, r idiomatic.MatchResult) string {
+	t.Helper()
+	r.ElapsedNs = 0
+	r.Memo = idiomatic.MemoSnapshot{}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestMatchThroughFrontMatchesSingleReplica is the match endpoints' fleet
+// criterion: with a pack broadcast through the front, /v1/match and
+// /v1/match/stream answers split across two replicas and reassembled by seq
+// equal one replica's answers in canonical wire form — findings, plans, pack
+// and pack version included.
+func TestMatchThroughFrontMatchesSingleReplica(t *testing.T) {
+	reg, _ := json.Marshal(map[string]any{
+		"pack":   "fleetpack",
+		"source": idiomatic.LibrarySource(),
+		"idioms": []map[string]any{{"name": "Dot", "top": "Reduction", "scheme": "reduction", "kind": "reduction"}},
+	})
+	register := func(url string) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/idioms", "application/json", bytes.NewReader(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pack registration via %s: status %d", url, resp.StatusCode)
+		}
+	}
+	var reqs []idiomatic.MatchRequest
+	for i, src := range testSources() {
+		req := idiomatic.MatchRequest{Name: src.Name, Source: src.Source}
+		switch i % 3 {
+		case 0:
+			req.Pack = "fleetpack"
+		case 1:
+			req.Target = "GPU"
+		}
+		reqs = append(reqs, req)
+	}
+	body, _ := json.Marshal(reqs)
+	post := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, resp.StatusCode, data)
+		}
+		return data
+	}
+	batch := func(url string) []idiomatic.MatchResult {
+		t.Helper()
+		var out struct {
+			Results []idiomatic.MatchResult `json:"results"`
+		}
+		if err := json.Unmarshal(post(url+"/v1/match"), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Results
+	}
+
+	mono := newBackend(t, nil)
+	register(mono.ts.URL)
+	want := batch(mono.ts.URL)
+	var plans, packed int
+	for _, r := range want {
+		plans += len(r.Plans)
+		if r.Pack == "fleetpack" && r.PackVersion > 0 {
+			packed++
+		}
+	}
+	if plans == 0 || packed == 0 {
+		t.Fatalf("single replica produced %d plans and %d pack results; the corpus must exercise both", plans, packed)
+	}
+
+	backs, _, fs := newFleet(t, 2, nil)
+	register(fs.URL)
+	got := batch(fs.URL)
+	if len(got) != len(want) {
+		t.Fatalf("fleet batch returned %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if canonicalMatch(t, got[i]) != canonicalMatch(t, want[i]) {
+			t.Errorf("%s: fleet /v1/match result differs:\n got %s\nwant %s", want[i].Name,
+				canonicalMatch(t, got[i]), canonicalMatch(t, want[i]))
+		}
+	}
+
+	streamed := make([]*idiomatic.MatchResult, len(reqs))
+	sc := bufio.NewScanner(bytes.NewReader(post(fs.URL + "/v1/match/stream")))
+	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	for sc.Scan() {
+		var r idiomatic.MatchResult
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("bad NDJSON line: %v (%s)", err, sc.Bytes())
+		}
+		if r.Seq < 0 || r.Seq >= len(reqs) || streamed[r.Seq] != nil {
+			t.Fatalf("line carries out-of-range or repeated seq %d", r.Seq)
+		}
+		streamed[r.Seq] = &r
+	}
+	for i := range want {
+		if streamed[i] == nil {
+			t.Fatalf("%s: no streamed line for seq %d", want[i].Name, i)
+		}
+		if canonicalMatch(t, *streamed[i]) != canonicalMatch(t, want[i]) {
+			t.Errorf("%s: fleet /v1/match/stream result differs from the single-replica batch", want[i].Name)
+		}
+	}
+	for i, b := range backs {
+		if b.svc.Stats().Completed == 0 {
+			t.Errorf("replica %d completed nothing; routing sent it no work", i)
+		}
+	}
+}

@@ -142,13 +142,13 @@ func authenticate(kr *Keyring, next http.Handler) http.Handler {
 		}
 		key := requestKey(r)
 		if key == "" {
-			writeError(w, http.StatusUnauthorized, idiomatic.CodeUnauthenticated,
+			WriteError(w, http.StatusUnauthorized, idiomatic.CodeUnauthenticated,
 				"missing API key (use Authorization: Bearer <key> or X-API-Key)")
 			return
 		}
 		cl, ok := kr.Lookup(key)
 		if !ok {
-			writeError(w, http.StatusUnauthorized, idiomatic.CodeUnauthenticated, "unknown API key")
+			WriteError(w, http.StatusUnauthorized, idiomatic.CodeUnauthenticated, "unknown API key")
 			return
 		}
 		next.ServeHTTP(w, r.WithContext(idiomatic.WithClient(r.Context(), cl)))

@@ -7,15 +7,15 @@
 //	                        in submit order.
 //	POST /v1/detect/stream  the same body, answered as NDJSON: one
 //	                        DetectResult per line in completion order, each
-//	                        carrying its submit-order sequence number (the
-//	                        same contract as detect.Stream).
+//	                        carrying its submit-order sequence number
+//	                        (idiomatic.Service.DetectStream).
 //	POST /v1/match          the end-to-end pipeline: detect → transformation
 //	                        plans → backend selection. Body is one
 //	                        MatchRequest or an array; results in submit
 //	                        order.
 //	POST /v1/match/stream   the same body as NDJSON, one MatchResult per
-//	                        line in completion order (DetectResult sequence
-//	                        semantics).
+//	                        line in completion order (the same sequence
+//	                        semantics as /v1/detect/stream).
 //	POST /v1/idioms         register an idiom pack ({"pack", "source",
 //	                        "idioms": [{"top", ...}]}) — live, no rebuild.
 //	GET  /v1/idioms         roster introspection (built-in roster plus
@@ -52,6 +52,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -83,48 +84,50 @@ func New(svc *idiomatic.Service) http.Handler { return NewServer(svc, Options{})
 // NewServer returns the HTTP handler serving svc under the given options.
 func NewServer(svc *idiomatic.Service, o Options) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/detect", methods(map[string]http.HandlerFunc{
-		http.MethodPost: func(w http.ResponseWriter, r *http.Request) { handleDetect(svc, w, r) },
+	detectDeadline := func(q *idiomatic.DetectRequest) *int64 { return &q.DeadlineMs }
+	matchDeadline := func(q *idiomatic.MatchRequest) *int64 { return &q.DeadlineMs }
+	mux.HandleFunc("/v1/detect", Methods(map[string]http.HandlerFunc{
+		http.MethodPost: serveBatch(svc.DetectBatch, detectDeadline),
 	}))
-	mux.HandleFunc("/v1/detect/stream", methods(map[string]http.HandlerFunc{
-		http.MethodPost: func(w http.ResponseWriter, r *http.Request) { handleStream(svc, w, r) },
+	mux.HandleFunc("/v1/detect/stream", Methods(map[string]http.HandlerFunc{
+		http.MethodPost: serveStream(svc.DetectStream, detectDeadline),
 	}))
-	mux.HandleFunc("/v1/match", methods(map[string]http.HandlerFunc{
-		http.MethodPost: func(w http.ResponseWriter, r *http.Request) { handleMatch(svc, w, r) },
+	mux.HandleFunc("/v1/match", Methods(map[string]http.HandlerFunc{
+		http.MethodPost: serveBatch(svc.MatchBatch, matchDeadline),
 	}))
-	mux.HandleFunc("/v1/match/stream", methods(map[string]http.HandlerFunc{
-		http.MethodPost: func(w http.ResponseWriter, r *http.Request) { handleMatchStream(svc, w, r) },
+	mux.HandleFunc("/v1/match/stream", Methods(map[string]http.HandlerFunc{
+		http.MethodPost: serveStream(svc.MatchStream, matchDeadline),
 	}))
-	mux.HandleFunc("/v1/idioms", methods(map[string]http.HandlerFunc{
+	mux.HandleFunc("/v1/idioms", Methods(map[string]http.HandlerFunc{
 		http.MethodPost: func(w http.ResponseWriter, r *http.Request) { handleRegisterPack(svc, w, r) },
 		http.MethodGet:  func(w http.ResponseWriter, r *http.Request) { handleIdioms(svc, w, r) },
 	}))
-	mux.HandleFunc("/v1/backends", methods(map[string]http.HandlerFunc{
+	mux.HandleFunc("/v1/backends", Methods(map[string]http.HandlerFunc{
 		http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, map[string]any{
+			WriteJSON(w, http.StatusOK, map[string]any{
 				"devices":  svc.DevicePlatforms(),
 				"backends": svc.Backends(),
 			})
 		},
 	}))
-	mux.HandleFunc("/v1/clients", methods(map[string]http.HandlerFunc{
+	mux.HandleFunc("/v1/clients", Methods(map[string]http.HandlerFunc{
 		http.MethodGet: func(w http.ResponseWriter, r *http.Request) { handleClients(svc, o.Keys, w, r) },
 	}))
-	mux.HandleFunc("/v1/memo/snapshot", methods(map[string]http.HandlerFunc{
+	mux.HandleFunc("/v1/memo/snapshot", Methods(map[string]http.HandlerFunc{
 		http.MethodGet: func(w http.ResponseWriter, r *http.Request) { handleMemoSnapshot(svc, o.Keys, w, r) },
 	}))
-	mux.HandleFunc("/healthz", methods(map[string]http.HandlerFunc{
+	mux.HandleFunc("/healthz", Methods(map[string]http.HandlerFunc{
 		http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+			WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 		},
 	}))
-	mux.HandleFunc("/statsz", methods(map[string]http.HandlerFunc{
+	mux.HandleFunc("/statsz", Methods(map[string]http.HandlerFunc{
 		http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, svc.Stats())
+			WriteJSON(w, http.StatusOK, svc.Stats())
 		},
 	}))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, idiomatic.CodeNotFound,
+		WriteError(w, http.StatusNotFound, idiomatic.CodeNotFound,
 			fmt.Sprintf("no such endpoint %s", r.URL.Path))
 	})
 	var h http.Handler = mux
@@ -134,9 +137,9 @@ func NewServer(svc *idiomatic.Service, o Options) http.Handler {
 	return h
 }
 
-// methods dispatches on the request method, answering anything unlisted with
+// Methods dispatches on the request method, answering anything unlisted with
 // the enveloped 405 (HEAD rides a GET registration, as with Go's mux).
-func methods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
+func Methods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		m := r.Method
 		if m == http.MethodHead {
@@ -146,7 +149,7 @@ func methods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 			fn(w, r)
 			return
 		}
-		writeError(w, http.StatusMethodNotAllowed, idiomatic.CodeMethodNotAllowed,
+		WriteError(w, http.StatusMethodNotAllowed, idiomatic.CodeMethodNotAllowed,
 			fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path))
 	}
 }
@@ -155,13 +158,13 @@ func handleIdioms(svc *idiomatic.Service, w http.ResponseWriter, r *http.Request
 	if name := r.URL.Query().Get("pack"); name != "" {
 		pack, ok := svc.PackByName(name)
 		if !ok {
-			writeError(w, http.StatusNotFound, idiomatic.CodeNotFound, fmt.Sprintf("unknown pack %q", name))
+			WriteError(w, http.StatusNotFound, idiomatic.CodeNotFound, fmt.Sprintf("unknown pack %q", name))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"pack": pack})
+		WriteJSON(w, http.StatusOK, map[string]any{"pack": pack})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"idioms":        svc.Idioms(),
 		"library_lines": idiomatic.LibraryLineCount(),
 		"packs":         svc.Packs(),
@@ -189,13 +192,13 @@ type ClientInfo struct {
 // admin role (403 otherwise).
 func handleClients(svc *idiomatic.Service, kr *Keyring, w http.ResponseWriter, r *http.Request) {
 	if kr == nil {
-		writeError(w, http.StatusUnauthorized, idiomatic.CodeUnauthenticated,
+		WriteError(w, http.StatusUnauthorized, idiomatic.CodeUnauthenticated,
 			"client listing requires API-key auth (idiomd -keys)")
 		return
 	}
 	cl, _ := idiomatic.ClientFromContext(r.Context())
 	if !cl.Admin {
-		writeError(w, http.StatusForbidden, idiomatic.CodeForbidden,
+		WriteError(w, http.StatusForbidden, idiomatic.CodeForbidden,
 			fmt.Sprintf("client %q lacks the admin role", cl.Name))
 		return
 	}
@@ -216,7 +219,7 @@ func handleClients(svc *idiomatic.Service, kr *Keyring, w http.ResponseWriter, r
 		}
 		out = append(out, info)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"clients": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"clients": out})
 }
 
 // handleMemoSnapshot streams the replica's durable warm state (packs + memo
@@ -228,13 +231,13 @@ func handleMemoSnapshot(svc *idiomatic.Service, kr *Keyring, w http.ResponseWrit
 	if kr != nil {
 		cl, _ := idiomatic.ClientFromContext(r.Context())
 		if !cl.Admin {
-			writeError(w, http.StatusForbidden, idiomatic.CodeForbidden,
+			WriteError(w, http.StatusForbidden, idiomatic.CodeForbidden,
 				fmt.Sprintf("client %q lacks the admin role", cl.Name))
 			return
 		}
 	}
 	if !svc.StoreEnabled() {
-		writeError(w, http.StatusNotFound, idiomatic.CodeNotFound,
+		WriteError(w, http.StatusNotFound, idiomatic.CodeNotFound,
 			"memo snapshots require a durable state dir (idiomd -state-dir)")
 		return
 	}
@@ -245,13 +248,15 @@ func handleMemoSnapshot(svc *idiomatic.Service, kr *Keyring, w http.ResponseWrit
 	_ = svc.WriteMemoSnapshot(w)
 }
 
-// readBody reads the (bounded) request body, handling the oversize error.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// ReadBody reads the (bounded) request body. On failure it has already
+// answered with the error envelope: 413 for an oversize body, 400 for any
+// other read error.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, idiomatic.CodeBodyTooLarge,
+			WriteError(w, http.StatusRequestEntityTooLarge, idiomatic.CodeBodyTooLarge,
 				fmt.Sprintf("body exceeds %d bytes", mbe.Limit))
 			return nil, false
 		}
@@ -263,15 +268,17 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 
 // decodeBatch accepts either a single request object or a JSON array of
 // them, so `curl -d '{"name":...,"source":...}'` works without batch
-// ceremony. It serves both the detect and the match endpoints.
-func decodeBatch[T any](w http.ResponseWriter, r *http.Request) ([]T, bool) {
-	body, ok := readBody(w, r)
+// ceremony, and applies the X-Deadline-Ms header to every request whose
+// deadline (read and written through deadline) is unset. It serves both the
+// detect and the match endpoints.
+func decodeBatch[Q any](w http.ResponseWriter, r *http.Request, deadline func(*Q) *int64) ([]Q, bool) {
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return nil, false
 	}
+	var reqs []Q
 	body = bytes.TrimLeft(body, " \t\r\n")
 	if len(body) > 0 && body[0] == '[' {
-		var reqs []T
 		if err := json.Unmarshal(body, &reqs); err != nil {
 			badRequest(w, fmt.Errorf("invalid request array: %w", err))
 			return nil, false
@@ -280,18 +287,24 @@ func decodeBatch[T any](w http.ResponseWriter, r *http.Request) ([]T, bool) {
 			badRequest(w, errors.New("empty request batch"))
 			return nil, false
 		}
-		return reqs, true
+	} else {
+		var req Q
+		if err := json.Unmarshal(body, &req); err != nil {
+			badRequest(w, fmt.Errorf("invalid request: %w", err))
+			return nil, false
+		}
+		reqs = []Q{req}
 	}
-	var req T
-	if err := json.Unmarshal(body, &req); err != nil {
-		badRequest(w, fmt.Errorf("invalid request: %w", err))
+	ms, ok := deadlineHeader(w, r)
+	if !ok {
 		return nil, false
 	}
-	return []T{req}, true
-}
-
-func decodeRequests(w http.ResponseWriter, r *http.Request) ([]idiomatic.DetectRequest, bool) {
-	return decodeBatch[idiomatic.DetectRequest](w, r)
+	for i := range reqs {
+		if d := deadline(&reqs[i]); *d == 0 {
+			*d = ms
+		}
+	}
+	return reqs, true
 }
 
 // deadlineHeader parses the optional X-Deadline-Ms request header. The
@@ -310,115 +323,52 @@ func deadlineHeader(w http.ResponseWriter, r *http.Request) (int64, bool) {
 	return ms, true
 }
 
-func handleDetect(svc *idiomatic.Service, w http.ResponseWriter, r *http.Request) {
-	reqs, ok := decodeRequests(w, r)
-	if !ok {
-		return
-	}
-	ms, ok := deadlineHeader(w, r)
-	if !ok {
-		return
-	}
-	for i := range reqs {
-		if reqs[i].DeadlineMs == 0 {
-			reqs[i].DeadlineMs = ms
+// serveBatch answers a single-shot batch endpoint: the decoded requests run
+// through run (a Service batch method) and every result is returned in
+// submit order under "results".
+func serveBatch[Q, R any](run func(context.Context, []Q) ([]R, error), deadline func(*Q) *int64) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reqs, ok := decodeBatch(w, r, deadline)
+		if !ok {
+			return
 		}
-	}
-	results, err := svc.DetectBatch(r.Context(), reqs)
-	if err != nil {
-		intakeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
-}
-
-func handleStream(svc *idiomatic.Service, w http.ResponseWriter, r *http.Request) {
-	reqs, ok := decodeRequests(w, r)
-	if !ok {
-		return
-	}
-	ms, ok := deadlineHeader(w, r)
-	if !ok {
-		return
-	}
-	for i := range reqs {
-		if reqs[i].DeadlineMs == 0 {
-			reqs[i].DeadlineMs = ms
+		results, err := run(r.Context(), reqs)
+		if err != nil {
+			intakeError(w, err)
+			return
 		}
-	}
-	ch, err := svc.DetectStream(r.Context(), reqs)
-	if err != nil {
-		intakeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for res := range ch {
-		if err := enc.Encode(res); err != nil {
-			// Client gone; the request context cancellation already sheds the
-			// remaining work. Keep draining so the channel's senders finish.
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		WriteJSON(w, http.StatusOK, map[string]any{"results": results})
 	}
 }
 
-func handleMatch(svc *idiomatic.Service, w http.ResponseWriter, r *http.Request) {
-	reqs, ok := decodeBatch[idiomatic.MatchRequest](w, r)
-	if !ok {
-		return
-	}
-	ms, ok := deadlineHeader(w, r)
-	if !ok {
-		return
-	}
-	for i := range reqs {
-		if reqs[i].DeadlineMs == 0 {
-			reqs[i].DeadlineMs = ms
+// serveStream answers an NDJSON endpoint: the decoded requests run through
+// run (a Service stream method) and each result is written and flushed as
+// one line the moment it completes.
+func serveStream[Q, R any](run func(context.Context, []Q) (<-chan R, error), deadline func(*Q) *int64) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reqs, ok := decodeBatch(w, r, deadline)
+		if !ok {
+			return
 		}
-	}
-	results, err := svc.MatchBatch(r.Context(), reqs)
-	if err != nil {
-		intakeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
-}
-
-func handleMatchStream(svc *idiomatic.Service, w http.ResponseWriter, r *http.Request) {
-	reqs, ok := decodeBatch[idiomatic.MatchRequest](w, r)
-	if !ok {
-		return
-	}
-	ms, ok := deadlineHeader(w, r)
-	if !ok {
-		return
-	}
-	for i := range reqs {
-		if reqs[i].DeadlineMs == 0 {
-			reqs[i].DeadlineMs = ms
+		ch, err := run(r.Context(), reqs)
+		if err != nil {
+			intakeError(w, err)
+			return
 		}
-	}
-	ch, err := svc.MatchStream(r.Context(), reqs)
-	if err != nil {
-		intakeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for res := range ch {
-		if err := enc.Encode(res); err != nil {
-			// Client gone; keep draining so the channel's senders finish.
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		flusher, _ := w.(http.Flusher)
+		enc := json.NewEncoder(w)
+		for res := range ch {
+			if err := enc.Encode(res); err != nil {
+				// Client gone; the request context cancellation already sheds
+				// the remaining work. Keep draining so the channel's senders
+				// finish.
+				continue
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
 }
@@ -434,7 +384,7 @@ type packRequest struct {
 // constraint resolution, Prepare) is idiomatic.Service.RegisterPack — the
 // same code path `idlc -pack` runs, so CLI and HTTP report identical errors.
 func handleRegisterPack(svc *idiomatic.Service, w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -448,7 +398,7 @@ func handleRegisterPack(svc *idiomatic.Service, w http.ResponseWriter, r *http.R
 		badRequest(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"pack": info})
+	WriteJSON(w, http.StatusOK, map[string]any{"pack": info})
 }
 
 // intakeError maps service intake failures onto the error envelope. The
@@ -461,25 +411,25 @@ func intakeError(w http.ResponseWriter, err error) {
 	var rl *pipeline.RateLimitedError
 	switch {
 	case errors.Is(err, idiomatic.ErrBatchTooLarge):
-		writeError(w, http.StatusTooManyRequests, idiomatic.CodeBatchTooLarge, err.Error())
+		WriteError(w, http.StatusTooManyRequests, idiomatic.CodeBatchTooLarge, err.Error())
 	case errors.As(err, &rl):
 		writeErrorRetry(w, http.StatusTooManyRequests, idiomatic.CodeRateLimited, err.Error(), rl.RetryAfter)
 	case errors.Is(err, idiomatic.ErrOverloaded):
 		writeErrorRetry(w, http.StatusTooManyRequests, idiomatic.CodeOverloaded, err.Error(), time.Second)
 	case errors.Is(err, idiomatic.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, err.Error())
 	default:
 		badRequest(w, err)
 	}
 }
 
 func badRequest(w http.ResponseWriter, err error) {
-	writeError(w, http.StatusBadRequest, idiomatic.CodeInvalidRequest, err.Error())
+	WriteError(w, http.StatusBadRequest, idiomatic.CodeInvalidRequest, err.Error())
 }
 
-// writeError writes the v1 error envelope with no retry hint.
-func writeError(w http.ResponseWriter, status int, code, message string) {
-	writeJSON(w, status, idiomatic.ErrorEnvelope{Error: idiomatic.ErrorBody{Code: code, Message: message}})
+// WriteError writes the v1 error envelope with no retry hint.
+func WriteError(w http.ResponseWriter, status int, code, message string) {
+	WriteJSON(w, status, idiomatic.ErrorEnvelope{Error: idiomatic.ErrorBody{Code: code, Message: message}})
 }
 
 // writeErrorRetry writes the v1 error envelope with a retry hint: the
@@ -492,12 +442,15 @@ func writeErrorRetry(w http.ResponseWriter, status int, code, message string, re
 	}
 	secs := (ms + 999) / 1000
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, status, idiomatic.ErrorEnvelope{Error: idiomatic.ErrorBody{
+	WriteJSON(w, status, idiomatic.ErrorEnvelope{Error: idiomatic.ErrorBody{
 		Code: code, Message: message, RetryAfterMs: ms,
 	}})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as two-space-indented JSON, the formatting of every
+// single-shot response, so responses stay byte-comparable across a fleet
+// front.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

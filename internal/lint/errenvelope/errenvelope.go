@@ -1,7 +1,7 @@
 // Package errenvelope makes the PR 6 error contract structural: every
 // non-2xx response from the HTTP API carries the uniform
 // {"error":{code,message,retry_after_ms?}} envelope, which holds by
-// construction only if every error status flows through the writeError
+// construction only if every error status flows through the WriteError
 // helpers. A stray http.Error or bare WriteHeader(4xx/5xx) ships a non-2xx
 // without an envelope, and clients parsing envelopes see garbage.
 package errenvelope
@@ -17,18 +17,18 @@ import (
 // Analyzer is the errenvelope check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "errenvelope",
-	Doc:       "flags error responses written outside the writeError helpers",
-	Rationale: "every non-2xx must carry the v1 error envelope; write errors through writeError/writeErrorRetry, never http.Error or a bare WriteHeader(>=400) (PR 6 contract)",
+	Doc:       "flags error responses written outside the WriteError helpers",
+	Rationale: "every non-2xx must carry the v1 error envelope; write errors through WriteError/writeErrorRetry, never http.Error or a bare WriteHeader(>=400) (PR 6 contract)",
 	Scope:     []string{"internal/httpapi"},
 	Run:       run,
 }
 
-// allowedFuncs are the helpers that own status-line writing. writeJSON is
+// allowedFuncs are the helpers that own status-line writing. WriteJSON is
 // the shared encoder both success and envelope paths go through.
 var allowedFuncs = map[string]bool{
-	"writeError":      true,
+	"WriteError":      true,
 	"writeErrorRetry": true,
-	"writeJSON":       true,
+	"WriteJSON":       true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -62,16 +62,16 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		switch {
 		case isHTTPError(pass, sel):
-			pass.Reportf(call.Pos(), "http.Error bypasses the v1 error envelope; use writeError")
+			pass.Reportf(call.Pos(), "http.Error bypasses the v1 error envelope; use WriteError")
 		case sel.Sel.Name == "WriteHeader" && len(call.Args) == 1:
 			arg := call.Args[0]
 			tv, ok := pass.TypesInfo.Types[arg]
 			if !ok || tv.Value == nil {
-				pass.Reportf(call.Pos(), "WriteHeader with a non-constant status outside the writeError helpers (an error status here would skip the envelope)")
+				pass.Reportf(call.Pos(), "WriteHeader with a non-constant status outside the WriteError helpers (an error status here would skip the envelope)")
 				return true
 			}
 			if v, exact := constant.Int64Val(tv.Value); exact && v >= 400 {
-				pass.Reportf(call.Pos(), "WriteHeader(%d) outside the writeError helpers skips the v1 error envelope", v)
+				pass.Reportf(call.Pos(), "WriteHeader(%d) outside the WriteError helpers skips the v1 error envelope", v)
 			}
 		}
 		return true

@@ -1,5 +1,5 @@
 // Package a seeds the errenvelope analyzer: error statuses must flow
-// through the writeError helpers so every non-2xx carries the v1 envelope.
+// through the WriteError helpers so every non-2xx carries the v1 envelope.
 package a
 
 import "net/http"
@@ -9,7 +9,7 @@ func handlerHTTPError(w http.ResponseWriter, r *http.Request) {
 }
 
 func handlerBareHeader(w http.ResponseWriter) {
-	w.WriteHeader(http.StatusInternalServerError) // want `WriteHeader\(500\) outside the writeError helpers`
+	w.WriteHeader(http.StatusInternalServerError) // want `WriteHeader\(500\) outside the WriteError helpers`
 }
 
 func handlerNonConst(w http.ResponseWriter, status int) {
@@ -23,7 +23,7 @@ func handlerOK(w http.ResponseWriter) {
 }
 
 // The helpers themselves own the status line.
-func writeError(w http.ResponseWriter, status int, code, msg string) {
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	w.WriteHeader(status)
 	http.Error(w, msg, status)
 }
@@ -32,7 +32,7 @@ func writeErrorRetry(w http.ResponseWriter, status int) {
 	w.WriteHeader(status)
 }
 
-func writeJSON(w http.ResponseWriter, status int) {
+func WriteJSON(w http.ResponseWriter, status int) {
 	w.WriteHeader(status)
 }
 

@@ -8,9 +8,11 @@
 #
 # Phase B (two replicas + idiomfront): the suite through the consistent-hash
 # front door, twice; pass 2 must add no per-replica misses (>= 99% warm is the
-# gate; zero is what we assert). A replica is then restarted on its state dir
-# and must answer warm through the router, and a third replica booted with
-# -warm-from inherits phase A's memo and answers the suite with zero solves.
+# gate; zero is what we assert). The suite then goes through the front's
+# /v1/match/stream: one error-free line per module, seqs 0..N-1 once each. A
+# replica is then restarted on its state dir and must answer warm through the
+# router, and a third replica booted with -warm-from inherits phase A's memo
+# and answers the suite with zero solves.
 #
 # Phase C (fairness through the router): cmd/soak -addr drives two
 # authenticated -no-memo replicas behind a fresh front, asserting the
@@ -182,6 +184,18 @@ B1_M2=$(stat_of "$B1" misses)
 B2_M2=$(stat_of "$B2" misses)
 [ "$B1_M2" -eq "$B1_M1" ] && [ "$B2_M2" -eq "$B2_M1" ] ||
     fail "phase B: pass 2 added misses (r1 $B1_M1->$B1_M2, r2 $B2_M1->$B2_M2); want fully memo-warm"
+
+# The match pipeline through the front: one NDJSON line per module, each
+# global seq exactly once, and no in-band error anywhere.
+curl -fsS -X POST "http://$FRONT/v1/match/stream" --data-binary @"$WORK/suite.json" >"$WORK/b_match.ndjson"
+N=$(grep -c '"source":' "$WORK/suite.json")
+LINES=$(wc -l <"$WORK/b_match.ndjson")
+[ "$LINES" -eq "$N" ] || fail "phase B: /v1/match/stream via the front sent $LINES lines for $N modules"
+grep -o '^{"seq":[0-9]*' "$WORK/b_match.ndjson" | sed 's/.*://' | sort -n >"$WORK/b_match.seqs"
+seq 0 $((N - 1)) | cmp -s - "$WORK/b_match.seqs" ||
+    fail "phase B: /v1/match/stream via the front did not carry seqs 0..$((N - 1)) exactly once each"
+! grep -q '"error"' "$WORK/b_match.ndjson" ||
+    fail "phase B: /v1/match/stream via the front reported an error: $(grep -m1 '"error"' "$WORK/b_match.ndjson")"
 
 # Restart replica 1 on its state dir: it must answer warm through the router.
 kill -TERM "$B1_PID"
