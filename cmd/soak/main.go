@@ -92,8 +92,8 @@ type harness struct {
 func main() {
 	var cfg config
 	flag.DurationVar(&cfg.duration, "duration", 30*time.Second, "total soak length (25% baseline, 75% mixed flood)")
-	flag.IntVar(&cfg.workers, "j", 4, "service compile/solver workers")
-	flag.IntVar(&cfg.slots, "slots", 2, "solver-pool slot bound (small keeps the fair-share gate hot: a light module waits behind at most slots-1 heavy ones)")
+	flag.IntVar(&cfg.workers, "j", 4, "service solver workers")
+	flag.IntVar(&cfg.slots, "slots", 2, "admission slot bound (small keeps the fair-share gate hot: a light module waits behind at most slots-1 heavy ones)")
 	flag.Float64Var(&cfg.minShare, "min-share", 0.4, "light tenant's minimum served-module share during the flood")
 	flag.DurationVar(&cfg.p99Floor, "p99-floor", 150*time.Millisecond, "noise floor for the p99 comparison (budget = 2 * max(baseline p99, floor))")
 	flag.StringVar(&cfg.addr, "addr", "", "drive an already-running server (idiomd or idiomfront base URL) instead of an in-process one; it must use this harness's keyfile (see -print-keys)")
@@ -495,7 +495,7 @@ func (h *harness) idleNow(svc *idiomatic.Service) bool {
 		}
 	}
 	for _, c := range h.clientRows() {
-		if c.InFlight != 0 || c.IntakeQueue != 0 || c.ReadyQueue != 0 {
+		if c.InFlight != 0 || c.ReadyQueue != 0 {
 			return false
 		}
 	}

@@ -493,14 +493,7 @@ func (s *Service) Accelerate(ctx context.Context, p *Program, d *Detection) ([]A
 	}
 	var out []APICall
 	for _, inst := range d.Instances {
-		backend := "lift"
-		switch inst.Idiom {
-		case "GEMM":
-			backend = "blas"
-		case "SPMV":
-			backend = "sparse"
-		}
-		call, err := transform.Apply(p.Module, inst.inner, backend)
+		call, err := transform.Apply(p.Module, inst.inner, transform.FixedBackend(inst.Idiom))
 		if err != nil {
 			return nil, fmt.Errorf("idiomatic: %s in %s: %w", inst.Idiom, inst.Function, err)
 		}

@@ -43,8 +43,8 @@ const DefaultQueueLimit = 256
 
 // ServiceOptions configure a Service.
 type ServiceOptions struct {
-	// Workers sizes both the compile pool and the solver pool (0 =
-	// GOMAXPROCS).
+	// Workers sizes the solver pool (0 = GOMAXPROCS). Compiles run on the
+	// admitted requests' own goroutines, at most DetectSlots at once.
 	Workers int
 	// QueueLimit bounds in-flight modules across all requests; submissions
 	// beyond it fail with ErrOverloaded. 0 means DefaultQueueLimit, negative
@@ -70,9 +70,10 @@ type ServiceOptions struct {
 	ClientRate float64
 	// ClientBurst is the token-bucket capacity (0 = max(1, ClientRate)).
 	ClientBurst float64
-	// DetectSlots bounds how many compiled modules occupy the solver pool at
-	// once; the rest wait in per-client ready queues served weighted-fair.
-	// 0 means twice the solver worker count, negative means unbounded.
+	// DetectSlots bounds how many requests are admitted at once; each holds
+	// its slot from compile start to merge, and the rest wait, uncompiled,
+	// in per-client queues served weighted-fair. 0 means twice the solver
+	// worker count; a negative value fails NewService.
 	DetectSlots int
 	// Prune selects the similarity-prescreen mode: "" or "reorder" (default)
 	// schedules solves best-score-first without ever skipping (responses stay
@@ -132,8 +133,8 @@ type Service struct {
 }
 
 // NewService builds a service: idiom constraint problems (core set and
-// extensions) are compiled and indexed once, the worker pools start, and the
-// solve cache is installed. Close releases the pools.
+// extensions) are compiled and indexed once, the solver pool starts, and the
+// solve cache is installed. Close releases the pool.
 func NewService(o ServiceOptions) (*Service, error) {
 	var names []string
 	for _, idm := range idioms.All() {
@@ -749,8 +750,11 @@ func (s *Service) Idioms() []IdiomInfo {
 // pack-log counters). v4 added the adaptive split-scheduling gauges. v5
 // removed intra-solve splitting and with it all seven split fields
 // (solve_split, solve_branch_active, the re-split depth and the four
-// split-decision gauges).
-const StatsSchemaVersion = 5
+// split-decision gauges). v6 moved compile behind the detect-slot gate:
+// compile_workers and the per-client intake_queue are gone, ready_queue
+// counts uncompiled requests waiting for a slot, compile_queue counts
+// admitted requests still compiling, and detect_slots is never -1.
+const StatsSchemaVersion = 6
 
 // StatsResponse is the versioned /statsz wire payload: queue depth, worker
 // utilization, memoization state and per-client fairness gauges. Fields are
@@ -763,15 +767,14 @@ type StatsResponse struct {
 	// QueueLimit is the intake bound they count against (0 = unbounded).
 	InFlight   int `json:"in_flight"`
 	QueueLimit int `json:"queue_limit"`
-	// CompileQueue is how many requests are waiting for a compile worker.
+	// CompileQueue is how many admitted requests are still compiling.
 	CompileQueue int `json:"compile_queue"`
 	// SolveActive / SolveWorkers is the solver-pool utilization gauge.
-	CompileWorkers int `json:"compile_workers"`
-	SolveWorkers   int `json:"solve_workers"`
-	SolveActive    int `json:"solve_active"`
-	// ReadyQueue counts compiled modules waiting for a solver slot;
-	// DetectSlots is the slot bound (-1 = unbounded) and DetectActive how
-	// many slots are occupied right now.
+	SolveWorkers int `json:"solve_workers"`
+	SolveActive  int `json:"solve_active"`
+	// ReadyQueue counts requests waiting, uncompiled, for a detect slot;
+	// DetectSlots is the slot bound and DetectActive how many slots are
+	// occupied (compiling or detecting) right now.
 	ReadyQueue   int `json:"ready_queue"`
 	DetectSlots  int `json:"detect_slots"`
 	DetectActive int `json:"detect_active"`
@@ -801,31 +804,16 @@ type StatsResponse struct {
 }
 
 // ClientStatsRow is one per-tenant fairness row in StatsResponse.
-type ClientStatsRow struct {
-	// Name is the tenant ("" = anonymous tier); Weight its fair-share weight.
-	Name   string `json:"name"`
-	Weight int    `json:"weight"`
-	// InFlight is the tenant's submitted-but-unfinished request count.
-	InFlight int64 `json:"in_flight"`
-	// IntakeQueue / ReadyQueue are the tenant's requests waiting for a
-	// compile worker and for a solver slot, respectively.
-	IntakeQueue int `json:"intake_queue"`
-	ReadyQueue  int `json:"ready_queue"`
-	// Served counts completed requests; Shed counts rejections (overload,
-	// rate limit) and requests cancelled while queued.
-	Served int64 `json:"served"`
-	Shed   int64 `json:"shed"`
-}
+type ClientStatsRow = pipeline.ClientStats
 
 // Stats reports current service load.
 func (s *Service) Stats() StatsResponse {
 	ps := s.pipe.Stats()
-	out := StatsResponse{
+	return StatsResponse{
 		Schema:           StatsSchemaVersion,
 		InFlight:         ps.InFlight,
 		QueueLimit:       ps.MaxQueue,
 		CompileQueue:     ps.CompileQueue,
-		CompileWorkers:   ps.CompileWorkers,
 		SolveWorkers:     ps.SolveWorkers,
 		SolveActive:      ps.SolveActive,
 		ReadyQueue:       ps.ReadyQueue,
@@ -840,19 +828,8 @@ func (s *Service) Stats() StatsResponse {
 		Packs:            len(s.reg.Packs()),
 		Memo:             s.memoSnapshot(),
 		Store:            s.storeStats(),
+		Clients:          ps.Clients,
 	}
-	for _, c := range ps.Clients {
-		out.Clients = append(out.Clients, ClientStatsRow{
-			Name:        c.Name,
-			Weight:      c.Weight,
-			InFlight:    c.InFlight,
-			IntakeQueue: c.IntakeQueue,
-			ReadyQueue:  c.ReadyQueue,
-			Served:      c.Served,
-			Shed:        c.Shed,
-		})
-	}
-	return out
 }
 
 func (s *Service) memoSnapshot() MemoSnapshot {

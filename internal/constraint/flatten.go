@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/idl"
 )
@@ -56,6 +57,9 @@ type NCollect struct {
 	Min int
 	// Instantiate flattens the body for a concrete index value.
 	Instantiate func(j int) (Node, error)
+
+	infoOnce sync.Once
+	info     *collectInfo // built by protoInfo
 }
 
 func (*NAnd) node()     {}
@@ -90,6 +94,9 @@ type Problem struct {
 	// different StoreID) plus safe reuse when a pack is re-registered with
 	// byte-identical source.
 	StoreID [32]byte
+
+	idxOnce sync.Once
+	idx     *probIndex // built by index
 }
 
 // Ordering selects the variable ordering strategy (ablation: the paper

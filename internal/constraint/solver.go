@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/idl"
@@ -42,7 +41,8 @@ const (
 // probIndex is the per-problem static structure that makes node evaluation
 // incremental: nodes are numbered, each node knows the set of solver
 // variables occurring in its subtree, and each variable knows the nodes it
-// can invalidate. It is built once per Problem and shared by all solvers.
+// can invalidate. It is built once per Problem, owned by it, and shared by
+// all solvers.
 type probIndex struct {
 	nodes []Node  // id -> node
 	kids  [][]int // id -> child node ids
@@ -51,58 +51,33 @@ type probIndex struct {
 	varID    map[string]int
 	varNodes [][]int  // var id -> ids of nodes whose subtree mentions it
 	varIn    [][]bool // node id -> var id -> mentioned
-
-	// collect metadata, keyed by position in nodes.
-	collectProto map[*NCollect]*collectInfo
 }
 
-// collectInfo caches everything derivable from a collect body's prototype
-// instance: the flattened body, its variable list and its own sub-index.
+// collectInfo caches what every solver derives from a collect body's
+// prototype instance: the flattened body and its variable list.
 type collectInfo struct {
 	proto     Node
 	protoVars []string
-	idx       *probIndex
 }
 
-var (
-	indexMu    sync.RWMutex
-	indexCache = map[*Problem]*probIndex{}
-)
-
-// indexFor builds (or returns the cached) static index of a problem. Solvers
-// for the same problem are routinely constructed from many goroutines, so
-// the hot path is a read lock; only the first solver per problem pays the
-// build under the write lock.
-func indexFor(p *Problem) *probIndex {
-	indexMu.RLock()
-	idx, ok := indexCache[p]
-	indexMu.RUnlock()
-	if ok {
-		return idx
-	}
-	indexMu.Lock()
-	defer indexMu.Unlock()
-	if idx, ok := indexCache[p]; ok {
-		return idx
-	}
-	idx = buildIndex(p.Root, p.Vars)
-	indexCache[p] = idx
-	return idx
+// index returns the problem's static index, building it on first use.
+// Solvers for the same problem are routinely constructed from many
+// goroutines; only the first pays the build. The index lives on the
+// Problem, so it is freed with it.
+func (p *Problem) index() *probIndex {
+	p.idxOnce.Do(func() { p.idx = buildIndex(p.Root, p.Vars) })
+	return p.idx
 }
 
 // Prepare eagerly builds the static node index of a problem (and, via the
-// index walk, the flattened collect prototypes) so that concurrent solver
-// construction never contends on the build caches. It is idempotent and safe
-// to call from multiple goroutines.
+// index walk, the flattened collect prototypes) so that no solver pays the
+// build. It is idempotent and safe to call from multiple goroutines.
 func Prepare(p *Problem) {
-	indexFor(p)
+	p.index()
 }
 
 func buildIndex(root Node, vars []string) *probIndex {
-	idx := &probIndex{
-		varID:        map[string]int{},
-		collectProto: map[*NCollect]*collectInfo{},
-	}
+	idx := &probIndex{varID: map[string]int{}}
 	for i, v := range vars {
 		idx.varID[v] = i
 	}
@@ -146,9 +121,7 @@ func buildIndex(root Node, vars []string) *probIndex {
 				}
 			}
 		case *NCollect:
-			ci := collectInfoFor(t)
-			idx.collectProto[t] = ci
-			if ci != nil {
+			if ci := t.protoInfo(); ci != nil {
 				for _, v := range ci.protoVars {
 					if vid, ok := idx.varID[v]; ok {
 						mask[vid] = true
@@ -181,28 +154,17 @@ func orInto(dst, src []bool) {
 	}
 }
 
-var (
-	collectMu      sync.RWMutex
-	collectInfoMap = map[*NCollect]*collectInfo{}
-)
+// protoInfo flattens the prototype instance of a collect body once and
+// keeps it and its variable list on the node for reuse by every solver. It
+// returns nil when the body fails to flatten.
+func (c *NCollect) protoInfo() *collectInfo {
+	c.infoOnce.Do(func() { c.info = buildCollectInfo(c) })
+	return c.info
+}
 
-// collectInfoFor flattens the prototype instance of a collect body once and
-// caches its variable list and sub-index for reuse by every solver.
-func collectInfoFor(c *NCollect) *collectInfo {
-	collectMu.RLock()
-	ci, ok := collectInfoMap[c]
-	collectMu.RUnlock()
-	if ok {
-		return ci
-	}
-	collectMu.Lock()
-	defer collectMu.Unlock()
-	if ci, ok := collectInfoMap[c]; ok {
-		return ci
-	}
+func buildCollectInfo(c *NCollect) *collectInfo {
 	proto, err := c.Instantiate(0)
 	if err != nil {
-		collectInfoMap[c] = nil
 		return nil
 	}
 	var vars []string
@@ -222,10 +184,7 @@ func collectInfoFor(c *NCollect) *collectInfo {
 			}
 		}
 	}
-	ci = &collectInfo{proto: proto, protoVars: vars}
-	ci.idx = buildIndex(proto, vars)
-	collectInfoMap[c] = ci
-	return ci
+	return &collectInfo{proto: proto, protoVars: vars}
 }
 
 // Solver searches one analysed function for all solutions of a problem.
@@ -323,7 +282,7 @@ func NewSolver(prob *Problem, info *analysis.Info) *Solver {
 	for _, in := range info.Instrs {
 		s.byOpcode[in.Op] = append(s.byOpcode[in.Op], in)
 	}
-	s.attachIndex(indexFor(prob))
+	s.attachIndex(prob.index())
 	return s
 }
 
@@ -639,10 +598,7 @@ func (s *Solver) evalFinal(n Node, extra map[string]ir.Value) tribool {
 // indexed instances. Results are memoized on the binding signature of the
 // body's outer variables: identical outer contexts resolve identically.
 func (s *Solver) resolveCollect(c *NCollect, extra map[string]ir.Value) tribool {
-	ci := s.idx.collectProto[c]
-	if ci == nil {
-		ci = collectInfoFor(c)
-	}
+	ci := c.protoInfo()
 	if ci == nil {
 		return triFalse
 	}

@@ -26,7 +26,11 @@ func Fig16() (*Fig16Data, error) {
 	d := &Fig16Data{Counts: map[string]map[string]int{}}
 	var jobs []*pipeline.Job
 	for _, w := range workloads.All() {
-		jobs = append(jobs, p.Submit(w.Name, w.Compile))
+		job, err := p.SubmitOpts(w.Name, w.Compile, pipeline.SubmitOptions{})
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, job)
 		d.Order = append(d.Order, w.Name)
 	}
 	for i, job := range jobs {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/pipeline"
 	"repro/internal/transform"
 	"repro/internal/workloads"
 )
@@ -72,7 +73,10 @@ func Pipeline(w *workloads.Workload, scale int) (*BenchRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	job := p.Submit(w.Name, w.Compile)
+	job, err := p.SubmitOpts(w.Name, w.Compile, pipeline.SubmitOptions{})
+	if err != nil {
+		return nil, err
+	}
 	det, err := job.Wait()
 	if err != nil {
 		return nil, fmt.Errorf("%s: detect: %w", w.Name, err)
@@ -80,7 +84,7 @@ func Pipeline(w *workloads.Workload, scale int) (*BenchRun, error) {
 	xf := job.Mod
 	br.Detection = det
 	for _, inst := range det.Instances {
-		call, err := transform.Apply(xf, inst, backendFor(inst.Idiom.Name))
+		call, err := transform.Apply(xf, inst, transform.FixedBackend(inst.Idiom.Name))
 		if err != nil {
 			return nil, fmt.Errorf("%s: transform %s in %s: %w",
 				w.Name, inst.Idiom.Name, inst.Function.Ident, err)
@@ -121,20 +125,6 @@ func Pipeline(w *workloads.Workload, scale int) (*BenchRun, error) {
 		}
 	}
 	return br, nil
-}
-
-// backendFor picks the execution backend symbol for an idiom; the timing
-// model evaluates every applicable API profile regardless, so this only
-// names the extern.
-func backendFor(idiom string) string {
-	switch idiom {
-	case "GEMM":
-		return "blas"
-	case "SPMV":
-		return "sparse"
-	default:
-		return "lift"
-	}
 }
 
 // LazyCopyBenchmarks are the iterative benchmarks the paper's red bars mark:

@@ -22,8 +22,8 @@ var (
 
 // sharedPipeline returns the long-lived streaming compile→detect pipeline
 // shared by Table 1, Figure 16 and the end-to-end Pipeline driver: idiom
-// constraint problems compile once per process, workload compilation fans
-// out over the frontend pool, and solves stream through one engine whose
+// constraint problems compile once per process, each admitted workload
+// compiles on its own goroutine, and solves stream through one engine whose
 // memo cache makes repeated detection of identical function shapes an O(1)
 // lookup. Results are byte-identical to sequential detect.Module (see
 // detect's determinism tests), so the tables and figures are unaffected.
@@ -60,13 +60,17 @@ func Table1() (*Table1Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Stream every workload through the shared pipeline: compilation fans
-	// out over the frontend pool and each module's solves begin the moment
+	// Stream every workload through the shared pipeline: each admitted
+	// module compiles on its own goroutine and its solves begin the moment
 	// it lands, with no batch barrier. Awaiting jobs in submit order keeps
 	// the table deterministic.
 	var jobs []*pipeline.Job
 	for _, w := range workloads.All() {
-		jobs = append(jobs, p.Submit(w.Name, w.Compile))
+		job, err := p.SubmitOpts(w.Name, w.Compile, pipeline.SubmitOptions{})
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, job)
 	}
 	for _, job := range jobs {
 		res, err := job.Wait()

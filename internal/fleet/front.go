@@ -709,7 +709,6 @@ func (f *Front) aggregateClients(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			acc.InFlight += row.InFlight
-			acc.IntakeQueue += row.IntakeQueue
 			acc.ReadyQueue += row.ReadyQueue
 			acc.Served += row.Served
 			acc.Shed += row.Shed

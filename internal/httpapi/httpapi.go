@@ -179,11 +179,10 @@ type ClientInfo struct {
 	Weight int    `json:"weight"`
 	Admin  bool   `json:"admin,omitempty"`
 	// Live usage, mirroring idiomatic.ClientStatsRow.
-	InFlight    int64 `json:"in_flight"`
-	IntakeQueue int   `json:"intake_queue"`
-	ReadyQueue  int   `json:"ready_queue"`
-	Served      int64 `json:"served"`
-	Shed        int64 `json:"shed"`
+	InFlight   int64 `json:"in_flight"`
+	ReadyQueue int   `json:"ready_queue"`
+	Served     int64 `json:"served"`
+	Shed       int64 `json:"shed"`
 }
 
 // handleClients serves the admin listing. It is gated twice: the surface
@@ -212,7 +211,6 @@ func handleClients(svc *idiomatic.Service, kr *Keyring, w http.ResponseWriter, r
 		if row, ok := rows[known.Name]; ok {
 			info.Weight = row.Weight
 			info.InFlight = row.InFlight
-			info.IntakeQueue = row.IntakeQueue
 			info.ReadyQueue = row.ReadyQueue
 			info.Served = row.Served
 			info.Shed = row.Shed

@@ -1,9 +1,13 @@
 package idioms
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
+
+	"repro/internal/constraint"
 )
 
 func TestCompilePackValidation(t *testing.T) {
@@ -159,4 +163,53 @@ func TestRegistryConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestReplacedPackIsCollectable pins that re-registering a pack releases
+// the replaced version: its compiled problems and their collect nodes carry
+// their own solver indexes, so no process-wide cache keeps them reachable.
+func TestReplacedPackIsCollectable(t *testing.T) {
+	r := NewRegistry()
+	tops := []TopSpec{{Name: "X", Top: "Reduction"}}
+	v1, err := r.Register("p", LibrarySource, tops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, ok := v1.Problem("X")
+	if !ok {
+		t.Fatal("v1 lacks its problem")
+	}
+	coll := findCollect(prob.Root)
+	if coll == nil {
+		t.Fatal("Reduction problem has no collect node")
+	}
+	wp, wc := weak.Make(prob), weak.Make(coll)
+	v1, prob, coll = nil, nil, nil
+	if _, err := r.Register("p", LibrarySource, tops); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if wp.Value() != nil || wc.Value() != nil {
+		t.Fatalf("replaced pack still reachable after GC: problem %v, collect %v", wp.Value() != nil, wc.Value() != nil)
+	}
+}
+
+func findCollect(n constraint.Node) *constraint.NCollect {
+	switch t := n.(type) {
+	case *constraint.NCollect:
+		return t
+	case *constraint.NAnd:
+		for _, k := range t.Kids {
+			if c := findCollect(k); c != nil {
+				return c
+			}
+		}
+	case *constraint.NOr:
+		for _, k := range t.Kids {
+			if c := findCollect(k); c != nil {
+				return c
+			}
+		}
+	}
+	return nil
 }

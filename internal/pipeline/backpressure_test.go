@@ -25,16 +25,16 @@ double bpsum(double* x, int n) {
 // capacity frees up again as in-flight jobs finish.
 func TestSubmitOverload(t *testing.T) {
 	p, err := pipeline.New(pipeline.Options{
-		Detect:         detect.Options{Workers: 2, NoMemo: true},
-		CompileWorkers: 1,
-		MaxQueue:       2,
+		Detect:      detect.Options{Workers: 2, NoMemo: true},
+		DetectSlots: 1,
+		MaxQueue:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	// Gate the compile stage so the first two jobs pin the queue open.
+	// Gate the compile thunks so the first two jobs pin the queue open.
 	release := make(chan struct{})
 	gated := func() (*ir.Module, error) {
 		<-release
@@ -96,15 +96,15 @@ func TestSubmitOptsAfterClose(t *testing.T) {
 // never runs its compile thunk and finishes with the context error.
 func TestSubmitCtxCancelledShedsCompile(t *testing.T) {
 	p, err := pipeline.New(pipeline.Options{
-		Detect:         detect.Options{Workers: 2, NoMemo: true},
-		CompileWorkers: 1,
+		Detect:      detect.Options{Workers: 2, NoMemo: true},
+		DetectSlots: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	// Occupy the single compile worker so the cancelled job stays queued.
+	// Occupy the single detect slot so the cancelled job stays queued.
 	release := make(chan struct{})
 	blocker, err := p.SubmitOpts("blocker", func() (*ir.Module, error) {
 		<-release

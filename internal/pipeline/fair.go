@@ -26,23 +26,18 @@ func (e *RateLimitedError) Error() string {
 
 func (e *RateLimitedError) Unwrap() error { return ErrRateLimited }
 
-// clientState is the per-tenant bookkeeping behind weighted-fair intake: one
-// FIFO of jobs awaiting a compile worker, one FIFO of compiled jobs awaiting
-// a solver slot, a token bucket, and the gauges surfaced in /statsz. The
-// anonymous client (empty name) participates in the round-robin like any
-// other tenant but is exempt from per-client caps and buckets, so a server
-// without auth behaves exactly like the pre-fairness pipeline.
+// clientState is the per-tenant bookkeeping behind weighted-fair admission:
+// one FIFO of jobs awaiting a detect slot, a token bucket, and the gauges
+// surfaced in /statsz. The anonymous client (empty name) participates in the
+// round-robin like any other tenant but is exempt from per-client caps and
+// buckets, so a server without auth behaves exactly like the pre-fairness
+// pipeline.
 type clientState struct {
 	name   string
 	weight int
 
-	intake []*Job // submitted, awaiting a compile worker
-	ready  []*Job // compiled, awaiting a detect slot
-
-	// Deficit round-robin counters, one per queue the client competes in
-	// (compile intake and solver dispatch are two independent DRR rings).
-	intakeDeficit float64
-	readyDeficit  float64
+	queue   []*Job  // submitted, awaiting a detect slot
+	deficit float64 // deficit round-robin counter
 
 	// Token bucket (lazy refill; no background goroutine). tokens is only
 	// meaningful when the pipeline's clientRate is > 0.
@@ -94,14 +89,14 @@ func (cs *clientState) takeToken(rate, burst float64, now time.Time) (ok bool, r
 	return true, 0
 }
 
-// drrPick serves one job from the per-client queues selected by q, advancing
-// the deficit round-robin state selected by def. Each visited client with a
-// backlog is recharged by its weight when its deficit runs dry and serves
-// jobs until the deficit is spent, so long-run service ratios track weights
-// (2:1 weights → 2:1 modules) while a client with an empty queue donates its
-// turn instead of stalling the ring. Returns nil when every queue is empty.
-// Callers hold p.mu.
-func drrPick(order []*clientState, cur *int, q func(*clientState) *[]*Job, def func(*clientState) *float64) *Job {
+// drrPick serves one job from the per-client queues, advancing the deficit
+// round-robin cursor cur. Each visited client with a backlog is recharged by
+// its weight when its deficit runs dry and serves jobs until the deficit is
+// spent, so long-run service ratios track weights (2:1 weights → 2:1
+// modules) while a client with an empty queue donates its turn instead of
+// stalling the ring. Returns nil when every queue is empty. Callers hold
+// p.mu.
+func drrPick(order []*clientState, cur *int) *Job {
 	n := len(order)
 	if n == 0 {
 		return nil
@@ -113,23 +108,21 @@ func drrPick(order []*clientState, cur *int, q func(*clientState) *[]*Job, def f
 	// guarantees the recharge covers one job), so 2n visits always suffice.
 	for visits := 0; visits < 2*n; visits++ {
 		cs := order[*cur]
-		queue := q(cs)
-		if len(*queue) == 0 {
+		if len(cs.queue) == 0 {
 			// An idle client carries no deficit into its next busy period —
 			// fairness is over backlogged clients only.
-			*def(cs) = 0
+			cs.deficit = 0
 			*cur = (*cur + 1) % n
 			continue
 		}
-		d := def(cs)
-		if *d < 1 {
-			*d += float64(cs.weight)
+		if cs.deficit < 1 {
+			cs.deficit += float64(cs.weight)
 		}
-		job := (*queue)[0]
-		(*queue)[0] = nil
-		*queue = (*queue)[1:]
-		*d--
-		if *d < 1 {
+		job := cs.queue[0]
+		cs.queue[0] = nil
+		cs.queue = cs.queue[1:]
+		cs.deficit--
+		if cs.deficit < 1 {
 			*cur = (*cur + 1) % n
 		}
 		return job
@@ -137,23 +130,18 @@ func drrPick(order []*clientState, cur *int, q func(*clientState) *[]*Job, def f
 	return nil
 }
 
-func intakeQ(cs *clientState) *[]*Job    { return &cs.intake }
-func readyQ(cs *clientState) *[]*Job     { return &cs.ready }
-func intakeDef(cs *clientState) *float64 { return &cs.intakeDeficit }
-func readyDef(cs *clientState) *float64  { return &cs.readyDeficit }
-
-// ClientStats is one per-client row in Stats, mirrored on /statsz.
+// ClientStats is one per-client row in Stats, and on /statsz as is.
 type ClientStats struct {
 	// Name is the client identity from the auth layer ("" = anonymous tier).
-	Name string
+	Name string `json:"name"`
 	// Weight is the client's fair-share weight (jobs served per DRR round).
-	Weight int
+	Weight int `json:"weight"`
 	// InFlight is the client's submitted-but-unfinished job count.
-	InFlight int64
-	// IntakeQueue and ReadyQueue are the client's jobs awaiting a compile
-	// worker and awaiting a solver slot, respectively.
-	IntakeQueue, ReadyQueue int
+	InFlight int64 `json:"in_flight"`
+	// ReadyQueue is the client's jobs waiting, uncompiled, for a detect slot.
+	ReadyQueue int `json:"ready_queue"`
 	// Served counts the client's completed jobs; Shed counts submissions
 	// rejected at intake (overload, rate limit) or cancelled while queued.
-	Served, Shed int64
+	Served int64 `json:"served"`
+	Shed   int64 `json:"shed"`
 }

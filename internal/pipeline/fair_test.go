@@ -3,6 +3,7 @@ package pipeline_test
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,20 +20,20 @@ double fsum(double* x, int n) {
     return s;
 }`
 
-// TestWeightedFairCompileOrder pins the deficit-round-robin intake contract:
-// with two backlogged clients at weights 2:1 and a single compile worker, the
-// worker serves modules in weight proportion, not submit order.
+// TestWeightedFairCompileOrder pins the deficit-round-robin admission
+// contract: with two backlogged clients at weights 2:1 and a single detect
+// slot, modules are compiled in weight proportion, not submit order.
 func TestWeightedFairCompileOrder(t *testing.T) {
 	p, err := pipeline.New(pipeline.Options{
-		Detect:         detect.Options{Workers: 2, NoMemo: true},
-		CompileWorkers: 1,
+		Detect:      detect.Options{Workers: 2, NoMemo: true},
+		DetectSlots: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	// Pin the single compile worker open so both clients can backlog.
+	// Pin the single detect slot open so both clients can backlog.
 	started := make(chan struct{})
 	release := make(chan struct{})
 	blocker, err := p.SubmitOpts("blocker", func() (*ir.Module, error) {
@@ -75,7 +76,7 @@ func TestWeightedFairCompileOrder(t *testing.T) {
 	if _, err := blocker.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.Collect(jobs); err != nil {
+	if _, err := collect(jobs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +159,7 @@ func TestClientRateLimited(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	if _, err := pipeline.Collect(jobs); err != nil {
+	if _, err := collect(jobs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,9 +175,9 @@ func TestClientRateLimited(t *testing.T) {
 // (and naming the client), without consuming global capacity for others.
 func TestClientQueueBound(t *testing.T) {
 	p, err := pipeline.New(pipeline.Options{
-		Detect:         detect.Options{Workers: 2, NoMemo: true},
-		CompileWorkers: 1,
-		ClientQueue:    1,
+		Detect:      detect.Options{Workers: 2, NoMemo: true},
+		DetectSlots: 1,
+		ClientQueue: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,19 +208,18 @@ func TestClientQueueBound(t *testing.T) {
 	}
 
 	close(release)
-	if _, err := pipeline.Collect([]*pipeline.Job{j1, j2, j3}); err != nil {
+	if _, err := collect([]*pipeline.Job{j1, j2, j3}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestDetectSlotsGate pins that a tiny slot bound still drains everything:
-// modules beyond the bound wait in ready queues and enter as slots free, and
+// modules beyond the bound wait in client queues and enter as slots free, and
 // every job completes with the same result.
 func TestDetectSlotsGate(t *testing.T) {
 	p, err := pipeline.New(pipeline.Options{
-		Detect:         detect.Options{Workers: 2, NoMemo: true},
-		CompileWorkers: 2,
-		DetectSlots:    1,
+		Detect:      detect.Options{Workers: 2, NoMemo: true},
+		DetectSlots: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestDetectSlotsGate(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	results, err := pipeline.Collect(jobs)
+	results, err := collect(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,5 +269,66 @@ func TestDetectSlotsGate(t *testing.T) {
 			t.Fatalf("client gauges did not drain: %+v", p.Stats().Clients)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCompileBehindSlotGate pins that the detect-slot gate is the only
+// admission point: with one slot, a job compiles only once admitted, so at
+// most one compile thunk runs at a time, and while it is blocked the other
+// jobs wait uncompiled in the ready queue.
+func TestCompileBehindSlotGate(t *testing.T) {
+	p, err := pipeline.New(pipeline.Options{
+		Detect:      detect.Options{Workers: 2, NoMemo: true},
+		DetectSlots: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	var running, peak atomic.Int32
+	started := make(chan struct{}, 3)
+	release := make(chan struct{})
+	thunk := func() (*ir.Module, error) {
+		n := running.Add(1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		started <- struct{}{}
+		<-release
+		running.Add(-1)
+		return cc.Compile("fair", fairSource)
+	}
+	var jobs []*pipeline.Job
+	for i := 0; i < 3; i++ {
+		j, err := p.SubmitOpts("gated", thunk, pipeline.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	<-started
+	if st := p.Stats(); st.CompileQueue != 1 || st.ReadyQueue != 2 || st.DetectActive != 1 {
+		t.Fatalf("stats while the first compile is blocked = %+v, want CompileQueue 1 / ReadyQueue 2 / DetectActive 1", st)
+	}
+	close(release)
+	if _, err := collect(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got != 1 {
+		t.Fatalf("%d compile thunks ran at once, want 1 (compile must wait for a detect slot)", got)
+	}
+	if st := p.Stats(); st.CompileQueue != 0 || st.ReadyQueue != 0 || st.DetectActive != 0 {
+		t.Fatalf("final stats = %+v, want drained gauges", st)
+	}
+}
+
+// TestNegativeDetectSlotsRejected pins that a negative slot bound fails New
+// instead of admitting every queued job at once.
+func TestNegativeDetectSlotsRejected(t *testing.T) {
+	if _, err := pipeline.New(pipeline.Options{
+		Detect:      detect.Options{Workers: 1, NoMemo: true},
+		DetectSlots: -1,
+	}); err == nil {
+		t.Fatal("New accepted DetectSlots -1")
 	}
 }

@@ -1,11 +1,12 @@
 // Package pipeline streams modules through the paper's compile → detect flow
 // without the historical two-barrier shape (compile all workloads, then hand
 // the whole batch to detect.Modules). A Pipeline is long-lived: sources enter
-// via Submit as compile thunks, a compile worker pool fans the frontend out,
-// and each compiled module feeds straight into the detection engine's shared
-// solver pool (detect.Stream), so frontend and solver work overlap instead of
-// barriering. Each job completes on its own: await it with Job.Done or
-// Job.Wait, or gather a batch in submit order with Collect.
+// via SubmitOpts as compile thunks and wait, uncompiled, in their client's
+// queue for a detect slot (Options.DetectSlots). An admitted job compiles on
+// its own goroutine and feeds straight into the detection engine's shared
+// solver pool (detect.Stream), holding its slot from compile start to merge,
+// so one job's frontend work overlaps other jobs' solves. Each job completes
+// on its own: await it with Job.Done or Job.Wait.
 //
 // Determinism: detection inherits detect.Stream's guarantees, so every job's
 // result is byte-identical (instances and solver steps) to detect.Modules
@@ -18,14 +19,13 @@
 // and Stats exposes queue depth and pool utilization — the hooks the
 // idiomatic.Service front door builds on.
 //
-// Multi-tenant fairness: SubmitOptions.Client names the tenant, and both
-// contended stages — compile intake and solver admission (Options.
-// DetectSlots) — are served by weighted deficit round-robin over per-client
-// queues, so one client's backlog cannot delay another tenant's modules.
-// Named clients are additionally subject to per-client in-flight bounds
-// (Options.ClientQueue) and token buckets (Options.ClientRate); the
-// anonymous tier is exempt and so preserves the single-tenant contract
-// exactly.
+// Multi-tenant fairness: SubmitOptions.Client names the tenant, and the one
+// admission point — the detect-slot gate — is served by weighted deficit
+// round-robin over per-client queues, so one client's backlog cannot delay
+// another tenant's modules. Named clients are additionally subject to
+// per-client in-flight bounds (Options.ClientQueue) and token buckets
+// (Options.ClientRate); the anonymous tier is exempt and so preserves the
+// single-tenant contract exactly.
 package pipeline
 
 import (
@@ -50,7 +50,8 @@ var ErrClosed = errors.New("pipeline: closed")
 var ErrOverloaded = errors.New("pipeline: overloaded (submit queue full)")
 
 // CompileFunc produces one module — typically a closure over cc.Compile or a
-// workload's Compile method. It runs on a pipeline compile worker.
+// workload's Compile method. It runs on the admitted job's goroutine, inside
+// its detect slot.
 type CompileFunc func() (*ir.Module, error)
 
 // Options configure a Pipeline.
@@ -61,9 +62,6 @@ type Options struct {
 	Engine *detect.Engine
 	// Detect configures the engine built when Engine is nil.
 	Detect detect.Options
-	// CompileWorkers bounds the frontend pool. Zero or negative means the
-	// engine's worker count, mirroring the solver pool shape.
-	CompileWorkers int
 	// MaxQueue bounds the number of in-flight jobs (submitted, not yet
 	// finished). Submissions beyond the bound fail fast with ErrOverloaded
 	// instead of queueing without limit. Zero or negative means unbounded.
@@ -81,12 +79,11 @@ type Options struct {
 	// ClientBurst is the token-bucket capacity (defaults to max(1,
 	// ClientRate) when zero).
 	ClientBurst float64
-	// DetectSlots bounds how many compiled modules occupy the solver stream
-	// at once; further modules wait in per-client ready queues and enter via
-	// weighted-fair dequeue as slots free, so fairness decisions happen at
-	// the solver's door on every completion. Zero means 2x the solver worker
-	// count; negative means unbounded (the pre-fairness behavior of handing
-	// every compiled module to the stream immediately).
+	// DetectSlots bounds how many jobs are admitted at once; an admitted job
+	// holds its slot through compile and detection. Further jobs wait,
+	// uncompiled, in per-client queues and enter via weighted-fair dequeue as
+	// slots free, so fairness decisions happen on every completion. Zero
+	// means 2x the solver worker count; New rejects a negative value.
 	DetectSlots int
 }
 
@@ -105,10 +102,10 @@ type SubmitOptions struct {
 	// detect.Submission.Roster).
 	Roster []detect.Resolved
 	// Client names the tenant submitting the job. Named clients compete for
-	// compile workers and solver slots under deficit round-robin, weighted by
-	// Weight, and are subject to Options.ClientQueue / ClientRate. The empty
-	// name is the anonymous tier: it rides the same rings but is exempt from
-	// per-client caps and buckets.
+	// detect slots under deficit round-robin, weighted by Weight, and are
+	// subject to Options.ClientQueue / ClientRate. The empty name is the
+	// anonymous tier: it rides the same ring but is exempt from per-client
+	// caps and buckets.
 	Client string
 	// Weight is the client's fair-share weight (jobs served per DRR round
 	// while backlogged). Zero or negative means 1.
@@ -118,10 +115,9 @@ type SubmitOptions struct {
 	Explain bool
 }
 
-// Job tracks one submitted module through the pipeline. Seq is the submit
-// order; Mod, Res and Err are valid once Done is closed.
+// Job tracks one submitted module through the pipeline. Mod, Res and Err
+// are valid once Done is closed.
 type Job struct {
-	Seq  int
 	Name string
 	// Mod is the compiled module (nil when compilation failed).
 	Mod *ir.Module
@@ -149,41 +145,38 @@ func (j *Job) Wait() (*detect.Result, error) {
 	return j.Res, j.Err
 }
 
-// Pipeline is the streaming compile→detect front door. Submit never blocks
-// on pipeline work, and jobs complete independently: await an individual
-// job's Done/Wait, or Collect a batch.
+// Pipeline is the streaming compile→detect front door. SubmitOpts never
+// blocks on pipeline work, and jobs complete independently: await an
+// individual job's Done/Wait.
 type Pipeline struct {
-	eng            *detect.Engine
-	stream         *detect.Stream
-	compileWorkers int
-	maxQueue       int
+	eng      *detect.Engine
+	stream   *detect.Stream
+	maxQueue int
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signals compile intake
-	nextSeq int
-	closed  bool
+	mu     sync.Mutex
+	closed bool
 
-	// Weighted-fair state: per-client intake and ready queues served by two
-	// independent deficit-round-robin rings (compile pick, solver dispatch),
-	// plus the solver slot gate. All guarded by mu.
+	// Weighted-fair state: per-client queues served by one deficit-round-
+	// robin ring at the detect-slot gate. All guarded by mu.
 	clients     map[string]*clientState
 	clientOrder []*clientState // first-seen order, the DRR ring
-	intakeCur   int            // DRR cursor over compile intake
-	readyCur    int            // DRR cursor over solver dispatch
-	intakeCount int            // total jobs across all intake queues
-	readyCount  int            // total jobs across all ready queues
-	slotsUsed   int            // modules currently occupying the stream
-	detectSlots int            // resolved slot bound (<0 = unbounded)
+	cur         int            // DRR cursor
+	queued      int            // total jobs across all client queues
+	slotsUsed   int            // admitted jobs, compiling or detecting
+	detectSlots int
 	clientQueue int
 	clientRate  float64
 	clientBurst float64
 
-	inflight             sync.WaitGroup // submitted jobs not yet finished
-	submitted, completed atomic.Int64
+	inflight                        sync.WaitGroup // submitted jobs not yet finished
+	submitted, completed, compiling atomic.Int64
 }
 
 // New builds and starts a pipeline.
 func New(o Options) (*Pipeline, error) {
+	if o.DetectSlots < 0 {
+		return nil, fmt.Errorf("pipeline: DetectSlots %d is negative (0 means 2x the solver workers)", o.DetectSlots)
+	}
 	eng := o.Engine
 	if eng == nil {
 		var err error
@@ -213,31 +206,11 @@ func New(o Options) (*Pipeline, error) {
 		clientRate:  o.ClientRate,
 		clientBurst: burst,
 	}
-	p.cond = sync.NewCond(&p.mu)
-	workers := o.CompileWorkers
-	if workers <= 0 {
-		workers = eng.Workers()
-	}
-	p.compileWorkers = workers
-	for w := 0; w < workers; w++ {
-		go p.compileWorker()
-	}
 	return p, nil
 }
 
 // Engine exposes the detection engine (for memo statistics and sharing).
 func (p *Pipeline) Engine() *detect.Engine { return p.eng }
-
-// Submit enqueues one compile thunk and returns its Job immediately. It
-// panics after Close (legacy contract); bounded or cancellable intake goes
-// through SubmitOpts.
-func (p *Pipeline) Submit(name string, compile CompileFunc) *Job {
-	job, err := p.SubmitOpts(name, compile, SubmitOptions{})
-	if err != nil {
-		panic(err.Error()) // errors already carry the "pipeline:" prefix
-	}
-	return job
-}
 
 // SubmitOpts enqueues one compile thunk with per-job controls and returns
 // its Job immediately. It fails fast with ErrClosed after Close, with
@@ -274,19 +247,18 @@ func (p *Pipeline) SubmitOpts(name string, compile CompileFunc, so SubmitOptions
 		}
 	}
 	job := &Job{
-		Seq: p.nextSeq, Name: name,
+		Name:    name,
 		compile: compile, ctx: so.Ctx, idioms: so.Idioms, roster: so.Roster,
 		explain: so.Explain,
 		cs:      cs,
 		done:    make(chan struct{}),
 	}
-	p.nextSeq++
 	p.submitted.Add(1)
 	p.inflight.Add(1)
 	cs.inFlight.Add(1)
-	cs.intake = append(cs.intake, job)
-	p.intakeCount++
-	p.cond.Signal()
+	cs.queue = append(cs.queue, job)
+	p.queued++
+	p.dispatchLocked()
 	p.mu.Unlock()
 	return job, nil
 }
@@ -298,16 +270,16 @@ type Stats struct {
 	Submitted, Completed int64
 	// InFlight is Submitted - Completed: jobs compiling, solving, or queued.
 	InFlight int
-	// CompileQueue is the number of jobs waiting for a compile worker.
+	// CompileQueue is the number of admitted jobs still compiling.
 	CompileQueue int
-	// CompileWorkers and SolveWorkers are the two pool sizes; SolveActive is
-	// how many solver-pool workers are executing a task right now.
-	CompileWorkers, SolveWorkers, SolveActive int
+	// SolveWorkers is the solver pool size; SolveActive is how many of its
+	// workers are executing a task right now.
+	SolveWorkers, SolveActive int
 	// MaxQueue is the configured intake bound (0 = unbounded).
 	MaxQueue int
-	// ReadyQueue is the number of compiled modules waiting for a solver slot
-	// across all clients; DetectSlots is the configured slot bound (-1 =
-	// unbounded) and DetectActive how many slots are occupied right now.
+	// ReadyQueue is the number of jobs waiting, uncompiled, for a detect slot
+	// across all clients; DetectSlots is the slot bound and DetectActive how
+	// many slots are occupied right now.
 	ReadyQueue, DetectSlots, DetectActive int
 	// PruneMode is the engine's similarity-prescreen mode ("off", "reorder",
 	// "on"). PruneSkipped counts solves skipped as provably unmatchable,
@@ -326,19 +298,18 @@ type Stats struct {
 // Stats reports current pipeline load.
 func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
-	queued := p.intakeCount
-	ready := p.readyCount
+	ready := p.queued
 	slots := p.slotsUsed
+	compiling := p.compiling.Load()
 	rows := make([]ClientStats, 0, len(p.clientOrder))
 	for _, cs := range p.clientOrder {
 		rows = append(rows, ClientStats{
-			Name:        cs.name,
-			Weight:      cs.weight,
-			InFlight:    cs.inFlight.Load(),
-			IntakeQueue: len(cs.intake),
-			ReadyQueue:  len(cs.ready),
-			Served:      cs.served.Load(),
-			Shed:        cs.shed.Load(),
+			Name:       cs.name,
+			Weight:     cs.weight,
+			InFlight:   cs.inFlight.Load(),
+			ReadyQueue: len(cs.queue),
+			Served:     cs.served.Load(),
+			Shed:       cs.shed.Load(),
 		})
 	}
 	p.mu.Unlock()
@@ -348,8 +319,7 @@ func (p *Pipeline) Stats() Stats {
 		Submitted:      sub,
 		Completed:      comp,
 		InFlight:       int(sub - comp),
-		CompileQueue:   queued,
-		CompileWorkers: p.compileWorkers,
+		CompileQueue:   int(compiling),
 		SolveWorkers:   p.eng.Workers(),
 		SolveActive:    p.stream.Active(),
 		MaxQueue:       p.maxQueue,
@@ -373,7 +343,6 @@ func (p *Pipeline) Close() {
 		return
 	}
 	p.closed = true
-	p.cond.Broadcast()
 	p.mu.Unlock()
 	go func() {
 		p.inflight.Wait()
@@ -381,74 +350,18 @@ func (p *Pipeline) Close() {
 	}()
 }
 
-// Collect waits for the given jobs and returns their results in the given
-// (typically submit) order, failing on the first job error.
-func Collect(jobs []*Job) ([]*detect.Result, error) {
-	out := make([]*detect.Result, len(jobs))
-	for i, j := range jobs {
-		res, err := j.Wait()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", j.Name, err)
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-func (p *Pipeline) compileWorker() {
-	for {
-		p.mu.Lock()
-		for p.intakeCount == 0 && !p.closed {
-			p.cond.Wait()
-		}
-		if p.intakeCount == 0 {
-			p.mu.Unlock()
-			return
-		}
-		job := drrPick(p.clientOrder, &p.intakeCur, intakeQ, intakeDef)
-		p.intakeCount--
-		p.mu.Unlock()
-
-		// A job cancelled while waiting for a worker sheds its compile (and
-		// detection) entirely.
-		if job.ctx != nil {
-			if err := job.ctx.Err(); err != nil {
-				job.Err = err
-				job.shed = true
-				p.finish(job)
-				continue
-			}
-		}
-		job.start = time.Now()
-		mod, err := job.compile()
-		if err != nil {
-			job.Err = err
-			p.finish(job)
-			continue
-		}
-		job.Mod = mod
-		// Compiled modules queue per client for a solver slot; dispatch moves
-		// them into the stream under weighted-fair order as slots allow.
-		p.mu.Lock()
-		job.cs.ready = append(job.cs.ready, job)
-		p.readyCount++
-		p.dispatchLocked()
-		p.mu.Unlock()
-	}
-}
-
-// dispatchLocked moves compiled jobs from the per-client ready queues into
-// the solver stream while detect slots remain, picking clients by deficit
-// round-robin — the fairness decision happens at the solver's door on every
-// admission. Each admitted job detects on its own goroutine; jobs cancelled
-// while waiting are shed without consuming a slot. Callers hold p.mu.
+// dispatchLocked admits queued jobs while detect slots remain, picking
+// clients by deficit round-robin — the fairness decision happens on every
+// submission and every completion. Each admitted job compiles and detects on
+// its own goroutine; jobs cancelled while waiting are shed without consuming
+// a slot or running their compile. Callers hold p.mu.
 func (p *Pipeline) dispatchLocked() {
-	for p.readyCount > 0 && (p.detectSlots < 0 || p.slotsUsed < p.detectSlots) {
-		job := drrPick(p.clientOrder, &p.readyCur, readyQ, readyDef)
+	for p.queued > 0 && p.slotsUsed < p.detectSlots {
+		job := drrPick(p.clientOrder, &p.cur)
 		if job == nil {
 			break
 		}
-		p.readyCount--
+		p.queued--
 		if job.ctx != nil {
 			if err := job.ctx.Err(); err != nil {
 				job.Err = err
@@ -458,18 +371,28 @@ func (p *Pipeline) dispatchLocked() {
 			}
 		}
 		p.slotsUsed++
-		go p.detect(job)
+		p.compiling.Add(1)
+		go p.run(job)
 	}
 }
 
-// detect runs one admitted job through the solver stream. Its completion
-// frees the detect slot and re-runs dispatch — so the next fair-share pick
-// enters the stream — before the job's Done closes.
-func (p *Pipeline) detect(job *Job) {
-	job.Res, job.Err = p.stream.Detect(detect.Submission{
-		Mod: job.Mod, Start: job.start, Ctx: job.ctx, Idioms: job.idioms, Roster: job.roster,
-		Client: job.cs.name, Explain: job.explain,
-	})
+// run compiles one admitted job and detects it through the solver stream.
+// Its completion, on success or compile error alike, frees the detect slot
+// and re-runs dispatch — so the next fair-share pick is admitted — before
+// the job's Done closes.
+func (p *Pipeline) run(job *Job) {
+	job.start = time.Now()
+	mod, err := job.compile()
+	p.compiling.Add(-1)
+	if err != nil {
+		job.Err = err
+	} else {
+		job.Mod = mod
+		job.Res, job.Err = p.stream.Detect(detect.Submission{
+			Mod: mod, Start: job.start, Ctx: job.ctx, Idioms: job.idioms, Roster: job.roster,
+			Client: job.cs.name, Explain: job.explain,
+		})
+	}
 	p.mu.Lock()
 	p.slotsUsed--
 	p.dispatchLocked()

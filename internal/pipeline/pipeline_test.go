@@ -17,6 +17,31 @@ import (
 	"repro/internal/workloads"
 )
 
+// submit enqueues one compile thunk with default options, failing the test
+// on a submit error.
+func submit(t *testing.T, p *pipeline.Pipeline, name string, compile pipeline.CompileFunc) *pipeline.Job {
+	t.Helper()
+	job, err := p.SubmitOpts(name, compile, pipeline.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// collect waits for the given jobs and returns their results in the given
+// (typically submit) order, failing on the first job error.
+func collect(jobs []*pipeline.Job) ([]*detect.Result, error) {
+	out := make([]*detect.Result, len(jobs))
+	for i, j := range jobs {
+		res, err := j.Wait()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", j.Name, err)
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
 func instanceKey(inst detect.Instance) string {
 	s := fmt.Sprintf("%s|%s|%s|claims[", inst.Idiom.Name, inst.Function.Ident, inst.Solution)
 	for _, c := range inst.Claims {
@@ -66,9 +91,9 @@ func TestPipelineMatchesBatch(t *testing.T) {
 			defer p.Close()
 			var jobs []*pipeline.Job
 			for _, w := range ws {
-				jobs = append(jobs, p.Submit(w.Name, w.Compile))
+				jobs = append(jobs, submit(t, p, w.Name, w.Compile))
 			}
-			got, err := pipeline.Collect(jobs)
+			got, err := collect(jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +144,7 @@ func TestDetectCancelMidSolve(t *testing.T) {
 	names := []string{"EP", "sgemm"}
 	var jobs []*pipeline.Job
 	for _, n := range names {
-		jobs = append(jobs, p.Submit(n, workloads.ByName(n).Compile))
+		jobs = append(jobs, submit(t, p, n, workloads.ByName(n).Compile))
 	}
 	// A memo miss is counted as a fresh solve starts: cancel only once the
 	// heavy job is past analysis and solving.
@@ -138,7 +163,7 @@ func TestDetectCancelMidSolve(t *testing.T) {
 	if _, err := heavy.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("heavy job err = %v, want context.Canceled", err)
 	}
-	got, err := pipeline.Collect(jobs)
+	got, err := collect(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +203,10 @@ func TestPipelineCompileError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	bad := p.Submit("bad.c", func() (*ir.Module, error) {
+	bad := submit(t, p, "bad.c", func() (*ir.Module, error) {
 		return cc.Compile("bad.c", "int broken( {")
 	})
-	good := p.Submit("EP", workloads.ByName("EP").Compile)
+	good := submit(t, p, "EP", workloads.ByName("EP").Compile)
 
 	if _, err := bad.Wait(); err == nil {
 		t.Error("broken source compiled without error")
@@ -210,21 +235,21 @@ func TestPipelineMemoAcrossSubmissions(t *testing.T) {
 	}
 	defer p.Close()
 	names := []string{"CG", "sgemm", "stencil"}
-	submit := func() []*pipeline.Job {
+	submitAll := func() []*pipeline.Job {
 		var jobs []*pipeline.Job
 		for _, n := range names {
-			jobs = append(jobs, p.Submit(n, workloads.ByName(n).Compile))
+			jobs = append(jobs, submit(t, p, n, workloads.ByName(n).Compile))
 		}
 		return jobs
 	}
 
-	first, err := pipeline.Collect(submit())
+	first, err := collect(submitAll())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits1, misses1 := p.Engine().MemoStats()
 
-	second, err := pipeline.Collect(submit())
+	second, err := collect(submitAll())
 	if err != nil {
 		t.Fatal(err)
 	}

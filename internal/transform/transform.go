@@ -39,6 +39,20 @@ type APICall struct {
 	RuntimeChecks []string
 }
 
+// FixedBackend is the paper's fixed backend mapping for the evaluated
+// Figure 1 pipeline: the BLAS and sparse libraries for GEMM and SPMV, the
+// Lift DSL for every other idiom. Profile-driven selection lives in hetero.
+func FixedBackend(idiom string) string {
+	switch idiom {
+	case "GEMM":
+		return "blas"
+	case "SPMV":
+		return "sparse"
+	default:
+		return "lift"
+	}
+}
+
 // Apply rewrites fn in place, replacing the instance with a call to
 // backend-qualified API entry points (backend example: "cusparse", "mkl",
 // "lift", "halide"). It returns a description of the call.

@@ -2,7 +2,8 @@
 # serve_smoke.sh — end-to-end smoke of the HTTP front door: build idiomd,
 # start it, wait for /healthz, run one streamed detection via curl, register
 # an idiom pack and run a /v1/match round-trip against it (live, no
-# restart), check /statsz, shut down. CI runs this as a job step; `make
+# restart), send one module that fails to compile, check /statsz (every
+# queue and slot gauge back at 0), shut down. CI runs this as a job step; `make
 # serve-smoke` runs the same thing locally.
 set -eu
 
@@ -122,9 +123,21 @@ case "$EXPLAIN" in
     ;;
 esac
 
+# A module that fails to compile is answered in-band and must release its
+# admission slot like any other.
+BROKEN=$(curl -fsS -X POST "http://$ADDR/v1/detect" -d '{"name": "broken.c", "source": "int broken( {"}')
+echo "$BROKEN"
+case "$BROKEN" in
+*'"error"'*) ;;
+*)
+    echo "serve_smoke: broken module carried no in-band error" >&2
+    exit 1
+    ;;
+esac
+
 STATS=$(curl -fsS "http://$ADDR/statsz")
 case "$STATS" in
-*'"completed": 3'*) ;;
+*'"completed": 4'*) ;;
 *)
     echo "serve_smoke: /statsz did not count the requests: $STATS" >&2
     exit 1
@@ -144,6 +157,14 @@ case "$STATS" in
     exit 1
     ;;
 esac
+
+# Top-level fields sit at two-space indent; per-client rows nest deeper.
+for want in '"schema": 6' '"in_flight": 0' '"compile_queue": 0' '"ready_queue": 0' '"detect_active": 0'; do
+    if ! printf '%s\n' "$STATS" | grep -q "^  $want,\{0,1\}\$"; then
+        echo "serve_smoke: /statsz lacks $want after every request finished: $STATS" >&2
+        exit 1
+    fi
+done
 
 curl -fsS "http://$ADDR/v1/idioms" >/dev/null
 curl -fsS "http://$ADDR/v1/idioms?pack=smoke" >/dev/null
