@@ -1,12 +1,13 @@
 # Local and CI invocations are the same commands: .github/workflows/ci.yml
 # runs build, bench-build, vet, fmt-check, race, bench-smoke, bench-smoke-e2e,
-# serve-smoke, soak-smoke and fleet-smoke as individual steps (plus lint and
-# race4 as parallel jobs), and `make ci` chains those same targets locally.
+# serve-smoke, soak-smoke, fleet-smoke and fuzz-smoke as individual steps
+# (plus lint and race4 as parallel jobs), and `make ci` chains those same
+# targets locally.
 # Keep the two in sync when adding a step.
 
 GO ?= go
 
-.PHONY: build bench-build test race race4 bench bench-smoke bench-smoke-e2e serve serve-smoke soak soak-smoke fleet-smoke fmt fmt-check vet lint lint-extra ci
+.PHONY: build bench-build test race race4 bench bench-smoke bench-smoke-e2e serve serve-smoke soak soak-smoke fleet-smoke fuzz-smoke fmt fmt-check vet lint lint-extra ci
 
 build:
 	$(GO) build ./...
@@ -79,6 +80,12 @@ soak-smoke:
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
+# Ten seconds of coverage-guided fuzzing of the memo spill codec, which reads
+# blobs from disk and snapshots from other replicas. A failing input is saved
+# under internal/constraint/testdata/fuzz and replays in every `go test` run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s -parallel 2 ./internal/constraint
+
 fmt:
 	gofmt -w .
 
@@ -106,4 +113,4 @@ lint-extra:
 
 # race4 subsumes race locally (same suite, stronger scheduler); CI runs race
 # in the main job and race4 as its own parallel job.
-ci: build bench-build vet fmt-check lint race4 bench-smoke bench-smoke-e2e serve-smoke soak-smoke fleet-smoke
+ci: build bench-build vet fmt-check lint race4 bench-smoke bench-smoke-e2e serve-smoke soak-smoke fleet-smoke fuzz-smoke

@@ -39,7 +39,6 @@ func main() {
 	target := flag.String("target", "", "profile-driven backend selection for -transform: CPU, iGPU, GPU, or best (empty = the paper's fixed backend mapping)")
 	idiomList := flag.String("idioms", "", "comma-separated idiom subset (default: all)")
 	jobs := flag.Int("j", 0, "compile/detection worker count (0 = GOMAXPROCS)")
-	prune := flag.String("prune", "reorder", "similarity prescreen mode: reorder (identical output), on (skip provably unmatchable solves), off")
 	flag.Parse()
 
 	if flag.NArg() < 1 {
@@ -51,7 +50,6 @@ func main() {
 		Workers: *jobs,
 		// The CLI's batch is its whole workload; never shed it.
 		QueueLimit: -1,
-		Prune:      *prune,
 	})
 	if err != nil {
 		fatal(err)

@@ -74,7 +74,6 @@ func main() {
 	clientRate := flag.Float64("client-rate", 0, "per-client token bucket: rate*weight requests/sec for named clients (0 = unlimited)")
 	clientBurst := flag.Float64("client-burst", 0, "per-client token-bucket burst capacity (0 = max(1, rate))")
 	slots := flag.Int("slots", 0, "admission slots: requests compiling or solving at once, fair-shared across clients (0 = 2x workers; negative is rejected)")
-	prune := flag.String("prune", "reorder", "similarity prescreen mode: reorder (schedule best-score-first, identical output), on (also skip provably unmatchable solves), off (disable)")
 	stateDir := flag.String("state-dir", "", "durable state directory: the solve memo spills to disk (build-cache semantics, warm restarts) and pack registrations are logged and replayed at boot (empty = in-memory only)")
 	warmFrom := flag.String("warm-from", "", "base URL of a running replica to inherit warm state from at boot via GET /v1/memo/snapshot (requires -state-dir)")
 	warmKey := flag.String("warm-key", "", "admin API key presented to the -warm-from replica (empty = unauthenticated)")
@@ -103,7 +102,6 @@ func main() {
 		ClientRate:     *clientRate,
 		ClientBurst:    *clientBurst,
 		DetectSlots:    *slots,
-		Prune:          *prune,
 		StateDir:       *stateDir,
 	})
 	if err != nil {

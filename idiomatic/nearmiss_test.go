@@ -12,7 +12,7 @@ import (
 
 // nearMissGoldens perturbs one workload per idiom class just enough that the
 // class idiom no longer matches, then pins the explain-mode wire diagnostics
-// byte for byte: which idioms are reported as near misses, their prescreen
+// byte for byte: which idioms are reported as near misses, their similarity
 // scores, the dominant feature deltas and the rejecting constraint family.
 // Any drift in the feature extractor, the signature derivation or the wire
 // encoding becomes a reviewed diff. Regenerate with

@@ -274,17 +274,16 @@ func TestPackReplacementConcurrentWithMatching(t *testing.T) {
 }
 
 // TestPackReplacementConcurrentWithPruning re-runs the registry-concurrency
-// scenario against a prune=on service. The hazard is specific to the
-// prescreen: signatures are compiled per pack version, and a stale signature
-// surviving a replacement could veto solves for the new version's idioms —
-// here, the GEMM-top version's signature (which prunes a dot product as
-// provably unmatchable) suppressing the Reduction-top version's match. Packs
-// are replaced every few milliseconds while explain-mode matches stream on
-// four goroutines; run under -race this also exercises every
-// signature-publication path.
+// scenario with explain mode on. Similarity signatures are compiled per pack
+// version, and near misses read them: a stale signature surviving a
+// replacement would report the wrong version's diagnosis. Here the
+// Reduction-top version must match the dot product and the GEMM-top version
+// must report it as its near miss. Packs are replaced every few milliseconds
+// while explain-mode matches stream on four goroutines; run under -race this
+// also exercises every signature-publication path.
 func TestPackReplacementConcurrentWithPruning(t *testing.T) {
 	ctx := context.Background()
-	svc := newPackService(t, idiomatic.ServiceOptions{Workers: 4, Prune: "on"})
+	svc := newPackService(t, idiomatic.ServiceOptions{Workers: 4})
 
 	register := func(version int) {
 		top := "Reduction"
@@ -329,10 +328,10 @@ func TestPackReplacementConcurrentWithPruning(t *testing.T) {
 					return
 				}
 				if res.PackVersion%2 == 1 {
-					// Reduction top: must match. A pruned-away finding here
-					// means a stale (GEMM) signature crossed the replacement.
+					// Reduction top: must match. A missing finding here means
+					// the GEMM version's problem crossed the replacement.
 					if len(res.Findings) != 1 || res.Findings[0].Idiom != "Dot" {
-						t.Errorf("pack v%d: findings = %+v — stale signature pruned a live match",
+						t.Errorf("pack v%d: findings = %+v — a stale version lost a live match",
 							res.PackVersion, res.Findings)
 						return
 					}

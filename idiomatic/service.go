@@ -75,12 +75,6 @@ type ServiceOptions struct {
 	// in per-client queues served weighted-fair. 0 means twice the solver
 	// worker count; a negative value fails NewService.
 	DetectSlots int
-	// Prune selects the similarity-prescreen mode: "" or "reorder" (default)
-	// schedules solves best-score-first without ever skipping (responses stay
-	// byte-identical to prune "off"), "on" additionally skips solves the
-	// prescreen proves unmatchable, "off" disables the prescreen. Parsed by
-	// detect.ParsePruneMode; unknown spellings fail NewService.
-	Prune string
 	// StateDir, when non-empty, makes the service's warm state durable
 	// (idiomd -state-dir): the solve memo spills to a content-addressed
 	// blob store under the directory — with build-cache semantics, so a
@@ -154,15 +148,10 @@ func NewService(o ServiceOptions) (*Service, error) {
 	default:
 		s.reg = idioms.NewRegistrySize(o.MaxPacks)
 	}
-	prune, err := detect.ParsePruneMode(o.Prune)
-	if err != nil {
-		return nil, err
-	}
 	dopts := detect.Options{
 		Workers: o.Workers,
 		Idioms:  names,
 		NoMemo:  o.NoMemo,
-		Prune:   prune,
 	}
 	if !o.NoMemo {
 		max := o.MemoMaxEntries
@@ -299,8 +288,8 @@ type RequestOptions struct {
 	// EmitIR includes the compiled module's SSA rendering.
 	EmitIR bool `json:"emit_ir,omitempty"`
 	// Explain includes near-miss diagnostics: the top unmatched idioms with
-	// their prescreen similarity score, dominant feature deltas, and the
-	// constraint family that rejected them.
+	// their similarity score, dominant feature deltas, and the constraint
+	// family that rejected them.
 	Explain bool `json:"explain,omitempty"`
 }
 
@@ -326,9 +315,6 @@ type MemoSnapshot struct {
 	Entries    int     `json:"entries"`
 	Evictions  int64   `json:"evictions"`
 	MaxEntries int     `json:"max_entries"`
-	// CostEntries sizes the memo layer's measured solve-cost table, the data
-	// behind the prescreen's longest-likely-solve-first ordering.
-	CostEntries int `json:"cost_entries"`
 }
 
 // NearMiss is one wire near-miss diagnostic: an idiom the module did not
@@ -337,7 +323,7 @@ type MemoSnapshot struct {
 type NearMiss struct {
 	Idiom    string `json:"idiom"`
 	Function string `json:"function"`
-	// Score is the prescreen similarity in [0, 1]; 0 means provably
+	// Score is the signature similarity in [0, 1]; 0 means provably
 	// unmatchable (a required opcode is absent).
 	Score float64 `json:"score"`
 	// Family is the rejecting constraint family: "opcode", "control-flow",
@@ -345,8 +331,6 @@ type NearMiss struct {
 	Family string `json:"family"`
 	// Deltas are the dominant feature differences, largest deficit first.
 	Deltas []string `json:"deltas,omitempty"`
-	// Skipped marks pairs prune mode never solved.
-	Skipped bool `json:"skipped,omitempty"`
 }
 
 // DetectResult is one v1 detection outcome. Streamed responses deliver one
@@ -408,7 +392,6 @@ func WireResult(seq int, name string, res *detect.Result, opts RequestOptions) D
 				Score:    nm.Score,
 				Family:   nm.Family,
 				Deltas:   nm.Deltas,
-				Skipped:  nm.Skipped,
 			})
 		}
 	}
@@ -753,8 +736,11 @@ func (s *Service) Idioms() []IdiomInfo {
 // split-decision gauges). v6 moved compile behind the detect-slot gate:
 // compile_workers and the per-client intake_queue are gone, ready_queue
 // counts uncompiled requests waiting for a slot, compile_queue counts
-// admitted requests still compiling, and detect_slots is never -1.
-const StatsSchemaVersion = 6
+// admitted requests still compiling, and detect_slots is never -1. v7
+// removed the prescreen scheduler and with it prune_mode, prune_skipped,
+// prune_reordered, prescreen_ns_total, memo.cost_entries and the near-miss
+// skipped flag.
+const StatsSchemaVersion = 7
 
 // StatsResponse is the versioned /statsz wire payload: queue depth, worker
 // utilization, memoization state and per-client fairness gauges. Fields are
@@ -778,15 +764,12 @@ type StatsResponse struct {
 	ReadyQueue   int `json:"ready_queue"`
 	DetectSlots  int `json:"detect_slots"`
 	DetectActive int `json:"detect_active"`
-	// PruneMode is the engine's similarity-prescreen mode ("off", "reorder",
-	// "on"). PruneSkipped counts solves skipped as provably unmatchable,
-	// PruneReordered counts solves the scheduler displaced from natural
-	// order, and PrescreenNsTotal is cumulative feature-extraction and
-	// scoring time in nanoseconds.
-	PruneMode        string `json:"prune_mode"`
-	PruneSkipped     int64  `json:"prune_skipped"`
-	PruneReordered   int64  `json:"prune_reordered"`
-	PrescreenNsTotal int64  `json:"prescreen_ns_total"`
+	// PruneSkipped and PruneReordered are always 0 and never on the wire.
+	//
+	// Deprecated: the prescreen scheduler they counted is gone. Their last
+	// reader is perfbench's fleet-churn counters; delete them when it stops
+	// reading them.
+	PruneSkipped, PruneReordered int64 `json:"-"`
 	// Submitted and Completed are cumulative request counts.
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
@@ -810,25 +793,21 @@ type ClientStatsRow = pipeline.ClientStats
 func (s *Service) Stats() StatsResponse {
 	ps := s.pipe.Stats()
 	return StatsResponse{
-		Schema:           StatsSchemaVersion,
-		InFlight:         ps.InFlight,
-		QueueLimit:       ps.MaxQueue,
-		CompileQueue:     ps.CompileQueue,
-		SolveWorkers:     ps.SolveWorkers,
-		SolveActive:      ps.SolveActive,
-		ReadyQueue:       ps.ReadyQueue,
-		DetectSlots:      ps.DetectSlots,
-		DetectActive:     ps.DetectActive,
-		PruneMode:        ps.PruneMode,
-		PruneSkipped:     ps.PruneSkipped,
-		PruneReordered:   ps.PruneReordered,
-		PrescreenNsTotal: ps.PrescreenNs,
-		Submitted:        ps.Submitted,
-		Completed:        ps.Completed,
-		Packs:            len(s.reg.Packs()),
-		Memo:             s.memoSnapshot(),
-		Store:            s.storeStats(),
-		Clients:          ps.Clients,
+		Schema:       StatsSchemaVersion,
+		InFlight:     ps.InFlight,
+		QueueLimit:   ps.MaxQueue,
+		CompileQueue: ps.CompileQueue,
+		SolveWorkers: ps.SolveWorkers,
+		SolveActive:  ps.SolveActive,
+		ReadyQueue:   ps.ReadyQueue,
+		DetectSlots:  ps.DetectSlots,
+		DetectActive: ps.DetectActive,
+		Submitted:    ps.Submitted,
+		Completed:    ps.Completed,
+		Packs:        len(s.reg.Packs()),
+		Memo:         s.memoSnapshot(),
+		Store:        s.storeStats(),
+		Clients:      ps.Clients,
 	}
 }
 
@@ -842,7 +821,6 @@ func (s *Service) memoSnapshot() MemoSnapshot {
 		out.Entries = s.memo.Len()
 		out.Evictions = s.memo.Evictions()
 		out.MaxEntries = s.memo.MaxEntries()
-		out.CostEntries = s.memo.CostEntries()
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package analysis
 
 // Natural-loop structure queries over the instruction-level CFG. The
-// similarity prescreen consumes these to characterize a function's loop nest
+// similarity scorer consumes these to characterize a function's loop nest
 // without re-deriving dominance; they are exact for the reducible CFGs the
 // mini-C frontend emits (every loop is a counted For with a single back edge).
 

@@ -6,7 +6,7 @@ import (
 )
 
 // OpcodeByName maps an IDL opcode spelling ("store", "fmul", "branch", ...)
-// to its IR opcode. Signature derivation in the similarity prescreen uses it
+// to its IR opcode. Signature derivation in the similarity scorer uses it
 // to turn `is <opcode> instruction` atoms into histogram requirements.
 func OpcodeByName(name string) (ir.Opcode, bool) { return opcodeFor(name) }
 

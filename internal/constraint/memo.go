@@ -2,7 +2,6 @@ package constraint
 
 import (
 	"container/list"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,82 +45,15 @@ type SolveCache struct {
 
 	hits, misses, evictions atomic.Int64
 
-	storeHits, storeMisses, syncSpills, droppedSpills, decodeErrors atomic.Int64
-
-	// The cost table accumulates measured solve durations per
-	// (problem × function size class), feeding the detection scheduler's
-	// longest-likely-solve-first ordering. It is deliberately coarser-keyed
-	// than the memo itself: an exact-fingerprint repeat would hit the memo
-	// anyway, so prediction only pays off across *similarly shaped*
-	// functions. Bounded independently of the LRU.
-	costMu sync.Mutex
-	cost   map[costKey]*costCell
+	storeHits, storeMisses, syncSpills, decodeErrors atomic.Int64
 }
 
-// DefaultCostMaxEntries bounds the cost table: at most this many distinct
-// (problem × size class) cells are retained; further keys are not recorded
-// (a missing cell only costs scheduling accuracy, never correctness).
-const DefaultCostMaxEntries = 4096
-
-// costKey identifies one cost cell: the problem (with its pack version, so a
-// re-registered pack never inherits stale cost data) and the log2 size
-// bucket of the analysed function — the "shape class".
-type costKey struct {
-	prob *Problem
-	ver  uint64
-	size int
-}
-
-type costCell struct {
-	ns, n int64
-}
-
-func shapeClass(info *analysis.Info) int {
-	return bits.Len(uint(len(info.Instrs)))
-}
-
-// RecordCost accumulates one measured solve duration for (prob × the shape
-// class of info). Called by the engine after every fresh, uncancelled solve.
-func (c *SolveCache) RecordCost(prob *Problem, info *analysis.Info, d time.Duration) {
-	key := costKey{prob, prob.PackVersion, shapeClass(info)}
-	c.costMu.Lock()
-	if c.cost == nil {
-		c.cost = map[costKey]*costCell{}
-	}
-	cell := c.cost[key]
-	if cell == nil {
-		if len(c.cost) >= DefaultCostMaxEntries {
-			c.costMu.Unlock()
-			return
-		}
-		cell = &costCell{}
-		c.cost[key] = cell
-	}
-	cell.ns += d.Nanoseconds()
-	cell.n++
-	c.costMu.Unlock()
-}
-
-// PredictCost returns the mean measured solve duration for (prob × the shape
-// class of info); ok is false when no solve of that shape has been measured.
-func (c *SolveCache) PredictCost(prob *Problem, info *analysis.Info) (d time.Duration, ok bool) {
-	key := costKey{prob, prob.PackVersion, shapeClass(info)}
-	c.costMu.Lock()
-	cell := c.cost[key]
-	if cell != nil && cell.n > 0 {
-		d, ok = time.Duration(cell.ns/cell.n), true
-	}
-	c.costMu.Unlock()
-	return d, ok
-}
-
-// CostEntries reports the number of (problem × shape class) cost cells —
-// the /statsz cost-table size gauge.
-func (c *SolveCache) CostEntries() int {
-	c.costMu.Lock()
-	defer c.costMu.Unlock()
-	return len(c.cost)
-}
+// RecordCost is a no-op kept for an out-of-module caller.
+//
+// Deprecated: the solve-cost table it fed is gone (every (function × idiom)
+// pair is solved, in queue order). Its last caller is perfbench's trace
+// replay; delete it when that replay stops calling it.
+func (c *SolveCache) RecordCost(*Problem, *analysis.Info, time.Duration) {}
 
 type solveKey struct {
 	prob *Problem
@@ -137,10 +69,6 @@ type solveKey struct {
 type lruEntry struct {
 	key solveKey
 	e   *memoEntry
-	// shape is the function's shapeClass at insert time, kept so the
-	// eviction path can serialize the entry's cost-table row without the
-	// analysis info in hand.
-	shape int
 	// spilled records that the entry's current bytes are durably on disk,
 	// so eviction can drop it without a synchronous write. Set from the
 	// async writer's completion callback, read on the eviction path.
@@ -216,7 +144,7 @@ func (c *SolveCache) Get(prob *Problem, fp Fingerprint, info *analysis.Info) (so
 	c.mu.Unlock()
 	if e == nil {
 		// Read through to the disk spill before declaring a miss.
-		if e = c.loadSpilled(st, prob, fp, info); e == nil {
+		if e = c.loadSpilled(st, prob, fp); e == nil {
 			c.misses.Add(1)
 			return nil, 0, false
 		}
@@ -243,7 +171,7 @@ func (c *SolveCache) Put(prob *Problem, fp Fingerprint, info *analysis.Info, sol
 		return
 	}
 	key := solveKey{prob, prob.PackVersion, fp}
-	le := &lruEntry{key: key, e: e, shape: shapeClass(info)}
+	le := &lruEntry{key: key, e: e}
 	c.mu.Lock()
 	st := c.store
 	var evicted []*lruEntry
@@ -289,9 +217,8 @@ func (c *SolveCache) AttachStore(st SpillStore) {
 
 // loadSpilled consults the disk store for a memo entry absent from the LRU,
 // installing a decoded hit in memory (marked spilled — it just came from
-// disk) and seeding the cost table with the persisted row so the scheduler's
-// cost ordering survives restarts too.
-func (c *SolveCache) loadSpilled(st SpillStore, prob *Problem, fp Fingerprint, info *analysis.Info) *memoEntry {
+// disk).
+func (c *SolveCache) loadSpilled(st SpillStore, prob *Problem, fp Fingerprint) *memoEntry {
 	if st == nil || prob.StoreID == ([32]byte{}) {
 		return nil
 	}
@@ -300,18 +227,15 @@ func (c *SolveCache) loadSpilled(st SpillStore, prob *Problem, fp Fingerprint, i
 		c.storeMisses.Add(1)
 		return nil
 	}
-	e, costNs, costN, ok := decodePayload(payload)
+	e, ok := decodePayload(payload)
 	if !ok {
 		c.decodeErrors.Add(1)
 		c.storeMisses.Add(1)
 		return nil
 	}
 	c.storeHits.Add(1)
-	if costN > 0 {
-		c.seedCost(prob, shapeClass(info), costNs, costN)
-	}
 	key := solveKey{prob, prob.PackVersion, fp}
-	le := &lruEntry{key: key, e: e, shape: shapeClass(info)}
+	le := &lruEntry{key: key, e: e}
 	le.spilled.Store(true)
 	c.mu.Lock()
 	var evicted []*lruEntry
@@ -324,27 +248,19 @@ func (c *SolveCache) loadSpilled(st SpillStore, prob *Problem, fp Fingerprint, i
 	return e
 }
 
-// enqueueSpill hands one entry to the async writer. Encoding is deferred to
-// the writer goroutine so the cost row recorded right after Put is captured.
+// enqueueSpill hands one encoded entry to the async writer. A refused
+// enqueue (full queue) is counted by the store; the eviction path then
+// writes the entry synchronously.
 func (c *SolveCache) enqueueSpill(st SpillStore, le *lruEntry) {
 	prob := le.key.prob
 	if st == nil || prob.StoreID == ([32]byte{}) || le.spilled.Load() {
 		return
 	}
-	e, shape, fp := le.e, le.shape, le.key.fp
-	ok := st.WriteAsync(spillKeyFor(prob, fp),
-		func() []byte {
-			ns, n := c.costSnapshot(prob, shape)
-			return encodePayload(e, ns, n)
-		},
-		func(err error) {
-			if err == nil {
-				le.spilled.Store(true)
-			}
-		})
-	if !ok {
-		c.droppedSpills.Add(1)
-	}
+	st.WriteAsync(spillKeyFor(prob, le.key.fp), encodePayload(le.e), func(err error) {
+		if err == nil {
+			le.spilled.Store(true)
+		}
+	})
 }
 
 // spillEvicted synchronously writes evicted entries whose async spill never
@@ -360,38 +276,11 @@ func (c *SolveCache) spillEvicted(st SpillStore, evicted []*lruEntry) {
 		if prob.StoreID == ([32]byte{}) || le.spilled.Load() {
 			continue
 		}
-		ns, n := c.costSnapshot(prob, le.shape)
-		if err := st.Write(spillKeyFor(prob, le.key.fp), encodePayload(le.e, ns, n)); err == nil {
+		if err := st.Write(spillKeyFor(prob, le.key.fp), encodePayload(le.e)); err == nil {
 			le.spilled.Store(true)
 			c.syncSpills.Add(1)
 		}
 	}
-}
-
-// costSnapshot reads one cost cell (0, 0 when absent).
-func (c *SolveCache) costSnapshot(prob *Problem, shape int) (ns, n int64) {
-	key := costKey{prob, prob.PackVersion, shape}
-	c.costMu.Lock()
-	if cell := c.cost[key]; cell != nil {
-		ns, n = cell.ns, cell.n
-	}
-	c.costMu.Unlock()
-	return ns, n
-}
-
-// seedCost installs a persisted cost row unless fresh measurements already
-// exist — measured data from this process beats inherited data.
-func (c *SolveCache) seedCost(prob *Problem, shape int, ns, n int64) {
-	key := costKey{prob, prob.PackVersion, shape}
-	c.costMu.Lock()
-	defer c.costMu.Unlock()
-	if c.cost == nil {
-		c.cost = map[costKey]*costCell{}
-	}
-	if c.cost[key] != nil || len(c.cost) >= DefaultCostMaxEntries {
-		return
-	}
-	c.cost[key] = &costCell{ns: ns, n: n}
 }
 
 // SpillStats are the cumulative disk-spill counters of a SolveCache.
@@ -400,8 +289,6 @@ type SpillStats struct {
 	Hits, Misses int64
 	// SyncSpills counts evictions that had to write synchronously.
 	SyncSpills int64
-	// Dropped counts async spills refused by a full writer queue.
-	Dropped int64
 	// DecodeErrors counts stored payloads rejected by the codec.
 	DecodeErrors int64
 }
@@ -413,7 +300,6 @@ func (c *SolveCache) SpillStats() SpillStats {
 		Hits:         c.storeHits.Load(),
 		Misses:       c.storeMisses.Load(),
 		SyncSpills:   c.syncSpills.Load(),
-		Dropped:      c.droppedSpills.Load(),
 		DecodeErrors: c.decodeErrors.Load(),
 	}
 }

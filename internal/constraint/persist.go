@@ -48,27 +48,23 @@ type SpillStore interface {
 	// (temp file + rename). Used on the eviction path, where losing the
 	// entry would erode the disk hit rate.
 	Write(key SpillKey, payload []byte) error
-	// WriteAsync enqueues a write. encode runs on the writer goroutine —
-	// deferring it lets the memo capture the cost-table row recorded just
-	// after Put. done is called with the write outcome. Returns false when
-	// the queue is full or the store is closing; then neither callback runs.
-	WriteAsync(key SpillKey, encode func() []byte, done func(err error)) bool
+	// WriteAsync enqueues a write of payload under key; done is called on
+	// the writer goroutine with the outcome. Returns false when the queue is
+	// full or the store is closing; then done never runs.
+	WriteAsync(key SpillKey, payload []byte, done func(err error)) bool
 }
 
 // memoPayloadVersion is the schema version of the spilled entry payload
 // (the bytes inside the store's integrity container). Any mismatch decodes
 // as a miss, so a binary with a newer codec simply re-solves and re-spills.
-const memoPayloadVersion = 1
+const memoPayloadVersion = 2
 
-// encodePayload serializes one memo entry — position-encoded solutions,
-// step count, and the entry's (problem × shape) cost-table row so warm
-// restarts keep the scheduler's cost ordering too.
-func encodePayload(e *memoEntry, costNs, costN int64) []byte {
+// encodePayload serializes one memo entry: the step count and the
+// position-encoded solutions.
+func encodePayload(e *memoEntry) []byte {
 	buf := make([]byte, 0, 64+32*len(e.sols))
 	buf = append(buf, memoPayloadVersion)
 	buf = binary.AppendUvarint(buf, uint64(e.steps))
-	buf = binary.AppendUvarint(buf, uint64(costNs))
-	buf = binary.AppendUvarint(buf, uint64(costN))
 	buf = binary.AppendUvarint(buf, uint64(len(e.sols)))
 	for _, bs := range e.sols {
 		buf = binary.AppendUvarint(buf, uint64(len(bs)))
@@ -83,32 +79,39 @@ func encodePayload(e *memoEntry, costNs, costN int64) []byte {
 	return buf
 }
 
-// spillSanityMax bounds decoded element counts; a well-formed payload never
-// approaches it, so anything larger is corruption and decodes as a miss
-// instead of a huge allocation.
+// spillSanityMax bounds decoded instruction indices; a well-formed payload
+// never approaches it, so anything larger is corruption and decodes as a
+// miss.
 const spillSanityMax = 1 << 20
 
+// Minimum encoded sizes: a solution is at least its binding count (1 byte),
+// a binding at least its name length, kind, index, type length and literal
+// length (5 bytes). Decoded counts are checked against the bytes left, so a
+// payload can never make the decoder allocate more than it could fill.
+const (
+	minSolutionBytes = 1
+	minBindingBytes  = 5
+)
+
 // decodePayload is the inverse of encodePayload. ok is false on any
-// malformation — wrong version, short buffer, bad discriminants, trailing
-// bytes — so a corrupt or foreign payload is a cache miss, never a wrong
-// answer.
-func decodePayload(payload []byte) (e *memoEntry, costNs, costN int64, ok bool) {
+// malformation — wrong version, short buffer, bad discriminants, counts the
+// remaining bytes cannot hold, trailing bytes — so a corrupt or foreign
+// payload is a cache miss, never a wrong answer.
+func decodePayload(payload []byte) (e *memoEntry, ok bool) {
 	d := spillDecoder{buf: payload}
 	if d.u8() != memoPayloadVersion {
-		return nil, 0, 0, false
+		return nil, false
 	}
 	steps := d.uvarint()
-	costNs = int64(d.uvarint())
-	costN = int64(d.uvarint())
 	nsols := d.uvarint()
-	if d.failed || nsols > spillSanityMax {
-		return nil, 0, 0, false
+	if d.failed || nsols > d.left()/minSolutionBytes {
+		return nil, false
 	}
 	e = &memoEntry{steps: int(steps), sols: make([][]memoBinding, 0, nsols)}
 	for i := uint64(0); i < nsols; i++ {
 		nb := d.uvarint()
-		if d.failed || nb > spillSanityMax {
-			return nil, 0, 0, false
+		if d.failed || nb > d.left()/minBindingBytes {
+			return nil, false
 		}
 		bs := make([]memoBinding, 0, nb)
 		for j := uint64(0); j < nb; j++ {
@@ -118,16 +121,16 @@ func decodePayload(payload []byte) (e *memoEntry, costNs, costN int64, ok bool) 
 			ty := d.str()
 			lit := d.str()
 			if d.failed || kind > refUnconstrained || idx > spillSanityMax {
-				return nil, 0, 0, false
+				return nil, false
 			}
 			bs = append(bs, memoBinding{name: name, ref: valRef{kind: kind, idx: int(idx), ty: ty, lit: lit}})
 		}
 		e.sols = append(e.sols, bs)
 	}
 	if d.failed || len(d.buf) != d.off {
-		return nil, 0, 0, false
+		return nil, false
 	}
-	return e, costNs, costN, true
+	return e, true
 }
 
 func appendSpillString(buf []byte, s string) []byte {
@@ -140,6 +143,9 @@ type spillDecoder struct {
 	off    int
 	failed bool
 }
+
+// left reports the undecoded byte count.
+func (d *spillDecoder) left() uint64 { return uint64(len(d.buf) - d.off) }
 
 func (d *spillDecoder) u8() byte {
 	if d.failed || d.off >= len(d.buf) {
@@ -156,7 +162,9 @@ func (d *spillDecoder) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	// A zero final byte means a padded encoding; accepting it would let two
+	// payloads decode to the same entry, so only the minimal form is valid.
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
 		d.failed = true
 		return 0
 	}
@@ -166,7 +174,7 @@ func (d *spillDecoder) uvarint() uint64 {
 
 func (d *spillDecoder) str() string {
 	n := d.uvarint()
-	if d.failed || n > uint64(len(d.buf)-d.off) {
+	if d.failed || n > d.left() {
 		d.failed = true
 		return ""
 	}

@@ -1,9 +1,10 @@
 package constraint
 
 import (
+	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 // fakeSpill is an in-memory SpillStore for exercising the memo's disk hooks
@@ -11,11 +12,12 @@ import (
 // set (the write "lands" before the call returns) and refuses otherwise,
 // which lets tests force the eviction-time synchronous spill path.
 type fakeSpill struct {
-	mu          sync.Mutex
-	m           map[SpillKey][]byte
-	acceptAsync bool
-	syncWrites  int
-	asyncWrites int
+	mu           sync.Mutex
+	m            map[SpillKey][]byte
+	acceptAsync  bool
+	syncWrites   int
+	asyncWrites  int
+	asyncRefused int
 }
 
 func newFakeSpill(acceptAsync bool) *fakeSpill {
@@ -37,15 +39,14 @@ func (f *fakeSpill) Write(key SpillKey, payload []byte) error {
 	return nil
 }
 
-func (f *fakeSpill) WriteAsync(key SpillKey, encode func() []byte, done func(err error)) bool {
+func (f *fakeSpill) WriteAsync(key SpillKey, payload []byte, done func(err error)) bool {
 	f.mu.Lock()
-	accept := f.acceptAsync
-	f.mu.Unlock()
-	if !accept {
+	if !f.acceptAsync {
+		f.asyncRefused++
+		f.mu.Unlock()
 		return false
 	}
-	f.mu.Lock()
-	f.m[key] = append([]byte(nil), encode()...)
+	f.m[key] = append([]byte(nil), payload...)
 	f.asyncWrites++
 	f.mu.Unlock()
 	if done != nil {
@@ -71,7 +72,7 @@ func storableProblem(t *testing.T) *Problem {
 
 // TestPayloadCodecRoundTrip pins the spill codec: a solve outcome encoded to
 // the versioned payload and decoded back rehydrates byte-identically (same
-// canonical solutions, order, and step count), with the cost row intact.
+// canonical solutions, order, and step count).
 func TestPayloadCodecRoundTrip(t *testing.T) {
 	prob := storableProblem(t)
 	info := analyzeC(t, memoTestC, "example")
@@ -84,13 +85,13 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("encodeEntry failed on a plain solve outcome")
 	}
-	payload := encodePayload(e, 123456, 7)
-	dec, costNs, costN, ok := decodePayload(payload)
+	payload := encodePayload(e)
+	dec, ok := decodePayload(payload)
 	if !ok {
 		t.Fatal("decodePayload rejected its own encoding")
 	}
-	if costNs != 123456 || costN != 7 || dec.steps != s.Steps {
-		t.Fatalf("decoded (ns=%d n=%d steps=%d); want (123456, 7, %d)", costNs, costN, dec.steps, s.Steps)
+	if dec.steps != s.Steps {
+		t.Fatalf("decoded steps=%d; want %d", dec.steps, s.Steps)
 	}
 	// Rehydrate onto a fresh compile of the same source.
 	info2 := analyzeC(t, memoTestC, "example")
@@ -114,7 +115,7 @@ func TestDecodePayloadRejectsMalformed(t *testing.T) {
 	info := analyzeC(t, memoTestC, "example")
 	s := NewSolver(prob, info)
 	e, _ := encodeEntry(s.Solve(), s.Steps, info)
-	good := encodePayload(e, 1, 1)
+	good := encodePayload(e)
 
 	cases := map[string][]byte{
 		"empty":          {},
@@ -123,16 +124,48 @@ func TestDecodePayloadRejectsMalformed(t *testing.T) {
 		"trailing bytes": append(append([]byte(nil), good...), 0x00),
 	}
 	for name, payload := range cases {
-		if _, _, _, ok := decodePayload(payload); ok {
+		if _, ok := decodePayload(payload); ok {
 			t.Errorf("%s payload decoded as valid", name)
 		}
 	}
 }
 
+// TestDecodePayloadBoundsAllocation pins that element counts are checked
+// against the bytes left before anything is allocated. The 14-byte payload
+// claims 2^20 solutions of 2^20 bindings each; it must read back as a miss
+// without allocating for either count. Such payloads reach the decoder from
+// disk and, through snapshot ingest, from another replica.
+func TestDecodePayloadBoundsAllocation(t *testing.T) {
+	prob := storableProblem(t)
+	info := analyzeC(t, memoTestC, "example")
+	fp := FingerprintInfo(info)
+	payload := []byte{memoPayloadVersion, 0} // version, steps
+	for i := 0; i < 4; i++ {
+		payload = binary.AppendUvarint(payload, 1<<20)
+	}
+	st := newFakeSpill(true)
+	st.m[spillKeyFor(prob, fp)] = payload
+	c := NewSolveCache()
+	c.AttachStore(st)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, ok := c.Get(prob, fp, info)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("a payload claiming 2^20 solutions in 14 bytes decoded as a hit")
+	}
+	if sp := c.SpillStats(); sp.DecodeErrors != 1 {
+		t.Errorf("DecodeErrors = %d; want 1", sp.DecodeErrors)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("decoding a %d-byte payload allocated %d bytes; want < 1 MiB", len(payload), alloc)
+	}
+}
+
 // TestSpillReadThrough pins the warm-restart contract at the memo layer: a
 // fresh cache (a restarted process) attached to the same store serves the
-// spilled entry as a hit, byte-identical to the original solve, and the
-// persisted cost row seeds the scheduler's prediction.
+// spilled entry as a hit, byte-identical to the original solve.
 func TestSpillReadThrough(t *testing.T) {
 	prob := storableProblem(t)
 	info := analyzeC(t, memoTestC, "example")
@@ -143,7 +176,6 @@ func TestSpillReadThrough(t *testing.T) {
 	st := newFakeSpill(true)
 	c1 := NewSolveCache()
 	c1.AttachStore(st)
-	c1.RecordCost(prob, info, 5*time.Millisecond)
 	c1.Put(prob, fp, info, sols, s.Steps)
 	if st.len() != 1 {
 		t.Fatalf("store holds %d entries after Put; want 1 async spill", st.len())
@@ -171,9 +203,6 @@ func TestSpillReadThrough(t *testing.T) {
 	}
 	if hits, misses := c2.Stats(); hits != 1 || misses != 0 {
 		t.Fatalf("memo stats = %d/%d; a disk hit must count as a memo hit, not a miss", hits, misses)
-	}
-	if d, ok := c2.PredictCost(prob, info2); !ok || d != 5*time.Millisecond {
-		t.Errorf("PredictCost = %v, %v; want the persisted 5ms row", d, ok)
 	}
 	// The disk hit is now resident: a second Get must not touch the store.
 	loadsBefore := sp.Hits + sp.Misses
@@ -241,8 +270,8 @@ func TestEvictionSpillsUnpersistedEntries(t *testing.T) {
 	// Shape 0 was evicted with its async spill never landed: the eviction
 	// path must have written it synchronously.
 	sp := c.SpillStats()
-	if sp.Dropped != shapes {
-		t.Fatalf("Dropped = %d; the fake refused all %d async spills", sp.Dropped, shapes)
+	if st.asyncRefused != shapes {
+		t.Fatalf("async spills refused = %d; the fake refused all %d", st.asyncRefused, shapes)
 	}
 	if sp.SyncSpills != 1 {
 		t.Fatalf("SyncSpills = %d; want exactly the one evicted entry", sp.SyncSpills)

@@ -10,10 +10,13 @@
 // roster precedence order. Long-lived callers use Engine.Stream instead: each
 // blocking Stream.Detect call detects one module on the engine's shared pool,
 // so the solves of concurrent callers interleave.
+//
+// Every driver solves every (function × idiom) pair. The only scheduling
+// policy is the stream's task order (deadline, then analysis before solves,
+// then FIFO; see Stream), and it never changes output.
 package detect
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -41,9 +44,9 @@ type Result struct {
 	SolverSteps int
 	// Elapsed is the wall-clock detection time.
 	Elapsed time.Duration
-	// NearMisses holds the prescreen's explain-mode diagnostics: the top
-	// unmatched idioms of the module with their similarity evidence. Only
-	// populated when the submission asked for it (Submission.Explain).
+	// NearMisses holds the explain-mode diagnostics: the top unmatched
+	// idioms of the module with their similarity evidence. Only populated
+	// when the submission asked for it (Submission.Explain).
 	NearMisses []NearMiss
 }
 
@@ -54,7 +57,7 @@ type NearMiss struct {
 	// Idiom is the unmatched idiom; Function the best-scoring function.
 	Idiom    string
 	Function string
-	// Score is the prescreen similarity in [0, 1] (0 = provably impossible).
+	// Score is the signature similarity in [0, 1] (0 = provably impossible).
 	Score float64
 	// Deltas are the dominant feature differences, largest deficit first.
 	Deltas []string
@@ -62,8 +65,6 @@ type NearMiss struct {
 	// "control-flow", or "dataflow" (structure matched; the backtracking
 	// search itself found no assignment).
 	Family string
-	// Skipped marks pairs prune mode never solved (score 0).
-	Skipped bool
 }
 
 // NearMissTopK bounds the near-miss rows reported per module.
@@ -94,56 +95,6 @@ type Options struct {
 	// uses this so its compile-time overhead rows keep measuring fresh
 	// constraint solves.
 	NoMemo bool
-	// Prune selects the similarity-prescreen mode of the parallel engine
-	// (Engine, Modules, Stream). The zero value is PruneReorder: solves are
-	// scheduled best-score-first and longest-likely-solve-first but never
-	// skipped, so output stays byte-identical to PruneOff at any worker
-	// count. PruneOn additionally skips (function × idiom) pairs whose
-	// signature proves no solution can exist. The sequential Module/Function
-	// drivers never prescreen — they are the soundness baseline.
-	Prune PruneMode
-}
-
-// PruneMode selects how the engine uses similarity-prescreen scores.
-type PruneMode int
-
-const (
-	// PruneReorder (the default) schedules solves best-score-first and
-	// longest-likely-solve-first but runs every pair: output is
-	// byte-identical to PruneOff.
-	PruneReorder PruneMode = iota
-	// PruneOff disables the prescreen entirely (the pre-PR 7 scheduler).
-	PruneOff
-	// PruneOn skips pairs whose signature proves no solution exists,
-	// recording a skip reason; matched instances are unaffected because
-	// signatures encode necessary conditions only.
-	PruneOn
-)
-
-// String renders the mode as its flag spelling.
-func (m PruneMode) String() string {
-	switch m {
-	case PruneOff:
-		return "off"
-	case PruneOn:
-		return "on"
-	}
-	return "reorder"
-}
-
-// ParsePruneMode maps flag spellings to modes: "" and "reorder" are the
-// default reorder-only mode, "off" disables the prescreen, "on"/"prune"
-// enable skipping.
-func ParsePruneMode(s string) (PruneMode, error) {
-	switch s {
-	case "", "reorder":
-		return PruneReorder, nil
-	case "off":
-		return PruneOff, nil
-	case "on", "prune":
-		return PruneOn, nil
-	}
-	return PruneReorder, fmt.Errorf("detect: unknown prune mode %q (want off, reorder, or on)", s)
 }
 
 // roster resolves the idiom set for the options. The default set is the
@@ -211,10 +162,6 @@ type idiomSolutions struct {
 	sols    []constraint.Solution
 	steps   int
 	aborted bool
-	// skipped marks a solve prune mode never ran; skipReason records why.
-	// A skipped entry merges as zero solutions and zero steps.
-	skipped    bool
-	skipReason string
 }
 
 // solveIdiom runs one constraint problem over one analysed function and

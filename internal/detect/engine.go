@@ -35,14 +35,9 @@ type Engine struct {
 	memo                 *constraint.SolveCache
 	memoHits, memoMisses atomic.Int64
 
-	// Similarity prescreen state: per-roster-idiom signatures (compiled once
-	// alongside the problems), the configured mode, and the cumulative
-	// counters the serving layer's /statsz surfaces.
-	prune          PruneMode
-	sigs           []*similarity.Signature // parallel to roster
-	pruneSkipped   atomic.Int64            // solves skipped outright (PruneOn)
-	pruneReordered atomic.Int64            // solves scheduled out of natural order
-	prescreenNs    atomic.Int64            // time spent extracting + scoring
+	// sigs are the per-roster-idiom similarity signatures, compiled once
+	// alongside the problems; only explain-mode near misses read them.
+	sigs []*similarity.Signature // parallel to roster
 }
 
 // NewEngine compiles the idiom roster for opts and sizes the worker pool.
@@ -55,7 +50,6 @@ func NewEngine(opts Options) (*Engine, error) {
 		sigs:      make([]*similarity.Signature, len(ros)),
 		rosterIdx: make(map[string]int, len(ros)),
 		workers:   opts.Workers,
-		prune:     opts.Prune,
 	}
 	for i, idm := range ros {
 		e.rosterIdx[idm.Name] = i
@@ -98,16 +92,6 @@ func (e *Engine) MemoStats() (hits, misses int64) {
 // for entry-count and eviction introspection by serving layers.
 func (e *Engine) Memo() *constraint.SolveCache { return e.memo }
 
-// Prune reports the engine's configured prescreen mode.
-func (e *Engine) Prune() PruneMode { return e.prune }
-
-// PruneStats reports the cumulative prescreen counters: solves skipped
-// outright (PruneOn only), solves scheduled out of their natural roster
-// order, and total nanoseconds spent extracting features and scoring.
-func (e *Engine) PruneStats() (skipped, reordered, prescreenNs int64) {
-	return e.pruneSkipped.Load(), e.pruneReordered.Load(), e.prescreenNs.Load()
-}
-
 // Roster reports the engine's idiom roster in precedence order.
 func (e *Engine) Roster() []idioms.Idiom {
 	return append([]idioms.Idiom(nil), e.roster...)
@@ -121,9 +105,9 @@ func (e *Engine) Roster() []idioms.Idiom {
 type Resolved struct {
 	Idiom idioms.Idiom
 	Prob  *constraint.Problem
-	// Sig is the idiom's prescreen signature (engine roster entries always
-	// carry one; pack rosters carry the signature compiled at registration).
-	// A nil signature scores 1 — unknown never deprioritizes, never skips.
+	// Sig is the idiom's similarity signature, read only by explain-mode
+	// near misses (engine roster entries always carry one; pack rosters carry
+	// the signature compiled at registration). A nil signature scores 1.
 	Sig *similarity.Signature
 }
 
@@ -186,13 +170,9 @@ func (e *Engine) solveResolved(done <-chan struct{}, r Resolved, info *analysis.
 		return idiomSolutions{idiom: r.Idiom, sols: sols, steps: steps}
 	}
 	e.memoMisses.Add(1)
-	start := time.Now()
 	ps := solveIdiom(done, r.Idiom, r.Prob, info)
 	if !ps.aborted {
 		e.memo.Put(r.Prob, fp, info, ps.sols, ps.steps)
-		// Feed the scheduler's cost model: measured duration of a complete
-		// fresh solve, keyed by (problem × function shape class).
-		e.memo.RecordCost(r.Prob, info, time.Since(start))
 	}
 	return ps
 }
@@ -238,78 +218,12 @@ func (e *Engine) Modules(mods []*ir.Module) ([]*Result, error) {
 	return out, nil
 }
 
-// prescreened is one batch's prescreen outcome: the execution order of the
-// (function × idiom) task grid plus each task's score and predicted cost.
-type prescreened struct {
-	order  []int // permutation of grid indices, best-first
-	scores []float64
-	costs  []int64
-}
-
-// prescreen scores every (function × idiom) pair of a dense task grid and
-// returns the execution order: best-score-first, then (from the memo layer's
-// measured cost table) longest-likely-solve-first, then natural index order.
-// Running high-score long solves early keeps the pool from discovering its
-// critical path last; output is unaffected because results are written by
-// grid index and merged serially. The displaced-task count feeds the
-// prune_reordered gauge.
-func (e *Engine) prescreen(feats []*similarity.Features, infos []*analysis.Info, ros []Resolved) prescreened {
-	start := time.Now()
-	n := len(feats) * len(ros)
-	p := prescreened{
-		order:  make([]int, n),
-		scores: make([]float64, n),
-		costs:  make([]int64, n),
-	}
-	for t := 0; t < n; t++ {
-		fi, si := t/len(ros), t%len(ros)
-		p.scores[t] = ros[si].Sig.Score(feats[fi])
-		if e.memo != nil {
-			if d, ok := e.memo.PredictCost(ros[si].Prob, infos[fi]); ok {
-				p.costs[t] = d.Nanoseconds()
-			}
-		}
-		p.order[t] = t
-	}
-	sort.SliceStable(p.order, func(a, b int) bool {
-		ta, tb := p.order[a], p.order[b]
-		if p.scores[ta] != p.scores[tb] {
-			return p.scores[ta] > p.scores[tb]
-		}
-		if p.costs[ta] != p.costs[tb] {
-			return p.costs[ta] > p.costs[tb]
-		}
-		return ta < tb
-	})
-	var moved int64
-	for k, t := range p.order {
-		if k != t {
-			moved++
-		}
-	}
-	e.pruneReordered.Add(moved)
-	e.prescreenNs.Add(time.Since(start).Nanoseconds())
-	return p
-}
-
-// pruneSkip decides whether a task with the given prescreen score is skipped
-// under the engine's mode. Only PruneOn skips, and only at score 0 — the
-// "provably impossible" value Signature.Score reserves for violated
-// necessary conditions — so a skipped solve can never have matched.
-func (e *Engine) pruneSkip(score float64) (bool, string) {
-	if e.prune != PruneOn || score > 0 {
-		return false, ""
-	}
-	e.pruneSkipped.Add(1)
-	return true, "prescreen: required opcodes absent from function"
-}
-
 // nearMisses builds a module's explain diagnostics: for every roster idiom
 // without a detected instance, the best-scoring function with the
 // signature's feature deltas and rejecting constraint family; the top
 // NearMissTopK rows by score are reported. Deterministic: scores are pure
 // arithmetic over features and roster order breaks ties.
-func nearMisses(ros []Resolved, fns []*ir.Function, feats []*similarity.Features, res *Result, pruned bool) []NearMiss {
+func nearMisses(ros []Resolved, fns []*ir.Function, feats []*similarity.Features, res *Result) []NearMiss {
 	matched := map[string]bool{}
 	for _, inst := range res.Instances {
 		matched[inst.Idiom.Name] = true
@@ -329,7 +243,6 @@ func nearMisses(ros []Resolved, fns []*ir.Function, feats []*similarity.Features
 			Idiom:    r.Idiom.Name,
 			Function: fns[bi].Ident,
 			Score:    best,
-			Skipped:  pruned && best <= 0,
 		}
 		nm.Deltas, nm.Family = r.Sig.Explain(feats[bi])
 		out = append(out, nm)

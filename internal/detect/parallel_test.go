@@ -177,6 +177,22 @@ func sameResults(t *testing.T, names []string, got, want []*detect.Result) {
 	}
 }
 
+// compileAll compiles the full benchmark suite once per test.
+func compileAll(t *testing.T) ([]*ir.Module, []string) {
+	t.Helper()
+	var mods []*ir.Module
+	var names []string
+	for _, w := range workloads.All() {
+		mod, err := w.Compile()
+		if err != nil {
+			t.Fatalf("%s: compile: %v", w.Name, err)
+		}
+		mods = append(mods, mod)
+		names = append(names, w.Name)
+	}
+	return mods, names
+}
+
 // sequentialResults runs the sequential per-module driver over mods.
 func sequentialResults(t *testing.T, mods []*ir.Module, names []string) []*detect.Result {
 	t.Helper()

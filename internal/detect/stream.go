@@ -3,7 +3,6 @@ package detect
 import (
 	"container/heap"
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,9 +46,9 @@ type Submission struct {
 	// are).
 	Roster []Resolved
 	// Explain requests near-miss diagnostics: the delivered Result carries
-	// NearMisses for the top unmatched roster idioms (prescreen score,
-	// dominant feature deltas, rejecting constraint family). Forces feature
-	// extraction even when the engine's prune mode is off.
+	// NearMisses for the top unmatched roster idioms (similarity score,
+	// dominant feature deltas, rejecting constraint family). Only explained
+	// submissions pay for feature extraction.
 	Explain bool
 }
 
@@ -67,16 +66,18 @@ type Submission struct {
 // its own wall time: from Submission.Start (compile start, when fed by a
 // pipeline) to merge completion.
 //
-// Scheduling: stage tasks enter a deadline-ordered queue (earliest deadline
-// first; deadline-free tasks after every deadlined one, FIFO among
-// themselves), so under mixed traffic the pool prefers the work whose
-// deadline is soonest. Determinism is unaffected: tasks write into dense
-// per-module grids and merges are serial, so execution order never changes
-// output bytes.
+// Scheduling: every (function × idiom) pair is solved. Stage tasks enter one
+// queue ordered by four keys: deadlined tasks before deadline-free ones, then
+// earliest deadline, then analysis tasks before solve tasks, then FIFO.
+// Under mixed traffic the pool thus prefers the work whose deadline is
+// soonest, and a newly arrived module's analysis never waits behind the
+// queued solves of modules already in flight, so its solves join the queue
+// early. Determinism is unaffected: tasks write into dense per-module grids
+// and merges are serial, so execution order never changes output bytes.
 type Stream struct {
 	eng *Engine
 
-	// mu guards the stage-task queue (EDF order) and the two close flags.
+	// mu guards the stage-task queue and the two close flags.
 	mu        sync.Mutex
 	qcond     *sync.Cond
 	taskQ     taskQueue
@@ -93,17 +94,13 @@ type Stream struct {
 type streamTask struct {
 	fn       func()
 	deadline time.Time // zero = no deadline (scheduled after all deadlined work)
-	score    float64   // prescreen score; higher runs first within a deadline class
-	cost     int64     // predicted solve ns; longer runs first among equal scores
+	analysis bool      // an analysis task; runs before solves of its deadline
 	order    int64     // enqueue order, the FIFO tiebreak
 }
 
-// taskQueue is a min-heap over streamTask: soonest deadline first,
-// deadline-free tasks last; within a deadline class, higher prescreen score
-// first, then higher predicted cost (start the likely-longest solves early so
-// the pool never discovers its critical path last), then enqueue order. With
-// prescreening off every score and cost is zero and the queue degrades to the
-// historical deadline-then-FIFO pool exactly.
+// taskQueue is a min-heap over streamTask: deadlined tasks before
+// deadline-free ones, soonest deadline first; among equal deadlines, analysis
+// tasks before solve tasks, then enqueue order.
 type taskQueue []streamTask
 
 func (q taskQueue) Len() int { return len(q) }
@@ -115,11 +112,8 @@ func (q taskQueue) Less(i, j int) bool {
 	if !di.IsZero() && !di.Equal(dj) {
 		return di.Before(dj)
 	}
-	if q[i].score != q[j].score {
-		return q[i].score > q[j].score
-	}
-	if q[i].cost != q[j].cost {
-		return q[i].cost > q[j].cost
+	if q[i].analysis != q[j].analysis {
+		return q[i].analysis
 	}
 	return q[i].order < q[j].order
 }
@@ -230,31 +224,18 @@ func (s *Stream) Detect(sub Submission) (*Result, error) {
 	fns := mod.Functions
 	infos := make([]*analysis.Info, len(fns))
 	fps := make([]constraint.Fingerprint, len(fns))
-	needFeats := e.prune != PruneOff || sub.Explain
 	var feats []*similarity.Features
-	if needFeats {
+	if sub.Explain {
 		feats = make([]*similarity.Features, len(fns))
 	}
-	// Analysis tasks of prescreened submissions outrank queued solve tasks of
-	// other in-flight modules (score +Inf): finishing analysis is what lets
-	// the scheduler see the module's scores at all.
-	var ascores []float64
-	if e.prune != PruneOff {
-		ascores = make([]float64, len(fns))
-		for i := range ascores {
-			ascores[i] = math.Inf(1)
-		}
-	}
-	s.stage(len(fns), sub.Deadline, ascores, nil, func(i int) {
+	s.stage(len(fns), sub.Deadline, true, func(i int) {
 		if cancelled(done) {
 			return
 		}
 		infos[i] = analysis.Analyze(fns[i])
 		fps[i] = e.fingerprint(infos[i])
-		if needFeats {
-			t0 := time.Now()
+		if feats != nil {
 			feats[i] = similarity.Extract(infos[i])
-			e.prescreenNs.Add(time.Since(t0).Nanoseconds())
 		}
 	})
 	if err := ctxErr(); err != nil {
@@ -267,23 +248,11 @@ func (s *Stream) Detect(sub Submission) (*Result, error) {
 	}
 	nIdioms := len(ros)
 	grid := make([]idiomSolutions, len(fns)*nIdioms)
-	var scores []float64
-	var costs []int64
-	if e.prune != PruneOff {
-		pre := e.prescreen(feats, infos, ros)
-		scores, costs = pre.scores, pre.costs
-	}
-	s.stage(len(grid), sub.Deadline, scores, costs, func(t int) {
+	s.stage(len(grid), sub.Deadline, false, func(t int) {
 		if cancelled(done) {
 			return
 		}
 		fi, si := t/nIdioms, t%nIdioms
-		if scores != nil {
-			if skip, reason := e.pruneSkip(scores[t]); skip {
-				grid[t] = idiomSolutions{idiom: ros[si].Idiom, skipped: true, skipReason: reason}
-				return
-			}
-		}
 		grid[t] = e.solveResolved(done, ros[si], infos[fi], fps[fi])
 	})
 	if err := ctxErr(); err != nil {
@@ -295,7 +264,7 @@ func (s *Stream) Detect(sub Submission) (*Result, error) {
 		merge(fn, grid[i*nIdioms:(i+1)*nIdioms], res)
 	}
 	if sub.Explain {
-		res.NearMisses = nearMisses(ros, fns, feats, res, e.prune == PruneOn)
+		res.NearMisses = nearMisses(ros, fns, feats, res)
 	}
 	res.Elapsed = time.Since(sub.Start)
 	return res, nil
@@ -315,11 +284,10 @@ func cancelled(done <-chan struct{}) bool {
 
 // stage enqueues f(0..n-1) onto the shared pool under the submission's
 // deadline and waits for all of them. Tasks of concurrent stages (other
-// modules) interleave freely, with soonest-deadline tasks scheduled first;
-// results must be written by index into the submission's grids.
-// scores[i]/costs[i] become task i's queue priority within its deadline class; either slice may
-// be nil (all-zero keys — plain FIFO within the class).
-func (s *Stream) stage(n int, deadline time.Time, scores []float64, costs []int64, f func(i int)) {
+// modules) interleave freely in taskQueue order; analysisTasks marks the
+// stage's tasks as analysis tasks. Results must be written by index into the
+// submission's grids.
+func (s *Stream) stage(n int, deadline time.Time, analysisTasks bool, f func(i int)) {
 	if n == 0 {
 		return
 	}
@@ -330,12 +298,7 @@ func (s *Stream) stage(n int, deadline time.Time, scores []float64, costs []int6
 		t := streamTask{
 			fn:       func() { defer wg.Done(); f(i) },
 			deadline: deadline,
-		}
-		if scores != nil {
-			t.score = scores[i]
-		}
-		if costs != nil {
-			t.cost = costs[i]
+			analysis: analysisTasks,
 		}
 		s.taskOrder++
 		t.order = s.taskOrder

@@ -476,20 +476,9 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	if stats.Schema != idiomatic.StatsSchemaVersion {
 		t.Errorf("statsz schema = %d, want %d", stats.Schema, idiomatic.StatsSchemaVersion)
 	}
-	// The default prescreen mode is reorder, and serving one request must
-	// move its gauges: solves get reordered and prescreen time accrues, but
-	// nothing is ever skipped in reorder mode.
-	if stats.PruneMode != "reorder" {
-		t.Errorf("statsz prune_mode = %q, want reorder", stats.PruneMode)
-	}
-	if stats.PruneSkipped != 0 {
-		t.Errorf("statsz prune_skipped = %d in reorder mode, want 0", stats.PruneSkipped)
-	}
-	if stats.PrescreenNsTotal <= 0 {
-		t.Errorf("statsz prescreen_ns_total = %d, want > 0 after a served request", stats.PrescreenNsTotal)
-	}
 	// The wire names are part of the versioned surface: dashboards key on
-	// them, so their presence is pinned here, not just the struct fields.
+	// them, so schema v7's removals are pinned here, not just the struct
+	// fields. The prescreen gauges and the memo cost-table size are gone.
 	var fields map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &fields); err != nil {
 		t.Fatal(err)
@@ -497,8 +486,8 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	for _, key := range []string{
 		"prune_mode", "prune_skipped", "prune_reordered", "prescreen_ns_total",
 	} {
-		if _, ok := fields[key]; !ok {
-			t.Errorf("statsz missing %q field", key)
+		if _, ok := fields[key]; ok {
+			t.Errorf("statsz still has the removed %q field", key)
 		}
 	}
 	var memoFields struct {
@@ -507,8 +496,8 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	if err := json.Unmarshal(raw, &memoFields); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := memoFields.Memo["cost_entries"]; !ok {
-		t.Errorf("statsz memo snapshot missing \"cost_entries\" field")
+	if _, ok := memoFields.Memo["cost_entries"]; ok {
+		t.Errorf("statsz memo snapshot still has the removed \"cost_entries\" field")
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/idioms")

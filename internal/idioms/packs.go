@@ -56,7 +56,7 @@ func (p *Pack) Problem(name string) (*constraint.Problem, bool) {
 	return prob, ok
 }
 
-// Signature returns the prescreen signature compiled for an idiom name.
+// Signature returns the similarity signature compiled for an idiom name.
 // Signatures live on the pack snapshot next to the compiled problems, so a
 // re-registration replaces problems and signatures atomically: a roster
 // resolved from an old snapshot keeps consistent (problem, signature) pairs,

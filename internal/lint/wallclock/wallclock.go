@@ -4,7 +4,7 @@
 // time.Now anywhere in those paths is either dead weight or — worse — a
 // value that leaks into output and breaks byte-identity between a fresh
 // solve and a memo hit. Measurement has designated sites (module Elapsed
-// timing, solve-cost recording, prescreen accounting); everything else is
+// timing); everything else is
 // flagged, and a new measurement site must be added to the approved list or
 // carry an explicit //lint:allow with its reason.
 package wallclock
@@ -35,12 +35,10 @@ var Analyzer = &analysis.Analyzer{
 var approvedSites = map[string]map[string]bool{
 	"internal/constraint": {},
 	"internal/detect": {
-		"Module":               true, // Result.Elapsed timing
-		"Function":             true, // Result.Elapsed timing
-		"Engine.Modules":       true, // batch Elapsed timing
-		"Engine.solveResolved": true, // solve-cost measurement for RecordCost
-		"Engine.prescreen":     true, // prescreen_ns accounting
-		"Stream.Detect":        true, // per-module start stamp, Elapsed + prescreen_ns
+		"Module":         true, // Result.Elapsed timing
+		"Function":       true, // Result.Elapsed timing
+		"Engine.Modules": true, // batch Elapsed timing
+		"Stream.Detect":  true, // per-module start stamp and Elapsed
 	},
 }
 

@@ -281,15 +281,6 @@ type Stats struct {
 	// across all clients; DetectSlots is the slot bound and DetectActive how
 	// many slots are occupied right now.
 	ReadyQueue, DetectSlots, DetectActive int
-	// PruneMode is the engine's similarity-prescreen mode ("off", "reorder",
-	// "on"). PruneSkipped counts solves skipped as provably unmatchable,
-	// PruneReordered counts solves displaced from natural order by the
-	// scheduler, and PrescreenNs is cumulative time spent extracting features
-	// and scoring — the overhead the prescreen must keep negligible.
-	PruneMode      string
-	PruneSkipped   int64
-	PruneReordered int64
-	PrescreenNs    int64
 	// Clients holds one row per tenant the pipeline has seen, in first-seen
 	// order (the anonymous tier appears as the empty name).
 	Clients []ClientStats
@@ -314,23 +305,18 @@ func (p *Pipeline) Stats() Stats {
 	}
 	p.mu.Unlock()
 	sub, comp := p.submitted.Load(), p.completed.Load()
-	skipped, reordered, prescreenNs := p.eng.PruneStats()
 	return Stats{
-		Submitted:      sub,
-		Completed:      comp,
-		InFlight:       int(sub - comp),
-		CompileQueue:   int(compiling),
-		SolveWorkers:   p.eng.Workers(),
-		SolveActive:    p.stream.Active(),
-		MaxQueue:       p.maxQueue,
-		ReadyQueue:     ready,
-		DetectSlots:    p.detectSlots,
-		DetectActive:   slots,
-		PruneMode:      p.eng.Prune().String(),
-		PruneSkipped:   skipped,
-		PruneReordered: reordered,
-		PrescreenNs:    prescreenNs,
-		Clients:        rows,
+		Submitted:    sub,
+		Completed:    comp,
+		InFlight:     int(sub - comp),
+		CompileQueue: int(compiling),
+		SolveWorkers: p.eng.Workers(),
+		SolveActive:  p.stream.Active(),
+		MaxQueue:     p.maxQueue,
+		ReadyQueue:   ready,
+		DetectSlots:  p.detectSlots,
+		DetectActive: slots,
+		Clients:      rows,
 	}
 }
 

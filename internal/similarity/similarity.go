@@ -1,17 +1,13 @@
-// Package similarity is the cheap structural prescreen in front of the
-// constraint solver: a per-function feature vector (opcode histogram, loop
-// nest, memory-access shape, accumulator patterns) scored against per-idiom
+// Package similarity is a cheap structural scorer beside the constraint
+// solver: a per-function feature vector (opcode histogram, loop nest,
+// memory-access shape, accumulator patterns) scored against per-idiom
 // signatures derived from the compiled constraint problems themselves.
 //
-// The scores serve two purposes. Scheduling: the detection engine orders
-// (function × idiom) solves best-score-first (and, using measured solve
-// costs, longest-likely-solve-first), which never changes output — solves
-// land in index-addressed grids and merging stays serial. Pruning: a score
-// of 0 means the signature's *necessary conditions* are provably violated
-// (a required opcode is absent from the function), so the solve can be
-// skipped without ever losing a match. Everything beyond the necessary
-// conditions is heuristic and only ever influences ordering and the
-// near-miss diagnostics, never skipping.
+// The scores feed the explain-mode near-miss diagnostics only: detection
+// solves every (function × idiom) pair whatever its score. A score of 0
+// means the signature's *necessary conditions* are provably violated (a
+// required opcode is absent from the function); everything beyond the
+// necessary conditions is heuristic.
 package similarity
 
 import (
@@ -181,7 +177,7 @@ func loadDerived(v ir.Value, depth int) bool {
 	return false
 }
 
-// Signature is the per-idiom prescreen key, compiled once from the idiom's
+// Signature is the per-idiom similarity key, compiled once from the idiom's
 // flattened constraint problem (built-in roster at engine construction,
 // packs at registration — signatures live on the immutable versioned Pack
 // snapshot exactly like the compiled problems, so a re-registration swaps
@@ -400,8 +396,8 @@ func (sg *Signature) Score(f *Features) float64 {
 	score := 0.7*cov + 0.3*loop
 	if score <= 0 {
 		// Reserve 0 for "provably impossible": a heuristically hopeless but
-		// not disproven pair must stay strictly positive so prune mode never
-		// skips it.
+		// not disproven pair must stay strictly positive so a near miss never
+		// calls it impossible.
 		score = 0.001
 	}
 	return score

@@ -107,9 +107,9 @@ func TestScoreZeroOnlyWhenRequiredMissing(t *testing.T) {
 }
 
 func TestScoreReservesZeroForImpossible(t *testing.T) {
-	// A heuristically hopeless but not disproven pair must stay > 0 so prune
-	// mode cannot skip it: empty features against a signature with demands
-	// but no required opcodes.
+	// A heuristically hopeless but not disproven pair must stay > 0 so it is
+	// never reported as impossible: empty features against a signature with
+	// demands but no required opcodes.
 	sg := &similarity.Signature{Idiom: "x", Demand: map[ir.Opcode]int{ir.OpFMul: 4}, Guards: 3}
 	f := &similarity.Features{Opcodes: map[ir.Opcode]int{}}
 	if got := sg.Score(f); got <= 0 {

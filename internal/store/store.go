@@ -210,8 +210,8 @@ func (s *Store) write(key constraint.SpillKey, payload []byte) error {
 
 // WriteAsync enqueues a write on the single writer goroutine; see
 // constraint.SpillStore for the contract.
-func (s *Store) WriteAsync(key constraint.SpillKey, encode func() []byte, done func(err error)) bool {
-	ok := s.writer.enqueue(key, encode, done)
+func (s *Store) WriteAsync(key constraint.SpillKey, payload []byte, done func(err error)) bool {
+	ok := s.writer.enqueue(key, payload, done)
 	if !ok {
 		s.asyncDrops.Add(1)
 	}
@@ -295,14 +295,15 @@ func (s *Store) Stats() Stats {
 const asyncQueueDepth = 1024
 
 type spillReq struct {
-	key    constraint.SpillKey
-	encode func() []byte
-	done   func(err error)
+	key     constraint.SpillKey
+	payload []byte
+	done    func(err error)
 }
 
 // asyncWriter serializes spills onto one goroutine so the solve hot path
 // never blocks on disk. The queue is bounded; overflow is reported to the
-// caller (the memo counts it and relies on eviction-time sync spill).
+// caller and counted in Stats.AsyncDrops; the memo relies on eviction-time
+// sync spill.
 type asyncWriter struct {
 	s    *Store
 	ch   chan spillReq
@@ -324,7 +325,7 @@ func newAsyncWriter(s *Store) *asyncWriter {
 func (w *asyncWriter) run() {
 	defer close(w.exit)
 	for req := range w.ch {
-		err := w.s.Write(req.key, req.encode())
+		err := w.s.Write(req.key, req.payload)
 		if req.done != nil {
 			req.done(err)
 		}
@@ -335,14 +336,14 @@ func (w *asyncWriter) run() {
 	}
 }
 
-func (w *asyncWriter) enqueue(key constraint.SpillKey, encode func() []byte, done func(err error)) bool {
+func (w *asyncWriter) enqueue(key constraint.SpillKey, payload []byte, done func(err error)) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return false
 	}
 	select {
-	case w.ch <- spillReq{key: key, encode: encode, done: done}:
+	case w.ch <- spillReq{key: key, payload: payload, done: done}:
 		w.pending++
 		return true
 	default:

@@ -139,19 +139,12 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 func TestWriteAsyncFlush(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	key := testKey(0x42)
-	encoded := false
 	var doneErr = os.ErrInvalid // sentinel: overwritten by the callback
-	ok := s.WriteAsync(key, func() []byte {
-		encoded = true
-		return []byte("async payload")
-	}, func(err error) { doneErr = err })
+	ok := s.WriteAsync(key, []byte("async payload"), func(err error) { doneErr = err })
 	if !ok {
 		t.Fatal("WriteAsync refused with an empty queue")
 	}
 	s.Flush()
-	if !encoded {
-		t.Fatal("encode closure never ran")
-	}
 	if doneErr != nil {
 		t.Fatalf("done callback got %v; want nil", doneErr)
 	}
@@ -166,7 +159,7 @@ func TestWriteAsyncAfterCloseRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if s.WriteAsync(testKey(9), func() []byte { return nil }, nil) {
+	if s.WriteAsync(testKey(9), nil, nil) {
 		t.Fatal("WriteAsync accepted work after Close")
 	}
 	if st := s.Stats(); st.AsyncDrops != 1 {

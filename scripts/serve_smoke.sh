@@ -150,16 +150,18 @@ case "$STATS" in
     exit 1
     ;;
 esac
-case "$STATS" in
-*'"prune_mode": "reorder"'*) ;;
-*)
-    echo "serve_smoke: /statsz did not report the default prune mode: $STATS" >&2
-    exit 1
-    ;;
-esac
+# Schema v7 removed the prescreen scheduler's gauges and the memo cost table.
+for gone in '"prune_mode"' '"cost_entries"'; do
+    case "$STATS" in
+    *$gone*)
+        echo "serve_smoke: /statsz still reports the removed $gone field: $STATS" >&2
+        exit 1
+        ;;
+    esac
+done
 
 # Top-level fields sit at two-space indent; per-client rows nest deeper.
-for want in '"schema": 6' '"in_flight": 0' '"compile_queue": 0' '"ready_queue": 0' '"detect_active": 0'; do
+for want in '"schema": 7' '"in_flight": 0' '"compile_queue": 0' '"ready_queue": 0' '"detect_active": 0'; do
     if ! printf '%s\n' "$STATS" | grep -q "^  $want,\{0,1\}\$"; then
         echo "serve_smoke: /statsz lacks $want after every request finished: $STATS" >&2
         exit 1
