@@ -80,11 +80,13 @@ soak-smoke:
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
-# Ten seconds of coverage-guided fuzzing of the memo spill codec, which reads
-# blobs from disk and snapshots from other replicas. A failing input is saved
-# under internal/constraint/testdata/fuzz and replays in every `go test` run.
+# Ten seconds of coverage-guided fuzzing per untrusted input: the memo spill
+# codec, which reads blobs from disk and snapshots from other replicas, and
+# the C frontend, which compiles tenant source. A failing input is saved
+# under the package's testdata/fuzz and replays in every `go test` run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s -parallel 2 ./internal/constraint
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s -parallel 2 ./internal/cc
 
 fmt:
 	gofmt -w .

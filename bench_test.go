@@ -32,13 +32,25 @@ import (
 
 // --- Table 1: detection over the full suite ---
 
+// sequentialEngine builds the sequential reference engine: one worker and no
+// memo, so every iteration times fresh constraint solves.
+func sequentialEngine(b *testing.B, idms ...string) *detect.Engine {
+	b.Helper()
+	eng, err := detect.NewEngine(detect.Options{Idioms: idms, Workers: 1, NoMemo: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
 func BenchmarkTable1Detection(b *testing.B) {
 	mods := compileAll(b)
+	eng := sequentialEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := 0
 		for _, mod := range mods {
-			res, err := detect.Module(mod, detect.Options{})
+			res, err := eng.Module(mod)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -59,9 +71,10 @@ func BenchmarkTable1PerBenchmark(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			eng := sequentialEngine(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := detect.Module(mod, detect.Options{}); err != nil {
+				if _, err := eng.Module(mod); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -82,13 +95,15 @@ func BenchmarkTable2CompileTime(b *testing.B) {
 		}
 	})
 	b.Run("withIDL", func(b *testing.B) {
+		eng := sequentialEngine(b)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, w := range workloads.All() {
 				mod, err := cc.Compile(w.Name, w.Source)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := detect.Module(mod, detect.Options{}); err != nil {
+				if _, err := eng.Module(mod); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -178,9 +193,10 @@ func BenchmarkSolver(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			eng := sequentialEngine(b, c.idiom)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := detect.Module(mod, detect.Options{Idioms: []string{c.idiom}}); err != nil {
+				if _, err := eng.Module(mod); err != nil {
 					b.Fatal(err)
 				}
 			}

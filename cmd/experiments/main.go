@@ -15,7 +15,7 @@ import (
 
 func main() {
 	scale := flag.Int("scale", experiments.DefaultScale, "input scale for performance experiments")
-	stats := flag.Bool("stats", false, "print detection pipeline memo statistics to stderr")
+	stats := flag.Bool("stats", false, "print the shared detection stream's memo statistics to stderr")
 	flag.Parse()
 
 	what := "all"

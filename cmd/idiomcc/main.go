@@ -4,10 +4,10 @@
 // prints the resulting IR and the call listing.
 //
 // It is a thin CLI over idiomatic.Service — the same front door cmd/idiomd
-// serves over HTTP. Multiple input files stream through the service's
-// compile→detect pipeline: compilation and constraint solving overlap across
-// files, and each file's report prints as soon as its detection lands
-// (completion order).
+// serves over HTTP. Multiple input files stream through the service's one
+// worker pool: compilation and constraint solving overlap across files, and
+// each file's report prints as soon as its detection lands (completion
+// order).
 //
 // Usage:
 //

@@ -7,13 +7,12 @@
 //
 //	idiomd                         # serve on :8173
 //	idiomd -addr 127.0.0.1:9000    # explicit listen address
-//	idiomd -j 8                    # solver worker count (0 = GOMAXPROCS)
+//	idiomd -j 8                    # worker count: compile, analysis, solves (0 = GOMAXPROCS)
 //	idiomd -queue 512              # max in-flight modules before 429
 //	idiomd -memo-max 65536         # solve-cache LRU bound (entries)
 //	idiomd -keys keys.txt          # API-key auth (keyfile: "<key> <name> [weight] [admin]")
 //	idiomd -client-queue 64        # per-client in-flight bound (named clients)
 //	idiomd -client-rate 10         # per-client token bucket: rate*weight req/s
-//	idiomd -slots 8                # admission slots: requests compiling or solving (fair-share gate)
 //	idiomd -state-dir /var/idiomd  # durable warm state: memo spill + pack log
 //	idiomd -state-dir d -warm-from http://replica:8173   # inherit a warm memo
 //
@@ -64,7 +63,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8173", "listen address")
-	jobs := flag.Int("j", 0, "solver worker count (0 = GOMAXPROCS); compiles run inside admission slots")
+	jobs := flag.Int("j", 0, "worker count of the one pool that runs compile, analysis and solves in per-client fair order (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", idiomatic.DefaultQueueLimit, "max in-flight modules before requests are shed with 429 (<0 = unbounded)")
 	memoMax := flag.Int("memo-max", 0, "solve-cache LRU bound in entries (0 = default, <0 = unbounded)")
 	noMemo := flag.Bool("no-memo", false, "disable solver memoization")
@@ -73,7 +72,6 @@ func main() {
 	clientQueue := flag.Int("client-queue", 0, "per-client in-flight bound for named clients (0 = unbounded)")
 	clientRate := flag.Float64("client-rate", 0, "per-client token bucket: rate*weight requests/sec for named clients (0 = unlimited)")
 	clientBurst := flag.Float64("client-burst", 0, "per-client token-bucket burst capacity (0 = max(1, rate))")
-	slots := flag.Int("slots", 0, "admission slots: requests compiling or solving at once, fair-shared across clients (0 = 2x workers; negative is rejected)")
 	stateDir := flag.String("state-dir", "", "durable state directory: the solve memo spills to disk (build-cache semantics, warm restarts) and pack registrations are logged and replayed at boot (empty = in-memory only)")
 	warmFrom := flag.String("warm-from", "", "base URL of a running replica to inherit warm state from at boot via GET /v1/memo/snapshot (requires -state-dir)")
 	warmKey := flag.String("warm-key", "", "admin API key presented to the -warm-from replica (empty = unauthenticated)")
@@ -101,7 +99,6 @@ func main() {
 		ClientQueue:    *clientQueue,
 		ClientRate:     *clientRate,
 		ClientBurst:    *clientBurst,
-		DetectSlots:    *slots,
 		StateDir:       *stateDir,
 	})
 	if err != nil {

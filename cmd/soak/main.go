@@ -26,7 +26,7 @@
 //
 // Usage:
 //
-//	soak [-duration 30s] [-j 4] [-slots 2] [-min-share 0.4] [-p99-floor 150ms]
+//	soak [-duration 30s] [-j 4] [-min-share 0.4] [-p99-floor 150ms]
 //	soak -addr http://127.0.0.1:8174 [-duration 10s] [-min-share 0.2]
 //	soak -print-keys > keys.txt
 package main
@@ -58,8 +58,8 @@ const (
 
 	// lightConns is the light tenant's closed-loop connection count. The
 	// DRR share guarantee only covers a backlogged client: enough
-	// outstanding requests must exist to fill the light tenant's fair
-	// share of solver slots, or the measured share reflects its own
+	// outstanding requests must exist to keep the light tenant's task queue
+	// in the solver pool non-empty, or the measured share reflects its own
 	// submission rate rather than the scheduler.
 	lightConns = 6
 
@@ -76,7 +76,6 @@ const keyfile = lightKey + " light 1\n" + heavyKey + " heavy 1\n" + adminKey + "
 type config struct {
 	duration time.Duration
 	workers  int
-	slots    int
 	minShare float64
 	p99Floor time.Duration
 	addr     string
@@ -93,7 +92,6 @@ func main() {
 	var cfg config
 	flag.DurationVar(&cfg.duration, "duration", 30*time.Second, "total soak length (25% baseline, 75% mixed flood)")
 	flag.IntVar(&cfg.workers, "j", 4, "service solver workers")
-	flag.IntVar(&cfg.slots, "slots", 2, "admission slot bound (small keeps the fair-share gate hot: a light module waits behind at most slots-1 heavy ones)")
 	flag.Float64Var(&cfg.minShare, "min-share", 0.4, "light tenant's minimum served-module share during the flood")
 	flag.DurationVar(&cfg.p99Floor, "p99-floor", 150*time.Millisecond, "noise floor for the p99 comparison (budget = 2 * max(baseline p99, floor))")
 	flag.StringVar(&cfg.addr, "addr", "", "drive an already-running server (idiomd or idiomfront base URL) instead of an in-process one; it must use this harness's keyfile (see -print-keys)")
@@ -106,7 +104,7 @@ func main() {
 	}
 
 	// In -addr mode the target server owns its own lifecycle and tuning
-	// flags (-j, -slots act on the in-process service only); the
+	// flags (-j acts on the in-process service only); the
 	// harness is a pure client, so the drain assert reads gauges over HTTP.
 	var svc *idiomatic.Service
 	h := &harness{cfg: cfg, client: &http.Client{}}
@@ -115,10 +113,9 @@ func main() {
 	} else {
 		var err error
 		svc, err = idiomatic.NewService(idiomatic.ServiceOptions{
-			Workers:     cfg.workers,
-			QueueLimit:  -1,
-			DetectSlots: cfg.slots,
-			NoMemo:      true, // every solve pays full price, so fairness is load-bearing
+			Workers:    cfg.workers,
+			QueueLimit: -1,
+			NoMemo:     true, // every solve pays full price, so fairness is load-bearing
 		})
 		if err != nil {
 			fatal(err)
@@ -416,9 +413,9 @@ func (h *harness) clientRows() map[string]httpapi.ClientInfo {
 // It unmarshals from both an in-process StatsResponse and the /statsz wire
 // shape of a single idiomd.
 type drainStats struct {
-	InFlight     int `json:"in_flight"`
-	SolveActive  int `json:"solve_active"`
-	DetectActive int `json:"detect_active"`
+	InFlight    int `json:"in_flight"`
+	SolveActive int `json:"solve_active"`
+	ReadyQueue  int `json:"ready_queue"`
 }
 
 // drainProbe additionally understands idiomfront's aggregated /statsz, where
@@ -467,9 +464,9 @@ func (h *harness) gaugesNow(svc *idiomatic.Service) []drainStats {
 	if svc != nil {
 		st := svc.Stats()
 		return []drainStats{{
-			InFlight:     st.InFlight,
-			SolveActive:  st.SolveActive,
-			DetectActive: st.DetectActive,
+			InFlight:    st.InFlight,
+			SolveActive: st.SolveActive,
+			ReadyQueue:  st.ReadyQueue,
 		}}
 	}
 	status, body := h.do(http.MethodGet, "/statsz", adminKey, nil, nil)
@@ -490,7 +487,7 @@ func (h *harness) idleNow(svc *idiomatic.Service) bool {
 		return false
 	}
 	for _, g := range gauges {
-		if g.InFlight != 0 || g.SolveActive != 0 || g.DetectActive != 0 {
+		if g.InFlight != 0 || g.SolveActive != 0 || g.ReadyQueue != 0 {
 			return false
 		}
 	}

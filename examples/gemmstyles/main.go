@@ -71,7 +71,7 @@ func args() []idiomatic.Value {
 }
 
 func main() {
-	svc := idiomatic.Default() // blessed front door: one shared compile→detect pipeline
+	svc := idiomatic.Default() // blessed front door: one shared detection stream
 	seq, err := svc.Compile(context.Background(), "gemms", source)
 	if err != nil {
 		log.Fatal(err)

@@ -35,7 +35,7 @@ End`
 
 func main() {
 	// The process-wide Service is the blessed entry point; it owns the
-	// compile→detect pipeline every Program routes through.
+	// detection stream every Program routes through.
 	svc := idiomatic.Default()
 	prog, err := svc.Compile(context.Background(), "figure3", source)
 	if err != nil {

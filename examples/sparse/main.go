@@ -63,7 +63,7 @@ func inputs() []idiomatic.Value {
 }
 
 func main() {
-	svc := idiomatic.Default() // blessed front door: one shared compile→detect pipeline
+	svc := idiomatic.Default() // blessed front door: one shared detection stream
 
 	// Sequential reference.
 	seq, err := svc.Compile(context.Background(), "cg", source)

@@ -3,8 +3,9 @@
 // Approach" (Ginsbach et al., ASPLOS 2018).
 //
 // The blessed entry point is the Service: a long-lived, context-aware front
-// door owning one streaming compile→detect pipeline, a shared solver pool
-// and a bounded intake queue, with a versioned JSON-encodable
+// door owning one detection stream — a worker pool that runs every module's
+// compile, analyses and solves in per-client fair order — and a bounded
+// intake, with a versioned JSON-encodable
 // request/response model. DetectRequest → DetectResult covers detection;
 // MatchRequest → MatchResult serves the paper's whole pipeline — detection,
 // code replacement plans and per-device backend selection — and RegisterPack
@@ -87,7 +88,7 @@ func (p *Program) Detect() (*Detection, error) {
 }
 
 // DetectOnly restricts detection to the named idioms (order is merge
-// precedence, as in the sequential driver).
+// precedence, as in detect.Options.Idioms).
 func (p *Program) DetectOnly(names ...string) (*Detection, error) {
 	return p.svc.DetectProgram(context.Background(), p, names...)
 }

@@ -258,9 +258,9 @@ func (t *Task) MatchResult(seq int, target string) MatchResult {
 		out.Err = err.Error()
 		return out
 	}
-	out.Plans = planInstances(t.job.Mod, t.job.Res.Instances, target)
+	out.Plans = planInstances(t.res.Mod, t.res.Instances, target)
 	if t.Req.Opts.EmitIR {
-		out.IR = t.job.Mod.String()
+		out.IR = t.res.Mod.String()
 	}
 	return out
 }

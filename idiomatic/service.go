@@ -12,30 +12,15 @@ import (
 	"repro/internal/detect"
 	"repro/internal/idioms"
 	"repro/internal/ir"
-	"repro/internal/pipeline"
 	"repro/internal/store"
 )
-
-// ErrOverloaded is returned by Submit (and the batch helpers) when the
-// service's bounded intake queue is full. A network front door translates it
-// into HTTP 429; in-process callers should back off and retry.
-var ErrOverloaded = pipeline.ErrOverloaded
-
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = pipeline.ErrClosed
-
-// ErrRateLimited is returned by Submit when the requesting client's token
-// bucket is empty (see ServiceOptions.ClientRate). The concrete error is a
-// *pipeline.RateLimitedError carrying the retry hint the HTTP layer turns
-// into Retry-After / retry_after_ms.
-var ErrRateLimited = pipeline.ErrRateLimited
 
 // ErrBatchTooLarge is returned by the batch helpers when a single batch
 // exceeds the intake queue limit: unlike a transient ErrOverloaded (which it
 // wraps, so errors.Is(err, ErrOverloaded) holds), retrying the same batch
 // can never succeed — it must be split. The HTTP layer distinguishes the two
 // by omitting Retry-After.
-var ErrBatchTooLarge = fmt.Errorf("idiomatic: batch larger than the intake queue limit (split the batch): %w", pipeline.ErrOverloaded)
+var ErrBatchTooLarge = fmt.Errorf("idiomatic: batch larger than the intake queue limit (split the batch): %w", ErrOverloaded)
 
 // DefaultQueueLimit bounds a service's in-flight modules when
 // ServiceOptions.QueueLimit is zero.
@@ -43,8 +28,9 @@ const DefaultQueueLimit = 256
 
 // ServiceOptions configure a Service.
 type ServiceOptions struct {
-	// Workers sizes the solver pool (0 = GOMAXPROCS). Compiles run on the
-	// admitted requests' own goroutines, at most DetectSlots at once.
+	// Workers sizes the solver pool (0 = GOMAXPROCS). Every per-module CPU
+	// step — compile, analysis and solves — runs on this one pool, in
+	// per-client fair order.
 	Workers int
 	// QueueLimit bounds in-flight modules across all requests; submissions
 	// beyond it fail with ErrOverloaded. 0 means DefaultQueueLimit, negative
@@ -70,11 +56,6 @@ type ServiceOptions struct {
 	ClientRate float64
 	// ClientBurst is the token-bucket capacity (0 = max(1, ClientRate)).
 	ClientBurst float64
-	// DetectSlots bounds how many requests are admitted at once; each holds
-	// its slot from compile start to merge, and the rest wait, uncompiled,
-	// in per-client queues served weighted-fair. 0 means twice the solver
-	// worker count; a negative value fails NewService.
-	DetectSlots int
 	// StateDir, when non-empty, makes the service's warm state durable
 	// (idiomd -state-dir): the solve memo spills to a content-addressed
 	// blob store under the directory — with build-cache semantics, so a
@@ -86,8 +67,8 @@ type ServiceOptions struct {
 }
 
 // Service is the long-lived, service-grade front door of the paper's
-// compile → detect → transform → backend-selection flow: one process-wide
-// streaming pipeline and one shared detection engine behind a versioned
+// compile → detect → transform → backend-selection flow: one shared
+// detection engine and its task stream behind a versioned
 // request/response model, plus a copy-on-write registry of runtime idiom
 // packs. Every request path — the HTTP endpoints of cmd/idiomd, the
 // cmd/idiomcc CLI, the examples and the deprecated package-level free
@@ -96,13 +77,27 @@ type ServiceOptions struct {
 //
 // Requests are context-aware end to end: cancelling a request's context
 // sheds its remaining compile and constraint-solving work mid-solve.
-// Intake is bounded (QueueLimit, ErrOverloaded) so a serving process degrades
-// by rejecting rather than queueing without limit.
+// Intake is bounded (QueueLimit, ErrOverloaded; per named client
+// ClientQueue and ClientRate) so a serving process degrades by rejecting
+// rather than queueing without limit. Fairness between admitted clients is
+// the stream's: it serves their tasks by weighted round-robin.
 type Service struct {
-	eng        *detect.Engine
-	pipe       *pipeline.Pipeline
-	memo       *constraint.SolveCache
-	queueLimit int
+	eng    *detect.Engine
+	stream *detect.Stream
+	memo   *constraint.SolveCache
+
+	// Intake bounds (see ServiceOptions).
+	queueLimit, clientQueue int
+	clientRate, clientBurst float64
+
+	// mu guards the intake state below; inflight counts admitted requests
+	// not yet finished, so Close can stop the stream after the last one.
+	mu                   sync.Mutex
+	closed               bool
+	clients              map[string]*clientState
+	clientOrder          []*clientState // first-seen order, the stats rows
+	submitted, completed int64
+	inflight             sync.WaitGroup
 
 	// defaultIdioms is the paper's evaluated idiom set; extensions participate
 	// only when a request names them. known is the full resolvable roster.
@@ -176,20 +171,15 @@ func NewService(o ServiceOptions) (*Service, error) {
 	if limit < 0 {
 		limit = 0
 	}
-	pipe, err := pipeline.New(pipeline.Options{
-		Engine:      eng,
-		MaxQueue:    limit,
-		ClientQueue: o.ClientQueue,
-		ClientRate:  o.ClientRate,
-		ClientBurst: o.ClientBurst,
-		DetectSlots: o.DetectSlots,
-	})
-	if err != nil {
-		return nil, err
+	burst := o.ClientBurst
+	if o.ClientRate > 0 && burst <= 0 {
+		burst = max(1, o.ClientRate)
 	}
 	s.eng = eng
-	s.pipe = pipe
-	s.queueLimit = limit
+	s.stream = eng.Stream()
+	s.queueLimit, s.clientQueue = limit, o.ClientQueue
+	s.clientRate, s.clientBurst = o.ClientRate, burst
+	s.clients = map[string]*clientState{}
 	s.known = make(map[string]bool, len(names))
 	for _, n := range names {
 		s.known[n] = true
@@ -197,7 +187,7 @@ func NewService(o ServiceOptions) (*Service, error) {
 	if o.StateDir != "" {
 		st, err := store.Open(o.StateDir)
 		if err != nil {
-			pipe.Close()
+			s.stream.Close()
 			return nil, err
 		}
 		s.store = st
@@ -205,7 +195,7 @@ func NewService(o ServiceOptions) (*Service, error) {
 			s.memo.AttachStore(st)
 		}
 		if _, err := s.replayPacks(); err != nil {
-			pipe.Close()
+			s.stream.Close()
 			st.Close()
 			return nil, err
 		}
@@ -242,7 +232,16 @@ func Default() *Service {
 // requests still in flight after Close are dropped and counted, never
 // half-written). The service cannot be reused afterwards.
 func (s *Service) Close() {
-	s.pipe.Close()
+	s.mu.Lock()
+	wasClosed := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if !wasClosed {
+		go func() {
+			s.inflight.Wait()
+			s.stream.Close()
+		}()
+	}
 	if s.store != nil {
 		s.store.Flush()
 		s.store.Close()
@@ -407,11 +406,14 @@ type Task struct {
 	Req DetectRequest
 
 	svc *Service
-	job *pipeline.Job
 	// pack is the immutable pack snapshot the request resolved against at
 	// intake (nil for the built-in roster). Re-registrations during the
 	// task's lifetime cannot affect it.
 	pack *idioms.Pack
+
+	done chan struct{}
+	res  *detect.Result // nil when err is set
+	err  error
 }
 
 // Submit enqueues one request and returns its Task immediately. It fails
@@ -420,7 +422,7 @@ type Task struct {
 // ErrClosed after Close. Cancelling ctx — or exceeding req.DeadlineMs —
 // sheds the request's remaining work; the task then completes with the
 // context error. The tenant identity attached by WithClient rides the
-// context into the pipeline's weighted-fair intake.
+// context into the solver pool's weighted-fair order.
 func (s *Service) Submit(ctx context.Context, req DetectRequest) (*Task, error) {
 	if req.Source == "" {
 		return nil, errors.New("idiomatic: empty source")
@@ -432,30 +434,35 @@ func (s *Service) Submit(ctx context.Context, req DetectRequest) (*Task, error) 
 	if err != nil {
 		return nil, err
 	}
+	name, source := req.Name, req.Source
+	return s.submit(ctx, req, pk, detect.Submission{
+		Compile: func() (*ir.Module, error) { return cc.Compile(name, source) },
+		Idioms:  idms, Roster: roster, Explain: req.Opts.Explain,
+	})
+}
+
+// submit admits one submission and runs it on its own goroutine, which
+// blocks in Stream.Detect until the module's tasks — compile included —
+// have run on the shared pool.
+func (s *Service) submit(ctx context.Context, req DetectRequest, pk *idioms.Pack, sub detect.Submission) (*Task, error) {
 	cl, _ := ClientFromContext(ctx)
-	var cancel context.CancelFunc
+	cs, err := s.admit(cl)
+	if err != nil {
+		return nil, err
+	}
+	cancel := context.CancelFunc(func() {})
 	if req.DeadlineMs > 0 {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
 	}
-	name, source := req.Name, req.Source
-	job, err := s.pipe.SubmitOpts(name, func() (*ir.Module, error) {
-		return cc.Compile(name, source)
-	}, pipeline.SubmitOptions{
-		Ctx: ctx, Idioms: idms, Roster: roster,
-		Client: cl.Name, Weight: cl.Weight,
-		Explain: req.Opts.Explain,
-	})
-	if err != nil {
-		if cancel != nil {
-			cancel()
-		}
-		return nil, err
-	}
-	if cancel != nil {
-		// Release the deadline timer as soon as the job finishes.
-		go func() { <-job.Done(); cancel() }()
-	}
-	return &Task{Req: req, svc: s, job: job, pack: pk}, nil
+	sub.Ctx, sub.Client, sub.Weight = ctx, cl.Name, cl.Weight
+	t := &Task{Req: req, svc: s, pack: pk, done: make(chan struct{})}
+	go func() {
+		t.res, t.err = s.stream.Detect(sub)
+		cancel()
+		s.finish(cs)
+		close(t.done)
+	}()
+	return t, nil
 }
 
 // resolve maps a request's (pack, idioms) selection to submit options:
@@ -510,49 +517,49 @@ func (s *Service) subset(names []string) ([]string, error) {
 }
 
 // Done is closed when the task has fully completed (or failed).
-func (t *Task) Done() <-chan struct{} { return t.job.Done() }
+func (t *Task) Done() <-chan struct{} { return t.done }
 
 // Err reports the task's failure, nil on success. Valid after Done.
 func (t *Task) Err() error {
-	<-t.job.Done()
-	return t.job.Err
+	<-t.done
+	return t.err
 }
 
-// Program returns the compiled program (nil when compilation failed or the
-// request was shed before compiling). Valid after Done. The program stays
-// bound to this service for further Detect/Accelerate/Run calls.
+// Program returns the compiled program (nil when the request failed).
+// Valid after Done. The program stays bound to this service for further
+// Detect/Accelerate/Run calls.
 func (t *Task) Program() *Program {
-	<-t.job.Done()
-	if t.job.Mod == nil {
+	<-t.done
+	if t.res == nil {
 		return nil
 	}
-	return &Program{Module: t.job.Mod, svc: t.svc}
+	return &Program{Module: t.res.Mod, svc: t.svc}
 }
 
 // Detection returns the in-process detection outcome (nil on failure),
 // carrying the live instances Accelerate consumes. Valid after Done.
 func (t *Task) Detection() *Detection {
-	<-t.job.Done()
-	if t.job.Res == nil {
+	<-t.done
+	if t.res == nil {
 		return nil
 	}
-	return wrapDetection(t.job.Res)
+	return wrapDetection(t.res)
 }
 
 // Result renders the task's outcome in v1 wire form under the given
 // (batch-relative) sequence number, blocking until the task completes.
 func (t *Task) Result(seq int) DetectResult {
-	<-t.job.Done()
-	if t.job.Err != nil {
+	<-t.done
+	if t.err != nil {
 		return DetectResult{
-			Seq: seq, Name: t.job.Name,
-			Err:  t.job.Err.Error(),
+			Seq: seq, Name: t.Req.Name,
+			Err:  t.err.Error(),
 			Memo: t.svc.memoSnapshot(),
 		}
 	}
-	out := WireResult(seq, t.job.Name, t.job.Res, t.Req.Opts)
+	out := WireResult(seq, t.Req.Name, t.res, t.Req.Opts)
 	if t.Req.Opts.EmitIR {
-		out.IR = t.job.Mod.String()
+		out.IR = t.res.Mod.String()
 	}
 	out.Memo = t.svc.memoSnapshot()
 	return out
@@ -581,7 +588,7 @@ func (s *Service) DetectBatch(ctx context.Context, reqs []DetectRequest) ([]Dete
 // wire result per request in completion order, with Seq carrying the
 // submit-order position, so reassembling by Seq is byte-identical to
 // DetectBatch. The channel is buffered for the whole batch (a slow consumer
-// never blocks the pipeline) and closes after the last result. On intake
+// never blocks the stream) and closes after the last result. On intake
 // failure mid-batch the already-submitted requests are cancelled and the
 // intake error is returned.
 func (s *Service) DetectStream(ctx context.Context, reqs []DetectRequest) (<-chan DetectResult, error) {
@@ -667,7 +674,7 @@ func (s *Service) Compile(ctx context.Context, name, source string) (*Program, e
 }
 
 // DetectProgram detects idioms in an already-compiled program through the
-// service pipeline (idioms empty = the default set). This is the single
+// service's stream (idioms empty = the default set). This is the single
 // in-process path from a Program to a Detection; Program.Detect and
 // Program.DetectOnly are thin wrappers over it.
 func (s *Service) DetectProgram(ctx context.Context, p *Program, idms ...string) (*Detection, error) {
@@ -675,18 +682,14 @@ func (s *Service) DetectProgram(ctx context.Context, p *Program, idms ...string)
 	if err != nil {
 		return nil, err
 	}
-	mod := p.Module
-	job, err := s.pipe.SubmitOpts(mod.Ident, func() (*ir.Module, error) {
-		return mod, nil
-	}, pipeline.SubmitOptions{Ctx: ctx, Idioms: subset})
+	t, err := s.submit(ctx, DetectRequest{}, nil, detect.Submission{Mod: p.Module, Idioms: subset})
 	if err != nil {
 		return nil, err
 	}
-	res, err := job.Wait()
-	if err != nil {
+	if err := t.Err(); err != nil {
 		return nil, err
 	}
-	return wrapDetection(res), nil
+	return wrapDetection(t.res), nil
 }
 
 // --- introspection ---
@@ -739,8 +742,12 @@ func (s *Service) Idioms() []IdiomInfo {
 // admitted requests still compiling, and detect_slots is never -1. v7
 // removed the prescreen scheduler and with it prune_mode, prune_skipped,
 // prune_reordered, prescreen_ns_total, memo.cost_entries and the near-miss
-// skipped flag.
-const StatsSchemaVersion = 7
+// skipped flag. v8 moved client fairness into the solver pool's task queue
+// and compile onto that pool: detect_slots and detect_active are gone,
+// ready_queue (global and per client) counts stage tasks queued in the pool,
+// compile_queue counts requests whose compile task is queued or running, and
+// panics counts pool tasks that panicked.
+const StatsSchemaVersion = 8
 
 // StatsResponse is the versioned /statsz wire payload: queue depth, worker
 // utilization, memoization state and per-client fairness gauges. Fields are
@@ -753,17 +760,17 @@ type StatsResponse struct {
 	// QueueLimit is the intake bound they count against (0 = unbounded).
 	InFlight   int `json:"in_flight"`
 	QueueLimit int `json:"queue_limit"`
-	// CompileQueue is how many admitted requests are still compiling.
+	// CompileQueue counts requests whose compile task is queued or running.
 	CompileQueue int `json:"compile_queue"`
 	// SolveActive / SolveWorkers is the solver-pool utilization gauge.
 	SolveWorkers int `json:"solve_workers"`
 	SolveActive  int `json:"solve_active"`
-	// ReadyQueue counts requests waiting, uncompiled, for a detect slot;
-	// DetectSlots is the slot bound and DetectActive how many slots are
-	// occupied (compiling or detecting) right now.
-	ReadyQueue   int `json:"ready_queue"`
-	DetectSlots  int `json:"detect_slots"`
-	DetectActive int `json:"detect_active"`
+	// ReadyQueue counts stage tasks (compile, analysis, solve) queued in
+	// the solver pool, not yet running.
+	ReadyQueue int `json:"ready_queue"`
+	// Panics counts pool tasks that panicked; each failed only its own
+	// request, in-band.
+	Panics int64 `json:"panics"`
 	// PruneSkipped and PruneReordered are always 0 and never on the wire.
 	//
 	// Deprecated: the prescreen scheduler they counted is gone. Their last
@@ -786,29 +793,36 @@ type StatsResponse struct {
 	Clients []ClientStatsRow `json:"clients,omitempty"`
 }
 
-// ClientStatsRow is one per-tenant fairness row in StatsResponse.
-type ClientStatsRow = pipeline.ClientStats
-
 // Stats reports current service load.
 func (s *Service) Stats() StatsResponse {
-	ps := s.pipe.Stats()
-	return StatsResponse{
+	ss := s.stream.Stats()
+	out := StatsResponse{
 		Schema:       StatsSchemaVersion,
-		InFlight:     ps.InFlight,
-		QueueLimit:   ps.MaxQueue,
-		CompileQueue: ps.CompileQueue,
-		SolveWorkers: ps.SolveWorkers,
-		SolveActive:  ps.SolveActive,
-		ReadyQueue:   ps.ReadyQueue,
-		DetectSlots:  ps.DetectSlots,
-		DetectActive: ps.DetectActive,
-		Submitted:    ps.Submitted,
-		Completed:    ps.Completed,
+		QueueLimit:   s.queueLimit,
+		CompileQueue: ss.Compiling,
+		SolveWorkers: s.eng.Workers(),
+		SolveActive:  ss.Active,
+		ReadyQueue:   ss.Queued,
+		Panics:       ss.Panics,
 		Packs:        len(s.reg.Packs()),
 		Memo:         s.memoSnapshot(),
 		Store:        s.storeStats(),
-		Clients:      ps.Clients,
 	}
+	s.mu.Lock()
+	out.Submitted, out.Completed = s.submitted, s.completed
+	out.InFlight = int(s.submitted - s.completed)
+	for _, cs := range s.clientOrder {
+		out.Clients = append(out.Clients, ClientStatsRow{
+			Name:       cs.name,
+			Weight:     cs.weight,
+			InFlight:   cs.inFlight,
+			ReadyQueue: ss.Clients[cs.name],
+			Served:     cs.served,
+			Shed:       cs.shed,
+		})
+	}
+	s.mu.Unlock()
+	return out
 }
 
 func (s *Service) memoSnapshot() MemoSnapshot {

@@ -368,6 +368,7 @@ func TestSemanticsErrors(t *testing.T) {
 		"assign to array":  `void f(int n) { double a[4]; a = 0; }`,
 		"index scalar":     `void f(int n) { n[0] = 1; }`,
 		"bad arg count":    `void g(int a) {} void f() { g(); }`,
+		"negate pointer":   `void f(double *p) { double *q = -p; }`,
 	}
 	for what, src := range bads {
 		if _, err := Compile("bad", src); err == nil {
@@ -434,5 +435,16 @@ float triple(int n) {
 	// 3 iterators + acc carried through 3 loop headers = 6 phis.
 	if phis < 4 || phis > 7 {
 		t.Errorf("phis = %d, expected between 4 and 7\n%s", phis, f)
+	}
+}
+
+// TestRedefinitionRejected pins that a second definition of a function name
+// is a compile error: lowering keeps one declaration per name, so a first
+// body lowered against the second's shorter parameter list would index past
+// its end.
+func TestRedefinitionRejected(t *testing.T) {
+	_, err := Compile("redef", `void A(int m, int n){} void A(int m){}`)
+	if err == nil || !strings.Contains(err.Error(), "redefinition of A") {
+		t.Fatalf("err = %v, want a redefinition error", err)
 	}
 }

@@ -86,8 +86,12 @@ func CompileFile(name string, file *File) (*ir.Module, error) {
 	mod := ir.NewModule(name)
 	lw := &lowerer{mod: mod, fns: map[string]*ir.Function{}, decls: map[string]*FuncDecl{}}
 
-	// First pass: declare all functions so calls can reference them.
+	// First pass: declare all functions so calls can reference them. Every
+	// declaration has a body, so a repeated name is a redefinition.
 	for _, fd := range file.Funcs {
+		if lw.decls[fd.Name] != nil {
+			return nil, fmt.Errorf("cc: redefinition of %s", fd.Name)
+		}
 		var args []*ir.Argument
 		for _, p := range fd.Params {
 			args = append(args, ir.Arg(p.Name, irType(p.Ty)))
@@ -576,6 +580,9 @@ func (lw *lowerer) expr(e Expr) (ir.Value, CType, error) {
 		}
 		switch x.Op {
 		case "-":
+			if !vt.IsArith() {
+				return nil, CType{}, lw.errf("unary - on %s", vt)
+			}
 			if vt.IsFloat() {
 				return lw.b.FSub(ir.ConstFloat(irScalar(vt.Base), 0), v), vt, nil
 			}

@@ -9,12 +9,13 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/detect"
 	"repro/internal/ir"
+	"repro/internal/leakcheck"
 	"repro/internal/workloads"
 )
 
 // TestStreamIdiomSubsetMatchesSequential pins the per-submission roster
 // subset: a Detect call whose Submission carries Idioms must be
-// byte-identical to the sequential driver run with the same Options.Idioms
+// byte-identical to the sequential reference run with the same Options.Idioms
 // (same instances, same precedence, same step count), while a concurrent call
 // on the same stream keeps the full roster.
 func TestStreamIdiomSubsetMatchesSequential(t *testing.T) {
@@ -23,14 +24,8 @@ func TestStreamIdiomSubsetMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	subset := []string{"Reduction", "SPMV"}
-	want, err := detect.Module(mod, detect.Options{Idioms: subset})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFull, err := detect.Module(mod, detect.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sequential(t, mod, detect.Options{Idioms: subset})
+	wantFull := sequential(t, mod, detect.Options{})
 
 	eng, err := detect.NewEngine(detect.Options{Workers: 4, NoMemo: true})
 	if err != nil {
@@ -146,9 +141,9 @@ func TestStreamCancellation(t *testing.T) {
 
 	// The pool must drain completely once the stream is done.
 	deadline := time.Now().Add(5 * time.Second)
-	for st.Active() != 0 {
+	for st.Stats().Active != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d workers still active after cancellation drain", st.Active())
+			t.Fatalf("%d workers still active after cancellation drain", st.Stats().Active)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -238,10 +233,66 @@ func TestSplitCancellation(t *testing.T) {
 
 	// Every worker must be free promptly.
 	deadline := time.Now().Add(5 * time.Second)
-	for st.Active() != 0 {
+	for st.Stats().Active != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d workers still active after cancellation drain", st.Active())
+			t.Fatalf("%d workers still active after cancellation drain", st.Stats().Active)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStreamCancelMidSolve pins per-submission cancellation on compile
+// thunks: a heavy module cancelled once it is solving returns
+// context.Canceled, while the modules compiled and detected beside it on the
+// same stream finish with their sequential results and the pool drains.
+func TestStreamCancelMidSolve(t *testing.T) {
+	leakcheck.Register(t)
+	eng, err := detect.NewEngine(detect.Options{Workers: 2, Memo: constraint.NewSolveCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stream()
+	defer st.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	names := []string{"EP", "sgemm"}
+	subs := []detect.Submission{{Compile: workloads.ByName("lbm").Compile, Ctx: ctx}}
+	for _, n := range names {
+		subs = append(subs, detect.Submission{Compile: workloads.ByName(n).Compile})
+	}
+	wait := detectAsync(st, subs)
+	// A memo miss is counted as a fresh solve starts: cancel only once
+	// solving is under way. lbm alone takes tens of milliseconds to solve.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, misses := eng.MemoStats(); misses > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no submission ever started solving")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+
+	got, errs, _ := wait()
+	if !errors.Is(errs[0], context.Canceled) || got[0] != nil {
+		t.Fatalf("heavy submission: result %v, err %v; want context.Canceled", got[0], errs[0])
+	}
+	if err := errors.Join(errs[1:]...); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*detect.Result, len(names))
+	for i, n := range names {
+		mod, err := workloads.ByName(n).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sequential(t, mod, detect.Options{})
+	}
+	sameResults(t, names, got[1:], want)
+	if ss := st.Stats(); ss.Active != 0 || ss.Queued != 0 || ss.Compiling != 0 {
+		t.Fatalf("final stats = %+v, want a drained stream", ss)
 	}
 }

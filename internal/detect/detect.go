@@ -2,18 +2,21 @@
 // prioritizes solutions, and reports idiom instances — the "Constraints
 // Solver" plus bookkeeping stage of the paper's Figure 1 workflow.
 //
-// Two drivers are provided: Module/Function solve sequentially, while Engine
-// (and the Modules convenience wrapper) precompiles every idiom's constraint
-// problem once and fans the independent (function × idiom) solves out over a
-// worker pool. Both produce byte-identical results: solutions are re-sorted
-// deterministically and claim-based de-duplication always runs serially in
-// roster precedence order. Long-lived callers use Engine.Stream instead: each
-// blocking Stream.Detect call detects one module on the engine's shared pool,
-// so the solves of concurrent callers interleave.
+// There is one driver, Engine: it precompiles every idiom's constraint
+// problem once and runs each module's compile, function analyses and
+// independent (function × idiom) solves as tasks on a worker pool.
+// Solutions are re-sorted deterministically and claim-based de-duplication
+// always runs serially in roster precedence order, so results are
+// byte-identical at any worker count; Workers: 1 with NoMemo is the
+// sequential reference. Long-lived callers use Engine.Stream: each blocking
+// Stream.Detect call detects one module on the engine's shared pool, so the
+// tasks of concurrent callers interleave; Engine.Modules is a batch over a
+// private stream.
 //
 // Every driver solves every (function × idiom) pair. The only scheduling
-// policy is the stream's task order (deadline, then analysis before solves,
-// then FIFO; see Stream), and it never changes output.
+// policy is the stream's task order (per-client fairness, then deadline,
+// then front end before solves, then FIFO; see Stream), and it never
+// changes output.
 package detect
 
 import (
@@ -44,6 +47,9 @@ type Result struct {
 	SolverSteps int
 	// Elapsed is the wall-clock detection time.
 	Elapsed time.Duration
+	// Mod is the detected module: the submission's own, or the one its
+	// Compile thunk produced.
+	Mod *ir.Module
 	// NearMisses holds the explain-mode diagnostics: the top unmatched
 	// idioms of the module with their similarity evidence. Only populated
 	// when the submission asked for it (Submission.Explain).
@@ -83,9 +89,8 @@ func (r *Result) CountByClass() map[idioms.Class]int {
 type Options struct {
 	// Idioms restricts detection to the named idioms (empty = all).
 	Idioms []string
-	// Workers bounds the worker pool of the parallel engine (Engine,
-	// Modules). Zero or negative means GOMAXPROCS. Sequential Module and
-	// Function ignore it.
+	// Workers bounds the engine's worker pool. Zero or negative means
+	// GOMAXPROCS; 1 runs every task of a call sequentially.
 	Workers int
 	// Memo selects the solver memoization cache the engine keys solves into:
 	// nil means the process-wide constraint.SharedSolveCache. Supply a
@@ -112,45 +117,6 @@ func roster(opts Options) []idioms.Idiom {
 		}
 	}
 	return out
-}
-
-// Module detects idioms in every function of the module.
-func Module(mod *ir.Module, opts Options) (*Result, error) {
-	res := &Result{}
-	start := time.Now()
-	for _, fn := range mod.Functions {
-		if err := function(fn, opts, res); err != nil {
-			return nil, err
-		}
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// Function detects idioms in a single function.
-func Function(fn *ir.Function, opts Options) (*Result, error) {
-	res := &Result{}
-	start := time.Now()
-	if err := function(fn, opts, res); err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-func function(fn *ir.Function, opts Options, res *Result) error {
-	info := analysis.Analyze(fn)
-	ros := roster(opts)
-	per := make([]idiomSolutions, len(ros))
-	for i, idm := range ros {
-		prob, err := idioms.Problem(idm.Top)
-		if err != nil {
-			return err
-		}
-		per[i] = solveIdiom(nil, idm, prob, info)
-	}
-	merge(fn, per, res)
-	return nil
 }
 
 // idiomSolutions is the outcome of one independent (function × idiom) solve:

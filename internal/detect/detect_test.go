@@ -17,6 +17,22 @@ func compile(t *testing.T, src string) *ir.Module {
 	return mod
 }
 
+// sequential detects mod on a one-worker, memo-free engine: the sequential
+// reference every other configuration must match.
+func sequential(t testing.TB, mod *ir.Module, opts Options) *Result {
+	t.Helper()
+	opts.Workers, opts.NoMemo = 1, true
+	eng, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Module(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // A module mixing several idioms must report each exactly once with the
 // right classification.
 func TestModuleMixedIdioms(t *testing.T) {
@@ -48,10 +64,7 @@ void jacobi(double* in, double* out, int n) {
         out[i] = (in[i-1] + in[i] + in[i+1]) / 3.0;
     }
 }`)
-	res, err := Module(mod, Options{})
-	if err != nil {
-		t.Fatalf("Module: %v", err)
-	}
+	res := sequential(t, mod, Options{})
 	counts := res.CountByClass()
 	if counts[idioms.ClassSparseMatrixOp] != 1 {
 		t.Errorf("sparse ops = %d, want 1", counts[idioms.ClassSparseMatrixOp])
@@ -89,10 +102,7 @@ void gemm(int m, int n, int k, float* A, int lda, float* B, int ldb,
         }
     }
 }`)
-	res, err := Module(mod, Options{})
-	if err != nil {
-		t.Fatalf("Module: %v", err)
-	}
+	res := sequential(t, mod, Options{})
 	if len(res.Instances) != 1 {
 		for _, inst := range res.Instances {
 			t.Logf("instance: %s", inst.Idiom.Name)
@@ -116,10 +126,7 @@ void spmv(int m, double* a, int* rowstr, int* colidx, double* z, double* r) {
         r[j] = d;
     }
 }`)
-	res, err := Module(mod, Options{})
-	if err != nil {
-		t.Fatalf("Module: %v", err)
-	}
+	res := sequential(t, mod, Options{})
 	if len(res.Instances) != 1 || res.Instances[0].Idiom.Name != "SPMV" {
 		for _, inst := range res.Instances {
 			t.Logf("instance: %s", inst.Idiom.Name)
@@ -136,10 +143,7 @@ double dot(double* x, double* y, int n) {
     for (int i = 0; i < n; i++) { s = s + x[i]*y[i]; }
     return s;
 }`)
-	res, err := Module(mod, Options{Idioms: []string{"Histogram"}})
-	if err != nil {
-		t.Fatalf("Module: %v", err)
-	}
+	res := sequential(t, mod, Options{Idioms: []string{"Histogram"}})
 	if len(res.Instances) != 0 {
 		t.Fatalf("instances = %d, want 0 with Histogram-only filter", len(res.Instances))
 	}
@@ -155,15 +159,14 @@ double stats(double* x, int n) {
     for (int i = 0; i < n; i++) { sq = sq + x[i]*x[i]; }
     return s + sq;
 }`)
-	res, err := Module(mod, Options{})
-	if err != nil {
-		t.Fatalf("Module: %v", err)
-	}
+	res := sequential(t, mod, Options{})
 	if got := res.CountByClass()[idioms.ClassScalarReduction]; got != 2 {
 		t.Fatalf("reductions = %d, want 2", got)
 	}
 }
 
+// A single-function module: its one instance names the function and carries
+// the claims de-duplication keys on.
 func TestFunctionEntryPoint(t *testing.T) {
 	mod := compile(t, `
 double sum(double* a, int n) {
@@ -171,10 +174,7 @@ double sum(double* a, int n) {
     for (int i = 0; i < n; i++) { s = s + a[i]; }
     return s;
 }`)
-	res, err := Function(mod.FunctionByName("sum"), Options{})
-	if err != nil {
-		t.Fatalf("Function: %v", err)
-	}
+	res := sequential(t, mod, Options{})
 	if len(res.Instances) != 1 {
 		t.Fatalf("instances = %d, want 1", len(res.Instances))
 	}
@@ -198,10 +198,7 @@ int collatz(int x) {
     }
     return steps;
 }`)
-	res, err := Module(mod, Options{})
-	if err != nil {
-		t.Fatalf("Module: %v", err)
-	}
+	res := sequential(t, mod, Options{})
 	if len(res.Instances) != 0 {
 		for _, inst := range res.Instances {
 			t.Logf("unexpected: %s %s", inst.Idiom.Name, inst.Solution)

@@ -19,8 +19,8 @@ import (
 // static node index, so workers never contend on the compile caches) and
 // fans detection out over a worker pool: function analysis and each
 // (function × idiom) solve are independent tasks. A serial merge stage then
-// re-sorts and claim-deduplicates, so results are byte-identical to the
-// sequential Module driver regardless of worker count.
+// re-sorts and claim-deduplicates, so results are byte-identical regardless
+// of worker count.
 type Engine struct {
 	roster    []idioms.Idiom
 	probs     []*constraint.Problem // parallel to roster
@@ -121,8 +121,7 @@ func (e *Engine) resolved(ris []int) []Resolved {
 }
 
 // subset resolves idiom names to roster positions, preserving the request
-// order (which becomes merge precedence, exactly as the sequential driver's
-// Options.Idioms does). Unknown names are skipped. A nil names list means the
+// order (which becomes merge precedence, exactly as Options.Idioms does). Unknown names are skipped. A nil names list means the
 // engine's full roster.
 func (e *Engine) subset(names []string) []int {
 	if names == nil {
@@ -190,7 +189,7 @@ func (e *Engine) Module(mod *ir.Module) (*Result, error) {
 // module (index-aligned with mods). Every module runs as its own Detect call
 // on a private Stream over the engine's pool, one goroutine per module, so
 // all (function × idiom) solves across the whole batch interleave — small
-// modules do not serialize the pipeline. With Workers: 1 the pool is one
+// modules do not serialize the batch. With Workers: 1 the pool is one
 // worker, so every stage task and every solve runs sequentially by
 // construction (the paper's Table 2 sequential metrics are unaffected).
 // Because solves interleave across modules, per-module wall time is not

@@ -34,20 +34,14 @@ void serial(double* a, int n) {
 	}
 
 	// Not part of the default roster: the Table 1 counts stay faithful.
-	def, err := Module(mod, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := sequential(t, mod, Options{})
 	for _, inst := range def.Instances {
 		if inst.Idiom.Name == "Map" {
 			t.Error("Map must not run by default")
 		}
 	}
 
-	res, err := Module(mod, Options{Idioms: []string{"Map"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sequential(t, mod, Options{Idioms: []string{"Map"}})
 	got := map[string]int{}
 	for _, inst := range res.Instances {
 		if inst.Idiom.Name != "Map" || inst.Idiom.Class != idioms.ClassMap {

@@ -21,6 +21,22 @@ func instanceKey(inst detect.Instance) string {
 	return s + "]"
 }
 
+// sequential detects mod on a one-worker, memo-free engine: the sequential
+// reference every other configuration must match.
+func sequential(t *testing.T, mod *ir.Module, opts detect.Options) *detect.Result {
+	t.Helper()
+	opts.Workers, opts.NoMemo = 1, true
+	eng, err := detect.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Module(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func resultKeys(t *testing.T, res *detect.Result) []string {
 	t.Helper()
 	keys := make([]string, len(res.Instances))
@@ -31,7 +47,7 @@ func resultKeys(t *testing.T, res *detect.Result) []string {
 }
 
 // TestParallelMatchesSequential asserts the concurrent engine is
-// deterministic: for every benchmark module, the sequential driver and the
+// deterministic: for every benchmark module, the sequential reference and the
 // engine at 1, 4 and 8 workers report identical instances — same idioms,
 // same claim sets, same order — and identical solver step totals. Run under
 // -race this also exercises the shared Info / shared Problem paths.
@@ -49,12 +65,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 	// Sequential reference over the shared modules.
 	var want []*detect.Result
-	for i, mod := range mods {
-		res, err := detect.Module(mod, detect.Options{})
-		if err != nil {
-			t.Fatalf("%s: sequential detect: %v", names[i], err)
-		}
-		want = append(want, res)
+	for _, mod := range mods {
+		want = append(want, sequential(t, mod, detect.Options{}))
 	}
 
 	for _, workers := range []int{1, 4, 8} {
@@ -87,7 +99,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestEngineIdiomSubset checks the engine honors Options.Idioms like the
-// sequential driver does, including extension idioms that only run when
+// sequential reference does, including extension idioms that only run when
 // named.
 func TestEngineIdiomSubset(t *testing.T) {
 	w := workloads.ByName("sgemm")
@@ -96,10 +108,7 @@ func TestEngineIdiomSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := detect.Options{Idioms: []string{"GEMM"}, Workers: 4}
-	seq, err := detect.Module(mod, detect.Options{Idioms: opts.Idioms})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := sequential(t, mod, detect.Options{Idioms: opts.Idioms})
 	eng, err := detect.NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -193,27 +202,23 @@ func compileAll(t *testing.T) ([]*ir.Module, []string) {
 	return mods, names
 }
 
-// sequentialResults runs the sequential per-module driver over mods.
-func sequentialResults(t *testing.T, mods []*ir.Module, names []string) []*detect.Result {
+// sequentialResults runs the sequential reference over mods.
+func sequentialResults(t *testing.T, mods []*ir.Module) []*detect.Result {
 	t.Helper()
 	want := make([]*detect.Result, len(mods))
 	for i, mod := range mods {
-		res, err := detect.Module(mod, detect.Options{})
-		if err != nil {
-			t.Fatalf("%s: sequential detect: %v", names[i], err)
-		}
-		want[i] = res
+		want[i] = sequential(t, mod, detect.Options{})
 	}
 	return want
 }
 
 // TestSplitMatchesSequential pins the streaming engine against the
-// sequential driver with the memo off, so every search is a fresh solve:
+// sequential reference with the memo off, so every search is a fresh solve:
 // detecting every workload concurrently on one Workers:4 stream returns
 // byte-identical results, and every worker is idle once the calls return.
 func TestSplitMatchesSequential(t *testing.T) {
 	mods, names := compileAll(t)
-	want := sequentialResults(t, mods, names)
+	want := sequentialResults(t, mods)
 
 	eng, err := detect.NewEngine(detect.Options{Workers: 4, NoMemo: true})
 	if err != nil {
@@ -223,7 +228,7 @@ func TestSplitMatchesSequential(t *testing.T) {
 	got, _ := detectAll(t, st, mods)
 	st.Close()
 	sameResults(t, names, got, want)
-	if a := st.Active(); a != 0 {
+	if a := st.Stats().Active; a != 0 {
 		t.Errorf("Active = %d after drain, want 0", a)
 	}
 }
@@ -235,7 +240,7 @@ func TestSplitMatchesSequential(t *testing.T) {
 // batch is sequential by construction.
 func TestBatchMatchesSequential(t *testing.T) {
 	mods, names := compileAll(t)
-	want := sequentialResults(t, mods, names)
+	want := sequentialResults(t, mods)
 
 	for _, workers := range []int{1, 4} {
 		workers := workers

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// TestTaskQueueOrder pins the stream's four scheduling keys, in precedence
-// order: deadlined tasks before deadline-free ones, earlier deadline first,
-// analysis before solve, then FIFO. Tasks are pushed in an order that every
-// key has to correct.
+// TestTaskQueueOrder pins the four scheduling keys of one client's task
+// heap, in precedence order: deadlined tasks before deadline-free ones,
+// earlier deadline first, front end (compile, analysis) before solve, then
+// FIFO. Tasks are pushed in an order that every key has to correct.
 func TestTaskQueueOrder(t *testing.T) {
 	base := time.Unix(1_000_000, 0)
 	soon, late := base.Add(time.Second), base.Add(time.Minute)
@@ -33,7 +33,7 @@ func TestTaskQueueOrder(t *testing.T) {
 		// Deadlined before deadline-free; earlier deadline first.
 		"soon-analysis", "soon-solve-1", "soon-solve-2",
 		"late-analysis", "late-solve-1", "late-solve-2",
-		// Among deadline-free tasks: analysis before solve, then FIFO.
+		// Among deadline-free tasks: front end before solve, then FIFO.
 		"free-analysis-1", "free-analysis-2", "free-solve-1", "free-solve-2",
 	}
 
@@ -42,7 +42,7 @@ func TestTaskQueueOrder(t *testing.T) {
 	for i, tk := range tasks {
 		order := int64(i + 1)
 		names[order] = tk.name
-		heap.Push(&q, streamTask{deadline: tk.deadline, analysis: tk.analysis, order: order})
+		heap.Push(&q, streamTask{st: &stage{deadline: tk.deadline, frontEnd: tk.analysis}, order: order})
 	}
 	var got []string
 	for q.Len() > 0 {

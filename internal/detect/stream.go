@@ -3,6 +3,8 @@ package detect
 import (
 	"container/heap"
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,29 +17,34 @@ import (
 
 // Submission describes one module entering a Stream.
 type Submission struct {
+	// Mod is an already-compiled module. When nil, Compile produces it.
 	Mod *ir.Module
+	// Compile produces the module when Mod is nil. The stream runs it as the
+	// submission's first front-end task, on the shared pool and under the
+	// same fair order as analysis and solves; its error fails the call.
+	Compile func() (*ir.Module, error)
 	// Start is the wall-clock origin of the module's Result.Elapsed; the zero
-	// value means "now". A compile→detect pipeline passes its compile start
-	// time so the reported elapsed spans compile-start → merge-done.
+	// value means "when Detect is called".
 	Start time.Time
 	// Ctx, when non-nil, cancels the submission: queued stage tasks become
 	// no-ops, in-flight backtracking searches abort at their next poll, and
 	// Detect returns Ctx.Err(). A nil Ctx never cancels.
 	Ctx context.Context
-	// Deadline, when non-zero, is the submission's completion deadline. The
-	// solver pool schedules deadlined stage tasks soonest-deadline-first,
-	// ahead of deadline-free work, so a request that can still make its
-	// deadline is never stuck behind open-ended traffic. Zero derives the
-	// deadline from Ctx (context.WithDeadline reaches here automatically);
-	// enforcement is still Ctx's — the deadline only orders the queue.
+	// Deadline, when non-zero, is the submission's completion deadline. Within
+	// its client's queue, deadlined tasks run soonest-deadline-first, ahead of
+	// deadline-free work. Zero derives the deadline from Ctx
+	// (context.WithDeadline reaches here automatically); enforcement is still
+	// Ctx's — the deadline only orders the queue.
 	Deadline time.Time
-	// Client labels the submission with the tenant it belongs to (serving
-	// layers thread the authenticated client name end-to-end). Purely
-	// identifying: fairness between clients is the pipeline's intake job.
+	// Client names the tenant the submission belongs to ("" is the anonymous
+	// tier, a client like any other). Clients with queued tasks are served by
+	// weighted deficit round-robin, Weight tasks per turn (zero or negative
+	// means 1), so one client's backlog cannot starve another's.
 	Client string
+	Weight int
 	// Idioms restricts detection to the named idioms (resolved against the
 	// engine's roster, in the order given — the same precedence semantics as
-	// Options.Idioms on the sequential driver). Nil means the full roster.
+	// Options.Idioms). Nil means the full roster.
 	Idioms []string
 	// Roster, when non-nil, overrides Idioms entirely: detection solves
 	// exactly these (idiom, problem) pairs in the given precedence order —
@@ -53,67 +60,94 @@ type Submission struct {
 }
 
 // Stream is the incremental front door of an Engine: each Detect call runs
-// one module and blocks until its Result is merged, while the (function ×
-// idiom) solves of every in-flight call interleave over a single shared
-// worker pool — the same pool shape Modules uses, without its whole-batch
-// barrier. Callers choose their own concurrency by calling Detect from as
-// many goroutines as they want modules in flight.
+// one module — compile, analysis, (function × idiom) solves — and blocks
+// until its Result is merged, while the tasks of every in-flight call
+// interleave over a single shared worker pool. Callers choose their own
+// concurrency by calling Detect from as many goroutines as they want
+// modules in flight.
 //
 // Determinism: solves for one module land in a dense per-module grid and are
 // merged serially in function order, exactly as in Modules, so every Detect
 // result is byte-identical (instances and step counts) to Modules over the
 // same module at any worker count. Unlike batch Modules, each Result carries
-// its own wall time: from Submission.Start (compile start, when fed by a
-// pipeline) to merge completion.
+// its own wall time, from Submission.Start to merge completion.
 //
-// Scheduling: every (function × idiom) pair is solved. Stage tasks enter one
-// queue ordered by four keys: deadlined tasks before deadline-free ones, then
-// earliest deadline, then analysis tasks before solve tasks, then FIFO.
-// Under mixed traffic the pool thus prefers the work whose deadline is
-// soonest, and a newly arrived module's analysis never waits behind the
-// queued solves of modules already in flight, so its solves join the queue
-// early. Determinism is unaffected: tasks write into dense per-module grids
-// and merges are serial, so execution order never changes output bytes.
+// Scheduling: every (function × idiom) pair is solved. Each client with
+// queued tasks has its own heap, and the pool serves those clients by
+// weighted deficit round-robin, one task per pick; a client whose heap
+// empties leaves the ring and keeps no deficit. Within a client's heap tasks
+// are ordered by four keys: deadlined before deadline-free, then earliest
+// deadline, then front-end tasks (compile, analysis) before solves, then
+// FIFO. So a deadline only reorders its own client's work and never
+// outranks fairness, and a newly arrived module's front end never waits
+// behind the queued solves of its client's modules already in flight.
+// Determinism is unaffected: execution order never changes output bytes.
+//
+// Containment: the worker loop recovers a panicking task. Only that task's
+// submission fails, with an "internal error" from Detect; its remaining
+// tasks become no-ops, and a panicking solve never reaches the memo.
 type Stream struct {
 	eng *Engine
 
-	// mu guards the stage-task queue and the two close flags.
+	// mu guards the client ring, its heaps and the two close flags.
 	mu        sync.Mutex
 	qcond     *sync.Cond
-	taskQ     taskQueue
-	taskOrder int64 // FIFO tiebreak for equal/absent deadlines
-	closed    bool  // Close called: Detect panics
-	stopped   bool  // in-flight calls drained: workers exit
+	clients   map[string]*clientQueue // clients with queued tasks
+	ring      []*clientQueue          // the same clients, in DRR order
+	cur       int                     // DRR cursor into ring
+	queued    int                     // tasks queued across all clients
+	taskOrder int64                   // FIFO tiebreak for equal/absent deadlines
+	closed    bool                    // Close called: Detect panics
+	stopped   bool                    // in-flight calls drained: workers exit
 
-	inflight sync.WaitGroup // Detect calls not yet returned
-	workers  sync.WaitGroup // pool goroutines
-	active   atomic.Int64   // workers currently executing a task
+	inflight  sync.WaitGroup // Detect calls not yet returned
+	workers   sync.WaitGroup // pool goroutines
+	active    atomic.Int64   // workers currently executing a task
+	compiling atomic.Int64   // submissions whose compile task is queued or running
+	panics    atomic.Int64   // tasks that panicked
 }
 
-// streamTask is one queued stage task with its scheduling key.
+// clientQueue is one client's pending tasks and its DRR deficit.
+type clientQueue struct {
+	name    string
+	weight  int
+	deficit int
+	tasks   taskQueue
+}
+
+// stage is one batch of a submission's tasks, f(0..n-1), sharing the
+// submission's scheduling key.
+type stage struct {
+	f        func(i int)
+	wg       sync.WaitGroup
+	fail     context.CancelCauseFunc // fails the submission on a panic
+	deadline time.Time               // zero = no deadline (after all deadlined work)
+	frontEnd bool                    // compile or analysis: runs before solves of its deadline
+}
+
+// streamTask is one queued task of a stage.
 type streamTask struct {
-	fn       func()
-	deadline time.Time // zero = no deadline (scheduled after all deadlined work)
-	analysis bool      // an analysis task; runs before solves of its deadline
-	order    int64     // enqueue order, the FIFO tiebreak
+	st    *stage
+	i     int
+	order int64 // enqueue order, the FIFO tiebreak
 }
 
-// taskQueue is a min-heap over streamTask: deadlined tasks before
-// deadline-free ones, soonest deadline first; among equal deadlines, analysis
-// tasks before solve tasks, then enqueue order.
+// taskQueue is one client's min-heap over streamTask: deadlined tasks before
+// deadline-free ones, soonest deadline first; among equal deadlines,
+// front-end tasks before solve tasks, then enqueue order.
 type taskQueue []streamTask
 
 func (q taskQueue) Len() int { return len(q) }
 func (q taskQueue) Less(i, j int) bool {
-	di, dj := q[i].deadline, q[j].deadline
-	if di.IsZero() != dj.IsZero() {
-		return !di.IsZero()
+	a, b := q[i].st, q[j].st
+	if a.deadline.IsZero() != b.deadline.IsZero() {
+		return !a.deadline.IsZero()
 	}
-	if !di.IsZero() && !di.Equal(dj) {
-		return di.Before(dj)
+	if !a.deadline.IsZero() && !a.deadline.Equal(b.deadline) {
+		return a.deadline.Before(b.deadline)
 	}
-	if q[i].analysis != q[j].analysis {
-		return q[i].analysis
+	if a.frontEnd != b.frontEnd {
+		return a.frontEnd
 	}
 	return q[i].order < q[j].order
 }
@@ -131,7 +165,7 @@ func (q *taskQueue) Pop() any {
 // Stream starts a worker pool of the engine's configured size and returns a
 // new Stream over it. Close the stream to release the pool.
 func (e *Engine) Stream() *Stream {
-	s := &Stream{eng: e}
+	s := &Stream{eng: e, clients: map[string]*clientQueue{}}
 	s.qcond = sync.NewCond(&s.mu)
 	for w := 0; w < e.workers; w++ {
 		s.workers.Add(1)
@@ -139,28 +173,99 @@ func (e *Engine) Stream() *Stream {
 			defer s.workers.Done()
 			for {
 				s.mu.Lock()
-				for s.taskQ.Len() == 0 && !s.stopped {
+				for s.queued == 0 && !s.stopped {
 					s.qcond.Wait()
 				}
-				if s.taskQ.Len() == 0 { // stopped and drained
+				if s.queued == 0 { // stopped and drained
 					s.mu.Unlock()
 					return
 				}
-				t := heap.Pop(&s.taskQ).(streamTask)
+				t := s.pop()
 				s.mu.Unlock()
 				s.active.Add(1)
-				t.fn()
+				s.run(t)
 				s.active.Add(-1)
+				// Yield before the next pick: the task may have finished a
+				// stage, readying its Detect call to queue the next one. With
+				// more workers than processors, a worker that went straight
+				// on to a long solve would hold that call off for a whole
+				// preemption slice, and a light client's module would pay
+				// it at every stage.
+				runtime.Gosched()
 			}
 		}()
 	}
 	return s
 }
 
-// Active reports how many pool workers are executing a task right now — the
-// numerator of the serving layer's worker-utilization gauge (the denominator
-// is the engine's Workers).
-func (s *Stream) Active() int { return int(s.active.Load()) }
+// pop serves the next task by weighted deficit round-robin: the client at
+// the cursor is recharged with its weight when its deficit is spent, and
+// yields its heap's first task. A client whose heap empties leaves the ring
+// and carries no deficit into its next busy period, so long-run service
+// tracks weights over backlogged clients only. Callers hold s.mu and
+// s.queued > 0.
+func (s *Stream) pop() streamTask {
+	if s.cur >= len(s.ring) {
+		s.cur = 0
+	}
+	cq := s.ring[s.cur]
+	if cq.deficit == 0 {
+		cq.deficit = cq.weight
+	}
+	t := heap.Pop(&cq.tasks).(streamTask)
+	cq.deficit--
+	s.queued--
+	switch {
+	case cq.tasks.Len() == 0:
+		s.ring = append(s.ring[:s.cur], s.ring[s.cur+1:]...)
+		delete(s.clients, cq.name)
+	case cq.deficit == 0:
+		s.cur++
+	}
+	return t
+}
+
+// run executes one task. A panic fails the task's submission with an
+// in-band internal error; the recover runs before the stage's Done, so the
+// waiting Detect call always sees the failure.
+func (s *Stream) run(t streamTask) {
+	defer t.st.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			t.st.fail(fmt.Errorf("internal error: %v", r))
+		}
+	}()
+	t.st.f(t.i)
+}
+
+// StreamStats is a point-in-time snapshot of a stream's scheduler.
+type StreamStats struct {
+	// Active is how many pool workers are executing a task right now.
+	Active int
+	// Queued counts stage tasks queued, not yet running; Clients splits it
+	// by client name (clients without queued tasks are absent).
+	Queued  int
+	Clients map[string]int
+	// Compiling counts submissions whose compile task is queued or running.
+	Compiling int
+	// Panics counts tasks that panicked since the stream started.
+	Panics int64
+}
+
+// Stats reports the scheduler's current load.
+func (s *Stream) Stats() StreamStats {
+	s.mu.Lock()
+	out := StreamStats{Queued: s.queued, Clients: make(map[string]int, len(s.ring))}
+	for _, cq := range s.ring {
+		out.Clients[cq.name] = cq.tasks.Len()
+	}
+	s.mu.Unlock()
+	out.Active = int(s.active.Load())
+	out.Compiling = int(s.compiling.Load())
+	out.Panics = s.panics.Load()
+	return out
+}
 
 // Close stops intake, waits for in-flight Detect calls to return, then stops
 // the worker pool. It is idempotent; it must not be called from inside a
@@ -183,22 +288,25 @@ func (s *Stream) Close() {
 	s.workers.Wait()
 }
 
-// Detect runs one submission and blocks until its Result is merged: the same
-// analyse → solve-grid → serial merge staging as Modules, with the stage
-// tasks executed by the shared pool so concurrent calls interleave at
-// (function × idiom) granularity. A cancelled context short-circuits the
-// remaining stage tasks (queued ones become no-ops, running solves abort at
-// their next poll) and Detect returns the context error instead of a Result,
-// so the pool is freed promptly under load shedding. Detect panics after
-// Close.
+// Detect runs one submission and blocks until its Result is merged: compile
+// (when the submission carries no module), analyse, solve-grid, then the
+// same serial merge as Modules, with every task but the merge executed by
+// the shared pool so concurrent calls interleave at task granularity. A
+// cancelled context short-circuits the remaining tasks (queued ones become
+// no-ops, running solves abort at their next poll) and Detect returns the
+// context error instead of a Result, so the pool is freed promptly under
+// load shedding. A compile error or a panicking task fails the call the same
+// way. Detect panics after Close.
 func (s *Stream) Detect(sub Submission) (*Result, error) {
 	if sub.Start.IsZero() {
 		sub.Start = time.Now()
 	}
-	if sub.Deadline.IsZero() && sub.Ctx != nil {
-		if d, ok := sub.Ctx.Deadline(); ok {
-			sub.Deadline = d
-		}
+	parent := sub.Ctx
+	if parent == nil {
+		parent = context.Background()
+	}
+	if d, ok := parent.Deadline(); ok && sub.Deadline.IsZero() {
+		sub.Deadline = d
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -209,16 +317,41 @@ func (s *Stream) Detect(sub Submission) (*Result, error) {
 	s.mu.Unlock()
 	defer s.inflight.Done()
 
+	// ctx ends on the caller's cancellation or on a panicking task, and its
+	// cause is what the call returns.
+	ctx, fail := context.WithCancelCause(parent)
+	defer fail(nil)
+	done := ctx.Done()
+	failed := func() error {
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
+		return nil
+	}
+	if err := failed(); err != nil {
+		return nil, err
+	}
+	stageOf := func(frontEnd bool, f func(i int)) *stage {
+		return &stage{f: f, fail: fail, deadline: sub.Deadline, frontEnd: frontEnd}
+	}
+
 	e := s.eng
 	mod := sub.Mod
-	var done <-chan struct{}
-	ctxErr := func() error { return nil }
-	if sub.Ctx != nil {
-		done = sub.Ctx.Done()
-		ctxErr = sub.Ctx.Err
-	}
-	if err := ctxErr(); err != nil {
-		return nil, err
+	if mod == nil {
+		var err error
+		s.compiling.Add(1)
+		s.runStage(sub, 1, stageOf(true, func(int) {
+			if !cancelled(done) {
+				mod, err = sub.Compile()
+			}
+		}))
+		s.compiling.Add(-1)
+		if ferr := failed(); ferr != nil {
+			return nil, ferr
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	fns := mod.Functions
@@ -228,7 +361,7 @@ func (s *Stream) Detect(sub Submission) (*Result, error) {
 	if sub.Explain {
 		feats = make([]*similarity.Features, len(fns))
 	}
-	s.stage(len(fns), sub.Deadline, true, func(i int) {
+	s.runStage(sub, len(fns), stageOf(true, func(i int) {
 		if cancelled(done) {
 			return
 		}
@@ -237,8 +370,8 @@ func (s *Stream) Detect(sub Submission) (*Result, error) {
 		if feats != nil {
 			feats[i] = similarity.Extract(infos[i])
 		}
-	})
-	if err := ctxErr(); err != nil {
+	}))
+	if err := failed(); err != nil {
 		return nil, err
 	}
 
@@ -248,18 +381,18 @@ func (s *Stream) Detect(sub Submission) (*Result, error) {
 	}
 	nIdioms := len(ros)
 	grid := make([]idiomSolutions, len(fns)*nIdioms)
-	s.stage(len(grid), sub.Deadline, false, func(t int) {
+	s.runStage(sub, len(grid), stageOf(false, func(t int) {
 		if cancelled(done) {
 			return
 		}
 		fi, si := t/nIdioms, t%nIdioms
 		grid[t] = e.solveResolved(done, ros[si], infos[fi], fps[fi])
-	})
-	if err := ctxErr(); err != nil {
+	}))
+	if err := failed(); err != nil {
 		return nil, err
 	}
 
-	res := &Result{}
+	res := &Result{Mod: mod}
 	for i, fn := range fns {
 		merge(fn, grid[i*nIdioms:(i+1)*nIdioms], res)
 	}
@@ -271,9 +404,6 @@ func (s *Stream) Detect(sub Submission) (*Result, error) {
 }
 
 func cancelled(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
 	select {
 	case <-done:
 		return true
@@ -282,29 +412,33 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// stage enqueues f(0..n-1) onto the shared pool under the submission's
-// deadline and waits for all of them. Tasks of concurrent stages (other
-// modules) interleave freely in taskQueue order; analysisTasks marks the
-// stage's tasks as analysis tasks. Results must be written by index into the
-// submission's grids.
-func (s *Stream) stage(n int, deadline time.Time, analysisTasks bool, f func(i int)) {
+// runStage queues n tasks of st in the submission's client heap and waits
+// for all of them. Tasks of concurrent stages (other modules, other
+// clients) interleave freely in scheduling order; results must be written
+// by index into the submission's grids.
+func (s *Stream) runStage(sub Submission, n int, st *stage) {
 	if n == 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	s.mu.Lock()
-	for i := 0; i < n; i++ {
-		t := streamTask{
-			fn:       func() { defer wg.Done(); f(i) },
-			deadline: deadline,
-			analysis: analysisTasks,
-		}
-		s.taskOrder++
-		t.order = s.taskOrder
-		heap.Push(&s.taskQ, t)
+	weight := sub.Weight
+	if weight < 1 {
+		weight = 1
 	}
+	st.wg.Add(n)
+	s.mu.Lock()
+	cq := s.clients[sub.Client]
+	if cq == nil {
+		cq = &clientQueue{name: sub.Client}
+		s.clients[sub.Client] = cq
+		s.ring = append(s.ring, cq)
+	}
+	cq.weight = weight
+	for i := 0; i < n; i++ {
+		s.taskOrder++
+		heap.Push(&cq.tasks, streamTask{st: st, i: i, order: s.taskOrder})
+	}
+	s.queued += n
 	s.qcond.Broadcast()
 	s.mu.Unlock()
-	wg.Wait()
+	st.wg.Wait()
 }

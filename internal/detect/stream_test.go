@@ -137,12 +137,8 @@ func TestStreamOutOfOrderCompletion(t *testing.T) {
 		mods = append(mods, mod)
 	}
 	var want []*detect.Result
-	for i, mod := range mods {
-		res, err := detect.Module(mod, detect.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", names[i], err)
-		}
-		want = append(want, res)
+	for _, mod := range mods {
+		want = append(want, sequential(t, mod, detect.Options{}))
 	}
 
 	eng, err := detect.NewEngine(detect.Options{Workers: 4, NoMemo: true})
@@ -281,10 +277,7 @@ func TestSplitMemoizedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := detect.Module(mod, detect.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sequential(t, mod, detect.Options{})
 
 	eng, err := detect.NewEngine(detect.Options{Workers: 4, Memo: constraint.NewSolveCache()})
 	if err != nil {
@@ -314,4 +307,45 @@ func TestSplitMemoizedMatchesSequential(t *testing.T) {
 	if hits == 0 {
 		t.Errorf("second round did no memo hits (hits=%d misses=%d)", hits, misses)
 	}
+}
+
+// TestStreamMemoAcrossSubmissions pins the memo across stream submissions:
+// resubmitting the same compile thunks (fresh modules, so every IR pointer
+// differs) performs zero fresh solves, hits the memo once per task of the
+// first round, and returns identical results and step counts.
+func TestStreamMemoAcrossSubmissions(t *testing.T) {
+	leakcheck.Register(t)
+	eng, err := detect.NewEngine(detect.Options{Workers: 4, Memo: constraint.NewSolveCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stream()
+	defer st.Close()
+	names := []string{"CG", "sgemm", "stencil"}
+	round := func() []*detect.Result {
+		t.Helper()
+		subs := make([]detect.Submission, len(names))
+		for i, n := range names {
+			subs[i] = detect.Submission{Compile: workloads.ByName(n).Compile}
+		}
+		res, errs, _ := detectAsync(st, subs)()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", names[i], err)
+			}
+		}
+		return res
+	}
+
+	first := round()
+	hits1, misses1 := eng.MemoStats()
+	second := round()
+	hits2, misses2 := eng.MemoStats()
+	if misses2 != misses1 {
+		t.Errorf("resubmission performed %d fresh solves, want 0", misses2-misses1)
+	}
+	if hits2-hits1 != hits1+misses1 {
+		t.Errorf("resubmission hit the memo %d times, want %d", hits2-hits1, hits1+misses1)
+	}
+	sameResults(t, names, second, first)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/idioms"
-	"repro/internal/pipeline"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
@@ -16,28 +15,19 @@ type Fig16Data struct {
 }
 
 // Fig16 tallies detected idioms per benchmark and class. Every benchmark
-// streams through the shared compile→detect pipeline; jobs are awaited in
-// submit order so the chart stays deterministic.
+// streams through the shared detection stream; results come back in
+// workload order so the chart stays deterministic.
 func Fig16() (*Fig16Data, error) {
-	p, err := sharedPipeline()
+	ws := workloads.All()
+	results, err := detectAll(ws)
 	if err != nil {
 		return nil, err
 	}
 	d := &Fig16Data{Counts: map[string]map[string]int{}}
-	var jobs []*pipeline.Job
-	for _, w := range workloads.All() {
-		job, err := p.SubmitOpts(w.Name, w.Compile, pipeline.SubmitOptions{})
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, job)
+	for _, w := range ws {
 		d.Order = append(d.Order, w.Name)
 	}
-	for i, job := range jobs {
-		res, err := job.Wait()
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		m := map[string]int{}
 		for c, n := range res.CountByClass() {
 			m[c.String()] = n

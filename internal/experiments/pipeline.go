@@ -15,7 +15,6 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/pipeline"
 	"repro/internal/transform"
 	"repro/internal/workloads"
 )
@@ -66,22 +65,14 @@ func Pipeline(w *workloads.Workload, scale int) (*BenchRun, error) {
 	br.SeqCounts = m1.Counts
 	br.SeqReturn = ret1
 
-	// Compile a fresh copy and detect through the shared streaming pipeline
-	// (its memo cache makes repeated detection of this workload across the
-	// figure drivers an O(1) lookup), then transform that copy.
-	p, err := sharedPipeline()
-	if err != nil {
-		return nil, err
-	}
-	job, err := p.SubmitOpts(w.Name, w.Compile, pipeline.SubmitOptions{})
-	if err != nil {
-		return nil, err
-	}
-	det, err := job.Wait()
+	// Compile a fresh copy and detect through the shared stream (its memo
+	// cache makes repeated detection of this workload across the figure
+	// drivers an O(1) lookup), then transform that copy.
+	det, err := detectWorkload(w)
 	if err != nil {
 		return nil, fmt.Errorf("%s: detect: %w", w.Name, err)
 	}
-	xf := job.Mod
+	xf := det.Mod
 	br.Detection = det
 	for _, inst := range det.Instances {
 		call, err := transform.Apply(xf, inst, transform.FixedBackend(inst.Idiom.Name))

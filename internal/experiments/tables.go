@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,38 +10,72 @@ import (
 	"repro/internal/cc"
 	"repro/internal/detect"
 	"repro/internal/idioms"
-	"repro/internal/pipeline"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
 var (
-	pipeOnce sync.Once
-	pipe     *pipeline.Pipeline
-	pipeErr  error
+	streamOnce sync.Once
+	streamEng  *detect.Engine
+	stream     *detect.Stream
+	streamErr  error
 )
 
-// sharedPipeline returns the long-lived streaming compile→detect pipeline
-// shared by Table 1, Figure 16 and the end-to-end Pipeline driver: idiom
-// constraint problems compile once per process, each admitted workload
-// compiles on its own goroutine, and solves stream through one engine whose
-// memo cache makes repeated detection of identical function shapes an O(1)
-// lookup. Results are byte-identical to sequential detect.Module (see
-// detect's determinism tests), so the tables and figures are unaffected.
-func sharedPipeline() (*pipeline.Pipeline, error) {
-	pipeOnce.Do(func() {
-		pipe, pipeErr = pipeline.New(pipeline.Options{})
+// sharedStream returns the long-lived detection stream shared by Table 1,
+// Figure 16 and the end-to-end Pipeline driver: idiom constraint problems
+// compile once per process, each workload's compile, analyses and solves run
+// as tasks on the engine's one pool, and its memo cache makes repeated
+// detection of identical function shapes an O(1) lookup. Results are
+// byte-identical to the sequential engine (see detect's determinism tests),
+// so the tables and figures are unaffected.
+func sharedStream() (*detect.Engine, *detect.Stream, error) {
+	streamOnce.Do(func() {
+		streamEng, streamErr = detect.NewEngine(detect.Options{})
+		if streamErr == nil {
+			stream = streamEng.Stream()
+		}
 	})
-	return pipe, pipeErr
+	return streamEng, stream, streamErr
 }
 
-// DetectionStats reports the shared pipeline engine's solver memoization
-// counters (hits, misses) — zero if no experiment has run yet.
+// detectWorkload compiles and detects one workload on the shared stream.
+// The Result carries the compiled module.
+func detectWorkload(w *workloads.Workload) (*detect.Result, error) {
+	_, st, err := sharedStream()
+	if err != nil {
+		return nil, err
+	}
+	return st.Detect(detect.Submission{Compile: w.Compile})
+}
+
+// detectAll streams every workload through the shared stream at once, one
+// Detect call each, and returns the results in workload order.
+func detectAll(ws []*workloads.Workload) ([]*detect.Result, error) {
+	out := make([]*detect.Result, len(ws))
+	errs := make([]error, len(ws))
+	var wg sync.WaitGroup
+	for i, w := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = detectWorkload(w)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DetectionStats reports the shared stream engine's solver memoization
+// counters (hits, misses).
 func DetectionStats() (memoHits, memoMisses int64) {
-	if pipe == nil {
+	eng, _, err := sharedStream()
+	if err != nil {
 		return 0, 0
 	}
-	return pipe.Engine().MemoStats()
+	return eng.MemoStats()
 }
 
 // Table1Data holds the detection comparison (paper Table 1).
@@ -56,34 +91,21 @@ func Table1() (*Table1Data, error) {
 		ICC:   map[idioms.Class]int{},
 		IDL:   map[idioms.Class]int{},
 	}
-	p, err := sharedPipeline()
+	// Stream every workload through the shared stream: compiles and solves
+	// of all modules interleave on one pool, with no batch barrier, and
+	// results come back in workload order, so the table is deterministic.
+	results, err := detectAll(workloads.All())
 	if err != nil {
 		return nil, err
 	}
-	// Stream every workload through the shared pipeline: each admitted
-	// module compiles on its own goroutine and its solves begin the moment
-	// it lands, with no batch barrier. Awaiting jobs in submit order keeps
-	// the table deterministic.
-	var jobs []*pipeline.Job
-	for _, w := range workloads.All() {
-		job, err := p.SubmitOpts(w.Name, w.Compile, pipeline.SubmitOptions{})
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, job)
-	}
-	for _, job := range jobs {
-		res, err := job.Wait()
-		if err != nil {
-			return nil, err
-		}
+	for _, res := range results {
 		for c, n := range res.CountByClass() {
 			d.IDL[c] += n
 		}
-		pr := baseline.Polly(job.Mod)
+		pr := baseline.Polly(res.Mod)
 		d.Polly[idioms.ClassScalarReduction] += pr.Counts.ScalarReductions
 		d.Polly[idioms.ClassStencil] += pr.Counts.Stencils
-		ic := baseline.ICC(job.Mod)
+		ic := baseline.ICC(res.Mod)
 		d.ICC[idioms.ClassScalarReduction] += ic.Counts.ScalarReductions
 		d.ICC[idioms.ClassStencil] += ic.Counts.Stencils
 	}

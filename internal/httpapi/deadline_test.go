@@ -78,7 +78,7 @@ func TestDeadlineHeaderShedsMidSolve(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := svc.Stats()
-		if st.SolveActive == 0 && st.DetectActive == 0 {
+		if st.SolveActive == 0 && st.ReadyQueue == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -62,7 +62,6 @@ import (
 	"time"
 
 	"repro/idiomatic"
-	"repro/internal/pipeline"
 )
 
 // maxBodyBytes bounds request bodies; legacy sources a detection service
@@ -406,7 +405,7 @@ func handleRegisterPack(svc *idiomatic.Service, w http.ResponseWriter, r *http.R
 // is transiently full; back off briefly). Closed is 503, anything else
 // (invalid request) is 400.
 func intakeError(w http.ResponseWriter, err error) {
-	var rl *pipeline.RateLimitedError
+	var rl *idiomatic.RateLimitedError
 	switch {
 	case errors.Is(err, idiomatic.ErrBatchTooLarge):
 		WriteError(w, http.StatusTooManyRequests, idiomatic.CodeBatchTooLarge, err.Error())

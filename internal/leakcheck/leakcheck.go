@@ -1,6 +1,7 @@
 // Package leakcheck asserts that a test leaves no repo-owned goroutines
 // behind. The services under test run real worker pools — the detection
-// pipeline, the solver pool, the HTTP server's watchers — and a
+// stream's pool, the service's request goroutines, the HTTP server's
+// watchers — and a
 // Close/Drain path that forgets one goroutine keeps every subsequent test's
 // scheduler noisy and, in production, leaks a pool per reload.
 //

@@ -1,8 +1,8 @@
 // Package detect mirrors the real internal/detect package path so the
 // analyzer's approved-sites table applies: the measurement functions may
 // read the wall clock, everything else may not. It declares every approved
-// site except Function, so that entry is reported as stale.
-package detect // want `approved wall-clock site Function is not declared in internal/detect`
+// site except Stream.Detect, so that entry is reported as stale.
+package detect // want `approved wall-clock site Stream.Detect is not declared in internal/detect`
 
 import "time"
 
@@ -10,19 +10,15 @@ type Engine struct{}
 
 type Stream struct{}
 
-// Module is an approved measurement site (Result.Elapsed timing).
+// Module is NOT approved: only the engine's batch and the stream's Detect
+// call measure a module.
 func Module() time.Duration {
-	start := time.Now()
-	return time.Since(start)
+	start := time.Now()      // want `wall-clock read time.Now in Module`
+	return time.Since(start) // want `wall-clock read time.Since in Module`
 }
 
 // Engine.Modules is approved (batch Elapsed timing).
 func (e *Engine) Modules() time.Time {
-	return time.Now()
-}
-
-// Stream.Detect is approved (per-module start stamp and Elapsed).
-func (s *Stream) Detect() time.Time {
 	return time.Now()
 }
 

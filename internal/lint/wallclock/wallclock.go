@@ -35,8 +35,6 @@ var Analyzer = &analysis.Analyzer{
 var approvedSites = map[string]map[string]bool{
 	"internal/constraint": {},
 	"internal/detect": {
-		"Module":         true, // Result.Elapsed timing
-		"Function":       true, // Result.Elapsed timing
 		"Engine.Modules": true, // batch Elapsed timing
 		"Stream.Detect":  true, // per-module start stamp and Elapsed
 	},

@@ -27,10 +27,7 @@ func roundTrip(t *testing.T, src, fnName, wantIdiom, backend string,
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := detect.Module(xformed, detect.Options{Idioms: []string{wantIdiom}})
-	if err != nil {
-		t.Fatalf("detect: %v", err)
-	}
+	res := detectModule(t, xformed, wantIdiom)
 	var inst *detect.Instance
 	for i := range res.Instances {
 		if res.Instances[i].Idiom.Name == wantIdiom && res.Instances[i].Function.Ident == fnName {
@@ -302,7 +299,7 @@ void jacobi2(double* in, double* out, int n, int m) {
 
 func TestApplyRejectsUnknownIdiom(t *testing.T) {
 	mod, _ := cc.Compile("x", `double s(double* a, int n) { double z = 0.0; for (int i=0;i<n;i++) { z = z + a[i]; } return z; }`)
-	res, _ := detect.Module(mod, detect.Options{})
+	res := detectModule(t, mod)
 	if len(res.Instances) != 1 {
 		t.Fatal("expected one instance")
 	}
@@ -320,7 +317,7 @@ double s(double* a, int n) {
     for (int i = 0; i < n; i++) { z = z + a[i]; }
     return z;
 }`)
-	res, _ := detect.Module(mod, detect.Options{})
+	res := detectModule(t, mod)
 	call, err := Apply(mod, res.Instances[0], "lift")
 	if err != nil {
 		t.Fatal(err)
@@ -384,10 +381,7 @@ double sum4(double* a, int n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := detect.Module(mod, detect.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := detectModule(t, mod)
 	if len(res.Instances) > 1 {
 		t.Fatalf("instances = %d, want at most 1 lane", len(res.Instances))
 	}
@@ -396,4 +390,19 @@ double sum4(double* a, int n) {
 			t.Error("transforming the unrolled lane must be refused")
 		}
 	}
+}
+
+// detectModule runs the sequential reference engine (one worker, no memo)
+// over mod, restricted to idms when given.
+func detectModule(t *testing.T, mod *ir.Module, idms ...string) *detect.Result {
+	t.Helper()
+	eng, err := detect.NewEngine(detect.Options{Idioms: idms, Workers: 1, NoMemo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Module(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/idioms"
 	"repro/internal/interp"
+	"repro/internal/ir"
 )
 
 // TestWorkloadCount checks the 21-benchmark roster of the paper's §7.
@@ -57,10 +58,7 @@ func TestWorkloadDetection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			res, err := detect.Module(mod, detect.Options{})
-			if err != nil {
-				t.Fatalf("detect: %v", err)
-			}
+			res := detectModule(t, mod)
 			got := res.CountByClass()
 			for c, n := range w.Expected {
 				if got[c] != n {
@@ -151,4 +149,19 @@ func TestExploitableRoster(t *testing.T) {
 			t.Errorf("%s: exploitable = %v, want %v", w.Name, w.Exploitable, want[w.Name])
 		}
 	}
+}
+
+// detectModule runs the sequential reference engine (one worker, no memo)
+// over mod, restricted to idms when given.
+func detectModule(t *testing.T, mod *ir.Module, idms ...string) *detect.Result {
+	t.Helper()
+	eng, err := detect.NewEngine(detect.Options{Idioms: idms, Workers: 1, NoMemo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Module(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

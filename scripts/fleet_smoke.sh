@@ -239,9 +239,9 @@ PIDS=""
 "$WORK/soak" -print-keys >"$WORK/keys.txt"
 # -no-memo: every solve pays full price, so the fairness gates are load-
 # bearing (the soak's own in-process mode runs the same way).
-"$WORK/idiomd" -addr "$C1" -no-memo -slots 2 -keys "$WORK/keys.txt" >"$WORK/c1.log" 2>&1 &
+"$WORK/idiomd" -addr "$C1" -no-memo -keys "$WORK/keys.txt" >"$WORK/c1.log" 2>&1 &
 PIDS="$PIDS $!"
-"$WORK/idiomd" -addr "$C2" -no-memo -slots 2 -keys "$WORK/keys.txt" >"$WORK/c2.log" 2>&1 &
+"$WORK/idiomd" -addr "$C2" -no-memo -keys "$WORK/keys.txt" >"$WORK/c2.log" 2>&1 &
 PIDS="$PIDS $!"
 wait_healthy "$C1"
 wait_healthy "$C2"

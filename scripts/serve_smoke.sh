@@ -2,8 +2,9 @@
 # serve_smoke.sh — end-to-end smoke of the HTTP front door: build idiomd,
 # start it, wait for /healthz, run one streamed detection via curl, register
 # an idiom pack and run a /v1/match round-trip against it (live, no
-# restart), send one module that fails to compile, check /statsz (every
-# queue and slot gauge back at 0), shut down. CI runs this as a job step; `make
+# restart), send one module that fails to compile and one that used to crash
+# the C frontend, check the server still answers and /statsz (every queue
+# gauge back at 0), shut down. CI runs this as a job step; `make
 # serve-smoke` runs the same thing locally.
 set -eu
 
@@ -123,8 +124,8 @@ case "$EXPLAIN" in
     ;;
 esac
 
-# A module that fails to compile is answered in-band and must release its
-# admission slot like any other.
+# A module that fails to compile is answered in-band and must leave the
+# queues like any other.
 BROKEN=$(curl -fsS -X POST "http://$ADDR/v1/detect" -d '{"name": "broken.c", "source": "int broken( {"}')
 echo "$BROKEN"
 case "$BROKEN" in
@@ -135,9 +136,26 @@ case "$BROKEN" in
     ;;
 esac
 
+# A redefined function once panicked the C frontend and took the whole
+# process down. It must fail in-band, and the server must keep serving.
+CRASHER=$(curl -fsS -X POST "http://$ADDR/v1/detect" -d '{"name": "redef.c", "source": "void A(int m, int n){} void A(int m){}"}')
+echo "$CRASHER"
+case "$CRASHER" in
+*'"error"'*) ;;
+*)
+    echo "serve_smoke: the frontend crasher carried no in-band error" >&2
+    exit 1
+    ;;
+esac
+if ! curl -fsS "http://$ADDR/healthz" >/dev/null; then
+    echo "serve_smoke: idiomd stopped answering after the frontend crasher" >&2
+    cat "$LOG" >&2
+    exit 1
+fi
+
 STATS=$(curl -fsS "http://$ADDR/statsz")
 case "$STATS" in
-*'"completed": 4'*) ;;
+*'"completed": 5'*) ;;
 *)
     echo "serve_smoke: /statsz did not count the requests: $STATS" >&2
     exit 1
@@ -150,8 +168,9 @@ case "$STATS" in
     exit 1
     ;;
 esac
-# Schema v7 removed the prescreen scheduler's gauges and the memo cost table.
-for gone in '"prune_mode"' '"cost_entries"'; do
+# Schema v7 removed the prescreen scheduler's gauges and the memo cost table;
+# v8 removed the admission-slot gauges.
+for gone in '"prune_mode"' '"cost_entries"' '"detect_slots"' '"detect_active"'; do
     case "$STATS" in
     *$gone*)
         echo "serve_smoke: /statsz still reports the removed $gone field: $STATS" >&2
@@ -161,7 +180,7 @@ for gone in '"prune_mode"' '"cost_entries"'; do
 done
 
 # Top-level fields sit at two-space indent; per-client rows nest deeper.
-for want in '"schema": 7' '"in_flight": 0' '"compile_queue": 0' '"ready_queue": 0' '"detect_active": 0'; do
+for want in '"schema": 8' '"in_flight": 0' '"compile_queue": 0' '"ready_queue": 0' '"panics": 0'; do
     if ! printf '%s\n' "$STATS" | grep -q "^  $want,\{0,1\}\$"; then
         echo "serve_smoke: /statsz lacks $want after every request finished: $STATS" >&2
         exit 1
