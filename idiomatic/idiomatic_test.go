@@ -2,8 +2,10 @@ package idiomatic
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 const dotSource = `
@@ -124,6 +126,46 @@ End`, "TwoMuls", "f")
 	}
 	if len(sols) != 1 {
 		t.Errorf("solutions = %d, want 1", len(sols))
+	}
+}
+
+// TestMatchIDLCancelMidSolve pins that a user IDL probe honours its context
+// once the search has started: the probe below enumerates every 7-tuple of
+// instructions and finds none, a search of hours, so only cancellation can
+// end it within the test's bound.
+func TestMatchIDLCancelMidSolve(t *testing.T) {
+	prog, err := Default().Compile(context.Background(), "demo", dotSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const probe = `
+Constraint Endless
+( {a} is an instruction and {b} is an instruction and
+  {c} is an instruction and {d} is an instruction and
+  {e} is an instruction and {f} is an instruction and
+  {g} is an instruction and
+  {f} is the same as {g} and {f} is not the same as {g} )
+End`
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := Default().MatchIDL(ctx, prog, probe, "Endless", "dot")
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("probe finished before cancellation (err %v); it must outlast 50ms", err)
+	default:
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("MatchIDL kept solving 5s after its context was cancelled")
 	}
 }
 

@@ -339,10 +339,11 @@ func packInfo(p *idioms.Pack) PackInfo {
 
 // RegisterPack compiles an idiom pack from IDL source and installs it under
 // name — live, no rebuild, no restart. Replacing an existing name is atomic:
-// in-flight requests keep the snapshot they resolved at intake, and the new
-// registration's solve-memo entries are keyed under a fresh pack version so
-// stale cached solves can never cross over. Validation is the exact code
-// path of `idlc -pack`, so CLI and HTTP report identical errors.
+// in-flight requests keep the snapshot they resolved at intake, and memo
+// entries are keyed by a digest of the IDL source, so a replacement with
+// different source is never served the old one's cached solves. Validation
+// is the exact code path of `idlc -pack`, so CLI and HTTP report identical
+// errors.
 // With a state dir the registration is also appended to the pack log, so a
 // restarted process replays it through this same compile path — packs
 // survive restarts with no client re-registration.
@@ -458,7 +459,8 @@ func (s *Service) Plan(ctx context.Context, p *Program, d *Detection, target str
 // solutions of the named constraint over the given function of p — the
 // paper's §1 extensibility story as a one-shot probe. Registering the same
 // IDL as a pack (RegisterPack) additionally gets claim-deduplicated
-// detection, transformation and backend selection.
+// detection, transformation and backend selection. Cancelling ctx aborts the
+// search; MatchIDL then returns ctx.Err().
 func (s *Service) MatchIDL(ctx context.Context, p *Program, idlSource, constraintName, function string) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -476,8 +478,13 @@ func (s *Service) MatchIDL(ctx context.Context, p *Program, idlSource, constrain
 		return nil, fmt.Errorf("idiomatic: no function %q", function)
 	}
 	solver := constraint.NewSolver(problem, analysis.Analyze(fn))
+	solver.Cancel = ctx.Done()
+	sols := solver.Solve()
+	if solver.Cancelled() {
+		return nil, ctx.Err()
+	}
 	var out []string
-	for _, sol := range solver.Solve() {
+	for _, sol := range sols {
 		out = append(out, sol.String())
 	}
 	return out, nil

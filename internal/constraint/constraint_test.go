@@ -361,6 +361,22 @@ func TestCompileUnknownConstraint(t *testing.T) {
 	}
 }
 
+// TestHugeRangeRejected pins the flattened-size bound: a tenant range of two
+// billion iterations is a prompt compile error, not a compile that exhausts
+// memory.
+func TestHugeRangeRejected(t *testing.T) {
+	prog, err := idl.ParseProgram(`
+Constraint Huge
+( ( {v[i]} is add instruction ) for all i = 0..2000000000 )
+End`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(prog, "Huge", CompileOptions{}); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("err = %v, want the flattened-size bound", err)
+	}
+}
+
 func TestInheritCycleDetected(t *testing.T) {
 	src := `
 Constraint A ( inherits B ) End

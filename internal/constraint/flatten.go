@@ -73,27 +73,13 @@ type Problem struct {
 	Root Node
 	// Vars is the solving order of the regular (non-collect) variables.
 	Vars []string
-	// PackVersion tags problems compiled by a versioned idiom-pack
-	// registration (0 for the built-in library and ad-hoc compiles). The
-	// solve-memo key includes it, so re-registering a pack — which compiles
-	// fresh problems under a new version — can never be served a cached
-	// solve of the superseded registration.
-	PackVersion uint64
-	// StoreID is the problem's durable content identity: a digest of the
-	// IDL source it was compiled from and its top-level constraint name
-	// (see ProblemStoreID). The disk spill of the solve memo keys on it, so
-	// a problem recompiled from identical source — after a restart, or on a
-	// different replica — addresses the same on-disk entries, while any
-	// source change makes old entries unreachable. The zero value marks a
-	// problem as not spillable (ad-hoc compiles, tests).
-	//
-	// Deliberately unlike the in-memory memo key, StoreID does not include
-	// the runtime PackVersion: version counters depend on registration
-	// order, which differs across restarts and replicas, whereas content
-	// addressing gives the same isolation guarantee (different source ⇒
-	// different StoreID) plus safe reuse when a pack is re-registered with
-	// byte-identical source.
-	StoreID [32]byte
+	// ID is the problem's identity, set by Compile from the IDL source text,
+	// the top name and any non-default CompileOptions (see problemID).
+	// Compilation and search are deterministic, so equal IDs solve every
+	// function identically, whichever registration, restart or replica
+	// compiled them; both memo tiers key on (ID, fingerprint). A zero ID (a
+	// hand-built problem) is never memoized.
+	ID [32]byte
 
 	idxOnce sync.Once
 	idx     *probIndex // built by index
@@ -133,7 +119,7 @@ func Compile(prog *idl.Program, top string, opts CompileOptions) (*Problem, erro
 	if err != nil {
 		return nil, fmt.Errorf("constraint: %s: %w", top, err)
 	}
-	p := &Problem{Name: top, Root: root}
+	p := &Problem{Name: top, Root: root, ID: problemID(prog.Digest, top, opts)}
 	p.Vars = orderVariables(root, opts.Ordering)
 	return p, nil
 }
@@ -144,14 +130,22 @@ type subst func(string) string
 func identSubst(s string) string { return s }
 
 type flattener struct {
-	prog *idl.Program
+	prog  *idl.Program
+	nodes int // flatten calls so far, bounded by maxFlatNodes
 }
 
 const maxInheritDepth = 64
 
+// maxFlatNodes bounds one flattened formula (or collect instance): the
+// library's largest is a few hundred nodes; a tenant's huge range is not.
+const maxFlatNodes = 1 << 16
+
 func (fl *flattener) flatten(c idl.Constraint, env map[string]int, sb subst, depth int) (Node, error) {
 	if depth > maxInheritDepth {
 		return nil, fmt.Errorf("inheritance depth exceeds %d (cycle?)", maxInheritDepth)
+	}
+	if fl.nodes++; fl.nodes > maxFlatNodes {
+		return nil, fmt.Errorf("flattened formula exceeds %d nodes", maxFlatNodes)
 	}
 	switch n := c.(type) {
 	case *idl.And:
@@ -275,19 +269,15 @@ func (fl *flattener) flatten(c idl.Constraint, env map[string]int, sb subst, dep
 		return fl.flatten(n.Base, env, inner, depth)
 
 	case *idl.Collect:
-		// Capture env and substitution so instances flatten lazily.
-		envCopy := cloneEnv(env)
-		body := n.Body
-		idx := n.Idx
-		self := fl
-		d := depth
-		sbCopy := sb
+		// Capture env and substitution so instances flatten lazily, each
+		// under its own size bound.
+		envCopy, prog := cloneEnv(env), fl.prog
 		return &NCollect{
 			Min: n.Max,
 			Instantiate: func(j int) (Node, error) {
 				childEnv := cloneEnv(envCopy)
-				childEnv[idx] = j
-				return self.flatten(body, childEnv, sbCopy, d)
+				childEnv[n.Idx] = j
+				return (&flattener{prog: prog}).flatten(n.Body, childEnv, sb, depth)
 			},
 		}, nil
 

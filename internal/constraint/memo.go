@@ -18,13 +18,15 @@ import (
 // server traffic while capping worst-case memory on a long-lived process.
 const DefaultMemoMaxEntries = 16384
 
-// SolveCache memoizes complete solve outcomes keyed by (problem identity ×
-// function fingerprint). Solutions are stored position-encoded (instruction
-// and argument indices, constant/global payloads) rather than as live IR
-// pointers, so a cached entry rehydrates onto any function with the same
-// fingerprint — including a fresh recompile of the same source. The solver is
-// deterministic, so a rehydrated entry is byte-identical (values, order and
-// step count) to what a fresh solve of that function would produce.
+// SolveCache memoizes complete solve outcomes keyed by (Problem.ID ×
+// function fingerprint). It holds no *Problem, so problems compiled from
+// byte-identical source share entries and a replaced pack is collectable
+// while its entries stay cached; a zero ID is never memoized. Solutions are
+// stored position-encoded (instruction and argument indices, constant/global
+// payloads) rather than as live IR pointers, so a cached entry rehydrates
+// onto any function with the same fingerprint — including a fresh recompile
+// of the same source. The solver is deterministic, so a rehydrated entry is
+// byte-identical (values, order and step count) to a fresh solve.
 //
 // The cache is a size-bounded LRU: once it holds MaxEntries entries the
 // least-recently-used (problem × fingerprint) is evicted on insert. Eviction
@@ -39,8 +41,7 @@ type SolveCache struct {
 
 	// store, when attached, is the disk layer behind the LRU: Put spills
 	// entries asynchronously, Get falls through to it on an in-memory miss,
-	// and eviction spills synchronously if the async write hasn't landed
-	// yet. Only problems with a non-zero StoreID participate.
+	// and eviction spills synchronously if the async write hasn't landed.
 	store SpillStore
 
 	hits, misses, evictions atomic.Int64
@@ -55,15 +56,11 @@ type SolveCache struct {
 // replay; delete it when that replay stops calling it.
 func (c *SolveCache) RecordCost(*Problem, *analysis.Info, time.Duration) {}
 
+// solveKey is the one identity of a memoized solve in both tiers: the LRU
+// map key, and (through spill) the disk address.
 type solveKey struct {
-	prob *Problem
-	// ver is the problem's PackVersion at lookup time. Problem pointer
-	// identity already separates distinct compilations, but carrying the
-	// pack version explicitly makes the cross-registration isolation
-	// invariant structural: an entry stored under version N is unreachable
-	// from any other version of the same pack name.
-	ver uint64
-	fp  Fingerprint
+	id [32]byte // Problem.ID
+	fp Fingerprint
 }
 
 type lruEntry struct {
@@ -129,25 +126,22 @@ func SharedSolveCache() *SolveCache { return sharedSolveCache }
 // Get looks up the memoized solve of prob over a function with fingerprint
 // fp, rehydrating the stored solutions against info. A hit refreshes the
 // entry's LRU position. The returned step count equals what a fresh solve
-// would report. ok is false on a true miss or when rehydration fails (which
-// cannot happen for a correctly fingerprinted function, but is checked
-// defensively rather than trusted).
+// would report. ok is false on a true miss, for a problem with a zero ID, or
+// when rehydration fails (which cannot happen for a correctly fingerprinted
+// function, but is checked defensively rather than trusted).
 func (c *SolveCache) Get(prob *Problem, fp Fingerprint, info *analysis.Info) (sols []Solution, steps int, ok bool) {
-	c.mu.Lock()
-	st := c.store
-	el := c.m[solveKey{prob, prob.PackVersion, fp}]
+	key := solveKey{prob.ID, fp}
 	var e *memoEntry
-	if el != nil {
-		c.lru.MoveToFront(el)
-		e = el.Value.(*lruEntry).e
-	}
-	c.mu.Unlock()
-	if e == nil {
-		// Read through to the disk spill before declaring a miss.
-		if e = c.loadSpilled(st, prob, fp); e == nil {
-			c.misses.Add(1)
-			return nil, 0, false
+	if key.id != ([32]byte{}) {
+		var st SpillStore
+		if e, st = c.lookup(key); e == nil {
+			// Read through to the disk spill before declaring a miss.
+			e = c.loadSpilled(st, key)
 		}
+	}
+	if e == nil {
+		c.misses.Add(1)
+		return nil, 0, false
 	}
 	// Entries are immutable once stored, so rehydration runs outside the lock.
 	sols, ok = rehydrate(e, info)
@@ -160,51 +154,63 @@ func (c *SolveCache) Get(prob *Problem, fp Fingerprint, info *analysis.Info) (so
 }
 
 // Put stores a solve outcome, evicting the least-recently-used entry when the
-// bound is exceeded. Solutions containing values that cannot be
-// position-encoded are skipped (never served wrong rather than cached
-// optimistically). With a store attached the entry is also spilled to disk:
-// asynchronously off the hot path, and synchronously on eviction if the
-// async write hasn't landed by then.
+// bound is exceeded. Problems with a zero ID and solutions containing values
+// that cannot be position-encoded are skipped (never served wrong rather
+// than cached optimistically). With a store attached the entry is also
+// spilled to disk: asynchronously off the hot path, and synchronously on
+// eviction if the async write hasn't landed by then.
 func (c *SolveCache) Put(prob *Problem, fp Fingerprint, info *analysis.Info, sols []Solution, steps int) {
+	key := solveKey{prob.ID, fp}
+	if key.id == ([32]byte{}) {
+		return
+	}
 	e, ok := encodeEntry(sols, steps, info)
 	if !ok {
 		return
 	}
-	key := solveKey{prob, prob.PackVersion, fp}
 	le := &lruEntry{key: key, e: e}
-	c.mu.Lock()
-	st := c.store
-	var evicted []*lruEntry
-	if el, exists := c.m[key]; exists {
-		// Swap in the fresh entry rather than mutate the old one: a
-		// concurrent Put of the same key may be reading it to spill.
-		el.Value = le
-		c.lru.MoveToFront(el)
-	} else {
-		c.m[key] = c.lru.PushFront(le)
-		evicted = c.evictOverLocked()
-	}
-	c.mu.Unlock()
+	st, evicted := c.insert(le)
 	c.enqueueSpill(st, le)
 	c.spillEvicted(st, evicted)
 }
 
-// evictOverLocked expels LRU-back entries while over the bound, returning
-// them so the caller can spill any that never made it to disk. Caller holds
-// c.mu.
-func (c *SolveCache) evictOverLocked() (evicted []*lruEntry) {
+// lookup returns the resident entry under key (nil when absent), refreshing
+// its LRU position, and the attached store.
+func (c *SolveCache) lookup(key solveKey) (*memoEntry, SpillStore) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el := c.m[key]
+	if el == nil {
+		return nil, c.store
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*lruEntry).e, c.store
+}
+
+// insert makes le resident under its key, returning the attached store and
+// the entries the bound evicted so the caller can spill any that never made
+// it to disk. A resident entry is swapped out, never mutated: a concurrent
+// Put of the same key may be reading it to spill. Entries under one key are
+// identical by construction.
+func (c *SolveCache) insert(le *lruEntry) (SpillStore, []*lruEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, exists := c.m[le.key]; exists {
+		el.Value = le
+		c.lru.MoveToFront(el)
+		return c.store, nil
+	}
+	c.m[le.key] = c.lru.PushFront(le)
+	var evicted []*lruEntry
 	for c.max > 0 && len(c.m) > c.max {
 		back := c.lru.Back()
-		if back == nil {
-			break
-		}
 		c.lru.Remove(back)
-		le := back.Value.(*lruEntry)
-		delete(c.m, le.key)
+		old := back.Value.(*lruEntry)
+		delete(c.m, old.key)
 		c.evictions.Add(1)
-		evicted = append(evicted, le)
+		evicted = append(evicted, old)
 	}
-	return evicted
+	return c.store, evicted
 }
 
 // AttachStore connects the disk spill layer. Attach before serving; entries
@@ -218,11 +224,11 @@ func (c *SolveCache) AttachStore(st SpillStore) {
 // loadSpilled consults the disk store for a memo entry absent from the LRU,
 // installing a decoded hit in memory (marked spilled — it just came from
 // disk).
-func (c *SolveCache) loadSpilled(st SpillStore, prob *Problem, fp Fingerprint) *memoEntry {
-	if st == nil || prob.StoreID == ([32]byte{}) {
+func (c *SolveCache) loadSpilled(st SpillStore, key solveKey) *memoEntry {
+	if st == nil {
 		return nil
 	}
-	payload, ok := st.Load(spillKeyFor(prob, fp))
+	payload, ok := st.Load(key.spill())
 	if !ok {
 		c.storeMisses.Add(1)
 		return nil
@@ -234,16 +240,9 @@ func (c *SolveCache) loadSpilled(st SpillStore, prob *Problem, fp Fingerprint) *
 		return nil
 	}
 	c.storeHits.Add(1)
-	key := solveKey{prob, prob.PackVersion, fp}
 	le := &lruEntry{key: key, e: e}
 	le.spilled.Store(true)
-	c.mu.Lock()
-	var evicted []*lruEntry
-	if _, exists := c.m[key]; !exists {
-		c.m[key] = c.lru.PushFront(le)
-		evicted = c.evictOverLocked()
-	}
-	c.mu.Unlock()
+	_, evicted := c.insert(le)
 	c.spillEvicted(st, evicted)
 	return e
 }
@@ -252,11 +251,10 @@ func (c *SolveCache) loadSpilled(st SpillStore, prob *Problem, fp Fingerprint) *
 // enqueue (full queue) is counted by the store; the eviction path then
 // writes the entry synchronously.
 func (c *SolveCache) enqueueSpill(st SpillStore, le *lruEntry) {
-	prob := le.key.prob
-	if st == nil || prob.StoreID == ([32]byte{}) || le.spilled.Load() {
+	if st == nil || le.spilled.Load() {
 		return
 	}
-	st.WriteAsync(spillKeyFor(prob, le.key.fp), encodePayload(le.e), func(err error) {
+	st.WriteAsync(le.key.spill(), encodePayload(le.e), func(err error) {
 		if err == nil {
 			le.spilled.Store(true)
 		}
@@ -272,11 +270,10 @@ func (c *SolveCache) spillEvicted(st SpillStore, evicted []*lruEntry) {
 		return
 	}
 	for _, le := range evicted {
-		prob := le.key.prob
-		if prob.StoreID == ([32]byte{}) || le.spilled.Load() {
+		if le.spilled.Load() {
 			continue
 		}
-		if err := st.Write(spillKeyFor(prob, le.key.fp), encodePayload(le.e)); err == nil {
+		if err := st.Write(le.key.spill(), encodePayload(le.e)); err == nil {
 			le.spilled.Store(true)
 			c.syncSpills.Add(1)
 		}

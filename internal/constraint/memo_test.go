@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 )
@@ -109,35 +110,90 @@ func TestSolveCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSolveCachePackVersionIsolation pins that the memo key includes the
-// problem's pack version: an entry stored by one pack registration is
-// unreachable from any other version, so re-registering an idiom pack can
-// never be served a superseded registration's solves — even for the same
-// problem object and function fingerprint.
-func TestSolveCachePackVersionIsolation(t *testing.T) {
+// TestSolveCacheContentIdentity pins that the memo keys on what a problem
+// is, not on which compile produced it: problems compiled from different
+// sources never share an entry, and two compiles of byte-identical source
+// share one entry that rehydrates byte-identically to a fresh solve.
+func TestSolveCacheContentIdentity(t *testing.T) {
+	const top = "FactorizationOpportunity"
+	info := analyzeC(t, memoTestC, "example")
+	fp := FingerprintInfo(info)
+	c := NewSolveCache()
+
+	first := mustProblem(t, figure2, top, nil)
+	s := NewSolver(first, info)
+	c.Put(first, fp, info, s.Solve(), s.Steps)
+
+	// A comment is enough to make the source, hence the problem, different.
+	edited := mustProblem(t, figure2+"\n# revision 2\n", top, nil)
+	if _, _, ok := c.Get(edited, fp, info); ok {
+		t.Fatal("memo served an entry across different sources")
+	}
+	se := NewSolver(edited, info)
+	c.Put(edited, fp, info, se.Solve(), se.Steps)
+	if c.Len() != 2 {
+		t.Fatalf("cache entries = %d, want 2 (one per source)", c.Len())
+	}
+
+	// A second compile of the first source is a distinct object with the
+	// same identity: it reads the first compile's entry and adds none.
+	again := mustProblem(t, figure2, top, nil)
+	if again == first {
+		t.Fatal("test needs two compiles")
+	}
+	got, steps, ok := c.Get(again, fp, info)
+	if !ok {
+		t.Fatal("identical source missed the shared entry")
+	}
+	if c.Len() != 2 {
+		t.Fatalf("cache entries = %d after the shared hit, want 2", c.Len())
+	}
+	fresh := NewSolver(again, info)
+	want := fresh.Solve()
+	if steps != fresh.Steps || len(got) != len(want) {
+		t.Fatalf("shared entry: %d solutions / %d steps, fresh solve %d / %d",
+			len(got), steps, len(want), fresh.Steps)
+	}
+	for i := range want {
+		if canonicalKey(got[i]) != canonicalKey(want[i]) {
+			t.Errorf("solution %d differs between the shared entry and a fresh solve", i)
+		}
+	}
+}
+
+// TestSolveCachePanicLeavesCacheUsable pins the lock discipline: a call that
+// panics (here Get of a nil problem), once recovered, leaves the cache
+// unlocked, so every later Get and Put of every caller still completes.
+func TestSolveCachePanicLeavesCacheUsable(t *testing.T) {
 	prob := mustProblem(t, figure2, "FactorizationOpportunity", nil)
 	info := analyzeC(t, memoTestC, "example")
 	fp := FingerprintInfo(info)
 	s := NewSolver(prob, info)
 	sols := s.Solve()
-
 	c := NewSolveCache()
-	prob.PackVersion = 1
-	c.Put(prob, fp, info, sols, s.Steps)
-	if _, _, ok := c.Get(prob, fp, info); !ok {
-		t.Fatal("same-version lookup missed")
-	}
-	prob.PackVersion = 2
-	if _, _, ok := c.Get(prob, fp, info); ok {
-		t.Fatal("memo served a cross-version entry")
-	}
-	// The new version caches independently; both entries coexist.
-	c.Put(prob, fp, info, sols, s.Steps)
-	if c.Len() != 2 {
-		t.Fatalf("cache entries = %d, want 2 (one per version)", c.Len())
-	}
-	if _, _, ok := c.Get(prob, fp, info); !ok {
-		t.Fatal("new-version lookup missed after Put")
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Get(nil, ...) did not panic")
+			}
+		}()
+		c.Get(nil, fp, info)
+	}()
+
+	done := make(chan bool)
+	go func() {
+		c.Put(prob, fp, info, sols, s.Steps)
+		_, _, ok := c.Get(prob, fp, info)
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Error("Get after Put missed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Put/Get blocked after a recovered panic: the cache lock was left held")
 	}
 }
 

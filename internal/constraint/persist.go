@@ -3,37 +3,42 @@ package constraint
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 )
 
-// ProblemStoreID derives a problem's durable content identity from the IDL
-// source it is compiled from and its top-level constraint name. Compilation
-// is deterministic, so equal (source, top) pairs — across restarts, replicas
-// and re-registrations — produce interchangeable problems, and the disk
-// spill addresses their memo entries by this digest instead of by process-
-// local pointers or registration counters.
-func ProblemStoreID(idlSource, top string) [32]byte {
-	src := sha256.Sum256([]byte(idlSource))
+// problemID derives Problem.ID. Default options hash exactly the bytes of the
+// original (source digest, top) identity, so state dirs written by earlier
+// builds keep hitting. A zero source digest yields the zero ID.
+func problemID(src [32]byte, top string, opts CompileOptions) [32]byte {
+	var id [32]byte
+	if src == id {
+		return id
+	}
 	h := sha256.New()
 	h.Write([]byte("idiomatic-problem-v1\x00"))
 	h.Write(src[:])
 	h.Write([]byte(top))
-	var id [32]byte
-	copy(id[:], h.Sum(nil))
+	if opts.Ordering != OrderGreedy || len(opts.Params) > 0 {
+		// fmt prints a map's entries sorted by key.
+		fmt.Fprintf(h, "\x00%d %v", opts.Ordering, opts.Params)
+	}
+	h.Sum(id[:0])
 	return id
 }
 
 // SpillKey is the content-addressed identity of one spilled memo entry:
-// a digest over (schema tag × problem StoreID × function fingerprint).
+// a digest over (schema tag × problem ID × function fingerprint).
 type SpillKey [sha256.Size]byte
 
-func spillKeyFor(prob *Problem, fp Fingerprint) SpillKey {
+// spill derives the disk address of the memo entry under k.
+func (k solveKey) spill() SpillKey {
 	h := sha256.New()
 	h.Write([]byte("idiomatic-memo-v1\x00"))
-	h.Write(prob.StoreID[:])
-	h.Write(fp[:])
-	var k SpillKey
-	copy(k[:], h.Sum(nil))
-	return k
+	h.Write(k.id[:])
+	h.Write(k.fp[:])
+	var sk SpillKey
+	h.Sum(sk[:0])
+	return sk
 }
 
 // SpillStore is the disk layer the solve memo spills to (internal/store

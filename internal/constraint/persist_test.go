@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/idl"
 )
 
 // fakeSpill is an in-memory SpillStore for exercising the memo's disk hooks
@@ -61,13 +63,11 @@ func (f *fakeSpill) len() int {
 	return len(f.m)
 }
 
-// storableProblem compiles the figure-2 problem and stamps the content
-// identity a registry would: without a StoreID the memo refuses to spill.
+// storableProblem compiles the figure-2 problem; Compile gives it the
+// content ID that both memo tiers key on.
 func storableProblem(t *testing.T) *Problem {
 	t.Helper()
-	prob := mustProblem(t, figure2, "FactorizationOpportunity", nil)
-	prob.StoreID = ProblemStoreID(figure2, "FactorizationOpportunity")
-	return prob
+	return mustProblem(t, figure2, "FactorizationOpportunity", nil)
 }
 
 // TestPayloadCodecRoundTrip pins the spill codec: a solve outcome encoded to
@@ -144,7 +144,7 @@ func TestDecodePayloadBoundsAllocation(t *testing.T) {
 		payload = binary.AppendUvarint(payload, 1<<20)
 	}
 	st := newFakeSpill(true)
-	st.m[spillKeyFor(prob, fp)] = payload
+	st.m[solveKey{prob.ID, fp}.spill()] = payload
 	c := NewSolveCache()
 	c.AttachStore(st)
 
@@ -215,24 +215,48 @@ func TestSpillReadThrough(t *testing.T) {
 	}
 }
 
-// TestSpillRequiresStoreID pins that problems without a content identity
-// (StoreID zero: ad-hoc compiles outside any registry) never spill — their
-// memo keys are process-local pointers that mean nothing on disk.
-func TestSpillRequiresStoreID(t *testing.T) {
-	prob := mustProblem(t, figure2, "FactorizationOpportunity", nil) // no StoreID
-	info := analyzeC(t, memoTestC, "example")
-	s := NewSolver(prob, info)
-
-	st := newFakeSpill(true)
-	c := NewSolveCacheSize(1)
-	c.AttachStore(st)
-	c.Put(prob, FingerprintInfo(info), info, s.Solve(), s.Steps)
-	// Force an eviction too: neither path may write.
-	info2 := analyzeC(t, memoShapeSource(1), "f")
-	s2 := NewSolver(prob, info2)
-	c.Put(prob, FingerprintInfo(info2), info2, s2.Solve(), s2.Steps)
-	if st.len() != 0 {
-		t.Fatalf("store holds %d entries for a StoreID-less problem; want 0", st.len())
+// TestZeroIDNeverMemoized pins that a problem without an identity (a
+// hand-built Problem, or one compiled from a program extended in code) is
+// never memoized: Put stores nothing in memory or on disk, even through an
+// eviction, and Get misses.
+func TestZeroIDNeverMemoized(t *testing.T) {
+	compiled := storableProblem(t)
+	handBuilt := &Problem{Name: compiled.Name, Root: compiled.Root, Vars: compiled.Vars}
+	prog, err := idl.ParseProgram(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := idl.ParseConstraint("Constraint Extra ( {x} is add instruction ) End")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Add(extra); err != nil {
+		t.Fatal(err)
+	}
+	extended, err := Compile(prog, "FactorizationOpportunity", CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prob := range map[string]*Problem{"hand-built": handBuilt, "extended program": extended} {
+		if prob.ID != ([32]byte{}) {
+			t.Fatalf("%s: ID = %x, want zero", name, prob.ID)
+		}
+		info := analyzeC(t, memoTestC, "example")
+		s := NewSolver(prob, info)
+		st := newFakeSpill(true)
+		c := NewSolveCacheSize(1)
+		c.AttachStore(st)
+		c.Put(prob, FingerprintInfo(info), info, s.Solve(), s.Steps)
+		// Force an eviction too: neither path may write.
+		info2 := analyzeC(t, memoShapeSource(1), "f")
+		s2 := NewSolver(prob, info2)
+		c.Put(prob, FingerprintInfo(info2), info2, s2.Solve(), s2.Steps)
+		if c.Len() != 0 || st.len() != 0 {
+			t.Fatalf("%s: memo holds %d entries, store %d; want 0 and 0", name, c.Len(), st.len())
+		}
+		if _, _, ok := c.Get(prob, FingerprintInfo(info), info); ok {
+			t.Fatalf("%s: Get hit", name)
+		}
 	}
 }
 
@@ -304,23 +328,43 @@ func TestEvictionSpillsUnpersistedEntries(t *testing.T) {
 	}
 }
 
-// TestSpillKeyIdentity pins content addressing: equal (source, top) pairs
-// produce equal spill keys regardless of which Problem object carries them,
-// and different tops or sources diverge.
+// TestSpillKeyIdentity pins content addressing: equal (source, top,
+// options) triples produce equal IDs, hence equal spill keys, regardless of
+// which Problem object carries them; a different top, source text (even a
+// comment) or compile option diverges.
 func TestSpillKeyIdentity(t *testing.T) {
 	p1 := storableProblem(t)
 	p2 := storableProblem(t) // distinct compile, same content
 	info := analyzeC(t, memoTestC, "example")
 	fp := FingerprintInfo(info)
-	if spillKeyFor(p1, fp) != spillKeyFor(p2, fp) {
+	if p1.ID != p2.ID || (solveKey{p1.ID, fp}).spill() != (solveKey{p2.ID, fp}).spill() {
 		t.Error("equal-content problems produced different spill keys")
 	}
-	if ProblemStoreID(figure2, "FactorizationOpportunity") == ProblemStoreID(figure2, "Other") {
-		t.Error("StoreID ignores the top-level constraint name")
+	const top = "FactorizationOpportunity"
+	ids := map[string][32]byte{"base": p1.ID}
+	add := func(name, src, top string, opts CompileOptions) {
+		prog, err := idl.ParseProgram(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(prog, top, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for other, id := range ids {
+			if id == p.ID {
+				t.Errorf("%s and %s share an ID", name, other)
+			}
+		}
+		ids[name] = p.ID
 	}
-	if ProblemStoreID(figure2, "X") == ProblemStoreID(figure2+" ", "X") {
-		t.Error("StoreID ignores the IDL source text")
-	}
+	two := figure2 + "\nConstraint Other\n( inherits " + top + " )\nEnd\n"
+	add("two constraints", two, top, CompileOptions{})
+	add("other top", two, "Other", CompileOptions{})
+	add("comment", figure2+"\n# revision 2\n", top, CompileOptions{})
+	add("appearance order", figure2, top, CompileOptions{Ordering: OrderAppearance})
+	add("params", figure2, top, CompileOptions{Params: map[string]int{"N": 2}})
+	add("other params", figure2, top, CompileOptions{Params: map[string]int{"N": 3}})
 }
 
 // TestConcurrentPutSameKey pins that re-Putting a key never mutates an entry

@@ -154,8 +154,8 @@ func (e *Engine) fingerprint(info *analysis.Info) constraint.Fingerprint {
 // per-submission pack rosters — through the memo cache. The solver is
 // deterministic, so a hit returns exactly what the skipped search would
 // have: same solutions, same order after sortSolutions, same step count.
-// Memo keys include the problem (and its pack version), so pack solves
-// share the same cache without ever colliding across registrations. done,
+// Memo keys are the problem's ID, a digest of its IDL source, so packs and
+// built-ins share one cache without colliding across sources. done,
 // when non-nil, aborts the backtracking search once closed; an aborted
 // (incomplete) outcome is marked and never memoized, so the memo only ever
 // stores complete enumerations.

@@ -1,6 +1,7 @@
 package idioms
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/analysis"
@@ -55,6 +56,65 @@ func solveOn(t *testing.T, top, csrc, fn string) []constraint.Solution {
 	}
 	info := analysis.Analyze(f)
 	return constraint.NewSolver(prob, info).Solve()
+}
+
+// sumSource is a plain array sum, one Reduction instance.
+const sumSource = `
+double sum(double *a, int n) {
+  double s = 0.0;
+  for (int i = 0; i < n; i++) { s = s + a[i]; }
+  return s;
+}`
+
+func analyzeSum(t *testing.T) *analysis.Info {
+	t.Helper()
+	mod, err := cc.Compile("sum.c", sumSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return analysis.Analyze(mod.FunctionByName("sum"))
+}
+
+// spillKeys is a constraint.SpillStore that only records the keys written.
+type spillKeys []constraint.SpillKey
+
+func (k *spillKeys) Load(constraint.SpillKey) ([]byte, bool) { return nil, false }
+func (k *spillKeys) Write(key constraint.SpillKey, _ []byte) error {
+	*k = append(*k, key)
+	return nil
+}
+func (k *spillKeys) WriteAsync(key constraint.SpillKey, _ []byte, done func(error)) bool {
+	*k = append(*k, key)
+	done(nil)
+	return true
+}
+
+// builtinReductionSpillKey is the disk address of the built-in Reduction
+// solve of sumSource. State directories written by any build address their
+// spilled entries the same way, so this constant may only change together
+// with the library source, the fingerprint or the identity derivation, and
+// such a change makes every existing state directory re-solve.
+const builtinReductionSpillKey = "50886c963fb00eee4a828f1319e4bf539783b26f921210b582193f99569558d9"
+
+// TestBuiltinSpillKeyPinned pins the spill address of one built-in solve, so
+// an identity change has to be deliberate.
+func TestBuiltinSpillKeyPinned(t *testing.T) {
+	prob, err := Problem("Reduction")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := analyzeSum(t)
+	s := constraint.NewSolver(prob, info)
+	var keys spillKeys
+	memo := constraint.NewSolveCache()
+	memo.AttachStore(&keys)
+	memo.Put(prob, constraint.FingerprintInfo(info), info, s.Solve(), s.Steps)
+	if len(keys) != 1 {
+		t.Fatalf("spilled %d entries, want 1", len(keys))
+	}
+	if got := hex.EncodeToString(keys[0][:]); got != builtinReductionSpillKey {
+		t.Errorf("built-in Reduction spill key = %s, want %s", got, builtinReductionSpillKey)
+	}
 }
 
 func TestForMatchesCountedLoop(t *testing.T) {

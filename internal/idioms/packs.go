@@ -100,8 +100,8 @@ var validSchemes = map[string]bool{
 // and the metadata is checked. `idlc -pack` and the server's POST /v1/idioms
 // both call this — one code path, so CLI and HTTP report identical errors.
 //
-// version is stamped into each compiled problem's PackVersion; stand-alone
-// validation passes 0.
+// version is stamped into the Pack's Version; stand-alone validation passes
+// 0. Memo entries follow the problems' source-digest IDs, not the version.
 func CompilePack(name, idlSource string, tops []TopSpec, version uint64) (*Pack, error) {
 	if name == "" {
 		return nil, fmt.Errorf("idioms: pack name required")
@@ -146,12 +146,6 @@ func CompilePack(name, idlSource string, tops []TopSpec, version uint64) (*Pack,
 		if err != nil {
 			return nil, fmt.Errorf("idioms: pack %s: idiom %s: %w", name, idm.Name, err)
 		}
-		prob.PackVersion = version
-		// The durable identity hashes source + top, not the registration
-		// counter: a pack re-registered (or replayed at boot) from
-		// byte-identical source re-addresses its spilled memo entries,
-		// while any source change makes them unreachable.
-		prob.StoreID = constraint.ProblemStoreID(idlSource, spec.Top)
 		constraint.Prepare(prob)
 		pack.problems[idm.Name] = prob
 		pack.sigs[idm.Name] = similarity.Compile(idm.Name, prob)

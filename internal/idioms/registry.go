@@ -140,10 +140,6 @@ func Problem(top string) (*constraint.Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("idioms: compiling %s: %w", top, err)
 	}
-	// Built-in problems carry a durable identity derived from the embedded
-	// library source, so their memo entries can spill to disk and be
-	// re-addressed by any process running the same library.
-	p.StoreID = constraint.ProblemStoreID(LibrarySource, top)
 	probCache[top] = p
 	return p, nil
 }

@@ -51,9 +51,15 @@ func TestCompilePackValidation(t *testing.T) {
 	if idm2, _ := p.Idiom("Reduction"); idm2.Class != ClassDemo {
 		t.Errorf("default class = %v, want Demo", idm2.Class)
 	}
+	// The pack compiles the library's own source, so its GEMM problem has
+	// the built-in GEMM's identity and shares its memo entries.
 	prob, ok := p.Problem("MyGEMM")
-	if !ok || prob.PackVersion != 7 {
-		t.Fatalf("problem version = %v ok=%v, want 7", prob, ok)
+	builtin, err := Problem("GEMM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || prob == builtin || prob.ID != builtin.ID {
+		t.Fatalf("pack GEMM problem = %p ok=%v, want a distinct compile with the built-in's ID", prob, ok)
 	}
 }
 
@@ -88,7 +94,7 @@ func TestRegistryCopyOnWrite(t *testing.T) {
 	}
 	p1, _ := v1.Problem("X")
 	p2, _ := v2.Problem("X")
-	if p1 == p2 || p1.PackVersion == p2.PackVersion {
+	if p1 == p2 || p1.ID == p2.ID {
 		t.Error("replacement shares compiled problems with the superseded pack")
 	}
 
@@ -191,6 +197,43 @@ func TestReplacedPackIsCollectable(t *testing.T) {
 	runtime.GC()
 	if wp.Value() != nil || wc.Value() != nil {
 		t.Fatalf("replaced pack still reachable after GC: problem %v, collect %v", wp.Value() != nil, wc.Value() != nil)
+	}
+}
+
+// TestReplacedPackMemoizedIsCollectable pins that the solve memo holds no
+// *Problem: a replaced pack whose solves are still cached is collectable,
+// while the cache keeps counting (and serving, by ID) its entries.
+func TestReplacedPackMemoizedIsCollectable(t *testing.T) {
+	r := NewRegistry()
+	tops := []TopSpec{{Name: "X", Top: "Reduction"}}
+	memo := constraint.NewSolveCache()
+	wp := func() weak.Pointer[constraint.Problem] {
+		v1, err := r.Register("p", LibrarySource, tops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prob, _ := v1.Problem("X")
+		info := analyzeSum(t)
+		s := constraint.NewSolver(prob, info)
+		sols := s.Solve()
+		if len(sols) == 0 {
+			t.Fatal("Reduction found nothing in sum")
+		}
+		memo.Put(prob, constraint.FingerprintInfo(info), info, sols, s.Steps)
+		return weak.Make(prob)
+	}()
+	if memo.Len() != 1 {
+		t.Fatalf("memo holds %d entries, want 1", memo.Len())
+	}
+	if _, err := r.Register("p", LibrarySource+"\n# revision 2\n", tops); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("replaced pack's problem still reachable after GC: the memo pins it")
+	}
+	if memo.Len() != 1 {
+		t.Fatalf("memo holds %d entries after the replacement, want 1", memo.Len())
 	}
 }
 

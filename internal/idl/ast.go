@@ -316,6 +316,9 @@ type Spec struct {
 type Program struct {
 	Specs map[string]*Spec
 	Order []string
+	// Digest is the SHA-256 of the source text ParseProgram read, zero for a
+	// program built or extended in code (constraint.Problem.ID digests it).
+	Digest [32]byte
 }
 
 // NewProgram builds an empty program.
@@ -323,11 +326,13 @@ func NewProgram() *Program {
 	return &Program{Specs: map[string]*Spec{}}
 }
 
-// Add registers a specification.
+// Add registers a specification. The program no longer is the text it was
+// parsed from, so Add clears Digest.
 func (p *Program) Add(s *Spec) error {
 	if _, dup := p.Specs[s.Name]; dup {
 		return fmt.Errorf("idl: duplicate constraint %q", s.Name)
 	}
+	p.Digest = [32]byte{}
 	p.Specs[s.Name] = s
 	p.Order = append(p.Order, s.Name)
 	return nil

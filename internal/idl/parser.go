@@ -1,10 +1,12 @@
 package idl
 
 import (
+	"crypto/sha256"
 	"fmt"
 )
 
-// ParseProgram parses a sequence of "Constraint <name> ... End" blocks.
+// ParseProgram parses a sequence of "Constraint <name> ... End" blocks and
+// records the SHA-256 of src as the program's Digest.
 func ParseProgram(src string) (*Program, error) {
 	toks, err := lexIDL(src)
 	if err != nil {
@@ -21,6 +23,7 @@ func ParseProgram(src string) (*Program, error) {
 			return nil, err
 		}
 	}
+	prog.Digest = sha256.Sum256([]byte(src))
 	return prog, nil
 }
 
