@@ -82,15 +82,17 @@ fleet-smoke:
 
 # Ten seconds of coverage-guided fuzzing per untrusted input: the memo spill
 # codec, which reads blobs from disk and snapshots from other replicas, the
-# C frontend, which compiles tenant source, and idiom-pack compilation, which
-# parses and flattens tenant IDL. A failing input is saved under the
-# package's testdata/fuzz and replays in every `go test` run. Minimizing a
-# new pack-sized corpus entry takes the default minute of the run, so the
-# pack target minimizes for one second.
+# C frontend, which compiles tenant source, idiom-pack compilation, which
+# parses and flattens tenant IDL, and the HTTP request decoder, which reads
+# every batch body and X-Deadline-Ms header. A failing input is saved under
+# the package's testdata/fuzz and replays in every `go test` run. Minimizing
+# a new pack- or module-sized corpus entry takes the default minute of the
+# run, so those targets minimize for one second.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s -parallel 2 ./internal/constraint
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s -parallel 2 ./internal/cc
 	$(GO) test -run '^$$' -fuzz '^FuzzCompilePack$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/idioms
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/httpapi
 
 fmt:
 	gofmt -w .

@@ -2,6 +2,7 @@ package idiomatic_test
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/idiomatic"
 	"repro/internal/idioms"
+	"repro/internal/workloads"
 )
 
 const dotSource = `
@@ -110,10 +112,75 @@ func TestServicePackLifecycle(t *testing.T) {
 	}
 }
 
+// TestLibraryPackMatchesBuiltin pins that the built-in roster is a pack like
+// any other: the library registered as a tenant pack with the paper's seven
+// idiom declarations returns, over the whole suite, the same findings
+// (bindings included), solver steps, explain rows and plans as the built-in
+// roster; only pack and pack_version differ. Both compile the same source,
+// so their problems share IDs and the pack pass after a built-in pass solves
+// nothing fresh.
+func TestLibraryPackMatchesBuiltin(t *testing.T) {
+	ctx := context.Background()
+	svc := newPackService(t, idiomatic.ServiceOptions{Workers: 2})
+	if _, err := svc.RegisterPack("library", idiomatic.LibrarySource(), []idiomatic.TopSpec{
+		{Name: "GEMM", Top: "GEMM", Class: "Matrix Op.", Scheme: "gemm", Kind: "gemm"},
+		{Name: "SPMV", Top: "SPMV", Class: "Sparse Matrix Op.", Scheme: "spmv", Kind: "spmv"},
+		{Name: "Stencil3", Top: "Stencil3", Class: "Stencil", Scheme: "loopbody3", Kind: "stencil3"},
+		{Name: "Stencil2", Top: "Stencil2", Class: "Stencil", Scheme: "loopbody2", Kind: "stencil2"},
+		{Name: "Stencil1", Top: "Stencil1", Class: "Stencil", Scheme: "loopbody1", Kind: "stencil1"},
+		{Name: "Histogram", Top: "Histogram", Class: "Histogram Reduction", Scheme: "loopbody1", Kind: "histogram"},
+		{Name: "Reduction", Top: "Reduction", Class: "Scalar Reduction", Scheme: "reduction", Kind: "reduction"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var builtin, pack []idiomatic.MatchRequest
+	for _, w := range workloads.All() {
+		req := idiomatic.MatchRequest{Name: w.Name, Source: w.Source,
+			Opts: idiomatic.RequestOptions{Solutions: true, Explain: true}}
+		builtin = append(builtin, req)
+		req.Pack = "library"
+		pack = append(pack, req)
+	}
+	want, err := svc.MatchBatch(ctx, builtin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := svc.Stats().Memo.Misses
+	got, err := svc.MatchBatch(ctx, pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := svc.Stats().Memo.Misses; m != misses {
+		t.Errorf("library pack solved %d problems fresh after a built-in pass, want 0", m-misses)
+	}
+	canonical := func(r idiomatic.MatchResult) string {
+		r.ElapsedNs, r.Memo = 0, idiomatic.MemoSnapshot{}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	findings := 0
+	for i := range want {
+		findings += len(want[i].Findings)
+		if got[i].Pack != "library" || got[i].PackVersion != 1 {
+			t.Errorf("%s: pack = %q v%d, want library v1", got[i].Name, got[i].Pack, got[i].PackVersion)
+		}
+		got[i].Pack, got[i].PackVersion = "", 0
+		if a, b := canonical(want[i]), canonical(got[i]); a != b {
+			t.Errorf("%s: library pack differs from the built-in roster:\n built-in: %s\n pack:     %s", want[i].Name, a, b)
+		}
+	}
+	if findings != 60 {
+		t.Errorf("built-in roster found %d idioms over the suite, want Table 1's 60", findings)
+	}
+}
+
 // TestPackSchemeWinsOverBuiltinName pins that a pack idiom reusing a
-// built-in idiom name keeps its declared transform scheme and claim set —
-// the per-name tables in transform.Apply and detect.claimSet must not
-// shadow it.
+// built-in idiom name keeps its declared transform scheme and claim set:
+// transform.Apply and detect.claimSet dispatch on the scheme, never on the
+// name.
 func TestPackSchemeWinsOverBuiltinName(t *testing.T) {
 	ctx := context.Background()
 	svc := newPackService(t, idiomatic.ServiceOptions{Workers: 2})

@@ -99,11 +99,6 @@ type Service struct {
 	submitted, completed int64
 	inflight             sync.WaitGroup
 
-	// defaultIdioms is the paper's evaluated idiom set; extensions participate
-	// only when a request names them. known is the full resolvable roster.
-	defaultIdioms []string
-	known         map[string]bool
-
 	// reg holds runtime-registered idiom packs (copy-on-write snapshots;
 	// see idioms.Registry). Requests naming a pack resolve their roster
 	// against the snapshot current at intake and keep it for their whole
@@ -121,20 +116,11 @@ type Service struct {
 	packsAbandoned int
 }
 
-// NewService builds a service: idiom constraint problems (core set and
-// extensions) are compiled and indexed once, the solver pool starts, and the
-// solve cache is installed. Close releases the pool.
+// NewService builds a service: the solver pool starts and the solve cache
+// is installed. Requests resolve their rosters against the built-in pack,
+// compiled once per process, or a registered one. Close releases the pool.
 func NewService(o ServiceOptions) (*Service, error) {
-	var names []string
-	for _, idm := range idioms.All() {
-		names = append(names, idm.Name)
-	}
-	defaults := append([]string(nil), names...)
-	for _, idm := range idioms.Extensions() {
-		names = append(names, idm.Name)
-	}
-
-	s := &Service{defaultIdioms: defaults}
+	s := &Service{}
 	switch {
 	case o.MaxPacks == 0:
 		s.reg = idioms.NewRegistry()
@@ -143,11 +129,7 @@ func NewService(o ServiceOptions) (*Service, error) {
 	default:
 		s.reg = idioms.NewRegistrySize(o.MaxPacks)
 	}
-	dopts := detect.Options{
-		Workers: o.Workers,
-		Idioms:  names,
-		NoMemo:  o.NoMemo,
-	}
+	dopts := detect.Options{Workers: o.Workers, NoMemo: o.NoMemo}
 	if !o.NoMemo {
 		max := o.MemoMaxEntries
 		switch {
@@ -180,10 +162,6 @@ func NewService(o ServiceOptions) (*Service, error) {
 	s.queueLimit, s.clientQueue = limit, o.ClientQueue
 	s.clientRate, s.clientBurst = o.ClientRate, burst
 	s.clients = map[string]*clientState{}
-	s.known = make(map[string]bool, len(names))
-	for _, n := range names {
-		s.known[n] = true
-	}
 	if o.StateDir != "" {
 		st, err := store.Open(o.StateDir)
 		if err != nil {
@@ -430,14 +408,14 @@ func (s *Service) Submit(ctx context.Context, req DetectRequest) (*Task, error) 
 	if req.Name == "" {
 		req.Name = "input.c"
 	}
-	idms, roster, pk, err := s.resolve(req.Pack, req.Idioms)
+	roster, pk, err := s.resolve(req.Pack, req.Idioms)
 	if err != nil {
 		return nil, err
 	}
 	name, source := req.Name, req.Source
 	return s.submit(ctx, req, pk, detect.Submission{
 		Compile: func() (*ir.Module, error) { return cc.Compile(name, source) },
-		Idioms:  idms, Roster: roster, Explain: req.Opts.Explain,
+		Roster:  roster, Explain: req.Opts.Explain,
 	})
 }
 
@@ -465,55 +443,32 @@ func (s *Service) submit(ctx context.Context, req DetectRequest, pk *idioms.Pack
 	return t, nil
 }
 
-// resolve maps a request's (pack, idioms) selection to submit options:
-// with no pack, a name subset over the engine's built-in roster (the PR 3
-// path, byte-identical responses); with a pack, an explicit resolved roster
-// from the registry snapshot current right now — the pack pointer is
-// immutable, so the request solves exactly this registration even if a
-// concurrent RegisterPack replaces the name a microsecond later.
-func (s *Service) resolve(pack string, names []string) (idms []string, roster []detect.Resolved, pk *idioms.Pack, err error) {
+// resolve maps a request's (pack, idioms) selection to its roster, through
+// detect.Resolve: with no pack against the built-in pack (no names = the
+// paper's seven idioms, extensions only when named), with a pack against the
+// registry snapshot current right now (no names = the whole pack). The pack
+// pointer is immutable, so the request solves exactly this registration even
+// if a concurrent RegisterPack replaces the name a microsecond later; it is
+// returned as nil for the built-in pack, which the wire does not name.
+// Unknown names are rejected — a versioned API must not answer a typo with
+// an empty 200.
+func (s *Service) resolve(pack string, names []string) ([]detect.Resolved, *idioms.Pack, error) {
 	if pack == "" {
-		idms, err = s.subset(names)
-		return idms, nil, nil, err
+		roster, err := detect.Resolve(nil, names)
+		if err != nil {
+			return nil, nil, fmt.Errorf("idiomatic: %w", err)
+		}
+		return roster, nil, nil
 	}
 	p, ok := s.reg.Pack(pack)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("idiomatic: unknown pack %q", pack)
+		return nil, nil, fmt.Errorf("idiomatic: unknown pack %q", pack)
 	}
-	sel := names
-	if len(sel) == 0 {
-		sel = make([]string, len(p.Idioms))
-		for i, idm := range p.Idioms {
-			sel[i] = idm.Name
-		}
+	roster, err := detect.Resolve(p, names)
+	if err != nil {
+		return nil, nil, fmt.Errorf("idiomatic: %w in pack %q", err, pack)
 	}
-	roster = make([]detect.Resolved, 0, len(sel))
-	for _, n := range sel {
-		idm, ok := p.Idiom(n)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("idiomatic: unknown idiom %q in pack %q", n, pack)
-		}
-		prob, _ := p.Problem(n)
-		sig, _ := p.Signature(n)
-		roster = append(roster, detect.Resolved{Idiom: idm, Prob: prob, Sig: sig})
-	}
-	return nil, roster, p, nil
-}
-
-// subset resolves a request's idiom list: empty means the default (paper)
-// set, never the engine's full roster, so extensions stay opt-in per
-// request. Unknown names are rejected — a versioned API must not answer a
-// typo with an empty 200.
-func (s *Service) subset(names []string) ([]string, error) {
-	if len(names) == 0 {
-		return s.defaultIdioms, nil
-	}
-	for _, n := range names {
-		if !s.known[n] {
-			return nil, fmt.Errorf("idiomatic: unknown idiom %q", n)
-		}
-	}
-	return names, nil
+	return roster, p, nil
 }
 
 // Done is closed when the task has fully completed (or failed).
@@ -678,11 +633,11 @@ func (s *Service) Compile(ctx context.Context, name, source string) (*Program, e
 // in-process path from a Program to a Detection; Program.Detect and
 // Program.DetectOnly are thin wrappers over it.
 func (s *Service) DetectProgram(ctx context.Context, p *Program, idms ...string) (*Detection, error) {
-	subset, err := s.subset(idms)
+	roster, _, err := s.resolve("", idms)
 	if err != nil {
 		return nil, err
 	}
-	t, err := s.submit(ctx, DetectRequest{}, nil, detect.Submission{Mod: p.Module, Idioms: subset})
+	t, err := s.submit(ctx, DetectRequest{}, nil, detect.Submission{Mod: p.Module, Roster: roster})
 	if err != nil {
 		return nil, err
 	}
@@ -705,24 +660,26 @@ type IdiomInfo struct {
 	// Extension marks §9 future-work idioms, detected only when named.
 	Extension bool `json:"extension"`
 	// Scheme and Kind carry a pack idiom's transform strategy and offload
-	// kind (empty for built-in idioms, whose strategies are intrinsic).
+	// kind. The built-in roster leaves them out: its idioms declare them in
+	// the built-in pack, but the v1 listing of that roster never carried
+	// them.
 	Scheme string `json:"scheme,omitempty"`
 	Kind   string `json:"kind,omitempty"`
 }
 
-// Idioms reports the service's roster in precedence order.
+// Idioms reports the built-in pack's roster in precedence order.
 func (s *Service) Idioms() []IdiomInfo {
-	ext := map[string]bool{}
-	for _, idm := range idioms.Extensions() {
-		ext[idm.Name] = true
+	p, err := idioms.Builtin()
+	if err != nil {
+		return nil
 	}
 	var out []IdiomInfo
-	for _, idm := range s.eng.Roster() {
+	for _, idm := range p.Idioms {
 		out = append(out, IdiomInfo{
 			Name:      idm.Name,
 			Class:     idm.Class.String(),
-			Default:   !ext[idm.Name],
-			Extension: ext[idm.Name],
+			Default:   !idm.Extension,
+			Extension: idm.Extension,
 		})
 	}
 	return out

@@ -369,6 +369,9 @@ func TestSemanticsErrors(t *testing.T) {
 		"index scalar":     `void f(int n) { n[0] = 1; }`,
 		"bad arg count":    `void g(int a) {} void f() { g(); }`,
 		"negate pointer":   `void f(double *p) { double *q = -p; }`,
+		"math no args":     `double f(double a) { return a + fabs(); }`,
+		"pow one arg":      `double f(double a) { return pow(a); }`,
+		"empty cast call":  `int f() { return __cast_int(); }`,
 	}
 	for what, src := range bads {
 		if _, err := Compile("bad", src); err == nil {

@@ -855,6 +855,9 @@ func (lw *lowerer) call(x *Call) (ir.Value, CType, error) {
 		if err != nil {
 			return nil, CType{}, lw.errf("bad cast: %v", err)
 		}
+		if len(x.Args) != 1 {
+			return nil, CType{}, lw.errf("cast expects 1 operand, got %d", len(x.Args))
+		}
 		v, vt, err := lw.expr(x.Args[0])
 		if err != nil {
 			return nil, CType{}, err
@@ -864,6 +867,13 @@ func (lw *lowerer) call(x *Call) (ir.Value, CType, error) {
 	}
 
 	if op, ok := mathBuiltins[x.Name]; ok {
+		arity := 1
+		if op == ir.OpPow {
+			arity = 2
+		}
+		if len(x.Args) != arity {
+			return nil, CType{}, lw.errf("%s expects %d arguments, got %d", x.Name, arity, len(x.Args))
+		}
 		single := strings.HasSuffix(x.Name, "f")
 		want := CType{Base: BaseDouble}
 		if single {

@@ -119,8 +119,13 @@ func Compile(prog *idl.Program, top string, opts CompileOptions) (*Problem, erro
 	if err != nil {
 		return nil, fmt.Errorf("constraint: %s: %w", top, err)
 	}
+	var vars []string
+	collectVars(root, map[string]bool{}, &vars)
+	if len(vars) > maxVars {
+		return nil, fmt.Errorf("constraint: %s: %d variables exceed the bound of %d", top, len(vars), maxVars)
+	}
 	p := &Problem{Name: top, Root: root, ID: problemID(prog.Digest, top, opts)}
-	p.Vars = orderVariables(root, opts.Ordering)
+	p.Vars = orderVariables(root, vars, opts.Ordering)
 	return p, nil
 }
 
@@ -139,6 +144,12 @@ const maxInheritDepth = 64
 // maxFlatNodes bounds one flattened formula (or collect instance): the
 // library's largest is a few hundred nodes; a tenant's huge range is not.
 const maxFlatNodes = 1 << 16
+
+// maxVars bounds a problem's solver variables. The greedy variable ordering
+// is superlinear in their count, so the node bound alone lets one tenant
+// constraint stall compilation for seconds; the library's largest problem
+// (GEMM) has 69.
+const maxVars = 256
 
 func (fl *flattener) flatten(c idl.Constraint, env map[string]int, sb subst, depth int) (Node, error) {
 	if depth > maxInheritDepth {
@@ -446,12 +457,11 @@ func collectVars(n Node, seen map[string]bool, out *[]string) {
 	}
 }
 
-// orderVariables produces the solving order. The greedy strategy repeatedly
-// picks a variable that has a candidate generator over already-chosen
-// variables, which is what makes backtracking tractable (§4.4).
-func orderVariables(root Node, ord Ordering) []string {
-	var appearance []string
-	collectVars(root, map[string]bool{}, &appearance)
+// orderVariables produces the solving order of the variables listed in
+// appearance order. The greedy strategy repeatedly picks a variable that has
+// a candidate generator over already-chosen variables, which is what makes
+// backtracking tractable (§4.4).
+func orderVariables(root Node, appearance []string, ord Ordering) []string {
 	if ord == OrderAppearance {
 		return appearance
 	}

@@ -14,8 +14,9 @@ import (
 )
 
 // TestStreamIdiomSubsetMatchesSequential pins the per-submission roster
-// subset: a Detect call whose Submission carries Idioms must be
-// byte-identical to the sequential reference run with the same Options.Idioms
+// subset: a Detect call whose Submission carries a resolved subset Roster
+// must be byte-identical to the sequential reference run with the same
+// Options.Idioms
 // (same instances, same precedence, same step count), while a concurrent call
 // on the same stream keeps the full roster.
 func TestStreamIdiomSubsetMatchesSequential(t *testing.T) {
@@ -31,9 +32,13 @@ func TestStreamIdiomSubsetMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ros, err := detect.Resolve(nil, subset)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := eng.Stream()
 	got, errs, _ := detectAsync(st, []detect.Submission{
-		{Mod: mod, Idioms: subset},
+		{Mod: mod, Roster: ros},
 		{Mod: mod}, // full roster rides the same stream
 	})()
 	st.Close()

@@ -2,16 +2,21 @@
 // prioritizes solutions, and reports idiom instances — the "Constraints
 // Solver" plus bookkeeping stage of the paper's Figure 1 workflow.
 //
-// There is one driver, Engine: it precompiles every idiom's constraint
-// problem once and runs each module's compile, function analyses and
-// independent (function × idiom) solves as tasks on a worker pool.
-// Solutions are re-sorted deterministically and claim-based de-duplication
-// always runs serially in roster precedence order, so results are
-// byte-identical at any worker count; Workers: 1 with NoMemo is the
-// sequential reference. Long-lived callers use Engine.Stream: each blocking
-// Stream.Detect call detects one module on the engine's shared pool, so the
-// tasks of concurrent callers interleave; Engine.Modules is a batch over a
-// private stream.
+// Idioms come from compiled packs (idioms.Pack); the built-in library is one
+// more pack (idioms.Builtin). Resolve turns idiom names into a roster of
+// (idiom, problem) pairs against a pack, and a submission solves exactly its
+// roster. Claiming dispatches on each idiom's transform scheme, never on its
+// name, so a tenant idiom and a built-in one are treated alike.
+//
+// There is one driver, Engine: it runs each module's compile, function
+// analyses and independent (function × idiom) solves as tasks on a worker
+// pool. Solutions are re-sorted deterministically and claim-based
+// de-duplication always runs serially in roster precedence order, so
+// results are byte-identical at any worker count; Workers: 1 with NoMemo is
+// the sequential reference. Long-lived callers use Engine.Stream: each
+// blocking Stream.Detect call detects one module on the engine's shared
+// pool, so the tasks of concurrent callers interleave; Engine.Modules is a
+// batch over a private stream.
 //
 // Every driver solves every (function × idiom) pair. The only scheduling
 // policy is the stream's task order (per-client fairness, then deadline,
@@ -87,7 +92,9 @@ func (r *Result) CountByClass() map[idioms.Class]int {
 
 // Options tune detection.
 type Options struct {
-	// Idioms restricts detection to the named idioms (empty = all).
+	// Idioms names the engine's default roster, resolved against the
+	// built-in pack in the order given (see Resolve). Empty means the
+	// paper's seven idioms; an unknown name fails NewEngine.
 	Idioms []string
 	// Workers bounds the engine's worker pool. Zero or negative means
 	// GOMAXPROCS; 1 runs every task of a call sequentially.
@@ -100,23 +107,6 @@ type Options struct {
 	// uses this so its compile-time overhead rows keep measuring fresh
 	// constraint solves.
 	NoMemo bool
-}
-
-// roster resolves the idiom set for the options. The default set is the
-// paper's; extensions (the §9 future-work idioms, e.g. Map) participate only
-// when named explicitly.
-func roster(opts Options) []idioms.Idiom {
-	all := idioms.All()
-	if len(opts.Idioms) == 0 {
-		return all
-	}
-	out := all[:0]
-	for _, n := range opts.Idioms {
-		if idm, ok := idioms.ByName(n); ok {
-			out = append(out, idm)
-		}
-	}
-	return out
 }
 
 // idiomSolutions is the outcome of one independent (function × idiom) solve:
@@ -198,10 +188,14 @@ func solutionOrder(sol constraint.Solution) string {
 	return b.String()
 }
 
-// claimSet derives the ownership set of a solution: every loop guard it
-// spans plus its defining store. Claiming guards prevents an inner loop of a
-// GEMM from also being reported as a reduction, and claiming the store keeps
-// equivalent solutions (commutative rediscoveries) from double counting.
+// claimSet derives the ownership set of a solution from its idiom's
+// transform scheme: every loop guard the scheme consumes plus the defining
+// store. Claiming guards prevents an inner loop of a GEMM from also being
+// reported as a reduction, and claiming the store keeps equivalent solutions
+// (commutative rediscoveries) from double counting. The loop-body schemes
+// name both store bindings in use ("store" for the stencils and Histogram,
+// "out.store" for Map); a solution binds only one. An idiom without a scheme
+// claims nothing.
 func claimSet(idm idioms.Idiom, sol constraint.Solution) []*ir.Instruction {
 	var out []*ir.Instruction
 	add := func(name string) {
@@ -211,76 +205,33 @@ func claimSet(idm idioms.Idiom, sol constraint.Solution) []*ir.Instruction {
 			}
 		}
 	}
-	if idm.Scheme != "" {
-		// Pack-registered idioms derive their ownership set from the
-		// declared transform scheme: the canonical loop guards the scheme
-		// consumes plus the defining store, mirroring the per-name table
-		// below — so pack idioms participate in claim de-duplication like
-		// built-ins instead of double-reporting commutative rediscoveries.
-		// The scheme wins over the name table, exactly as in
-		// transform.Apply, so a pack idiom reusing a built-in name claims
-		// what its own scheme consumes.
-		switch idm.Scheme {
-		case "gemm":
-			add("loop[0].guard")
-			add("loop[1].guard")
-			add("loop[2].guard")
-			add("output.store")
-		case "spmv":
-			add("guard")
-			add("inner.guard")
-			add("output.store")
-		case "reduction":
-			add("guard")
-			add("old_value")
-		case "loopbody1":
-			add("guard")
-			add("store")
-			add("out.store")
-		case "loopbody2":
-			add("loop[0].guard")
-			add("loop[1].guard")
-			add("store")
-			add("out.store")
-		case "loopbody3":
-			add("loop[0].guard")
-			add("loop[1].guard")
-			add("loop[2].guard")
-			add("store")
-			add("out.store")
-		}
-		return out
-	}
-	switch idm.Name {
-	case "GEMM":
+	switch idm.Scheme {
+	case "gemm":
 		add("loop[0].guard")
 		add("loop[1].guard")
 		add("loop[2].guard")
 		add("output.store")
-	case "SPMV":
+	case "spmv":
 		add("guard")
 		add("inner.guard")
 		add("output.store")
-	case "Stencil3":
+	case "reduction":
+		add("guard")
+		add("old_value")
+	case "loopbody1":
+		add("guard")
+		add("store")
+		add("out.store")
+	case "loopbody2":
+		add("loop[0].guard")
+		add("loop[1].guard")
+		add("store")
+		add("out.store")
+	case "loopbody3":
 		add("loop[0].guard")
 		add("loop[1].guard")
 		add("loop[2].guard")
 		add("store")
-	case "Stencil2":
-		add("loop[0].guard")
-		add("loop[1].guard")
-		add("store")
-	case "Stencil1":
-		add("guard")
-		add("store")
-	case "Histogram":
-		add("guard")
-		add("store")
-	case "Reduction":
-		add("guard")
-		add("old_value")
-	case "Map":
-		add("guard")
 		add("out.store")
 	}
 	return out

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -146,6 +148,51 @@ double dot(double* x, double* y, int n) {
 	res := sequential(t, mod, Options{Idioms: []string{"Histogram"}})
 	if len(res.Instances) != 0 {
 		t.Fatalf("instances = %d, want 0 with Histogram-only filter", len(res.Instances))
+	}
+}
+
+// TestResolve pins the one roster resolver: no names means the pack's
+// default roster (the paper's seven for the built-in pack, every idiom of a
+// tenant pack), names resolve in the order given, and an unknown name is an
+// error, for NewEngine too.
+func TestResolve(t *testing.T) {
+	names := func(ros []Resolved) []string {
+		var out []string
+		for _, r := range ros {
+			if r.Prob == nil || r.Sig == nil {
+				t.Fatalf("%s resolved without a problem or signature", r.Idiom.Name)
+			}
+			out = append(out, r.Idiom.Name)
+		}
+		return out
+	}
+	ros, err := Resolve(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paper []string
+	for _, idm := range idioms.All() {
+		paper = append(paper, idm.Name)
+	}
+	if got := names(ros); !slices.Equal(got, paper) {
+		t.Errorf("built-in default roster = %v, want %v", got, paper)
+	}
+	if ros, err = Resolve(nil, []string{"Map", "GEMM"}); err != nil || !slices.Equal(names(ros), []string{"Map", "GEMM"}) {
+		t.Errorf("named roster = %v, %v", ros, err)
+	}
+	pack, err := idioms.CompilePack("p", idioms.LibrarySource, []idioms.TopSpec{{Top: "Map"}, {Top: "Reduction"}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ros, err = Resolve(pack, nil); err != nil || !slices.Equal(names(ros), []string{"Map", "Reduction"}) {
+		t.Errorf("tenant default roster = %v, %v", ros, err)
+	}
+	if _, err := Resolve(pack, []string{"GEMM"}); err == nil || err.Error() != `unknown idiom "GEMM"` {
+		t.Errorf("unknown tenant idiom err = %v", err)
+	}
+	if _, err := NewEngine(Options{Idioms: []string{"Reduction", "Nope"}}); err == nil ||
+		!strings.Contains(err.Error(), `unknown idiom "Nope"`) {
+		t.Errorf("NewEngine unknown idiom err = %v", err)
 	}
 }
 

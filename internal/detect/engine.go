@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,18 +15,17 @@ import (
 	"repro/internal/similarity"
 )
 
-// Engine is the concurrent batch detector. It precompiles every idiom's IDL
-// constraint problem exactly once at construction (including the solver's
-// static node index, so workers never contend on the compile caches) and
-// fans detection out over a worker pool: function analysis and each
-// (function × idiom) solve are independent tasks. A serial merge stage then
-// re-sorts and claim-deduplicates, so results are byte-identical regardless
-// of worker count.
+// Engine is the concurrent batch detector. Its default roster is resolved
+// once at construction from the built-in pack, whose problems (and the
+// solver's static node indexes) were compiled exactly once, so workers never
+// contend on compile caches. It fans detection out over a worker pool:
+// function analysis and each (function × idiom) solve are independent
+// tasks. A serial merge stage then re-sorts and claim-deduplicates, so
+// results are byte-identical regardless of worker count.
 type Engine struct {
-	roster    []idioms.Idiom
-	probs     []*constraint.Problem // parallel to roster
-	rosterIdx map[string]int        // idiom name -> roster position
-	workers   int
+	// roster is what a submission without its own Roster detects.
+	roster  []Resolved
+	workers int
 
 	// memo is the solver memoization cache (nil when disabled): completed
 	// (function-fingerprint × problem) solves are stored position-encoded, so
@@ -34,26 +34,16 @@ type Engine struct {
 	// of re-running the backtracking search.
 	memo                 *constraint.SolveCache
 	memoHits, memoMisses atomic.Int64
-
-	// sigs are the per-roster-idiom similarity signatures, compiled once
-	// alongside the problems; only explain-mode near misses read them.
-	sigs []*similarity.Signature // parallel to roster
 }
 
-// NewEngine compiles the idiom roster for opts and sizes the worker pool.
-// Workers <= 0 defaults to GOMAXPROCS.
+// NewEngine resolves the default roster for opts against the built-in pack
+// and sizes the worker pool. Workers <= 0 defaults to GOMAXPROCS.
 func NewEngine(opts Options) (*Engine, error) {
-	ros := roster(opts)
-	e := &Engine{
-		roster:    ros,
-		probs:     make([]*constraint.Problem, len(ros)),
-		sigs:      make([]*similarity.Signature, len(ros)),
-		rosterIdx: make(map[string]int, len(ros)),
-		workers:   opts.Workers,
+	ros, err := Resolve(nil, opts.Idioms)
+	if err != nil {
+		return nil, fmt.Errorf("detect: %w", err)
 	}
-	for i, idm := range ros {
-		e.rosterIdx[idm.Name] = i
-	}
+	e := &Engine{roster: ros, workers: opts.Workers}
 	switch {
 	case opts.NoMemo:
 		// leave e.memo nil
@@ -64,16 +54,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
-	}
-	probs, err := idioms.Problems(ros)
-	if err != nil {
-		return nil, err
-	}
-	for i, idm := range ros {
-		prob := probs[idm.Name]
-		constraint.Prepare(prob)
-		e.probs[i] = prob
-		e.sigs[i] = similarity.Compile(idm.Name, prob)
 	}
 	return e, nil
 }
@@ -92,52 +72,49 @@ func (e *Engine) MemoStats() (hits, misses int64) {
 // for entry-count and eviction introspection by serving layers.
 func (e *Engine) Memo() *constraint.SolveCache { return e.memo }
 
-// Roster reports the engine's idiom roster in precedence order.
-func (e *Engine) Roster() []idioms.Idiom {
-	return append([]idioms.Idiom(nil), e.roster...)
-}
-
 // Resolved pairs an idiom with its compiled constraint problem. It is the
-// unit of a per-submission roster: serving layers resolve a request's idiom
-// pack against an immutable registry snapshot once at intake, and detection
-// then solves exactly those problems — the engine's own precompiled roster
-// is only the default. Order is merge precedence, as everywhere else.
+// unit of a roster: serving layers resolve a request's idioms against an
+// immutable pack once at intake (Resolve), and detection then solves exactly
+// those problems. Order is merge precedence, as everywhere else.
 type Resolved struct {
 	Idiom idioms.Idiom
 	Prob  *constraint.Problem
-	// Sig is the idiom's similarity signature, read only by explain-mode
-	// near misses (engine roster entries always carry one; pack rosters carry
-	// the signature compiled at registration). A nil signature scores 1.
+	// Sig is the idiom's similarity signature, compiled with the pack and
+	// read only by explain-mode near misses. A nil signature scores 1.
 	Sig *similarity.Signature
 }
 
-// resolved maps engine roster positions to Resolved entries.
-func (e *Engine) resolved(ris []int) []Resolved {
-	out := make([]Resolved, len(ris))
-	for i, ri := range ris {
-		out[i] = Resolved{Idiom: e.roster[ri], Prob: e.probs[ri], Sig: e.sigs[ri]}
-	}
-	return out
-}
-
-// subset resolves idiom names to roster positions, preserving the request
-// order (which becomes merge precedence, exactly as Options.Idioms does). Unknown names are skipped. A nil names list means the
-// engine's full roster.
-func (e *Engine) subset(names []string) []int {
-	if names == nil {
-		out := make([]int, len(e.roster))
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	out := make([]int, 0, len(names))
-	for _, n := range names {
-		if ri, ok := e.rosterIdx[n]; ok {
-			out = append(out, ri)
+// Resolve builds a roster from a compiled pack; a nil pack means the
+// built-in library (idioms.Builtin). Names resolve in the order given,
+// which becomes merge precedence. No names means the pack's default roster:
+// every idiom but the extensions, so the paper's seven for the built-in pack
+// and the whole roster of a tenant pack. An unknown name is an error.
+func Resolve(p *idioms.Pack, names []string) ([]Resolved, error) {
+	if p == nil {
+		var err error
+		if p, err = idioms.Builtin(); err != nil {
+			return nil, err
 		}
 	}
-	return out
+	if len(names) == 0 {
+		names = nil
+		for _, idm := range p.Idioms {
+			if !idm.Extension {
+				names = append(names, idm.Name)
+			}
+		}
+	}
+	out := make([]Resolved, len(names))
+	for i, n := range names {
+		idm, ok := p.Idiom(n)
+		if !ok {
+			return nil, fmt.Errorf("unknown idiom %q", n)
+		}
+		prob, _ := p.Problem(n)
+		sig, _ := p.Signature(n)
+		out[i] = Resolved{Idiom: idm, Prob: prob, Sig: sig}
+	}
+	return out, nil
 }
 
 // fingerprint digests an analysed function for memo keying; the zero
@@ -149,9 +126,8 @@ func (e *Engine) fingerprint(info *analysis.Info) constraint.Fingerprint {
 	return constraint.FingerprintInfo(info)
 }
 
-// solveResolved runs one (function × idiom) task — an explicit (idiom,
-// problem) pair, the shared path of the engine's own roster and
-// per-submission pack rosters — through the memo cache. The solver is
+// solveResolved runs one (function × idiom) task — one roster entry —
+// through the memo cache. The solver is
 // deterministic, so a hit returns exactly what the skipped search would
 // have: same solutions, same order after sortSolutions, same step count.
 // Memo keys are the problem's ID, a digest of its IDL source, so packs and

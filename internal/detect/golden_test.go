@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/constraint"
-	"repro/internal/idioms"
 	"repro/internal/ir"
 	"repro/internal/workloads"
 )
@@ -76,14 +75,9 @@ func goldenValue(v ir.Value, info *analysis.Info) string {
 // solve's steps on the way.
 func suiteGolden(t *testing.T) []goldenWorkload {
 	t.Helper()
-	ros := roster(Options{})
-	probs := make([]*constraint.Problem, len(ros))
-	for i, idm := range ros {
-		prob, err := idioms.Problem(idm.Top)
-		if err != nil {
-			t.Fatalf("%s: %v", idm.Name, err)
-		}
-		probs[i] = prob
+	ros, err := Resolve(nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var out []goldenWorkload
 	for _, w := range workloads.All() {
@@ -96,11 +90,11 @@ func suiteGolden(t *testing.T) []goldenWorkload {
 			info := analysis.Analyze(fn)
 			per := make([]idiomSolutions, len(ros))
 			gf := goldenFunction{Name: fn.Ident}
-			for i, idm := range ros {
-				per[i] = solveIdiom(nil, idm, probs[i], info)
-				gs := goldenSteps{Idiom: idm.Name, Steps: per[i].steps}
+			for i, r := range ros {
+				per[i] = solveIdiom(nil, r.Idiom, r.Prob, info)
+				gs := goldenSteps{Idiom: r.Idiom.Name, Steps: per[i].steps}
 				if len(per[i].sols) > 0 {
-					first := constraint.NewSolver(probs[i], info)
+					first := constraint.NewSolver(r.Prob, info)
 					first.Limit = 1
 					first.Solve()
 					gs.First = first.Steps

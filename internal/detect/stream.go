@@ -42,15 +42,10 @@ type Submission struct {
 	// means 1), so one client's backlog cannot starve another's.
 	Client string
 	Weight int
-	// Idioms restricts detection to the named idioms (resolved against the
-	// engine's roster, in the order given — the same precedence semantics as
-	// Options.Idioms). Nil means the full roster.
-	Idioms []string
-	// Roster, when non-nil, overrides Idioms entirely: detection solves
-	// exactly these (idiom, problem) pairs in the given precedence order —
-	// the per-request pack path. The slice and the problems it references
-	// must be immutable for the submission's lifetime (registry snapshots
-	// are).
+	// Roster is what detection solves: exactly these (idiom, problem) pairs,
+	// in the given precedence order (see Resolve). Nil means the engine's
+	// default roster. The slice and the problems it references must be
+	// immutable for the submission's lifetime (packs are).
 	Roster []Resolved
 	// Explain requests near-miss diagnostics: the delivered Result carries
 	// NearMisses for the top unmatched roster idioms (similarity score,
@@ -377,7 +372,7 @@ func (s *Stream) Detect(sub Submission) (*Result, error) {
 
 	ros := sub.Roster
 	if ros == nil {
-		ros = e.resolved(e.subset(sub.Idioms))
+		ros = e.roster
 	}
 	nIdioms := len(ros)
 	grid := make([]idiomSolutions, len(fns)*nIdioms)

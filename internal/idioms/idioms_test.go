@@ -42,9 +42,13 @@ func TestAllProblemsCompile(t *testing.T) {
 
 func solveOn(t *testing.T, top, csrc, fn string) []constraint.Solution {
 	t.Helper()
-	prob, err := Problem(top)
+	prog, err := Library()
 	if err != nil {
-		t.Fatalf("Problem(%s): %v", top, err)
+		t.Fatal(err)
+	}
+	prob, err := constraint.Compile(prog, top, constraint.CompileOptions{})
+	if err != nil {
+		t.Fatalf("compile %s: %v", top, err)
 	}
 	mod, err := cc.Compile("test", csrc)
 	if err != nil {

@@ -12,9 +12,9 @@ import (
 )
 
 // TopSpec declares one idiom of a pack: the top-level constraint to compile
-// plus the detection/transformation metadata the built-in roster carries for
-// the paper's idioms. It is the JSON element of POST /v1/idioms and the unit
-// `idlc -pack` validates.
+// plus its class, transform scheme and offload kind. It is the JSON element
+// of POST /v1/idioms and the unit `idlc -pack` validates; the built-in
+// library is compiled from the same declarations.
 type TopSpec struct {
 	// Name is the idiom name requests use; empty defaults to Top.
 	Name string `json:"name,omitempty"`
@@ -33,11 +33,13 @@ type TopSpec struct {
 	Kind string `json:"kind,omitempty"`
 }
 
-// Pack is one registered idiom pack: an immutable roster of idioms whose
-// constraint problems were compiled (and solver-prepared) exactly once at
-// registration. Version is the registry-wide registration counter stamped
-// into every problem, so solve-memo entries of superseded registrations can
-// never be served to a newer pack of the same name.
+// Pack is one compiled idiom pack — a tenant registration or the built-in
+// library (Builtin): an immutable roster of idioms whose constraint problems
+// were compiled (and solver-prepared) exactly once. Version is the
+// registry-wide registration counter, reported on the wire as pack_version
+// so a client can tell registrations apart; it is 0 outside a registry. It
+// plays no part in memo keys: those are the problems' IDs, digests of the
+// IDL source and top name.
 type Pack struct {
 	Name    string
 	Version uint64
@@ -100,8 +102,9 @@ var validSchemes = map[string]bool{
 // and the metadata is checked. `idlc -pack` and the server's POST /v1/idioms
 // both call this — one code path, so CLI and HTTP report identical errors.
 //
-// version is stamped into the Pack's Version; stand-alone validation passes
-// 0. Memo entries follow the problems' source-digest IDs, not the version.
+// version becomes the Pack's Version; stand-alone validation and the
+// built-in pack pass 0. Memo entries follow the problems' source-digest IDs,
+// not the version.
 func CompilePack(name, idlSource string, tops []TopSpec, version uint64) (*Pack, error) {
 	if name == "" {
 		return nil, fmt.Errorf("idioms: pack name required")
@@ -191,10 +194,10 @@ func NewRegistrySize(max int) *Registry {
 
 // Register compiles and installs a pack under name, replacing any previous
 // registration of that name. Each call — including a replacement — gets a
-// fresh registry-wide version, stamped into the pack and its compiled
-// problems; solve-memo keys include it, so cached solves of a superseded
-// pack are unreachable from the new one. Registration failures install
-// nothing.
+// fresh registry-wide version on the pack. Solve-memo keys do not include
+// it: a replacement with new IDL compiles problems with new IDs, while one
+// with identical source and tops keeps its IDs and reuses their cached
+// solves. Registration failures install nothing.
 func (r *Registry) Register(name, idlSource string, tops []TopSpec) (*Pack, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

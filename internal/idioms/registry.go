@@ -50,103 +50,96 @@ type Idiom struct {
 	Top   string // top-level constraint name in the library
 	Class Class
 	// Scheme names the code-replacement strategy the transform phase uses
-	// for this idiom ("gemm", "spmv", "reduction", "loopbody1/2/3"). Empty
-	// means the transformer's built-in per-name dispatch (the paper's
-	// evaluated idioms); pack-registered idioms set it explicitly.
+	// for this idiom ("gemm", "spmv", "reduction", "loopbody1/2/3"). It is
+	// the only dispatch of claiming and transformation; empty means the
+	// idiom detects but has no code replacement.
 	Scheme string
 	// Kind is the heterogeneous API kind the idiom offloads as (the key of
 	// hetero.APIProfile efficiencies: "gemm", "spmv", "reduction",
 	// "histogram", "stencil1/2/3", "map"). Empty means the idiom carries no
 	// offload model and match results report no backend estimates for it.
 	Kind string
+	// Extension marks idioms beyond the paper's evaluated set — its §9
+	// future work. A roster resolved without names leaves them out, so they
+	// are detected only when named and the Table 1 reproduction is
+	// unaffected. Tenant pack idioms are never extensions.
+	Extension bool
 }
 
-// All returns the detection idioms in precedence order — the paper's idiom
-// set, reproducing its Table 1 classes.
+// library is the built-in idiom table in precedence order: the paper's
+// idiom set, reproducing its Table 1 classes, then the extensions. Builtin
+// compiles it as a pack, exactly as a tenant's TopSpecs are compiled.
+var library = []Idiom{
+	{Name: "GEMM", Top: "GEMM", Class: ClassMatrixOp, Scheme: "gemm", Kind: "gemm"},
+	{Name: "SPMV", Top: "SPMV", Class: ClassSparseMatrixOp, Scheme: "spmv", Kind: "spmv"},
+	{Name: "Stencil3", Top: "Stencil3", Class: ClassStencil, Scheme: "loopbody3", Kind: "stencil3"},
+	{Name: "Stencil2", Top: "Stencil2", Class: ClassStencil, Scheme: "loopbody2", Kind: "stencil2"},
+	{Name: "Stencil1", Top: "Stencil1", Class: ClassStencil, Scheme: "loopbody1", Kind: "stencil1"},
+	{Name: "Histogram", Top: "Histogram", Class: ClassHistogram, Scheme: "loopbody1", Kind: "histogram"},
+	{Name: "Reduction", Top: "Reduction", Class: ClassScalarReduction, Scheme: "reduction", Kind: "reduction"},
+	{Name: "Map", Top: "Map", Class: ClassMap, Scheme: "loopbody1", Kind: "map", Extension: true},
+}
+
+// All returns the paper's evaluated idioms in precedence order: the
+// built-in table without its extensions.
 func All() []Idiom {
-	return []Idiom{
-		{Name: "GEMM", Top: "GEMM", Class: ClassMatrixOp, Kind: "gemm"},
-		{Name: "SPMV", Top: "SPMV", Class: ClassSparseMatrixOp, Kind: "spmv"},
-		{Name: "Stencil3", Top: "Stencil3", Class: ClassStencil, Kind: "stencil3"},
-		{Name: "Stencil2", Top: "Stencil2", Class: ClassStencil, Kind: "stencil2"},
-		{Name: "Stencil1", Top: "Stencil1", Class: ClassStencil, Kind: "stencil1"},
-		{Name: "Histogram", Top: "Histogram", Class: ClassHistogram, Kind: "histogram"},
-		{Name: "Reduction", Top: "Reduction", Class: ClassScalarReduction, Kind: "reduction"},
-	}
-}
-
-// Extensions returns idioms beyond the paper's evaluated set — its §9
-// future work. They are only detected when requested by name, so the
-// Table 1 reproduction is unaffected.
-func Extensions() []Idiom {
-	return []Idiom{
-		{Name: "Map", Top: "Map", Class: ClassMap, Kind: "map"},
-	}
-}
-
-// ByName finds an idiom in the core set or the extensions.
-func ByName(name string) (Idiom, bool) {
-	for _, i := range All() {
-		if i.Name == name {
-			return i, true
+	var out []Idiom
+	for _, idm := range library {
+		if !idm.Extension {
+			out = append(out, idm)
 		}
 	}
-	for _, i := range Extensions() {
-		if i.Name == name {
-			return i, true
-		}
-	}
-	return Idiom{}, false
+	return out
 }
 
 var (
-	libOnce sync.Once
-	libProg *idl.Program
-	libErr  error
-
-	probMu    sync.RWMutex
-	probCache = map[string]*constraint.Problem{}
+	parseLibrary = sync.OnceValues(func() (*idl.Program, error) {
+		return idl.ParseProgram(LibrarySource)
+	})
+	builtin = sync.OnceValues(func() (*Pack, error) {
+		tops := make([]TopSpec, len(library))
+		for i, idm := range library {
+			tops[i] = TopSpec{Name: idm.Name, Top: idm.Top, Class: idm.Class.String(),
+				Scheme: idm.Scheme, Kind: idm.Kind}
+		}
+		p, err := CompilePack("builtin", LibrarySource, tops, 0)
+		if err != nil {
+			return nil, err
+		}
+		for i := range p.Idioms {
+			p.Idioms[i].Extension = library[i].Extension
+		}
+		return p, nil
+	})
 )
 
 // Library parses the embedded IDL library once and returns it.
-func Library() (*idl.Program, error) {
-	libOnce.Do(func() {
-		libProg, libErr = idl.ParseProgram(LibrarySource)
-	})
-	return libProg, libErr
-}
+func Library() (*idl.Program, error) { return parseLibrary() }
 
-// Problem compiles (and caches) the flattened constraint problem for a
-// top-level idiom name. Every caller of the same name shares one *Problem,
-// so downstream per-problem caches (the solver's static index) hit too. The
-// fast path is a read lock: detection workers resolve problems concurrently.
+// Builtin returns the built-in idiom library compiled once as a pack,
+// through the same CompilePack path tenant packs take: one compile and one
+// solver preparation per idiom for the process lifetime, so every roster
+// resolved from it shares the same problems (and their static indexes).
+func Builtin() (*Pack, error) { return builtin() }
+
+// Problem returns the built-in pack's compiled problem for a top-level
+// idiom constraint.
 func Problem(top string) (*constraint.Problem, error) {
-	probMu.RLock()
-	p, ok := probCache[top]
-	probMu.RUnlock()
-	if ok {
-		return p, nil
-	}
-	probMu.Lock()
-	defer probMu.Unlock()
-	if p, ok := probCache[top]; ok {
-		return p, nil
-	}
-	prog, err := Library()
+	p, err := Builtin()
 	if err != nil {
 		return nil, err
 	}
-	p, err = constraint.Compile(prog, top, constraint.CompileOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("idioms: compiling %s: %w", top, err)
+	for _, idm := range p.Idioms {
+		if idm.Top == top {
+			prob, _ := p.Problem(idm.Name)
+			return prob, nil
+		}
 	}
-	probCache[top] = p
-	return p, nil
+	return nil, fmt.Errorf("idioms: no built-in idiom has top constraint %q", top)
 }
 
-// Problems precompiles the constraint problems for a whole idiom roster,
-// returning them keyed by idiom name. detect.NewEngine calls this once at
-// construction so no compilation happens on the solving hot path.
+// Problems returns the built-in pack's compiled problems for a roster of
+// built-in idioms, keyed by idiom name.
 func Problems(roster []Idiom) (map[string]*constraint.Problem, error) {
 	out := make(map[string]*constraint.Problem, len(roster))
 	for _, idm := range roster {

@@ -1,6 +1,7 @@
 package idioms
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -60,6 +61,34 @@ func TestCompilePackValidation(t *testing.T) {
 	}
 	if !ok || prob == builtin || prob.ID != builtin.ID {
 		t.Fatalf("pack GEMM problem = %p ok=%v, want a distinct compile with the built-in's ID", prob, ok)
+	}
+}
+
+// wideSource declares one top-level constraint binding n+1 variables.
+func wideSource(n int) string {
+	return fmt.Sprintf("Constraint X ( ( {v[i]} is add instruction ) for all i = 0..%d ) End", n)
+}
+
+// TestCompilePackBoundsVariables pins the variable bound: a tenant
+// constraint with thousands of variables is rejected before the
+// superlinear variable ordering runs, naming its count and the bound, and
+// every library idiom stays well inside it.
+func TestCompilePackBoundsVariables(t *testing.T) {
+	_, err := CompilePack("wide", wideSource(4000), []TopSpec{{Top: "X"}}, 0)
+	if err == nil || !strings.Contains(err.Error(), "4001 variables exceed the bound of 256") {
+		t.Fatalf("err = %v, want the variable bound", err)
+	}
+	if _, err := CompilePack("wide", wideSource(255), []TopSpec{{Top: "X"}}, 0); err != nil {
+		t.Fatalf("256 variables: %v", err)
+	}
+	p, err := Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idm := range p.Idioms {
+		if prob, _ := p.Problem(idm.Name); len(prob.Vars) > 128 {
+			t.Errorf("%s binds %d variables, near the bound", idm.Name, len(prob.Vars))
+		}
 	}
 }
 

@@ -55,39 +55,15 @@ func FixedBackend(idiom string) string {
 
 // Apply rewrites fn in place, replacing the instance with a call to
 // backend-qualified API entry points (backend example: "cusparse", "mkl",
-// "lift", "halide"). It returns a description of the call.
+// "lift", "halide"). It returns a description of the call. The replacement
+// strategy is the idiom's declared transform scheme — for the built-in
+// idioms and tenant pack idioms alike — so an idiom without one is
+// rejected.
 func Apply(mod *ir.Module, inst detect.Instance, backend string) (*APICall, error) {
 	tr := &transformer{mod: mod, fn: inst.Function, sol: inst.Solution, backend: backend}
 	tr.info = analysis.Analyze(tr.fn)
 
-	var out *APICall
-	var err error
-	switch {
-	// Pack-registered idioms dispatch by their declared transform scheme —
-	// the extensibility story extended from detection into code
-	// replacement. The scheme wins over the per-name table below, so a pack
-	// idiom reusing a built-in name keeps its own declared strategy.
-	case inst.Idiom.Scheme != "":
-		out, err = tr.applyScheme(inst.Idiom)
-	case inst.Idiom.Name == "GEMM":
-		out, err = tr.applyGEMM()
-	case inst.Idiom.Name == "SPMV":
-		out, err = tr.applySPMV()
-	case inst.Idiom.Name == "Reduction":
-		out, err = tr.applyReduction()
-	case inst.Idiom.Name == "Histogram":
-		out, err = tr.applyLoopBody("histogram", 1)
-	case inst.Idiom.Name == "Stencil1":
-		out, err = tr.applyLoopBody("stencil1", 1)
-	case inst.Idiom.Name == "Map":
-		out, err = tr.applyLoopBody("map", 1)
-	case inst.Idiom.Name == "Stencil2":
-		out, err = tr.applyLoopBody("stencil2", 2)
-	case inst.Idiom.Name == "Stencil3":
-		out, err = tr.applyLoopBody("stencil3", 3)
-	default:
-		return nil, fmt.Errorf("transform: no translation scheme for %s", inst.Idiom.Name)
-	}
+	out, err := tr.applyScheme(inst.Idiom)
 	if err != nil {
 		return nil, err
 	}
@@ -107,12 +83,11 @@ type transformer struct {
 	backend string
 }
 
-// applyScheme translates an idiom without a built-in per-name strategy using
-// its declared generic scheme. The solution must bind the canonical loop
-// variables the scheme expects (unprefixed For for loopbody1, loop[i].* for
-// deeper nests — exactly what inheriting the library's For/ForNest yields).
-// The API name embedded in the extern is the idiom's offload kind when
-// declared, else its lowercased name.
+// applyScheme translates an idiom by its declared scheme. The solution must
+// bind the canonical loop variables the scheme expects (unprefixed For for
+// loopbody1, loop[i].* for deeper nests — exactly what inheriting the
+// library's For/ForNest yields). The API name embedded in the extern is the
+// idiom's offload kind when declared, else its lowercased name.
 func (tr *transformer) applyScheme(idm idioms.Idiom) (*APICall, error) {
 	api := idm.Kind
 	if api == "" {

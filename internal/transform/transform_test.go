@@ -303,10 +303,11 @@ func TestApplyRejectsUnknownIdiom(t *testing.T) {
 	if len(res.Instances) != 1 {
 		t.Fatal("expected one instance")
 	}
+	// An idiom without a replacement strategy is rejected, whatever its name.
 	inst := res.Instances[0]
-	inst.Idiom.Name = "Bogus"
-	if _, err := Apply(mod, inst, "lift"); err == nil {
-		t.Fatal("expected error for unknown idiom")
+	inst.Idiom.Name, inst.Idiom.Scheme = "Bogus", ""
+	if _, err := Apply(mod, inst, "lift"); err == nil || !strings.Contains(err.Error(), "no translation scheme") {
+		t.Fatalf("err = %v, want no translation scheme", err)
 	}
 }
 
