@@ -46,6 +46,7 @@ func sequentialEngine(b *testing.B, idms ...string) *detect.Engine {
 func BenchmarkTable1Detection(b *testing.B) {
 	mods := compileAll(b)
 	eng := sequentialEngine(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := 0
@@ -194,6 +195,7 @@ func BenchmarkSolver(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng := sequentialEngine(b, c.idiom)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Module(mod); err != nil {

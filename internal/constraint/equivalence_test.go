@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -176,3 +177,26 @@ Constraint SimpleReduction
     {acc} is second argument of {next} ) )
 End
 `
+
+// canonicalKey renders a solution as a stable string, for comparing solution
+// sets across solves.
+func canonicalKey(sol Solution) string {
+	names := make([]string, 0, len(sol))
+	for n := range sol {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		b.WriteString(n)
+		b.WriteByte('=')
+		v := sol[n]
+		if c, ok := v.(*ir.Const); ok {
+			b.WriteString(c.Ty.String())
+			b.WriteByte(':')
+		}
+		b.WriteString(v.Operand())
+		b.WriteByte(';')
+	}
+	return b.String()
+}

@@ -57,9 +57,6 @@ type NCollect struct {
 	Min int
 	// Instantiate flattens the body for a concrete index value.
 	Instantiate func(j int) (Node, error)
-
-	infoOnce sync.Once
-	info     *collectInfo // built by protoInfo
 }
 
 func (*NAnd) node()     {}
@@ -82,7 +79,7 @@ type Problem struct {
 	ID [32]byte
 
 	idxOnce sync.Once
-	idx     *probIndex // built by index
+	idx     *probIndex // the slot form, built by index
 }
 
 // Ordering selects the variable ordering strategy (ablation: the paper

@@ -2,11 +2,11 @@ package constraint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/idl"
 	"repro/internal/ir"
 )
 
@@ -38,181 +38,48 @@ const (
 	triUnknown
 )
 
-// probIndex is the per-problem static structure that makes node evaluation
-// incremental: nodes are numbered, each node knows the set of solver
-// variables occurring in its subtree, and each variable knows the nodes it
-// can invalidate. It is built once per Problem, owned by it, and shared by
-// all solvers.
-type probIndex struct {
-	nodes []Node  // id -> node
-	kids  [][]int // id -> child node ids
-	root  int
-
-	varID    map[string]int
-	varNodes [][]int  // var id -> ids of nodes whose subtree mentions it
-	varIn    [][]bool // node id -> var id -> mentioned
-}
-
-// collectInfo caches what every solver derives from a collect body's
-// prototype instance: the flattened body and its variable list.
-type collectInfo struct {
-	proto     Node
-	protoVars []string
-}
-
-// index returns the problem's static index, building it on first use.
-// Solvers for the same problem are routinely constructed from many
-// goroutines; only the first pays the build. The index lives on the
-// Problem, so it is freed with it.
-func (p *Problem) index() *probIndex {
-	p.idxOnce.Do(func() { p.idx = buildIndex(p.Root, p.Vars) })
-	return p.idx
-}
-
-// Prepare eagerly builds the static node index of a problem (and, via the
-// index walk, the flattened collect prototypes) so that no solver pays the
-// build. It is idempotent and safe to call from multiple goroutines.
-func Prepare(p *Problem) {
-	p.index()
-}
-
-func buildIndex(root Node, vars []string) *probIndex {
-	idx := &probIndex{varID: map[string]int{}}
-	for i, v := range vars {
-		idx.varID[v] = i
+func slotValue(assign []ir.Value, slot int) ir.Value {
+	if slot < len(assign) {
+		return assign[slot]
 	}
-	nvars := len(vars)
-
-	var walk func(n Node) (int, []bool)
-	walk = func(n Node) (int, []bool) {
-		id := len(idx.nodes)
-		idx.nodes = append(idx.nodes, n)
-		idx.kids = append(idx.kids, nil)
-		idx.varIn = append(idx.varIn, nil)
-		mask := make([]bool, nvars)
-		switch t := n.(type) {
-		case *NAnd:
-			var kids []int
-			for _, k := range t.Kids {
-				kid, km := walk(k)
-				kids = append(kids, kid)
-				orInto(mask, km)
-			}
-			idx.kids[id] = kids
-		case *NOr:
-			var kids []int
-			for _, k := range t.Kids {
-				kid, km := walk(k)
-				kids = append(kids, kid)
-				orInto(mask, km)
-			}
-			idx.kids[id] = kids
-		case *NAtom:
-			for _, a := range t.Args {
-				if vid, ok := idx.varID[a]; ok {
-					mask[vid] = true
-				}
-			}
-			for _, list := range t.Lists {
-				for _, r := range list {
-					if vid, ok := idx.varID[r.Name]; ok {
-						mask[vid] = true
-					}
-				}
-			}
-		case *NCollect:
-			if ci := t.protoInfo(); ci != nil {
-				for _, v := range ci.protoVars {
-					if vid, ok := idx.varID[v]; ok {
-						mask[vid] = true
-					}
-				}
-			}
-		}
-		idx.varIn[id] = mask
-		return id, mask
-	}
-	rootID, _ := walk(root)
-	idx.root = rootID
-
-	idx.varNodes = make([][]int, nvars)
-	for id, mask := range idx.varIn {
-		for vid, in := range mask {
-			if in {
-				idx.varNodes[vid] = append(idx.varNodes[vid], id)
-			}
-		}
-	}
-	return idx
-}
-
-func orInto(dst, src []bool) {
-	for i, b := range src {
-		if b {
-			dst[i] = true
-		}
-	}
-}
-
-// protoInfo flattens the prototype instance of a collect body once and
-// keeps it and its variable list on the node for reuse by every solver. It
-// returns nil when the body fails to flatten.
-func (c *NCollect) protoInfo() *collectInfo {
-	c.infoOnce.Do(func() { c.info = buildCollectInfo(c) })
-	return c.info
-}
-
-func buildCollectInfo(c *NCollect) *collectInfo {
-	proto, err := c.Instantiate(0)
-	if err != nil {
-		return nil
-	}
-	var vars []string
-	collectVars(proto, map[string]bool{}, &vars)
-	// List references inside the body can also name outer variables.
-	for _, at := range gatherAtoms(proto) {
-		seen := map[string]bool{}
-		for _, v := range vars {
-			seen[v] = true
-		}
-		for _, list := range at.Lists {
-			for _, r := range list {
-				if !seen[r.Name] {
-					seen[r.Name] = true
-					vars = append(vars, r.Name)
-				}
-			}
-		}
-	}
-	return &collectInfo{proto: proto, protoVars: vars}
+	return nil
 }
 
 // Solver searches one analysed function for all solutions of a problem.
 type Solver struct {
-	prob *Problem
 	info *analysis.Info
 	idx  *probIndex
+	fn   *funcData
 
-	// domain is every value a variable may take: instructions, arguments
-	// and constants appearing as operands.
-	domain []ir.Value
-
-	// byOpcode indexes the instructions for candidate generation.
-	byOpcode map[ir.Opcode][]ir.Value
-
-	// assign is the current partial assignment of the backtracking search.
-	assign map[string]ir.Value
+	// assign is the current partial assignment of the backtracking search,
+	// indexed by slot; nil means unbound.
+	assign []ir.Value
 
 	// node evaluation cache (invalidated per variable via idx.varNodes).
 	nodeVal   []tribool
 	nodeKnown []bool
 
-	sols    []Solution
-	solKeys map[string]bool
+	// rows are the solutions found, indexed by slot; solKeys deduplicates them.
+	rows    [][]ir.Value
+	solKeys keyTable[struct{}]
 
-	// collectMemo caches resolved collects keyed by the binding signature of
-	// the body's outer variables.
-	collectMemo map[string]*collectResult
+	// collectMemo caches resolved collects keyed by the collect and the
+	// values of its body's bound outer variables.
+	collectMemo keyTable[*collectResult]
+
+	// Scratch reused across steps, so that a warm search does not allocate:
+	// arena is a stack of the candidate sets derived for the variables being
+	// enumerated, sets the disjunct sets being united, saved/extra/row/key
+	// finish's bookkeeping, lists the expanded varlists, sub the collect
+	// sub-solver.
+	arena []ir.Value
+	sets  [][]ir.Value
+	saved []binding
+	extra []int
+	row   []ir.Value
+	key   []int32
+	lists [3][]ir.Value
+	sub   *Solver
 
 	cancelled bool
 
@@ -246,84 +113,73 @@ type collectResult struct {
 }
 
 type binding struct {
-	name string
+	slot int
 	val  ir.Value
 }
 
 // NewSolver prepares a solver for one function.
 func NewSolver(prob *Problem, info *analysis.Info) *Solver {
-	s := &Solver{prob: prob, info: info, assign: map[string]ir.Value{}}
-	for _, arg := range info.Fn.Args {
-		s.domain = append(s.domain, arg)
-	}
-	seenConst := map[string]bool{}
-	for _, in := range info.Instrs {
-		if in.HasResult() {
-			s.domain = append(s.domain, in)
-		}
-		for _, op := range in.Ops {
-			if c, ok := op.(*ir.Const); ok {
-				key := c.Ty.String() + ":" + c.Operand()
-				if !seenConst[key] {
-					seenConst[key] = true
-					s.domain = append(s.domain, c)
-				}
-			}
-		}
-	}
-	// Terminators and stores are values too for constraint purposes (they
-	// can be bound even though they produce no SSA result).
-	for _, in := range s.info.Instrs {
-		if !in.HasResult() {
-			s.domain = append(s.domain, in)
-		}
-	}
-	s.byOpcode = map[ir.Opcode][]ir.Value{}
-	for _, in := range info.Instrs {
-		s.byOpcode[in.Op] = append(s.byOpcode[in.Op], in)
-	}
+	s := &Solver{info: info, fn: newFuncData(info)}
 	s.attachIndex(prob.index())
+	names, _ := s.idx.syms.view(-1)
+	s.assign = make([]ir.Value, len(names))
 	return s
 }
 
-// attachIndex installs the static index and resets the evaluation cache.
+// attachIndex installs a slot form and resets the evaluation cache.
 func (s *Solver) attachIndex(idx *probIndex) {
 	s.idx = idx
-	s.nodeVal = make([]tribool, len(idx.nodes))
-	s.nodeKnown = make([]bool, len(idx.nodes))
+	n := len(idx.nodes)
+	s.nodeVal = slices.Grow(s.nodeVal[:0], n)[:n]
+	s.nodeKnown = slices.Grow(s.nodeKnown[:0], n)[:n]
+	clear(s.nodeKnown)
 }
 
 // bind assigns a variable and invalidates affected node caches.
-func (s *Solver) bind(v string, val ir.Value) {
+func (s *Solver) bind(slot int, val ir.Value) {
 	if s.cancelled {
 		// Search effort spent after the abort was observed. The per-candidate
 		// cancel checks keep this at zero; tracked so tests can pin it.
 		s.lateBinds++
 	}
-	s.assign[v] = val
-	if vid, ok := s.idx.varID[v]; ok {
-		for _, id := range s.idx.varNodes[vid] {
-			s.nodeKnown[id] = false
-		}
-	}
+	s.assign[slot] = val
+	s.invalidate(slot)
 }
 
 // unbind removes a variable assignment and invalidates node caches.
-func (s *Solver) unbind(v string) {
-	delete(s.assign, v)
-	if vid, ok := s.idx.varID[v]; ok {
-		for _, id := range s.idx.varNodes[vid] {
-			s.nodeKnown[id] = false
-		}
+func (s *Solver) unbind(slot int) {
+	s.assign[slot] = nil
+	s.invalidate(slot)
+}
+
+func (s *Solver) invalidate(slot int) {
+	for _, id := range s.idx.varNodes[s.idx.varOf[slot]] {
+		s.nodeKnown[id] = false
 	}
 }
 
 // Solve enumerates all solutions by one sequential backtracking search.
 func (s *Solver) Solve() []Solution {
-	s.sols = nil
-	s.solKeys = map[string]bool{}
+	s.search()
+	var sols []Solution
+	names, _ := s.idx.syms.view(-1)
+	for _, row := range s.rows {
+		sol := Solution{}
+		for slot, v := range row {
+			if v != nil {
+				sol[names[slot]] = v
+			}
+		}
+		sols = append(sols, sol)
+	}
+	return sols
+}
+
+// search runs the backtracking search, leaving the solutions in rows.
+func (s *Solver) search() {
+	s.rows = s.rows[:0]
+	s.solKeys.reset()
 	s.step(0)
-	return s.sols
 }
 
 // Cancelled reports whether the last Solve was aborted through Cancel before
@@ -331,7 +187,7 @@ func (s *Solver) Solve() []Solution {
 func (s *Solver) Cancelled() bool { return s.cancelled }
 
 func (s *Solver) limitReached() bool {
-	return s.Limit > 0 && len(s.sols) >= s.Limit
+	return s.Limit > 0 && len(s.rows) >= s.Limit
 }
 
 func (s *Solver) step(k int) {
@@ -349,20 +205,19 @@ func (s *Solver) step(k int) {
 		default:
 		}
 	}
-	if k == len(s.prob.Vars) {
+	if k == len(s.idx.vars) {
 		s.finish()
 		return
 	}
-	v := s.prob.Vars[k]
-	if _, already := s.assign[v]; already {
+	v := s.idx.vars[k]
+	if s.assign[v] != nil {
 		// Bound through an alias earlier; just verify and continue.
-		if s.evalNode(s.idx.root) != triFalse {
+		if s.evalNode(0) != triFalse {
 			s.step(k + 1)
 		}
 		return
 	}
-	vid := s.idx.varID[v]
-	if !s.relevantID(s.idx.root, vid) {
+	if !s.relevantID(0, k) {
 		// Every occurrence of v lies under an already-satisfied
 		// disjunction: its value cannot affect the formula. Bind the
 		// canonical marker so equivalent solutions collapse.
@@ -371,34 +226,39 @@ func (s *Solver) step(k int) {
 		s.unbind(v)
 		return
 	}
-	for _, c := range s.candidateList(v) {
-		s.tryCandidate(k, v, c)
+	mark := len(s.arena)
+	for _, c := range s.candidateList(k) {
+		s.tryCandidate(k, c)
 		// Observe the flag set by the periodic poll deeper in the recursion:
 		// without this, a cancel detected at depth d keeps enumerating
 		// siblings through bind/eval work at every frame on the way out.
 		if s.cancelled || s.limitReached() {
-			return
+			break
 		}
 	}
+	s.arena = s.arena[:mark]
 }
 
-// candidateList returns every value variable v must be drawn from under the
+// candidateList returns every value variable k must be drawn from under the
 // current assignment: the atom-derived candidate set when it is bounded, the
 // full domain otherwise (or always, under the NaiveCandidates ablation).
-func (s *Solver) candidateList(v string) []ir.Value {
+// Derived sets are appended to the arena, which step truncates once the
+// variable's candidates are exhausted.
+func (s *Solver) candidateList(k int) []ir.Value {
 	if !s.NaiveCandidates {
-		if cands, bounded := s.candidates(s.prob.Root, v); bounded {
+		if cands, bounded := s.candidates(0, k); bounded {
 			return cands
 		}
 	}
-	return s.domain
+	return s.fn.domain
 }
 
-// tryCandidate binds v to c, recurses into the next variable when the
-// formula stays satisfiable, and unbinds: the per-candidate body of step.
-func (s *Solver) tryCandidate(k int, v string, c ir.Value) {
+// tryCandidate binds variable k to c, recurses into the next variable when
+// the formula stays satisfiable, and unbinds: the per-candidate body of step.
+func (s *Solver) tryCandidate(k int, c ir.Value) {
+	v := s.idx.vars[k]
 	s.bind(v, c)
-	if s.evalNode(s.idx.root) != triFalse {
+	if s.evalNode(0) != triFalse {
 		s.step(k + 1)
 	}
 	s.unbind(v)
@@ -412,40 +272,37 @@ func (s *Solver) evalNode(id int) tribool {
 		return s.nodeVal[id]
 	}
 	var out tribool
-	switch t := s.idx.nodes[id].(type) {
-	case *NAnd:
+	n := &s.idx.nodes[id]
+	switch n.kind {
+	case kAnd:
 		out = triTrue
-		for _, kid := range s.idx.kids[id] {
+		for _, kid := range n.kids {
 			switch s.evalNode(kid) {
 			case triFalse:
 				out = triFalse
 			case triUnknown:
-				if out != triFalse {
-					out = triUnknown
-				}
+				out = triUnknown
 			}
 			if out == triFalse {
 				break
 			}
 		}
-	case *NOr:
+	case kOr:
 		out = triFalse
-		for _, kid := range s.idx.kids[id] {
+		for _, kid := range n.kids {
 			switch s.evalNode(kid) {
 			case triTrue:
 				out = triTrue
 			case triUnknown:
-				if out != triTrue {
-					out = triUnknown
-				}
+				out = triUnknown
 			}
 			if out == triTrue {
 				break
 			}
 		}
-	case *NAtom:
-		out = s.evalAtom(t, false)
-	case *NCollect:
+	case kAtom:
+		out = s.evalAtom(n.atom, false)
+	case kCollect:
 		out = triUnknown
 	}
 	s.nodeKnown[id] = true
@@ -458,24 +315,20 @@ func (s *Solver) evalNode(id int) tribool {
 // is monotone in assignments — decided nodes (true or false) stay decided —
 // so only Unknown regions of the formula can be affected by the variable.
 func (s *Solver) relevantID(id int, vid int) bool {
-	if !s.idx.varIn[id][vid] {
+	if !s.idx.varIn[id][vid] || s.evalNode(id) != triUnknown {
 		return false
 	}
-	if s.evalNode(id) != triUnknown {
-		return false
-	}
-	switch s.idx.nodes[id].(type) {
-	case *NAnd, *NOr:
-		for _, kid := range s.idx.kids[id] {
+	n := &s.idx.nodes[id]
+	switch n.kind {
+	case kAnd, kOr:
+		for _, kid := range n.kids {
 			if s.relevantID(kid, vid) {
 				return true
 			}
 		}
 		return false
-	case *NAtom, *NCollect:
-		return true
 	}
-	return false
+	return n.kind == kAtom || n.kind == kCollect
 }
 
 // finish validates the full assignment including collects, then records the
@@ -487,72 +340,45 @@ func (s *Solver) finish() {
 	// formula (their occurrences all sit in decided subformulas) are reset
 	// to the Unconstrained marker so equivalent solutions collapse. The
 	// original values are restored before returning to the search.
-	saved := map[string]ir.Value{}
-	for _, v := range s.prob.Vars {
-		val, bound := s.assign[v]
-		if !bound || val == Unconstrained {
+	s.saved = s.saved[:0]
+	for k, v := range s.idx.vars {
+		val := s.assign[v]
+		if val == nil || val == Unconstrained {
 			continue
 		}
 		s.unbind(v)
-		if s.relevantID(s.idx.root, s.idx.varID[v]) {
+		if s.relevantID(0, k) {
 			s.bind(v, val)
 		} else {
-			saved[v] = val
+			s.saved = append(s.saved, binding{v, val})
 			s.bind(v, Unconstrained)
 		}
 	}
-	restore := func() {
-		for k, val := range saved {
-			s.bind(k, val)
+
+	s.extra = s.extra[:0]
+	ok := s.evalFinal(0)
+	// The collect bindings leave the live assignment but stay in the row.
+	s.row = append(s.row[:0], s.assign...)
+	for _, slot := range s.extra {
+		s.assign[slot] = nil
+	}
+	if ok == triTrue {
+		s.key = s.key[:0]
+		for slot, v := range s.row {
+			if v != nil {
+				s.key = append(s.key, int32(slot), s.fn.valueID(v))
+			}
 		}
 	}
-
-	extra := map[string]ir.Value{}
-	ok := s.evalFinal(s.prob.Root, extra)
-	for k := range extra {
-		delete(s.assign, k)
+	for _, b := range s.saved {
+		s.bind(b.slot, b.val)
 	}
-	if ok != triTrue {
-		restore()
-		return
-	}
-	sol := Solution{}
-	for k, v := range s.assign {
-		sol[k] = v
-	}
-	for k, v := range extra {
-		sol[k] = v
-	}
-	restore()
 	// Deduplicate identical solutions arising from overlapping disjunctions.
-	key := canonicalKey(sol)
-	if s.solKeys[key] {
+	if ok != triTrue || s.solKeys.has(s.key) {
 		return
 	}
-	s.solKeys[key] = true
-	s.sols = append(s.sols, sol)
-}
-
-// canonicalKey renders a solution as a stable string for deduplication.
-func canonicalKey(sol Solution) string {
-	names := make([]string, 0, len(sol))
-	for n := range sol {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		b.WriteString(n)
-		b.WriteByte('=')
-		v := sol[n]
-		if c, ok := v.(*ir.Const); ok {
-			b.WriteString(c.Ty.String())
-			b.WriteByte(':')
-		}
-		b.WriteString(v.Operand())
-		b.WriteByte(';')
-	}
-	return b.String()
+	s.solKeys.put(s.key, struct{}{})
+	s.rows = append(s.rows, slices.Clone(s.row))
 }
 
 // sameValue compares values; constants compare by type and payload.
@@ -569,125 +395,108 @@ func sameValue(a, b ir.Value) bool {
 }
 
 // evalFinal evaluates with all regular variables assigned, resolving
-// collect nodes and binding their solutions into extra.
-func (s *Solver) evalFinal(n Node, extra map[string]ir.Value) tribool {
-	switch t := n.(type) {
-	case *NAnd:
-		for _, k := range t.Kids {
-			if s.evalFinal(k, extra) != triTrue {
+// collect nodes and binding their solutions into the assignment (recorded in
+// extra).
+func (s *Solver) evalFinal(id int) tribool {
+	n := &s.idx.nodes[id]
+	switch n.kind {
+	case kAnd:
+		for _, kid := range n.kids {
+			if s.evalFinal(kid) != triTrue {
 				return triFalse
 			}
 		}
 		return triTrue
-	case *NOr:
-		for _, k := range t.Kids {
-			if s.evalFinal(k, extra) == triTrue {
+	case kOr:
+		for _, kid := range n.kids {
+			if s.evalFinal(kid) == triTrue {
 				return triTrue
 			}
 		}
 		return triFalse
-	case *NAtom:
-		return s.evalAtom(t, true)
-	case *NCollect:
-		return s.resolveCollect(t, extra)
+	case kAtom:
+		return s.evalAtom(n.atom, true)
+	case kCollect:
+		return s.resolveCollect(n.coll)
 	}
 	return triFalse
 }
 
+// bindExtra installs one collect binding into the live assignment.
+func (s *Solver) bindExtra(slot int, v ir.Value) {
+	for len(s.assign) <= slot {
+		s.assign = append(s.assign, nil)
+	}
+	s.assign[slot] = v
+	s.extra = append(s.extra, slot)
+}
+
 // resolveCollect enumerates all solutions of the collect body and binds the
-// indexed instances. Results are memoized on the binding signature of the
-// body's outer variables: identical outer contexts resolve identically.
-func (s *Solver) resolveCollect(c *NCollect, extra map[string]ir.Value) tribool {
-	ci := c.protoInfo()
-	if ci == nil {
+// indexed instances. Results are memoized on the values of the body's bound
+// outer variables: identical outer contexts resolve identically.
+func (s *Solver) resolveCollect(c *collect) tribool {
+	if c.proto == nil {
 		return triFalse
 	}
-
-	// Memo lookup.
-	var keyB strings.Builder
-	fmt.Fprintf(&keyB, "%p|", c)
-	for _, v := range ci.protoVars {
-		if val, bound := s.assign[v]; bound {
-			keyB.WriteString(v)
-			keyB.WriteByte('=')
-			if cst, ok := val.(*ir.Const); ok {
-				keyB.WriteString(cst.Ty.String())
-				keyB.WriteByte(':')
-			}
-			keyB.WriteString(val.Operand())
-			keyB.WriteByte(';')
+	key := append(s.key[:0], int32(c.id))
+	for _, slot := range c.protoVars {
+		if v := slotValue(s.assign, slot); v != nil {
+			key = append(key, int32(slot), s.fn.valueID(v))
 		}
 	}
-	key := keyB.String()
-	if s.collectMemo == nil {
-		s.collectMemo = map[string]*collectResult{}
-	}
-	if res, hit := s.collectMemo[key]; hit {
+	s.key = key
+	if res, hit := s.collectMemo.get(key); hit {
 		if !res.ok {
 			return triFalse
 		}
 		for _, b := range res.bindings {
-			extra[b.name] = b.val
-			s.assign[b.name] = b.val
+			s.bindExtra(b.slot, b.val)
 		}
 		return triTrue
 	}
 	memo := &collectResult{}
-	s.collectMemo[key] = memo
+	s.collectMemo.put(key, memo)
 
 	// Variables already bound by the outer assignment stay fixed; the rest
 	// are solved for.
-	var free []string
-	freeSet := map[string]bool{}
-	for _, v := range ci.protoVars {
-		if _, bound := s.assign[v]; !bound {
-			free = append(free, v)
-			freeSet[v] = true
-		}
-	}
-	sub := &Solver{
-		prob:     &Problem{Name: "collect", Root: ci.proto, Vars: free},
-		info:     s.info,
-		domain:   s.domain,
-		byOpcode: s.byOpcode,
-		assign:   map[string]ir.Value{},
-		Cancel:   s.Cancel,
-	}
-	sub.attachIndex(buildIndex(ci.proto, free))
-	for k, v := range s.assign {
-		sub.assign[k] = v
-	}
-	subSols := sub.Solve()
+	idx := c.subIndex(s.idx.syms, s.assign)
+	sub := s.subSolver(idx)
+	sub.search()
 	if sub.cancelled {
 		s.cancelled = true
 	}
 	s.lateBinds += sub.lateBinds
 	s.Steps += sub.Steps
-	if len(subSols) < c.Min {
+	if len(sub.rows) < c.Min {
 		return triFalse
 	}
-	// Deterministic order: by position of the first free variable's value in
-	// the textual rendering.
-	sort.SliceStable(subSols, func(i, j int) bool {
-		return solutionKey(subSols[i], free) < solutionKey(subSols[j], free)
-	})
-	for j, sol := range subSols {
-		inst, err := c.Instantiate(j)
-		if err != nil {
+	// Deterministic order: by the textual rendering of the free variables'
+	// values.
+	type keyedRow struct {
+		key string
+		row []ir.Value
+	}
+	rows := make([]keyedRow, len(sub.rows))
+	for i, row := range sub.rows {
+		var b strings.Builder
+		for _, slot := range idx.vars {
+			if v := slotValue(row, slot); v != nil {
+				b.WriteString(v.Operand())
+				b.WriteString("|")
+			}
+		}
+		rows[i] = keyedRow{b.String(), row}
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
+	for j, r := range rows {
+		inst := c.instance(s.idx.syms, j)
+		if !inst.ok {
 			return triFalse
 		}
-		var instVars []string
-		collectVars(inst, map[string]bool{}, &instVars)
-		var protoOrdered []string
-		collectVars(ci.proto, map[string]bool{}, &protoOrdered)
-		if len(instVars) != len(protoOrdered) {
-			return triFalse
-		}
-		for i, pv := range protoOrdered {
-			if v, ok := sol[pv]; ok && freeSet[pv] {
-				extra[instVars[i]] = v
-				s.assign[instVars[i]] = v
-				memo.bindings = append(memo.bindings, binding{instVars[i], v})
+		for i, pv := range c.protoVars[:c.nBody] {
+			if v := slotValue(r.row, pv); v != nil && pv < len(idx.varOf) && idx.varOf[pv] >= 0 {
+				s.bindExtra(inst.slots[i], v)
+				memo.bindings = append(memo.bindings, binding{inst.slots[i], v})
 			}
 		}
 	}
@@ -695,246 +504,61 @@ func (s *Solver) resolveCollect(c *NCollect, extra map[string]ir.Value) tribool 
 	return triTrue
 }
 
-func solutionKey(sol Solution, vars []string) string {
-	var b strings.Builder
-	for _, v := range vars {
-		if val, ok := sol[v]; ok {
-			b.WriteString(val.Operand())
-			b.WriteString("|")
-		}
+// subSolver readies the reusable solver for one collect body resolution: a
+// fresh search over idx starting from the current assignment.
+func (s *Solver) subSolver(idx *probIndex) *Solver {
+	sub := s.sub
+	if sub == nil {
+		sub = &Solver{info: s.info, fn: s.fn}
+		s.sub = sub
 	}
-	return b.String()
+	sub.attachIndex(idx)
+	sub.assign = append(sub.assign[:0], s.assign...)
+	sub.collectMemo.reset()
+	sub.Cancel, sub.cancelled, sub.lateBinds, sub.Steps = s.Cancel, false, 0, 0
+	return sub
 }
 
-// --- candidate generation ---
-
-// candidates derives a sound candidate set for variable v from the formula:
-// any satisfying assignment must draw v from the returned set. AND nodes may
-// use any child's set (the tightest is chosen); OR nodes need every child to
-// produce one.
-func (s *Solver) candidates(n Node, v string) ([]ir.Value, bool) {
-	switch t := n.(type) {
-	case *NAnd:
-		best := []ir.Value(nil)
-		found := false
-		for _, k := range t.Kids {
-			if set, ok := s.candidates(k, v); ok {
-				if !found || len(set) < len(best) {
-					best = set
-					found = true
-				}
-			}
-		}
-		return best, found
-	case *NOr:
-		var union []ir.Value
-		seen := map[ir.Value]bool{}
-		for _, k := range t.Kids {
-			set, ok := s.candidates(k, v)
-			if !ok {
-				return nil, false
-			}
-			for _, c := range set {
-				if !seen[c] {
-					seen[c] = true
-					union = append(union, c)
-				}
-			}
-		}
-		return union, true
-	case *NAtom:
-		return s.atomCandidates(t, v)
-	}
-	return nil, false
+// keyTable maps keys — sequences of slots and value identities — to
+// entries, without rendering them to strings.
+type keyTable[V any] struct {
+	m map[uint64][]keyEntry[V]
 }
 
-func (s *Solver) atomCandidates(t *NAtom, v string) ([]ir.Value, bool) {
-	pos := -1
-	for i, a := range t.Args {
-		if a == v {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		return nil, false
-	}
-	val := func(i int) (ir.Value, bool) {
-		x, ok := s.assign[t.Args[i]]
-		return x, ok
-	}
-	switch t.Kind {
-	case idl.AtomOpcodeIs:
-		op, ok := opcodeFor(t.Opcode)
-		if !ok {
-			return nil, true // unknown opcode: empty set
-		}
-		return s.byOpcode[op], true
-
-	case idl.AtomClassIs:
-		switch t.ClassName {
-		case "argument":
-			out := make([]ir.Value, 0, len(s.info.Fn.Args))
-			for _, a := range s.info.Fn.Args {
-				out = append(out, a)
-			}
-			return out, true
-		case "constant":
-			var out []ir.Value
-			for _, d := range s.domain {
-				if _, ok := d.(*ir.Const); ok {
-					out = append(out, d)
-				}
-			}
-			return out, true
-		}
-		return nil, false
-
-	case idl.AtomTypeIs:
-		var out []ir.Value
-		for _, d := range s.domain {
-			if s.evalTypeIs(t, d) {
-				out = append(out, d)
-			}
-		}
-		return out, true
-
-	case idl.AtomSameAs:
-		if t.Negated {
-			return nil, false
-		}
-		other := 1 - pos
-		if x, ok := val(other); ok {
-			return []ir.Value{x}, true
-		}
-		return nil, false
-
-	case idl.AtomArgOf:
-		// Args[0] is the operand, Args[1] the instruction.
-		if pos == 0 {
-			if y, ok := val(1); ok {
-				if yi, isInstr := y.(*ir.Instruction); isInstr {
-					if op := yi.OperandAt(t.ArgIndex); op != nil {
-						return []ir.Value{op}, true
-					}
-				}
-				return nil, true
-			}
-			return nil, false
-		}
-		if x, ok := val(0); ok {
-			var out []ir.Value
-			for _, u := range s.usersOf(x) {
-				if op := u.OperandAt(t.ArgIndex); op != nil && sameValue(op, x) {
-					out = append(out, u)
-				}
-			}
-			return out, true
-		}
-		return nil, false
-
-	case idl.AtomEdge:
-		other := 1 - pos
-		x, ok := val(other)
-		if !ok {
-			return nil, false
-		}
-		switch t.Edge {
-		case idl.EdgeDataFlow:
-			if pos == 1 { // v is the user
-				var out []ir.Value
-				for _, u := range s.usersOf(x) {
-					out = append(out, u)
-				}
-				return out, true
-			}
-			if xi, isInstr := x.(*ir.Instruction); isInstr { // v is an operand of x
-				return append([]ir.Value(nil), xi.Ops...), true
-			}
-			return nil, true
-		case idl.EdgeControlFlow:
-			xi, isInstr := x.(*ir.Instruction)
-			if !isInstr {
-				return nil, true
-			}
-			var out []ir.Value
-			if pos == 1 {
-				for _, in := range s.info.Successors(xi) {
-					out = append(out, in)
-				}
-			} else {
-				for _, in := range s.info.Predecessors(xi) {
-					out = append(out, in)
-				}
-			}
-			return out, true
-		default:
-			return nil, false
-		}
-
-	case idl.AtomReachesPhi:
-		// Args: value, phi, from-branch.
-		phiV, phiBound := val(1)
-		switch pos {
-		case 0:
-			if phiBound {
-				if phi, ok := phiV.(*ir.Instruction); ok && phi.Op == ir.OpPhi {
-					return append([]ir.Value(nil), phi.Ops...), true
-				}
-				return nil, true
-			}
-			return nil, false
-		case 1:
-			if x, ok := val(0); ok {
-				var out []ir.Value
-				for _, u := range s.usersOf(x) {
-					if u.Op == ir.OpPhi {
-						out = append(out, u)
-					}
-				}
-				// Values reaching phis include constants, which have no
-				// tracked users; fall back to scanning all phis then.
-				if _, isConst := x.(*ir.Const); isConst {
-					out = out[:0]
-					for _, in := range s.byOpcode[ir.OpPhi] {
-						out = append(out, in)
-					}
-				}
-				return out, true
-			}
-			return nil, false
-		case 2:
-			if phiBound {
-				if phi, ok := phiV.(*ir.Instruction); ok && phi.Op == ir.OpPhi {
-					var out []ir.Value
-					for _, ib := range phi.Incoming {
-						if term := ib.Terminator(); term != nil {
-							out = append(out, term)
-						}
-					}
-					return out, true
-				}
-				return nil, true
-			}
-			return nil, false
-		}
-	}
-	return nil, false
+type keyEntry[V any] struct {
+	key []int32
+	val V
 }
 
-// usersOf returns instructions using x; constants are matched semantically.
-func (s *Solver) usersOf(x ir.Value) []*ir.Instruction {
-	if _, isConst := x.(*ir.Const); !isConst {
-		return s.info.Users(x)
+func hashKey(key []int32) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, x := range key {
+		h = (h ^ uint64(uint32(x))) * 1099511628211
 	}
-	var out []*ir.Instruction
-	for _, in := range s.info.Instrs {
-		for _, op := range in.Ops {
-			if sameValue(op, x) {
-				out = append(out, in)
-				break
-			}
+	return h
+}
+
+func (t *keyTable[V]) get(key []int32) (V, bool) {
+	for _, e := range t.m[hashKey(key)] {
+		if slices.Equal(e.key, key) {
+			return e.val, true
 		}
 	}
-	return out
+	var zero V
+	return zero, false
 }
+
+func (t *keyTable[V]) has(key []int32) bool {
+	_, ok := t.get(key)
+	return ok
+}
+
+func (t *keyTable[V]) put(key []int32, v V) {
+	if t.m == nil {
+		t.m = map[uint64][]keyEntry[V]{}
+	}
+	h := hashKey(key)
+	t.m[h] = append(t.m[h], keyEntry[V]{slices.Clone(key), v})
+}
+
+func (t *keyTable[V]) reset() { clear(t.m) }
