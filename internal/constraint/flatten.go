@@ -10,6 +10,7 @@ package constraint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -143,9 +144,8 @@ const maxInheritDepth = 64
 const maxFlatNodes = 1 << 16
 
 // maxVars bounds a problem's solver variables. The greedy variable ordering
-// is superlinear in their count, so the node bound alone lets one tenant
-// constraint stall compilation for seconds; the library's largest problem
-// (GEMM) has 69.
+// is quadratic in their count, so the node bound alone lets one tenant
+// constraint stall compilation; the library's largest problem (GEMM) has 69.
 const maxVars = 256
 
 func (fl *flattener) flatten(c idl.Constraint, env map[string]int, sb subst, depth int) (Node, error) {
@@ -457,40 +457,43 @@ func collectVars(n Node, seen map[string]bool, out *[]string) {
 // orderVariables produces the solving order of the variables listed in
 // appearance order. The greedy strategy repeatedly picks a variable that has
 // a candidate generator over already-chosen variables, which is what makes
-// backtracking tractable (§4.4).
+// backtracking tractable (§4.4). Only an atom that mentions a variable can
+// score it, so each pick scans the unchosen variables' own atoms; ties go to
+// the earliest variable in appearance order.
 func orderVariables(root Node, appearance []string, ord Ordering) []string {
 	if ord == OrderAppearance {
 		return appearance
 	}
-
-	atoms := gatherAtoms(root)
-	chosen := map[string]bool{}
-	var out []string
-	pos := map[string]int{}
+	vid := make(map[string]int, len(appearance))
 	for i, v := range appearance {
-		pos[v] = i
+		vid[v] = i
 	}
+	atomsOf := make([][]*NAtom, len(appearance))
+	for _, at := range gatherAtoms(root) {
+		for i, a := range at.Args {
+			if id, ok := vid[a]; ok && !slices.Contains(at.Args[:i], a) {
+				atomsOf[id] = append(atomsOf[id], at)
+			}
+		}
+	}
+	chosen := map[string]bool{}
+	out := make([]string, 0, len(appearance))
 	for len(out) < len(appearance) {
-		best := ""
-		bestScore := -1
-		for _, v := range appearance {
+		best, bestScore := -1, -1
+		for id, v := range appearance {
 			if chosen[v] {
 				continue
 			}
 			score := 0
-			for _, at := range atoms {
-				s := generatorScore(at, v, chosen)
-				if s > score {
-					score = s
-				}
+			for _, at := range atomsOf[id] {
+				score = max(score, generatorScore(at, v, chosen))
 			}
-			if score > bestScore || score == bestScore && best != "" && pos[v] < pos[best] {
-				bestScore = score
-				best = v
+			if score > bestScore {
+				best, bestScore = id, score
 			}
 		}
-		chosen[best] = true
-		out = append(out, best)
+		chosen[appearance[best]] = true
+		out = append(out, appearance[best])
 	}
 	return out
 }
