@@ -109,8 +109,8 @@ vet:
 # envelope, and wall-clock-free solve paths. Findings print file:line plus
 # the invariant's rationale; suppress a documented exception with
 # `//lint:allow <analyzer> <reason>`. Then third-party analyzers
-# (staticcheck, govulncheck), pinned by version and skipped gracefully when
-# the module proxy is unreachable.
+# (staticcheck, govulncheck), pinned by version, built from the local module
+# cache only and skipped when they are not there (CI downloads them first).
 lint:
 	$(GO) run ./cmd/idiomvet
 	sh scripts/lint_extra.sh

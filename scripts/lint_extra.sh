@@ -5,12 +5,13 @@
 #   staticcheck  honnef.co/go/tools   (correctness + simplification checks)
 #   govulncheck  golang.org/x/vuln    (known-vulnerability reachability scan)
 #
-# The tools are fetched through the module proxy. The dev container is often
-# fully offline (no proxy reachable), so availability is probed first: if a
-# tool cannot be installed, it is SKIPPED with a notice and the script still
-# succeeds — the repo-local invariant analyzers (cmd/idiomvet) always run
-# regardless. CI, which has network, runs both at full strength; a real
-# finding from either tool fails the build.
+# The script never fetches: each pinned tool is built from the local module
+# cache only (GOPROXY=off), and a tool that is not in the cache is SKIPPED
+# with a notice while the script still succeeds, so an offline checkout runs
+# `make lint` without a network attempt. The repo-local invariant analyzers
+# (cmd/idiomvet) always run regardless. CI downloads both pinned modules in
+# an explicit step first (it reads the *_MOD lines below), so there both run
+# at full strength and a real finding from either tool fails the build.
 set -u
 
 STATICCHECK_MOD="honnef.co/go/tools/cmd/staticcheck@2025.1.1"
@@ -26,10 +27,10 @@ run_tool() {
     shift
     name="${mod##*/}"
     name="${name%%@*}"
-    # Probe: installing resolves + builds the pinned version. Failure here
-    # means the tool is unreachable (offline container), not a lint finding.
-    if ! GOBIN="$GOBIN_DIR" go install "$mod" >/dev/null 2>&1; then
-        echo "lint_extra: SKIP $name ($mod unavailable; module proxy unreachable?)"
+    # Probe: build the pinned version from the module cache alone. Failure
+    # here means the tool was never downloaded, not a lint finding.
+    if ! GOBIN="$GOBIN_DIR" GOPROXY=off GOFLAGS=-mod=mod go install "$mod" >/dev/null 2>&1; then
+        echo "lint_extra: SKIP $name ($mod is not in the local module cache)"
         return 0
     fi
     echo "lint_extra: $name $*"
