@@ -193,3 +193,23 @@ func TestLibraryMetadata(t *testing.T) {
 		t.Error("library source lacks SPMV")
 	}
 }
+
+// TestOffloadRankingsShared pins that every plan asking for the same ranking
+// shares one copy (a client holding many results holds it once), and that a
+// kind no profile serves is neither ranked nor kept.
+func TestOffloadRankingsShared(t *testing.T) {
+	a := offloadFor("gemm", 0, true, false)
+	b := offloadFor("gemm", 0, true, false)
+	if len(a) != 3 || &a[0] != &b[0] || &a[0].Choices[0] != &b[0].Choices[0] {
+		t.Fatalf("gemm rankings: %d devices, shared %v", len(a), len(a) > 0 && &a[0] == &b[0])
+	}
+	if gpu := offloadFor("gemm", GPU, false, false); len(gpu) != 1 || gpu[0].Device != "GPU" {
+		t.Fatalf("GPU-pinned gemm ranking = %+v", gpu)
+	}
+	if got := offloadFor("tenant-kind", 0, true, false); got != nil {
+		t.Fatalf("unserved kind ranked %+v", got)
+	}
+	if _, kept := offloadRanks.Load(offloadKey{"tenant-kind", 0, true, false}); kept {
+		t.Fatal("unserved kind kept in the ranking table")
+	}
+}

@@ -3,6 +3,8 @@ package idiomatic
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/constraint"
@@ -92,7 +94,7 @@ type PlanCall struct {
 	Rendering string `json:"rendering,omitempty"`
 	// Offload ranks the applicable APIs per device (all three devices, or
 	// just the request target), best first. Empty for idioms without an
-	// offload kind.
+	// offload kind. Plans share identical rankings: treat it as read-only.
 	Offload []DeviceOffload `json:"offload,omitempty"`
 	// Err reports a per-instance transformation failure; the call fields are
 	// empty when set. Detection findings always survive — a plan that cannot
@@ -130,10 +132,21 @@ func matchTarget(target string) (dev hetero.DeviceKind, anyDevice bool, err erro
 }
 
 // offloadFor ranks the APIs serving kind, per device (all, or the pinned
-// target only). branchyKernel excludes straight-line-only APIs.
+// target only). branchyKernel excludes straight-line-only APIs. The
+// rankings come from the static Table 3 profiles, so each one is built once
+// and shared, read-only, by every plan that asks for it: a long-lived
+// client holding many results holds one copy. Kinds no profile serves rank
+// to nil and are not kept, so tenant kinds cannot grow the table.
 func offloadFor(kind string, target hetero.DeviceKind, anyDevice, branchyKernel bool) []DeviceOffload {
 	if kind == "" {
 		return nil
+	}
+	if anyDevice {
+		target = 0
+	}
+	key := offloadKey{kind, target, anyDevice, branchyKernel}
+	if v, ok := offloadRanks.Load(key); ok {
+		return v.([]DeviceOffload)
 	}
 	devs := []hetero.DeviceKind{target}
 	if anyDevice {
@@ -145,16 +158,27 @@ func offloadFor(kind string, target hetero.DeviceKind, anyDevice, branchyKernel 
 		if len(ranked) == 0 {
 			continue
 		}
-		do := DeviceOffload{Device: d.String()}
-		for _, r := range ranked {
-			do.Choices = append(do.Choices, APIChoice{
-				API: r.API, Efficiency: r.Efficiency, EffectiveGFLOPS: r.EffectiveGFLOPS,
-			})
+		do := DeviceOffload{Device: d.String(), Choices: make([]APIChoice, len(ranked))}
+		for i, r := range ranked {
+			do.Choices[i] = APIChoice{API: r.API, Efficiency: r.Efficiency, EffectiveGFLOPS: r.EffectiveGFLOPS}
 		}
 		out = append(out, do)
 	}
-	return out
+	if out == nil {
+		return nil
+	}
+	v, _ := offloadRanks.LoadOrStore(key, slices.Clip(out))
+	return v.([]DeviceOffload)
 }
+
+type offloadKey struct {
+	kind               string
+	target             hetero.DeviceKind
+	anyDevice, branchy bool
+}
+
+// offloadRanks memoizes offloadFor by offloadKey.
+var offloadRanks sync.Map
 
 // planInstances selects a backend for every finding and applies the code
 // replacement in finding order, mutating mod — the transformation leg of the
