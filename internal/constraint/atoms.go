@@ -170,11 +170,11 @@ func evalTypeIs(t *atom, v ir.Value) bool {
 	}
 	okType := false
 	switch t.class {
-	case 0:
+	case typeInteger:
 		okType = ty.IsInteger()
-	case 1:
+	case typeFloat:
 		okType = ty.IsFloat()
-	case 2:
+	case typePointer:
 		okType = ty.IsPointer()
 	}
 	if !okType {
@@ -292,8 +292,7 @@ func (s *Solver) expandList(refs []listRef, buf *[]ir.Value) []ir.Value {
 			out = append(out, v)
 			continue
 		}
-		_, slots := s.idx.syms.view(r.prefix)
-		for _, slot := range slots {
+		for _, slot := range s.idx.syms.extending(r.prefix) {
 			if v := slotValue(s.assign, slot); v != nil {
 				out = append(out, v)
 			}

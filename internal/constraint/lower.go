@@ -71,15 +71,18 @@ func (t *symtab) prefixID(prefix string) int {
 	return id
 }
 
-// view returns the names, or the slots extending prefix id (when id >= 0),
-// known so far.
-func (t *symtab) view(id int) ([]string, []int) {
+// list returns the names known so far, by slot.
+func (t *symtab) list() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id < 0 {
-		return t.names, nil
-	}
-	return nil, t.byPrefix[id]
+	return t.names
+}
+
+// extending returns the slots known so far whose names extend prefix id.
+func (t *symtab) extending(id int) []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.byPrefix[id]
 }
 
 type nodeKind uint8
@@ -230,9 +233,8 @@ func (t *symtab) lowerCollect(c *NCollect) *collect {
 }
 
 func newIndex(syms *symtab, nodes []lnode, vars []int) *probIndex {
-	names, _ := syms.view(-1)
 	idx := &probIndex{syms: syms, nodes: nodes, vars: vars,
-		varOf: make([]int, len(names)), varIn: make([][]bool, len(nodes)),
+		varOf: make([]int, len(syms.list())), varIn: make([][]bool, len(nodes)),
 		varNodes: make([][]int, len(vars))}
 	for slot := range idx.varOf {
 		idx.varOf[slot] = -1
@@ -326,11 +328,16 @@ func OpcodeByName(name string) (ir.Opcode, bool) {
 	return op, ok
 }
 
-// The type and class spellings atoms resolve to indices at lowering; an
-// unknown spelling resolves to the length of its list.
+// The type and class spellings atoms resolve to indices at lowering.
 var (
 	typeNames  = []string{"integer", "float", "pointer"}
 	classNames = []string{"constant", "argument", "instruction", "compiletime", "unused"}
+)
+
+const (
+	typeInteger = iota
+	typeFloat
+	typePointer
 )
 
 const (
@@ -366,13 +373,19 @@ func (t *symtab) lowerAtom(n *NAtom) *atom {
 		}
 		a.lists = append(a.lists, refs)
 	}
-	names := classNames
-	if n.Kind == idl.AtomTypeIs {
-		names = typeNames
-	}
-	a.class = slices.Index(names, n.ClassName+n.TypeName)
-	if a.class < 0 {
-		a.class = len(names)
+	switch n.Kind {
+	case idl.AtomTypeIs:
+		a.class = spelling(typeNames, n.TypeName)
+	case idl.AtomClassIs:
+		a.class = spelling(classNames, n.ClassName)
 	}
 	return a
+}
+
+// spelling returns name's index in names, or len(names) when it is unknown.
+func spelling(names []string, name string) int {
+	if i := slices.Index(names, name); i >= 0 {
+		return i
+	}
+	return len(names)
 }

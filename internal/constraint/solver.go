@@ -121,8 +121,7 @@ type binding struct {
 func NewSolver(prob *Problem, info *analysis.Info) *Solver {
 	s := &Solver{info: info, fn: newFuncData(info)}
 	s.attachIndex(prob.index())
-	names, _ := s.idx.syms.view(-1)
-	s.assign = make([]ir.Value, len(names))
+	s.assign = make([]ir.Value, len(s.idx.syms.list()))
 	return s
 }
 
@@ -162,7 +161,7 @@ func (s *Solver) invalidate(slot int) {
 func (s *Solver) Solve() []Solution {
 	s.search()
 	var sols []Solution
-	names, _ := s.idx.syms.view(-1)
+	names := s.idx.syms.list()
 	for _, row := range s.rows {
 		sol := Solution{}
 		for slot, v := range row {
@@ -374,7 +373,10 @@ func (s *Solver) finish() {
 		s.bind(b.slot, b.val)
 	}
 	// Deduplicate identical solutions arising from overlapping disjunctions.
-	if ok != triTrue || s.solKeys.has(s.key) {
+	if ok != triTrue {
+		return
+	}
+	if _, dup := s.solKeys.get(s.key); dup {
 		return
 	}
 	s.solKeys.put(s.key, struct{}{})
@@ -546,11 +548,6 @@ func (t *keyTable[V]) get(key []int32) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-func (t *keyTable[V]) has(key []int32) bool {
-	_, ok := t.get(key)
-	return ok
 }
 
 func (t *keyTable[V]) put(key []int32, v V) {
