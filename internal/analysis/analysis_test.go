@@ -101,10 +101,10 @@ func TestCFGEdges(t *testing.T) {
 	if a.HasControlFlowTo(m["x"], m["y"]) {
 		t.Error("no edge between the two arms")
 	}
-	if got := len(a.Successors(m["ret"])); got != 0 {
+	if got := len(a.Successors(nil, m["ret"])); got != 0 {
 		t.Errorf("ret should have no successors, got %d", got)
 	}
-	if got := len(a.Predecessors(m["p"])); got != 2 {
+	if got := len(a.Predecessors(nil, m["p"])); got != 2 {
 		t.Errorf("phi should have 2 predecessors, got %d", got)
 	}
 }

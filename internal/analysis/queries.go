@@ -23,30 +23,25 @@ func (a *Info) HasControlFlowTo(x, y *ir.Instruction) bool {
 	return false
 }
 
-// Successors returns the CFG successors of x.
-func (a *Info) Successors(x *ir.Instruction) []*ir.Instruction {
-	i, ok := a.Index[x]
-	if !ok {
-		return nil
+// Successors appends the CFG successors of x to dst and returns the result.
+func (a *Info) Successors(dst []ir.Value, x *ir.Instruction) []ir.Value {
+	if i, ok := a.Index[x]; ok {
+		for _, s := range a.succs[i] {
+			dst = append(dst, a.Instrs[s])
+		}
 	}
-	out := make([]*ir.Instruction, 0, len(a.succs[i]))
-	for _, s := range a.succs[i] {
-		out = append(out, a.Instrs[s])
-	}
-	return out
+	return dst
 }
 
-// Predecessors returns the CFG predecessors of x.
-func (a *Info) Predecessors(x *ir.Instruction) []*ir.Instruction {
-	i, ok := a.Index[x]
-	if !ok {
-		return nil
+// Predecessors appends the CFG predecessors of x to dst and returns the
+// result.
+func (a *Info) Predecessors(dst []ir.Value, x *ir.Instruction) []ir.Value {
+	if i, ok := a.Index[x]; ok {
+		for _, p := range a.preds[i] {
+			dst = append(dst, a.Instrs[p])
+		}
 	}
-	out := make([]*ir.Instruction, 0, len(a.preds[i]))
-	for _, p := range a.preds[i] {
-		out = append(out, a.Instrs[p])
-	}
-	return out
+	return dst
 }
 
 // Dominates reports whether x dominates y (reflexively).

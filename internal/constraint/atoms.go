@@ -518,12 +518,10 @@ func (s *Solver) atomCandidates(t *atom, slot int) ([]ir.Value, bool) {
 			if !isInstr {
 				return nil, true
 			}
-			next := s.info.Predecessors
 			if pos == 1 {
-				next = s.info.Successors
-			}
-			for _, in := range next(xi) {
-				s.arena = append(s.arena, in)
+				s.arena = s.info.Successors(s.arena, xi)
+			} else {
+				s.arena = s.info.Predecessors(s.arena, xi)
 			}
 			return s.seal(start), true
 		default:
