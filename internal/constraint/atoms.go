@@ -21,9 +21,10 @@ type funcData struct {
 	typedOK  [2 * 4]bool
 
 	// ids number values for solution and collect keys; constants of equal
-	// type and payload share a number.
-	ids       map[ir.Value]int32
-	constKeys []string // rendering of constant id i, for constKeys[i] != ""
+	// type and payload share a number. rendered[id] is constant number id's
+	// "type:payload" text, empty for a number given to any other value.
+	ids      map[ir.Value]int32
+	rendered []string
 
 	users         []*ir.Instruction // usersOf scratch for constants
 	allowed, seen map[ir.Value]bool // evalOperandsFrom scratch
@@ -82,17 +83,15 @@ func (f *funcData) valueID(v ir.Value) int32 {
 	if f.ids == nil {
 		f.ids = map[ir.Value]int32{}
 	}
-	id := int32(len(f.constKeys))
+	id, text := int32(len(f.rendered)), ""
 	if c, ok := v.(*ir.Const); ok {
-		key := c.Ty.String() + ":" + c.Operand()
-		if i := slices.Index(f.constKeys, key); i >= 0 {
-			id = int32(i)
-		} else {
-			f.constKeys = append(f.constKeys, key)
+		text = c.Ty.String() + ":" + c.Operand()
+		if i := slices.Index(f.rendered, text); i >= 0 {
+			f.ids[v] = int32(i)
+			return int32(i)
 		}
-	} else {
-		f.constKeys = append(f.constKeys, "")
 	}
+	f.rendered = append(f.rendered, text)
 	f.ids[v] = id
 	return id
 }
