@@ -15,8 +15,8 @@ import (
 // (NewSolver plus Solve) over every function of the workload:
 //
 //	                   map-based solver   slot form   ceiling
-//	GEMM on sgemm            25641           58.5        150
-//	Stencil1 on stencil      17795           48.0        150
+//	GEMM on sgemm            25641           60.0        150
+//	Stencil1 on stencil      17795           62.0        150
 //
 // A single allocation per atom evaluation (the map-based solver's argument
 // slice) costs thousands per solve, far above the ceiling. The race

@@ -20,11 +20,17 @@ type funcData struct {
 	typed    [2 * 4][]ir.Value // TypeIs candidates by type index and constant-zero flag, built on first use
 	typedOK  [2 * 4]bool
 
-	// ids number values for solution and collect keys; constants of equal
-	// type and payload share a number. rendered[id] is constant number id's
-	// "type:payload" text, empty for a number given to any other value.
+	// ids number values for solution and collect keys. Every constant
+	// operand is numbered up front, constants of equal type and payload
+	// sharing a number; other values are numbered on first use.
 	ids      map[ir.Value]int32
-	rendered []string
+	constIDs map[string]int32 // by "type:payload"
+	nextID   int32
+
+	// marks and epoch deduplicate a disjunction's candidate union: a value
+	// is in the union being built when marks[v] == epoch.
+	marks map[ir.Value]uint32
+	epoch uint32
 
 	users         []*ir.Instruction // usersOf scratch for constants
 	allowed, seen map[ir.Value]bool // evalOperandsFrom scratch
@@ -39,16 +45,15 @@ func newFuncData(info *analysis.Info) *funcData {
 	}
 	f.args = f.domain[:nargs:nargs]
 	var count []int
-	seenConst := map[string]bool{}
+	f.ids, f.constIDs = map[ir.Value]int32{}, map[string]int32{}
 	for _, in := range info.Instrs {
 		if in.HasResult() {
 			f.domain = append(f.domain, in)
 		}
 		for _, op := range in.Ops {
 			if c, ok := op.(*ir.Const); ok {
-				key := c.Ty.String() + ":" + c.Operand()
-				if !seenConst[key] {
-					seenConst[key] = true
+				n := len(f.constIDs)
+				if f.valueID(c); len(f.constIDs) > n { // a new type and payload
 					f.domain = append(f.domain, c)
 					f.consts = append(f.consts, c)
 				}
@@ -74,24 +79,24 @@ func newFuncData(info *analysis.Info) *funcData {
 	return f
 }
 
-// valueID numbers v for keys: values are told apart by identity, constants
-// by type and payload.
+// valueID numbers v for keys: values are told apart by identity, the
+// function's constants by type and payload.
 func (f *funcData) valueID(v ir.Value) int32 {
 	if id, ok := f.ids[v]; ok {
 		return id
 	}
-	if f.ids == nil {
-		f.ids = map[ir.Value]int32{}
-	}
-	id, text := int32(len(f.rendered)), ""
+	id := f.nextID
 	if c, ok := v.(*ir.Const); ok {
-		text = c.Ty.String() + ":" + c.Operand()
-		if i := slices.Index(f.rendered, text); i >= 0 {
-			f.ids[v] = int32(i)
-			return int32(i)
+		key := c.Ty.String() + ":" + c.Operand()
+		if cid, seen := f.constIDs[key]; seen {
+			id = cid
+		} else {
+			f.constIDs[key] = id
 		}
 	}
-	f.rendered = append(f.rendered, text)
+	if id == f.nextID {
+		f.nextID++
+	}
 	f.ids[v] = id
 	return id
 }
@@ -401,10 +406,18 @@ func (s *Solver) candidates(id, vid int) ([]ir.Value, bool) {
 			}
 			s.sets = append(s.sets, set)
 		}
-		start := len(s.arena)
+		start, f := len(s.arena), s.fn
+		if f.marks == nil {
+			f.marks = map[ir.Value]uint32{}
+		}
+		if f.epoch++; f.epoch == 0 { // wrapped: forget every old mark
+			clear(f.marks)
+			f.epoch = 1
+		}
 		for _, set := range s.sets[base:] {
 			for _, c := range set {
-				if !slices.Contains(s.arena[start:], c) {
+				if f.marks[c] != f.epoch {
+					f.marks[c] = f.epoch
 					s.arena = append(s.arena, c)
 				}
 			}

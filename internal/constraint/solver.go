@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -59,13 +60,14 @@ type Solver struct {
 	nodeVal   []tribool
 	nodeKnown []bool
 
-	// rows are the solutions found, indexed by slot; solKeys deduplicates them.
+	// rows are the solutions found, indexed by slot; solKeys deduplicates
+	// them by key (see appendKey).
 	rows    [][]ir.Value
-	solKeys keyTable[struct{}]
+	solKeys map[string]struct{}
 
 	// collectMemo caches resolved collects keyed by the collect and the
 	// values of its body's bound outer variables.
-	collectMemo keyTable[*collectResult]
+	collectMemo map[string]*collectResult
 
 	// Scratch reused across steps, so that a warm search does not allocate:
 	// arena is a stack of the candidate sets derived for the variables being
@@ -77,7 +79,7 @@ type Solver struct {
 	saved []binding
 	extra []int
 	row   []ir.Value
-	key   []int32
+	key   []byte
 	lists [3][]ir.Value
 	sub   *Solver
 
@@ -177,7 +179,10 @@ func (s *Solver) Solve() []Solution {
 // search runs the backtracking search, leaving the solutions in rows.
 func (s *Solver) search() {
 	s.rows = s.rows[:0]
-	s.solKeys.reset()
+	if s.solKeys == nil {
+		s.solKeys = map[string]struct{}{}
+	}
+	clear(s.solKeys)
 	s.step(0)
 }
 
@@ -365,7 +370,7 @@ func (s *Solver) finish() {
 		s.key = s.key[:0]
 		for slot, v := range s.row {
 			if v != nil {
-				s.key = append(s.key, int32(slot), s.fn.valueID(v))
+				s.key = s.appendKey(s.key, slot, v)
 			}
 		}
 	}
@@ -376,10 +381,10 @@ func (s *Solver) finish() {
 	if ok != triTrue {
 		return
 	}
-	if _, dup := s.solKeys.get(s.key); dup {
+	if _, dup := s.solKeys[string(s.key)]; dup {
 		return
 	}
-	s.solKeys.put(s.key, struct{}{})
+	s.solKeys[string(s.key)] = struct{}{}
 	s.rows = append(s.rows, slices.Clone(s.row))
 }
 
@@ -440,14 +445,14 @@ func (s *Solver) resolveCollect(c *collect) tribool {
 	if c.proto == nil {
 		return triFalse
 	}
-	key := append(s.key[:0], int32(c.id))
+	key := binary.AppendUvarint(s.key[:0], uint64(c.id))
 	for _, slot := range c.protoVars {
 		if v := slotValue(s.assign, slot); v != nil {
-			key = append(key, int32(slot), s.fn.valueID(v))
+			key = s.appendKey(key, slot, v)
 		}
 	}
 	s.key = key
-	if res, hit := s.collectMemo.get(key); hit {
+	if res, hit := s.collectMemo[string(key)]; hit {
 		if !res.ok {
 			return triFalse
 		}
@@ -457,7 +462,10 @@ func (s *Solver) resolveCollect(c *collect) tribool {
 		return triTrue
 	}
 	memo := &collectResult{}
-	s.collectMemo.put(key, memo)
+	if s.collectMemo == nil {
+		s.collectMemo = map[string]*collectResult{}
+	}
+	s.collectMemo[string(key)] = memo
 
 	// Variables already bound by the outer assignment stay fixed; the rest
 	// are solved for.
@@ -516,46 +524,14 @@ func (s *Solver) subSolver(idx *probIndex) *Solver {
 	}
 	sub.attachIndex(idx)
 	sub.assign = append(sub.assign[:0], s.assign...)
-	sub.collectMemo.reset()
+	clear(sub.collectMemo)
 	sub.Cancel, sub.cancelled, sub.lateBinds, sub.Steps = s.Cancel, false, 0, 0
 	return sub
 }
 
-// keyTable maps keys — sequences of slots and value identities — to
-// entries, without rendering them to strings.
-type keyTable[V any] struct {
-	m map[uint64][]keyEntry[V]
+// appendKey appends one binding to a solution or collect key: the slot and
+// the value's number, as uvarints.
+func (s *Solver) appendKey(key []byte, slot int, v ir.Value) []byte {
+	key = binary.AppendUvarint(key, uint64(slot))
+	return binary.AppendUvarint(key, uint64(s.fn.valueID(v)))
 }
-
-type keyEntry[V any] struct {
-	key []int32
-	val V
-}
-
-func hashKey(key []int32) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a
-	for _, x := range key {
-		h = (h ^ uint64(uint32(x))) * 1099511628211
-	}
-	return h
-}
-
-func (t *keyTable[V]) get(key []int32) (V, bool) {
-	for _, e := range t.m[hashKey(key)] {
-		if slices.Equal(e.key, key) {
-			return e.val, true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
-func (t *keyTable[V]) put(key []int32, v V) {
-	if t.m == nil {
-		t.m = map[uint64][]keyEntry[V]{}
-	}
-	h := hashKey(key)
-	t.m[h] = append(t.m[h], keyEntry[V]{slices.Clone(key), v})
-}
-
-func (t *keyTable[V]) reset() { clear(t.m) }
