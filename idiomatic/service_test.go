@@ -48,7 +48,7 @@ func wantWire(t *testing.T, opts RequestOptions) []DetectResult {
 		}
 		mods[i] = mod
 	}
-	ress, err := detect.Modules(mods, detect.Options{NoMemo: true})
+	ress, err := detect.Modules(mods, detect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,21 +4,17 @@ import "repro/internal/analysis"
 
 // EncodePayloadForTest encodes one solve outcome as its spill payload.
 func EncodePayloadForTest(sols []Solution, steps int, info *analysis.Info) ([]byte, bool) {
-	e, ok := encodeEntry(sols, steps, info)
-	if !ok {
-		return nil, false
-	}
-	return encodePayload(e), true
+	return encodePayload(sols, steps, info)
 }
 
-// ReencodePayloadForTest decodes a spill payload and encodes the result
-// again; ok is false when the decoder rejects the payload.
-func ReencodePayloadForTest(payload []byte) ([]byte, bool) {
-	e, ok := decodePayload(payload)
+// ReencodePayloadForTest decodes a spill payload onto info and encodes the
+// result again; ok is false when the decoder rejects the payload.
+func ReencodePayloadForTest(payload []byte, info *analysis.Info) ([]byte, bool) {
+	sols, steps, ok := decodePayload(payload, info)
 	if !ok {
 		return nil, false
 	}
-	return encodePayload(e), true
+	return encodePayload(sols, steps, info)
 }
 
 // GreedyOrdersForTest returns the greedy solving order of a problem compiled

@@ -11,10 +11,11 @@ import (
 )
 
 // FuzzDecodePayload feeds the spill codec arbitrary bytes, as a corrupt blob
-// on disk or a hostile snapshot from another replica would. The decoder must
-// never panic, and every payload it accepts must re-encode to exactly the
-// same bytes: one entry, one encoding. The corpus is seeded with the encoded
-// outcome of every (function × idiom) solve of the 21 workloads.
+// on disk or a hostile snapshot from another replica would, decoded onto an
+// arbitrary suite function. The decoder must never panic, and every payload
+// it accepts must re-encode to exactly the same bytes: one entry, one
+// encoding. The corpus is seeded with the (function, encoded outcome) pair
+// of every (function × idiom) solve of the 21 workloads.
 //
 //	go test ./internal/constraint -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 10s
 func FuzzDecodePayload(f *testing.F) {
@@ -23,6 +24,7 @@ func FuzzDecodePayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	var infos []*analysis.Info
 	seen := map[string]bool{}
 	for _, w := range workloads.All() {
 		mod, err := w.Compile()
@@ -31,6 +33,8 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		for _, fn := range mod.Functions {
 			info := analysis.Analyze(fn)
+			fi := uint(len(infos))
+			infos = append(infos, info)
 			for _, idm := range ros {
 				s := constraint.NewSolver(probs[idm.Name], info)
 				payload, ok := constraint.EncodePayloadForTest(s.Solve(), s.Steps, info)
@@ -39,15 +43,16 @@ func FuzzDecodePayload(f *testing.F) {
 				}
 				if !seen[string(payload)] {
 					seen[string(payload)] = true
-					f.Add(payload)
+					f.Add(fi, payload)
 				}
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		out, ok := constraint.ReencodePayloadForTest(payload)
+	f.Fuzz(func(t *testing.T, fi uint, payload []byte) {
+		info := infos[fi%uint(len(infos))]
+		out, ok := constraint.ReencodePayloadForTest(payload, info)
 		if ok && !bytes.Equal(out, payload) {
-			t.Fatalf("accepted payload re-encodes differently:\n  in:  %x\n  out: %x", payload, out)
+			t.Fatalf("accepted payload re-encodes differently onto %s:\n  in:  %x\n  out: %x", info.Fn.Ident, payload, out)
 		}
 	})
 }

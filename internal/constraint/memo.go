@@ -2,7 +2,6 @@ package constraint
 
 import (
 	"container/list"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,8 +10,7 @@ import (
 	"repro/internal/ir"
 )
 
-// DefaultMemoMaxEntries bounds the shared solve cache (and every cache built
-// with NewSolveCache). One entry is one (problem × function-fingerprint)
+// DefaultMemoMaxEntries bounds every cache built with NewSolveCache. One entry is one (problem × function-fingerprint)
 // solve outcome; the full 21-workload suite over the complete idiom roster
 // occupies a few hundred entries, so the default leaves ample headroom for
 // server traffic while capping worst-case memory on a long-lived process.
@@ -21,12 +19,17 @@ const DefaultMemoMaxEntries = 16384
 // SolveCache memoizes complete solve outcomes keyed by (Problem.ID ×
 // function fingerprint). It holds no *Problem, so problems compiled from
 // byte-identical source share entries and a replaced pack is collectable
-// while its entries stay cached; a zero ID is never memoized. Solutions are
-// stored position-encoded (instruction and argument indices, constant/global
-// payloads) rather than as live IR pointers, so a cached entry rehydrates
+// while its entries stay cached; a zero ID is never memoized. Each entry is
+// held in one form, its spill payload: the step count and the solutions
+// position-encoded (instruction and argument indices, constant/global
+// renderings) rather than as live IR pointers, so a cached entry decodes
 // onto any function with the same fingerprint — including a fresh recompile
-// of the same source. The solver is deterministic, so a rehydrated entry is
-// byte-identical (values, order and step count) to a fresh solve.
+// of the same source — and spills to disk as it is. The solver is
+// deterministic, so a decoded entry is byte-identical (values, order and
+// step count) to a fresh solve.
+//
+// A cache belongs to whoever builds it: a detection engine uses exactly the
+// cache its options name, and there is no process-wide default.
 //
 // The cache is a size-bounded LRU: once it holds MaxEntries entries the
 // least-recently-used (problem × fingerprint) is evicted on insert. Eviction
@@ -65,7 +68,8 @@ type solveKey struct {
 
 type lruEntry struct {
 	key solveKey
-	e   *memoEntry
+	// payload is the entry's encodePayload bytes, never mutated once stored.
+	payload []byte
 	// spilled records that the entry's current bytes are durably on disk,
 	// so eviction can drop it without a synchronous write. Set from the
 	// async writer's completion callback, read on the eviction path.
@@ -91,19 +95,7 @@ type valRef struct {
 	lit  string // refConst: literal rendering; refGlobal: symbol name
 }
 
-type memoBinding struct {
-	name string
-	ref  valRef
-}
-
-type memoEntry struct {
-	sols  [][]memoBinding
-	steps int
-}
-
 // NewSolveCache returns an empty cache bounded at DefaultMemoMaxEntries.
-// Engines that need isolated hit/miss accounting (tests, benchmarks) build
-// their own; everyone else shares SharedSolveCache.
 func NewSolveCache() *SolveCache {
 	return NewSolveCacheSize(DefaultMemoMaxEntries)
 }
@@ -114,43 +106,30 @@ func NewSolveCacheSize(max int) *SolveCache {
 	return &SolveCache{max: max, m: map[solveKey]*list.Element{}, lru: list.New()}
 }
 
-var sharedSolveCache = NewSolveCache()
-
-// SharedSolveCache is the process-wide solve cache: every detection engine
-// that does not opt out (or bring its own cache) keys into it, so repeated
-// detection of identical function shapes across Table 1, Figure 16 and the
-// end-to-end pipeline is an O(1) lookup instead of a fresh backtracking
-// search.
-func SharedSolveCache() *SolveCache { return sharedSolveCache }
-
 // Get looks up the memoized solve of prob over a function with fingerprint
-// fp, rehydrating the stored solutions against info. A hit refreshes the
-// entry's LRU position. The returned step count equals what a fresh solve
-// would report. ok is false on a true miss, for a problem with a zero ID, or
-// when rehydration fails (which cannot happen for a correctly fingerprinted
-// function, but is checked defensively rather than trusted).
+// fp, decoding the stored solutions onto info. A hit refreshes the entry's
+// LRU position. The returned step count equals what a fresh solve would
+// report. ok is false on a true miss, for a problem with a zero ID, or when
+// the entry does not decode onto info (which cannot happen for a correctly
+// fingerprinted function, but is checked defensively rather than trusted).
 func (c *SolveCache) Get(prob *Problem, fp Fingerprint, info *analysis.Info) (sols []Solution, steps int, ok bool) {
 	key := solveKey{prob.ID, fp}
-	var e *memoEntry
 	if key.id != ([32]byte{}) {
-		var st SpillStore
-		if e, st = c.lookup(key); e == nil {
+		if payload, st := c.lookup(key); payload != nil {
+			// Payloads are immutable once stored, so decoding runs outside
+			// the lock.
+			sols, steps, ok = decodePayload(payload, info)
+		} else {
 			// Read through to the disk spill before declaring a miss.
-			e = c.loadSpilled(st, key)
+			sols, steps, ok = c.loadSpilled(st, key, info)
 		}
 	}
-	if e == nil {
-		c.misses.Add(1)
-		return nil, 0, false
-	}
-	// Entries are immutable once stored, so rehydration runs outside the lock.
-	sols, ok = rehydrate(e, info)
 	if !ok {
 		c.misses.Add(1)
 		return nil, 0, false
 	}
 	c.hits.Add(1)
-	return sols, e.steps, true
+	return sols, steps, true
 }
 
 // Put stores a solve outcome, evicting the least-recently-used entry when the
@@ -164,19 +143,19 @@ func (c *SolveCache) Put(prob *Problem, fp Fingerprint, info *analysis.Info, sol
 	if key.id == ([32]byte{}) {
 		return
 	}
-	e, ok := encodeEntry(sols, steps, info)
+	payload, ok := encodePayload(sols, steps, info)
 	if !ok {
 		return
 	}
-	le := &lruEntry{key: key, e: e}
+	le := &lruEntry{key: key, payload: payload}
 	st, evicted := c.insert(le)
 	c.enqueueSpill(st, le)
 	c.spillEvicted(st, evicted)
 }
 
-// lookup returns the resident entry under key (nil when absent), refreshing
-// its LRU position, and the attached store.
-func (c *SolveCache) lookup(key solveKey) (*memoEntry, SpillStore) {
+// lookup returns the payload resident under key (nil when absent),
+// refreshing its LRU position, and the attached store.
+func (c *SolveCache) lookup(key solveKey) ([]byte, SpillStore) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el := c.m[key]
@@ -184,7 +163,7 @@ func (c *SolveCache) lookup(key solveKey) (*memoEntry, SpillStore) {
 		return nil, c.store
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*lruEntry).e, c.store
+	return el.Value.(*lruEntry).payload, c.store
 }
 
 // insert makes le resident under its key, returning the attached store and
@@ -221,40 +200,41 @@ func (c *SolveCache) AttachStore(st SpillStore) {
 	c.mu.Unlock()
 }
 
-// loadSpilled consults the disk store for a memo entry absent from the LRU,
-// installing a decoded hit in memory (marked spilled — it just came from
-// disk).
-func (c *SolveCache) loadSpilled(st SpillStore, key solveKey) *memoEntry {
+// loadSpilled consults the disk store for a memo entry absent from the LRU
+// and decodes it onto info. Only bytes that decode are installed in memory
+// (marked spilled — they just came from disk); anything else is a decode
+// error and a store miss, and leaves the LRU as it was.
+func (c *SolveCache) loadSpilled(st SpillStore, key solveKey, info *analysis.Info) ([]Solution, int, bool) {
 	if st == nil {
-		return nil
+		return nil, 0, false
 	}
 	payload, ok := st.Load(key.spill())
 	if !ok {
 		c.storeMisses.Add(1)
-		return nil
+		return nil, 0, false
 	}
-	e, ok := decodePayload(payload)
+	sols, steps, ok := decodePayload(payload, info)
 	if !ok {
 		c.decodeErrors.Add(1)
 		c.storeMisses.Add(1)
-		return nil
+		return nil, 0, false
 	}
 	c.storeHits.Add(1)
-	le := &lruEntry{key: key, e: e}
+	le := &lruEntry{key: key, payload: payload}
 	le.spilled.Store(true)
 	_, evicted := c.insert(le)
 	c.spillEvicted(st, evicted)
-	return e
+	return sols, steps, true
 }
 
-// enqueueSpill hands one encoded entry to the async writer. A refused
+// enqueueSpill hands one entry's payload to the async writer. A refused
 // enqueue (full queue) is counted by the store; the eviction path then
 // writes the entry synchronously.
 func (c *SolveCache) enqueueSpill(st SpillStore, le *lruEntry) {
 	if st == nil || le.spilled.Load() {
 		return
 	}
-	st.WriteAsync(le.key.spill(), encodePayload(le.e), func(err error) {
+	st.WriteAsync(le.key.spill(), le.payload, func(err error) {
 		if err == nil {
 			le.spilled.Store(true)
 		}
@@ -273,7 +253,7 @@ func (c *SolveCache) spillEvicted(st SpillStore, evicted []*lruEntry) {
 		if le.spilled.Load() {
 			continue
 		}
-		if err := st.Write(le.key.spill(), encodePayload(le.e)); err == nil {
+		if err := st.Write(le.key.spill(), le.payload); err == nil {
 			le.spilled.Store(true)
 			c.syncSpills.Add(1)
 		}
@@ -286,7 +266,8 @@ type SpillStats struct {
 	Hits, Misses int64
 	// SyncSpills counts evictions that had to write synchronously.
 	SyncSpills int64
-	// DecodeErrors counts stored payloads rejected by the codec.
+	// DecodeErrors counts stored payloads rejected by the codec, including
+	// well-formed ones that do not decode onto the asking function.
 	DecodeErrors int64
 }
 
@@ -324,27 +305,6 @@ func (c *SolveCache) Len() int {
 	return len(c.m)
 }
 
-func encodeEntry(sols []Solution, steps int, info *analysis.Info) (*memoEntry, bool) {
-	e := &memoEntry{steps: steps, sols: make([][]memoBinding, 0, len(sols))}
-	for _, sol := range sols {
-		names := make([]string, 0, len(sol))
-		for n := range sol {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		bs := make([]memoBinding, 0, len(names))
-		for _, n := range names {
-			ref, ok := encodeVal(sol[n], info)
-			if !ok {
-				return nil, false
-			}
-			bs = append(bs, memoBinding{name: n, ref: ref})
-		}
-		e.sols = append(e.sols, bs)
-	}
-	return e, true
-}
-
 func encodeVal(v ir.Value, info *analysis.Info) (valRef, bool) {
 	switch t := v.(type) {
 	case unconstrainedValue:
@@ -369,7 +329,7 @@ func encodeVal(v ir.Value, info *analysis.Info) (valRef, bool) {
 }
 
 // operandPool lazily indexes the constants and global refs appearing as
-// operands of a function, for rehydrating payload-encoded values onto the
+// operands of a function, for decoding payload-encoded values onto the
 // concrete ir.Value objects of that function.
 type operandPool struct {
 	info    *analysis.Info
@@ -401,23 +361,6 @@ func (p *operandPool) build() {
 			}
 		}
 	}
-}
-
-func rehydrate(e *memoEntry, info *analysis.Info) ([]Solution, bool) {
-	pool := &operandPool{info: info}
-	out := make([]Solution, 0, len(e.sols))
-	for _, bs := range e.sols {
-		sol := make(Solution, len(bs))
-		for _, b := range bs {
-			v, ok := decodeVal(b.ref, info, pool)
-			if !ok {
-				return nil, false
-			}
-			sol[b.name] = v
-		}
-		out = append(out, sol)
-	}
-	return out, true
 }
 
 func decodeVal(r valRef, info *analysis.Info, pool *operandPool) (ir.Value, bool) {

@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sort"
+
+	"repro/internal/analysis"
 )
 
 // problemID derives Problem.ID. Default options hash exactly the bytes of the
@@ -64,24 +67,35 @@ type SpillStore interface {
 // as a miss, so a binary with a newer codec simply re-solves and re-spills.
 const memoPayloadVersion = 2
 
-// encodePayload serializes one memo entry: the step count and the
-// position-encoded solutions.
-func encodePayload(e *memoEntry) []byte {
-	buf := make([]byte, 0, 64+32*len(e.sols))
+// encodePayload serializes one solve outcome as a memo entry: the step
+// count and the solutions, each binding name-ordered and position-encoded.
+// ok is false when a value cannot be position-encoded against info.
+func encodePayload(sols []Solution, steps int, info *analysis.Info) ([]byte, bool) {
+	buf := make([]byte, 0, 64+32*len(sols))
 	buf = append(buf, memoPayloadVersion)
-	buf = binary.AppendUvarint(buf, uint64(e.steps))
-	buf = binary.AppendUvarint(buf, uint64(len(e.sols)))
-	for _, bs := range e.sols {
-		buf = binary.AppendUvarint(buf, uint64(len(bs)))
-		for _, b := range bs {
-			buf = appendSpillString(buf, b.name)
-			buf = append(buf, byte(b.ref.kind))
-			buf = binary.AppendUvarint(buf, uint64(b.ref.idx))
-			buf = appendSpillString(buf, b.ref.ty)
-			buf = appendSpillString(buf, b.ref.lit)
+	buf = binary.AppendUvarint(buf, uint64(steps))
+	buf = binary.AppendUvarint(buf, uint64(len(sols)))
+	var names []string
+	for _, sol := range sols {
+		names = names[:0]
+		for n := range sol {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		buf = binary.AppendUvarint(buf, uint64(len(names)))
+		for _, n := range names {
+			ref, ok := encodeVal(sol[n], info)
+			if !ok {
+				return nil, false
+			}
+			buf = appendSpillString(buf, n)
+			buf = append(buf, byte(ref.kind))
+			buf = binary.AppendUvarint(buf, uint64(ref.idx))
+			buf = appendSpillString(buf, ref.ty)
+			buf = appendSpillString(buf, ref.lit)
 		}
 	}
-	return buf
+	return buf, true
 }
 
 // spillSanityMax bounds decoded instruction indices; a well-formed payload
@@ -98,44 +112,58 @@ const (
 	minBindingBytes  = 5
 )
 
-// decodePayload is the inverse of encodePayload. ok is false on any
-// malformation — wrong version, short buffer, bad discriminants, counts the
-// remaining bytes cannot hold, trailing bytes — so a corrupt or foreign
-// payload is a cache miss, never a wrong answer.
-func decodePayload(payload []byte) (e *memoEntry, ok bool) {
+// decodePayload is the inverse of encodePayload: it decodes a memo entry
+// onto info. ok is false on any malformation — wrong version, short buffer,
+// bad discriminants, counts the remaining bytes cannot hold, binding names
+// out of order, a value that is not in info or does not re-encode to the
+// reference read, trailing bytes — so a corrupt or foreign payload is a
+// cache miss, never a wrong answer, and every accepted payload is the one
+// encoding of its outcome.
+func decodePayload(payload []byte, info *analysis.Info) (sols []Solution, steps int, ok bool) {
 	d := spillDecoder{buf: payload}
 	if d.u8() != memoPayloadVersion {
-		return nil, false
+		return nil, 0, false
 	}
-	steps := d.uvarint()
+	steps = int(d.uvarint())
 	nsols := d.uvarint()
 	if d.failed || nsols > d.left()/minSolutionBytes {
-		return nil, false
+		return nil, 0, false
 	}
-	e = &memoEntry{steps: int(steps), sols: make([][]memoBinding, 0, nsols)}
+	pool := &operandPool{info: info}
+	sols = make([]Solution, 0, nsols)
 	for i := uint64(0); i < nsols; i++ {
 		nb := d.uvarint()
 		if d.failed || nb > d.left()/minBindingBytes {
-			return nil, false
+			return nil, 0, false
 		}
-		bs := make([]memoBinding, 0, nb)
+		sol := make(Solution, nb)
+		prev := ""
 		for j := uint64(0); j < nb; j++ {
 			name := d.str()
 			kind := valRefKind(d.u8())
 			idx := d.uvarint()
 			ty := d.str()
 			lit := d.str()
-			if d.failed || kind > refUnconstrained || idx > spillSanityMax {
-				return nil, false
+			if d.failed || kind > refUnconstrained || idx > spillSanityMax || j > 0 && name <= prev {
+				return nil, 0, false
 			}
-			bs = append(bs, memoBinding{name: name, ref: valRef{kind: kind, idx: int(idx), ty: ty, lit: lit}})
+			ref := valRef{kind: kind, idx: int(idx), ty: ty, lit: lit}
+			v, ok := decodeVal(ref, info, pool)
+			if !ok {
+				return nil, 0, false
+			}
+			if back, ok := encodeVal(v, info); !ok || back != ref {
+				return nil, 0, false
+			}
+			sol[name] = v
+			prev = name
 		}
-		e.sols = append(e.sols, bs)
+		sols = append(sols, sol)
 	}
 	if d.failed || len(d.buf) != d.off {
-		return nil, false
+		return nil, 0, false
 	}
-	return e, true
+	return sols, steps, true
 }
 
 func appendSpillString(buf []byte, s string) []byte {

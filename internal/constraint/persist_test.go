@@ -71,8 +71,8 @@ func storableProblem(t *testing.T) *Problem {
 }
 
 // TestPayloadCodecRoundTrip pins the spill codec: a solve outcome encoded to
-// the versioned payload and decoded back rehydrates byte-identically (same
-// canonical solutions, order, and step count).
+// the versioned payload and decoded onto a fresh compile of the same source
+// is byte-identical (same canonical solutions, order, and step count).
 func TestPayloadCodecRoundTrip(t *testing.T) {
 	prob := storableProblem(t)
 	info := analyzeC(t, memoTestC, "example")
@@ -81,23 +81,17 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 	if len(sols) == 0 {
 		t.Fatal("expected solutions")
 	}
-	e, ok := encodeEntry(sols, s.Steps, info)
+	payload, ok := encodePayload(sols, s.Steps, info)
 	if !ok {
-		t.Fatal("encodeEntry failed on a plain solve outcome")
+		t.Fatal("encodePayload failed on a plain solve outcome")
 	}
-	payload := encodePayload(e)
-	dec, ok := decodePayload(payload)
+	info2 := analyzeC(t, memoTestC, "example")
+	got, steps, ok := decodePayload(payload, info2)
 	if !ok {
 		t.Fatal("decodePayload rejected its own encoding")
 	}
-	if dec.steps != s.Steps {
-		t.Fatalf("decoded steps=%d; want %d", dec.steps, s.Steps)
-	}
-	// Rehydrate onto a fresh compile of the same source.
-	info2 := analyzeC(t, memoTestC, "example")
-	got, ok := rehydrate(dec, info2)
-	if !ok {
-		t.Fatal("rehydrate failed after codec round-trip")
+	if steps != s.Steps {
+		t.Fatalf("decoded steps=%d; want %d", steps, s.Steps)
 	}
 	want := NewSolver(prob, info2).Solve()
 	if len(got) != len(want) {
@@ -114,8 +108,7 @@ func TestDecodePayloadRejectsMalformed(t *testing.T) {
 	prob := storableProblem(t)
 	info := analyzeC(t, memoTestC, "example")
 	s := NewSolver(prob, info)
-	e, _ := encodeEntry(s.Solve(), s.Steps, info)
-	good := encodePayload(e)
+	good, _ := encodePayload(s.Solve(), s.Steps, info)
 
 	cases := map[string][]byte{
 		"empty":          {},
@@ -124,7 +117,7 @@ func TestDecodePayloadRejectsMalformed(t *testing.T) {
 		"trailing bytes": append(append([]byte(nil), good...), 0x00),
 	}
 	for name, payload := range cases {
-		if _, ok := decodePayload(payload); ok {
+		if _, _, ok := decodePayload(payload, info); ok {
 			t.Errorf("%s payload decoded as valid", name)
 		}
 	}
@@ -160,6 +153,32 @@ func TestDecodePayloadBoundsAllocation(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Errorf("decoding a %d-byte payload allocated %d bytes; want < 1 MiB", len(payload), alloc)
+	}
+}
+
+// TestSpillUndecodableIsMiss pins that a disk payload which is well formed
+// but does not decode onto the asking function (here: an instruction index
+// past its end) is a miss: one decode error, one store miss, and nothing
+// installed in memory, so it cannot shadow a later Put.
+func TestSpillUndecodableIsMiss(t *testing.T) {
+	prob := storableProblem(t)
+	info := analyzeC(t, memoTestC, "example")
+	fp := FingerprintInfo(info)
+	payload := []byte{memoPayloadVersion, 0, 1, 1, 1, 'x', byte(refInstr)}
+	payload = binary.AppendUvarint(payload, uint64(len(info.Instrs)))
+	payload = append(payload, 0, 0) // empty type and literal
+	st := newFakeSpill(true)
+	st.m[solveKey{prob.ID, fp}.spill()] = payload
+	c := NewSolveCache()
+	c.AttachStore(st)
+	if _, _, ok := c.Get(prob, fp, info); ok {
+		t.Fatal("an instruction index past the function decoded as a hit")
+	}
+	if sp := c.SpillStats(); sp.DecodeErrors != 1 || sp.Misses != 1 || sp.Hits != 0 {
+		t.Errorf("spill stats = %+v; want one decode error and one miss", sp)
+	}
+	if n := c.Len(); n != 0 {
+		t.Errorf("Len = %d after an undecodable disk payload; want 0", n)
 	}
 }
 

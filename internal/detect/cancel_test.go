@@ -28,7 +28,7 @@ func TestStreamIdiomSubsetMatchesSequential(t *testing.T) {
 	want := sequential(t, mod, detect.Options{Idioms: subset})
 	wantFull := sequential(t, mod, detect.Options{})
 
-	eng, err := detect.NewEngine(detect.Options{Workers: 4, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +79,12 @@ func TestStreamCancellation(t *testing.T) {
 		}
 		mods = append(mods, mod)
 	}
-	ref, err := detect.Modules(mods, detect.Options{NoMemo: true})
+	ref, err := detect.Modules(mods, detect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	eng, err := detect.NewEngine(detect.Options{Workers: 4, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSplitCancellation(t *testing.T) {
 		}
 		mods = append(mods, mod)
 	}
-	ref, err := detect.Modules(mods, detect.Options{NoMemo: true})
+	ref, err := detect.Modules(mods, detect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

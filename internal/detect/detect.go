@@ -12,8 +12,8 @@
 // analyses and independent (function × idiom) solves as tasks on a worker
 // pool. Solutions are re-sorted deterministically and claim-based
 // de-duplication always runs serially in roster precedence order, so
-// results are byte-identical at any worker count; Workers: 1 with NoMemo is
-// the sequential reference. Long-lived callers use Engine.Stream: each
+// results are byte-identical at any worker count; Workers: 1 without a Memo
+// cache is the sequential reference. Long-lived callers use Engine.Stream: each
 // blocking Stream.Detect call detects one module on the engine's shared
 // pool, so the tasks of concurrent callers interleave; Engine.Modules is a
 // batch over a private stream.
@@ -99,14 +99,11 @@ type Options struct {
 	// Workers bounds the engine's worker pool. Zero or negative means
 	// GOMAXPROCS; 1 runs every task of a call sequentially.
 	Workers int
-	// Memo selects the solver memoization cache the engine keys solves into:
-	// nil means the process-wide constraint.SharedSolveCache. Supply a
-	// private cache for isolated hit/miss accounting (tests, benchmarks).
+	// Memo is the solver memoization cache the engine keys solves into, and
+	// the only one it uses; nil means no memoization, so every solve is a
+	// fresh backtracking search (Table 2 relies on this). The engine's
+	// MemoStats are this cache's counters.
 	Memo *constraint.SolveCache
-	// NoMemo disables solver memoization entirely (overriding Memo). Table 2
-	// uses this so its compile-time overhead rows keep measuring fresh
-	// constraint solves.
-	NoMemo bool
 }
 
 // idiomSolutions is the outcome of one independent (function × idiom) solve:

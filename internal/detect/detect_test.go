@@ -23,7 +23,7 @@ func compile(t *testing.T, src string) *ir.Module {
 // reference every other configuration must match.
 func sequential(t testing.TB, mod *ir.Module, opts Options) *Result {
 	t.Helper()
-	opts.Workers, opts.NoMemo = 1, true
+	opts.Workers, opts.Memo = 1, nil
 	eng, err := NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)

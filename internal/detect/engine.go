@@ -1,11 +1,11 @@
 package detect
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -30,10 +30,9 @@ type Engine struct {
 	// memo is the solver memoization cache (nil when disabled): completed
 	// (function-fingerprint × problem) solves are stored position-encoded, so
 	// re-detecting an identical function shape — same module again, or a
-	// recompile of the same source — rehydrates the cached solutions instead
+	// recompile of the same source — decodes the cached solutions instead
 	// of re-running the backtracking search.
-	memo                 *constraint.SolveCache
-	memoHits, memoMisses atomic.Int64
+	memo *constraint.SolveCache
 }
 
 // NewEngine resolves the default roster for opts against the built-in pack
@@ -43,15 +42,7 @@ func NewEngine(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("detect: %w", err)
 	}
-	e := &Engine{roster: ros, workers: opts.Workers}
-	switch {
-	case opts.NoMemo:
-		// leave e.memo nil
-	case opts.Memo != nil:
-		e.memo = opts.Memo
-	default:
-		e.memo = constraint.SharedSolveCache()
-	}
+	e := &Engine{roster: ros, workers: opts.Workers, memo: opts.Memo}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
@@ -61,11 +52,14 @@ func NewEngine(opts Options) (*Engine, error) {
 // Workers reports the configured pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// MemoStats reports this engine's solver memoization counters: hits are
-// (function × idiom) solves served from the cache, misses are fresh
+// MemoStats reports the solver memoization counters of the engine's cache:
+// hits are (function × idiom) solves served from it, misses are fresh
 // backtracking searches. Both stay zero when memoization is disabled.
 func (e *Engine) MemoStats() (hits, misses int64) {
-	return e.memoHits.Load(), e.memoMisses.Load()
+	if e.memo == nil {
+		return 0, 0
+	}
+	return e.memo.Stats()
 }
 
 // Memo exposes the engine's solve cache (nil when memoization is disabled),
@@ -140,11 +134,9 @@ func (e *Engine) solveResolved(done <-chan struct{}, r Resolved, info *analysis.
 		return solveIdiom(done, r.Idiom, r.Prob, info)
 	}
 	if sols, steps, ok := e.memo.Get(r.Prob, fp, info); ok {
-		e.memoHits.Add(1)
 		sortSolutions(sols)
 		return idiomSolutions{idiom: r.Idiom, sols: sols, steps: steps}
 	}
-	e.memoMisses.Add(1)
 	ps := solveIdiom(done, r.Idiom, r.Prob, info)
 	if !ps.aborted {
 		e.memo.Put(r.Prob, fp, info, ps.sols, ps.steps)
@@ -171,26 +163,30 @@ func (e *Engine) Module(mod *ir.Module) (*Result, error) {
 // Because solves interleave across modules, per-module wall time is not
 // meaningful here: every Result carries the whole batch's Elapsed (batch
 // semantics, kept deliberately). Use Stream for true per-module wall times.
+// A module whose detection panics gets a nil Result and an internal error;
+// the errors of the batch are returned joined, beside the other results.
 func (e *Engine) Modules(mods []*ir.Module) ([]*Result, error) {
 	start := time.Now()
 	st := e.Stream()
 	out := make([]*Result, len(mods))
+	errs := make([]error, len(mods))
 	var wg sync.WaitGroup
 	for i, mod := range mods {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A submission without a context never fails.
-			out[i], _ = st.Detect(Submission{Mod: mod, Start: start})
+			out[i], errs[i] = st.Detect(Submission{Mod: mod, Start: start})
 		}()
 	}
 	wg.Wait()
 	st.Close()
 	elapsed := time.Since(start)
 	for _, r := range out {
-		r.Elapsed = elapsed
+		if r != nil {
+			r.Elapsed = elapsed
+		}
 	}
-	return out, nil
+	return out, errors.Join(errs...)
 }
 
 // nearMisses builds a module's explain diagnostics: for every roster idiom

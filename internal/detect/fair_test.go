@@ -96,7 +96,7 @@ func recordedOrder(t *testing.T, st *detect.Stream, clients []detect.Submission,
 // all its work first.
 func TestStreamWeightedFairOrder(t *testing.T) {
 	leakcheck.Register(t)
-	eng, err := detect.NewEngine(detect.Options{Workers: 1, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestStreamWeightedFairOrder(t *testing.T) {
 // submission still alternates with an equal-weight client that sets none.
 func TestStreamDeadlineNeverOutranksFairness(t *testing.T) {
 	leakcheck.Register(t)
-	eng, err := detect.NewEngine(detect.Options{Workers: 1, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestStreamCompileMatchesBatch(t *testing.T) {
 	leakcheck.Register(t)
 	ws := workloads.All()
 	mods, names := compileAll(t)
-	want, err := detect.Modules(mods, detect.Options{NoMemo: true})
+	want, err := detect.Modules(mods, detect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestStreamCompileMatchesBatch(t *testing.T) {
 // its own call, and a module detected beside it is unaffected.
 func TestStreamCompileError(t *testing.T) {
 	leakcheck.Register(t)
-	eng, err := detect.NewEngine(detect.Options{Workers: 2, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestStreamCompileError(t *testing.T) {
 // context error.
 func TestStreamCancelledSkipsCompile(t *testing.T) {
 	leakcheck.Register(t)
-	eng, err := detect.NewEngine(detect.Options{Workers: 1, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestStreamCancelledSkipsCompile(t *testing.T) {
 // blocked the others wait as queued tasks, visible in the stream's gauges.
 func TestStreamCompileOnPool(t *testing.T) {
 	leakcheck.Register(t)
-	eng, err := detect.NewEngine(detect.Options{Workers: 1, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestStreamCompileOnPool(t *testing.T) {
 func TestStreamPanicContained(t *testing.T) {
 	leakcheck.Register(t)
 	mods, names := compileAll(t)
-	want, err := detect.Modules(mods, detect.Options{NoMemo: true})
+	want, err := detect.Modules(mods, detect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package detect_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/constraint"
 	"repro/internal/detect"
 	"repro/internal/ir"
 	"repro/internal/workloads"
@@ -25,7 +27,7 @@ func instanceKey(inst detect.Instance) string {
 // reference every other configuration must match.
 func sequential(t *testing.T, mod *ir.Module, opts detect.Options) *detect.Result {
 	t.Helper()
-	opts.Workers, opts.NoMemo = 1, true
+	opts.Workers, opts.Memo = 1, nil
 	eng, err := detect.NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +51,10 @@ func resultKeys(t *testing.T, res *detect.Result) []string {
 // TestParallelMatchesSequential asserts the concurrent engine is
 // deterministic: for every benchmark module, the sequential reference and the
 // engine at 1, 4 and 8 workers report identical instances — same idioms,
-// same claim sets, same order — and identical solver step totals. Run under
-// -race this also exercises the shared Info / shared Problem paths.
+// same claim sets, same order — and identical solver step totals. The
+// engines share one memo cache, so the 1-worker run fills it and the wider
+// runs are served from it. Run under -race this also exercises the shared
+// Info / shared Problem paths.
 func TestParallelMatchesSequential(t *testing.T) {
 	var mods []*ir.Module
 	var names []string
@@ -69,10 +73,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 		want = append(want, sequential(t, mod, detect.Options{}))
 	}
 
+	memo := constraint.NewSolveCache()
 	for _, workers := range []int{1, 4, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, err := detect.Modules(mods, detect.Options{Workers: workers})
+			got, err := detect.Modules(mods, detect.Options{Workers: workers, Memo: memo})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +225,7 @@ func TestSplitMatchesSequential(t *testing.T) {
 	mods, names := compileAll(t)
 	want := sequentialResults(t, mods)
 
-	eng, err := detect.NewEngine(detect.Options{Workers: 4, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +250,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng, err := detect.NewEngine(detect.Options{Workers: workers, NoMemo: true})
+			eng, err := detect.NewEngine(detect.Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,5 +262,36 @@ func TestBatchMatchesSequential(t *testing.T) {
 				sameResults(t, names, got, want)
 			}
 		})
+	}
+}
+
+// TestEngineModulesReportsPanic pins that a batch with a module whose
+// detection panics returns that module's internal error instead of
+// crashing the caller, and still gives the healthy module its result. The
+// broken module is one block whose branch has no successor.
+func TestEngineModulesReportsPanic(t *testing.T) {
+	fn := ir.NewFunction("broken", ir.Void)
+	b := ir.NewBuilder(fn)
+	b.SetBlock(fn.NewBlock("entry"))
+	b.Br(nil)
+	broken := ir.NewModule("broken")
+	broken.AddFunction(fn)
+	healthy, err := workloads.ByName("EP").Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sequential(t, healthy, detect.Options{})
+	got, err := detect.Modules([]*ir.Module{broken, healthy}, detect.Options{Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "internal error") {
+		t.Fatalf("err = %v; want an internal error", err)
+	}
+	if got[0] != nil {
+		t.Errorf("broken module result = %+v; want nil", got[0])
+	}
+	if got[1] == nil {
+		t.Fatal("healthy module has no result")
+	}
+	if wk, gk := resultKeys(t, want), resultKeys(t, got[1]); strings.Join(wk, "\n") != strings.Join(gk, "\n") {
+		t.Errorf("healthy module instances differ:\n  got:  %v\n  want: %v", gk, wk)
 	}
 }

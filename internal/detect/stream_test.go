@@ -76,7 +76,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 
 	// Batch reference without memoization: pure fresh solves.
-	want, err := detect.Modules(mods, detect.Options{NoMemo: true})
+	want, err := detect.Modules(mods, detect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 		for _, memo := range []bool{false, true} {
 			workers, memo := workers, memo
 			t.Run(fmt.Sprintf("workers=%d/memo=%v", workers, memo), func(t *testing.T) {
-				opts := detect.Options{Workers: workers, NoMemo: !memo}
+				opts := detect.Options{Workers: workers}
 				if memo {
 					opts.Memo = constraint.NewSolveCache()
 				}
@@ -141,7 +141,7 @@ func TestStreamOutOfOrderCompletion(t *testing.T) {
 		want = append(want, sequential(t, mod, detect.Options{}))
 	}
 
-	eng, err := detect.NewEngine(detect.Options{Workers: 4, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,4 +348,30 @@ func TestStreamMemoAcrossSubmissions(t *testing.T) {
 		t.Errorf("resubmission hit the memo %d times, want %d", hits2-hits1, hits1+misses1)
 	}
 	sameResults(t, names, second, first)
+}
+
+// TestZeroOptionsNeverMemoize pins that an engine memoizes only into the
+// cache its options name: the zero Options have none, so a repeated
+// detection re-solves and the engine reports no memo traffic.
+func TestZeroOptionsNeverMemoize(t *testing.T) {
+	leakcheck.Register(t)
+	eng, err := detect.NewEngine(detect.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Memo() != nil {
+		t.Fatal("zero Options gave the engine a memo cache")
+	}
+	mod, err := workloads.ByName("CG").Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Module(mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := eng.MemoStats(); hits != 0 || misses != 0 {
+		t.Errorf("MemoStats = %d/%d; want 0/0", hits, misses)
+	}
 }

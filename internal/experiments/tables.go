@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/cc"
+	"repro/internal/constraint"
 	"repro/internal/detect"
 	"repro/internal/idioms"
 	"repro/internal/report"
@@ -24,13 +25,13 @@ var (
 // sharedStream returns the long-lived detection stream shared by Table 1,
 // Figure 16 and the end-to-end Pipeline driver: idiom constraint problems
 // compile once per process, each workload's compile, analyses and solves run
-// as tasks on the engine's one pool, and its memo cache makes repeated
+// as tasks on the engine's one pool, and its own memo cache makes repeated
 // detection of identical function shapes an O(1) lookup. Results are
 // byte-identical to the sequential engine (see detect's determinism tests),
 // so the tables and figures are unaffected.
 func sharedStream() (*detect.Engine, *detect.Stream, error) {
 	streamOnce.Do(func() {
-		streamEng, streamErr = detect.NewEngine(detect.Options{})
+		streamEng, streamErr = detect.NewEngine(detect.Options{Memo: constraint.NewSolveCache()})
 		if streamErr == nil {
 			stream = streamEng.Stream()
 		}
@@ -158,7 +159,7 @@ type Table2Data struct {
 // still compiled once per process (the cache the paper's numbers do not
 // enjoy), so the rows isolate the constraint-solving cost itself.
 func Table2() (*Table2Data, error) {
-	e, err := detect.NewEngine(detect.Options{Workers: 1, NoMemo: true})
+	e, err := detect.NewEngine(detect.Options{Workers: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func wantSuite(t *testing.T, opts idiomatic.RequestOptions) []idiomatic.DetectRe
 		}
 		mods[i] = mod
 	}
-	ress, err := detect.Modules(mods, detect.Options{NoMemo: true})
+	ress, err := detect.Modules(mods, detect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -397,7 +397,7 @@ double sum4(double* a, int n) {
 // over mod, restricted to idms when given.
 func detectModule(t *testing.T, mod *ir.Module, idms ...string) *detect.Result {
 	t.Helper()
-	eng, err := detect.NewEngine(detect.Options{Idioms: idms, Workers: 1, NoMemo: true})
+	eng, err := detect.NewEngine(detect.Options{Idioms: idms, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
