@@ -184,52 +184,9 @@ func TestDataFlow(t *testing.T) {
 	if a.HasDataFlowTo(m["v"], m["i2"]) {
 		t.Error("loaded value does not flow into increment")
 	}
-	if !a.DataFlowReaches(f.Args[0], m["acc2"]) {
-		t.Error("a reaches the accumulator transitively (gep→load→fadd)")
-	}
-	if !a.DataFlowReaches(m["i"], m["ret"]) {
-		t.Error("i reaches ret via acc? no — but via addr->load->facc->phi->ret yes")
-	}
 	if len(a.Users(m["i"])) < 3 {
 		t.Errorf("i should have >=3 users (cmp, gep, inc), got %d", len(a.Users(m["i"])))
 	}
-}
-
-func TestReachesPhiFrom(t *testing.T) {
-	f, m := buildLoop(t)
-	a := Analyze(f)
-	_ = f
-
-	if !a.ReachesPhiFrom(m["i2"], m["i"], m["backedge"]) {
-		t.Error("i2 reaches phi i from backedge")
-	}
-	if !a.ReachesPhiFrom(ir.ConstInt(ir.Int64, 0), m["i"], m["brEntry"]) {
-		// Note: constants are interned per call; this uses a fresh constant
-		// so pointer equality fails — that is intended SSA behaviour. The
-		// actual incoming constant must be fetched from the phi.
-		t.Skip("constant identity is by pointer; see TestReachesPhiConstIdentity")
-	}
-}
-
-func TestReachesPhiConstIdentity(t *testing.T) {
-	f, m := buildLoop(t)
-	a := Analyze(f)
-	_ = f
-	phi := m["i"]
-	initVal := phi.IncomingFor(f_entryOf(phi))
-	if initVal == nil {
-		t.Fatal("no incoming from entry")
-	}
-	if !a.ReachesPhiFrom(initVal, phi, m["brEntry"]) {
-		t.Error("stored incoming constant must satisfy ReachesPhiFrom")
-	}
-	if a.ReachesPhiFrom(initVal, phi, m["backedge"]) {
-		t.Error("init value must not reach from backedge")
-	}
-}
-
-func f_entryOf(phi *ir.Instruction) *ir.Block {
-	return phi.Block.Parent.Entry()
 }
 
 func TestAllControlFlowPassesThrough(t *testing.T) {

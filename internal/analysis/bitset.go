@@ -10,15 +10,12 @@
 // are identified with their terminating branch instruction."
 package analysis
 
-import "math/bits"
-
 // bitset is a fixed-capacity bit vector used by the dataflow solvers.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
 func (b bitset) setAll() {
@@ -42,31 +39,4 @@ func (b bitset) intersectWith(o bitset) bool {
 		}
 	}
 	return changed
-}
-
-// unionWith computes b |= o and reports whether b changed.
-func (b bitset) unionWith(o bitset) bool {
-	changed := false
-	for i := range b {
-		nv := b[i] | o[i]
-		if nv != b[i] {
-			changed = true
-			b[i] = nv
-		}
-	}
-	return changed
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
 }

@@ -117,30 +117,6 @@ func (a *Info) HasDependenceEdgeTo(x, y *ir.Instruction) bool {
 	return false
 }
 
-// DataFlowReaches reports whether value x transitively flows into value y
-// through def-use edges.
-func (a *Info) DataFlowReaches(x, y ir.Value) bool {
-	if x == y {
-		return true
-	}
-	seen := map[ir.Value]bool{x: true}
-	stack := []ir.Value{x}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range a.users[cur] {
-			if ir.Value(u) == y {
-				return true
-			}
-			if !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	return false
-}
-
 // AllControlFlowPassesThrough reports whether every CFG path from `from` to
 // `to` passes through `via`. It holds vacuously when `to` is unreachable
 // from `from`. Paths are instruction paths; `via` on an endpoint counts.
@@ -249,22 +225,6 @@ func (a *Info) AllFlowKilledBy(sources, sinks, killers []ir.Value) bool {
 		}
 	}
 	return true
-}
-
-// ReachesPhiFrom reports whether value v is the incoming value of phi for
-// the predecessor block terminated by branch instruction from. This is the
-// paper's "{v} reaches phi node {phi} from {from}" atomic: incoming basic
-// blocks are identified with their terminating branch instruction.
-func (a *Info) ReachesPhiFrom(v ir.Value, phi, from *ir.Instruction) bool {
-	if phi.Op != ir.OpPhi || from.Op != ir.OpBr {
-		return false
-	}
-	for i, ib := range phi.Incoming {
-		if ib.Terminator() == from && phi.Ops[i] == v {
-			return true
-		}
-	}
-	return false
 }
 
 // DataFlowDominates reports whether x dominates y in the data-flow graph:

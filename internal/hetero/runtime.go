@@ -37,15 +37,6 @@ type CallRecord struct {
 	KernelHasBranch bool
 }
 
-// TransferBytes sums the sizes of all touched buffers.
-func (c *CallRecord) TransferBytes() int64 {
-	var n int64
-	for _, b := range c.Buffers {
-		n += int64(len(b.Data))
-	}
-	return n
-}
-
 // Ledger accumulates API call records during a transformed-program run.
 type Ledger struct {
 	Calls []CallRecord

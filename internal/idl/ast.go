@@ -111,15 +111,6 @@ func (v Var) String() string {
 	return b.String()
 }
 
-// SimpleVar builds an unindexed variable from a dotted name.
-func SimpleVar(name string) Var {
-	var v Var
-	for _, part := range strings.Split(name, ".") {
-		v.Parts = append(v.Parts, VarPart{Text: part})
-	}
-	return v
-}
-
 // --- Constraint tree ---
 
 // Constraint is a node in the IDL constraint tree.

@@ -22,20 +22,6 @@ type Counts struct {
 	Steps      int64 // every executed instruction
 }
 
-// Add accumulates other into c.
-func (c *Counts) Add(other Counts) {
-	c.Flops += other.Flops
-	c.MathOps += other.MathOps
-	c.IntOps += other.IntOps
-	c.Loads += other.Loads
-	c.Stores += other.Stores
-	c.LoadBytes += other.LoadBytes
-	c.StoreBytes += other.StoreBytes
-	c.Branches += other.Branches
-	c.Calls += other.Calls
-	c.Steps += other.Steps
-}
-
 // ExternFn implements an external (runtime API) function. It receives the
 // machine so it can touch buffers directly.
 type ExternFn func(m *Machine, args []Value) (Value, error)

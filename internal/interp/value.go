@@ -141,16 +141,6 @@ func (b *Buffer) store(off int64, ty *ir.Type, v Value) error {
 	return nil
 }
 
-// Float64Slice views the buffer as float64 values (for harness convenience).
-func (b *Buffer) Float64Slice() []float64 {
-	n := len(b.Data) / 8
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = f64frombits(le64(b.Data[i*8:]))
-	}
-	return out
-}
-
 // SetFloat64 writes v at element index i (8-byte elements).
 func (b *Buffer) SetFloat64(i int, v float64) { put64(b.Data[i*8:], f64bits(v)) }
 
@@ -168,9 +158,3 @@ func (b *Buffer) SetInt32(i int, v int32) { put32(b.Data[i*4:], uint32(v)) }
 
 // Int32At reads element index i.
 func (b *Buffer) Int32At(i int) int32 { return int32(le32(b.Data[i*4:])) }
-
-// SetInt64 writes v at element index i (8-byte elements).
-func (b *Buffer) SetInt64(i int, v int64) { put64(b.Data[i*8:], uint64(v)) }
-
-// Int64At reads element index i.
-func (b *Buffer) Int64At(i int) int64 { return int64(le64(b.Data[i*8:])) }

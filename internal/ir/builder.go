@@ -34,13 +34,6 @@ func (b *Builder) emit(in *Instruction) *Instruction {
 	return b.Cur.Append(in)
 }
 
-// Named sets the SSA name for the next value-producing instruction built via
-// the returned function. Used sparingly; most callers accept generated names.
-func (b *Builder) Named(name string, in *Instruction) *Instruction {
-	in.Ident = name
-	return in
-}
-
 func binOpType(op Opcode, lhs Value) *Type { return lhs.Type() }
 
 // Bin builds a binary arithmetic instruction.

@@ -145,16 +145,6 @@ func (f *Function) Instructions() []*Instruction {
 	return out
 }
 
-// BlockOf returns the block with the given label, or nil.
-func (f *Function) BlockOf(name string) *Block {
-	for _, b := range f.Blocks {
-		if b.Ident == name {
-			return b
-		}
-	}
-	return nil
-}
-
 // ValueByName finds an instruction or argument by SSA name, or nil.
 func (f *Function) ValueByName(name string) Value {
 	for _, a := range f.Args {

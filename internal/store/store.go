@@ -83,9 +83,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir reports the state directory the store was opened on.
-func (s *Store) Dir() string { return s.dir }
-
 // sweep removes temp files from interrupted writes and counts entries.
 func (s *Store) sweep() (entries int, err error) {
 	root := filepath.Join(s.dir, "memo")
