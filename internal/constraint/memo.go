@@ -10,10 +10,11 @@ import (
 	"repro/internal/ir"
 )
 
-// DefaultMemoMaxEntries bounds every cache built with NewSolveCache. One entry is one (problem × function-fingerprint)
-// solve outcome; the full 21-workload suite over the complete idiom roster
-// occupies a few hundred entries, so the default leaves ample headroom for
-// server traffic while capping worst-case memory on a long-lived process.
+// DefaultMemoMaxEntries bounds every cache built with NewSolveCache. One
+// entry is one (problem × function-fingerprint) solve outcome; the full
+// 21-workload suite over the complete idiom roster occupies a few hundred
+// entries, so the default leaves ample headroom for server traffic while
+// capping worst-case memory on a long-lived process.
 const DefaultMemoMaxEntries = 16384
 
 // SolveCache memoizes complete solve outcomes keyed by (Problem.ID ×

@@ -50,7 +50,8 @@ func (k solveKey) spill() SpillKey {
 type SpillStore interface {
 	// Load returns the payload stored under key; ok is false on a miss or
 	// when the stored bytes failed integrity checks (corruption is a miss,
-	// never an error surfaced to solving).
+	// never an error surfaced to solving). The caller keeps the returned
+	// bytes as a resident memo entry, so the store must not reuse them.
 	Load(key SpillKey) (payload []byte, ok bool)
 	// Write stores payload under key synchronously and crash-safely
 	// (temp file + rename). Used on the eviction path, where losing the
