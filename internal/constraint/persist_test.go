@@ -115,6 +115,13 @@ func TestDecodePayloadRejectsMalformed(t *testing.T) {
 		"wrong version":  append([]byte{99}, good[1:]...),
 		"truncated":      good[:len(good)/2],
 		"trailing bytes": append(append([]byte(nil), good...), 0x00),
+		// Two bindings, "b" before "a": names must be strictly ascending.
+		"names out of order": {memoPayloadVersion, 0, 1, 2,
+			1, 'b', byte(refUnconstrained), 0, 0, 0,
+			1, 'a', byte(refUnconstrained), 0, 0, 0},
+		// An unconstrained value carrying an index re-encodes without it.
+		"non-canonical reference": {memoPayloadVersion, 0, 1, 1,
+			1, 'a', byte(refUnconstrained), 1, 0, 0},
 	}
 	for name, payload := range cases {
 		if _, _, ok := decodePayload(payload, info); ok {
