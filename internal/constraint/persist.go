@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -78,7 +79,7 @@ func encodePayload(sols []Solution, steps int, info *analysis.Info) ([]byte, boo
 	buf = binary.AppendUvarint(buf, uint64(len(sols)))
 	var names []string
 	for _, sol := range sols {
-		names = names[:0]
+		names = slices.Grow(names[:0], len(sol))
 		for n := range sol {
 			names = append(names, n)
 		}
