@@ -87,12 +87,12 @@ fleet-smoke:
 # every batch body and X-Deadline-Ms header, and the state directory's two
 # on-disk readers, the blob container and the pack-log replay. A failing
 # input is saved under the package's testdata/fuzz and replays in every
-# `go test` run. Minimizing a new pack-, module- or log-sized corpus entry
-# takes the default minute of the run, so those targets minimize for one
-# second.
+# `go test` run. Minimizing a new payload-, module-, pack- or log-sized
+# corpus entry takes the default minute of the run, so every target
+# minimizes for one second.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s -parallel 2 ./internal/constraint
-	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s -parallel 2 ./internal/cc
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/constraint
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/cc
 	$(GO) test -run '^$$' -fuzz '^FuzzCompilePack$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/idioms
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenContainer$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/store

@@ -347,6 +347,10 @@ func WireResult(seq int, name string, res *detect.Result, opts RequestOptions) D
 		SolverSteps: res.SolverSteps,
 		ElapsedNs:   res.Elapsed.Nanoseconds(),
 	}
+	if len(res.Instances) > 0 {
+		// Sized exactly: a client may hold many results.
+		out.Findings = make([]Finding, 0, len(res.Instances))
+	}
 	for _, inst := range res.Instances {
 		f := Finding{
 			Idiom:    inst.Idiom.Name,

@@ -1,6 +1,11 @@
 package constraint
 
-import "repro/internal/analysis"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/analysis"
+)
 
 // EncodePayloadForTest encodes one solve outcome as its spill payload.
 func EncodePayloadForTest(sols []Solution, steps int, info *analysis.Info) ([]byte, bool) {
@@ -10,7 +15,7 @@ func EncodePayloadForTest(sols []Solution, steps int, info *analysis.Info) ([]by
 // ReencodePayloadForTest decodes a spill payload onto info and encodes the
 // result again; ok is false when the decoder rejects the payload.
 func ReencodePayloadForTest(payload []byte, info *analysis.Info) ([]byte, bool) {
-	sols, steps, ok := decodePayload(payload, info)
+	sols, steps, ok := decodePayload(payload, info, nil)
 	if !ok {
 		return nil, false
 	}
@@ -58,4 +63,91 @@ func referenceGreedyOrder(root Node, appearance []string) []string {
 		out = append(out, best)
 	}
 	return out
+}
+
+// CheckNodeStatesForTest makes every solver, until the returned func is
+// called, compare each node's maintained value and kid counts with a
+// from-scratch three-valued evaluation of its assignment after every bind,
+// unbind, canonicalization step and finish. A bind that turned the root
+// false is exempt: it skips the variable's remaining atoms on purpose, and
+// its caller unbinds at once.
+// report receives each difference; checks is the number of states compared.
+// Solves must not run concurrently while the check is installed.
+func CheckNodeStatesForTest(report func(msg string)) (checks func() int, remove func()) {
+	n := 0
+	var ref []tribool
+	checkState = func(s *Solver, op string) {
+		if op == "pruning bind" {
+			return
+		}
+		n++
+		ref = referenceValues(s, ref)
+		for id := range s.idx.nodes {
+			nd := &s.idx.nodes[id]
+			var want nodeState
+			want.val = ref[id]
+			if nd.kind == kAnd || nd.kind == kOr {
+				decisive := triFalse
+				if nd.kind == kOr {
+					decisive = triTrue
+				}
+				for _, kid := range nd.kids {
+					switch ref[kid] {
+					case decisive:
+						want.dec++
+					case triUnknown:
+						want.unk++
+					}
+				}
+			}
+			if got := s.ev.nodes[id]; got != want {
+				report(fmt.Sprintf("after %s: node %d (kind %d) holds %+v, a fresh evaluation gives %+v",
+					op, id, nd.kind, got, want))
+				return
+			}
+		}
+	}
+	return func() int { return n }, func() { checkState = nil }
+}
+
+// referenceValues evaluates every node of s's formula from scratch under
+// its current assignment, into buf: a conjunction is false when a kid is
+// false, else unknown when a kid is unknown, else true; a disjunction is
+// the dual; collects are unknown.
+func referenceValues(s *Solver, buf []tribool) []tribool {
+	vals := slices.Grow(buf[:0], len(s.idx.nodes))[:len(s.idx.nodes)]
+	var eval func(id int) tribool
+	eval = func(id int) tribool {
+		nd := &s.idx.nodes[id]
+		out := triFalse
+		switch nd.kind {
+		case kAnd:
+			out = triTrue
+			for _, kid := range nd.kids {
+				switch v := eval(kid); {
+				case v == triFalse:
+					out = triFalse
+				case v == triUnknown && out == triTrue:
+					out = triUnknown
+				}
+			}
+		case kOr:
+			for _, kid := range nd.kids {
+				switch v := eval(kid); {
+				case v == triTrue:
+					out = triTrue
+				case v == triUnknown && out == triFalse:
+					out = triUnknown
+				}
+			}
+		case kAtom:
+			out = s.evalAtom(nd.atom, false)
+		case kCollect:
+			out = triUnknown
+		}
+		vals[id] = out
+		return out
+	}
+	eval(0)
+	return vals
 }

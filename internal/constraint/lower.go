@@ -54,6 +54,19 @@ func (t *symtab) intern(name string) int {
 	return slot
 }
 
+// name returns the table's string for the name b spells, or a new string
+// when the table does not hold it (or t is nil).
+func (t *symtab) name(b []byte) string {
+	if t != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if slot, ok := t.slots[string(b)]; ok {
+			return t.names[slot]
+		}
+	}
+	return string(b)
+}
+
 // prefixID registers a varlist array prefix and returns its id.
 func (t *symtab) prefixID(prefix string) int {
 	t.mu.Lock()
@@ -128,17 +141,22 @@ type instance struct {
 }
 
 // probIndex is a (sub-)problem in slot form: the lowered formula plus, for
-// its variables, the static structure that makes node evaluation
-// incremental. Each node knows the variables occurring in its subtree, and
-// each variable the nodes it can invalidate. It is built once, shared by
-// all solvers, and owned by its Problem (or collect).
+// its variables, the static structure that keeps node values current as the
+// search binds them. Each node knows its parent and the variables occurring
+// in its subtree, and each variable the atoms that name it. It is built
+// once, shared by all solvers, and owned by its Problem (or collect).
 type probIndex struct {
 	syms     *symtab
 	nodes    []lnode  // id -> node; the root is 0
 	vars     []int    // var id -> slot, in solving order
 	varOf    []int    // slot -> var id, -1 for a name that is not a variable here
 	varIn    [][]bool // node id -> var id -> mentioned in the subtree
-	varNodes [][]int  // var id -> ids of nodes whose subtree mentions it
+	parent   []int    // node id -> parent id, -1 for the root
+	varAtoms [][]int  // var id -> ids of the atoms whose arguments name it, in pre-order
+
+	// states holds evalStates sized for nodes, so that searches of the
+	// problem reuse their node values and trails.
+	states sync.Pool
 }
 
 // index returns the problem's slot form, lowering it on first use. Solvers
@@ -235,7 +253,8 @@ func (t *symtab) lowerCollect(c *NCollect) *collect {
 func newIndex(syms *symtab, nodes []lnode, vars []int) *probIndex {
 	idx := &probIndex{syms: syms, nodes: nodes, vars: vars,
 		varOf: make([]int, len(syms.list())), varIn: make([][]bool, len(nodes)),
-		varNodes: make([][]int, len(vars))}
+		parent: make([]int, len(nodes)), varAtoms: make([][]int, len(vars))}
+	idx.states.New = func() any { return &evalState{nodes: make([]nodeState, len(nodes))} }
 	for slot := range idx.varOf {
 		idx.varOf[slot] = -1
 	}
@@ -251,16 +270,25 @@ func newIndex(syms *symtab, nodes []lnode, vars []int) *probIndex {
 			}
 		}
 		for _, kid := range nodes[id].kids {
+			idx.parent[kid] = id
 			for vid, in := range idx.varIn[kid] {
 				mask[vid] = mask[vid] || in
 			}
 		}
 		idx.varIn[id] = mask
 	}
-	for id, mask := range idx.varIn {
-		for vid, in := range mask {
-			if in {
-				idx.varNodes[vid] = append(idx.varNodes[vid], id)
+	idx.parent[0] = -1
+	for id, n := range nodes {
+		if n.kind != kAtom {
+			continue
+		}
+		for _, slot := range n.atom.args {
+			vid := idx.varOf[slot]
+			if vid < 0 {
+				continue
+			}
+			if l := idx.varAtoms[vid]; len(l) == 0 || l[len(l)-1] != id {
+				idx.varAtoms[vid] = append(l, id)
 			}
 		}
 	}

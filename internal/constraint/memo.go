@@ -119,10 +119,10 @@ func (c *SolveCache) Get(prob *Problem, fp Fingerprint, info *analysis.Info) (so
 		if payload, st := c.lookup(key); payload != nil {
 			// Payloads are immutable once stored, so decoding runs outside
 			// the lock.
-			sols, steps, ok = decodePayload(payload, info)
+			sols, steps, ok = decodePayload(payload, info, prob.index().syms)
 		} else {
 			// Read through to the disk spill before declaring a miss.
-			sols, steps, ok = c.loadSpilled(st, key, info)
+			sols, steps, ok = c.loadSpilled(st, key, info, prob.index().syms)
 		}
 	}
 	if !ok {
@@ -205,7 +205,7 @@ func (c *SolveCache) AttachStore(st SpillStore) {
 // and decodes it onto info. Only bytes that decode are installed in memory
 // (marked spilled — they just came from disk); anything else is a decode
 // error and a store miss, and leaves the LRU as it was.
-func (c *SolveCache) loadSpilled(st SpillStore, key solveKey, info *analysis.Info) ([]Solution, int, bool) {
+func (c *SolveCache) loadSpilled(st SpillStore, key solveKey, info *analysis.Info, syms *symtab) ([]Solution, int, bool) {
 	if st == nil {
 		return nil, 0, false
 	}
@@ -214,7 +214,7 @@ func (c *SolveCache) loadSpilled(st SpillStore, key solveKey, info *analysis.Inf
 		c.storeMisses.Add(1)
 		return nil, 0, false
 	}
-	sols, steps, ok := decodePayload(payload, info)
+	sols, steps, ok := decodePayload(payload, info, syms)
 	if !ok {
 		c.decodeErrors.Add(1)
 		c.storeMisses.Add(1)
@@ -330,13 +330,14 @@ func encodeVal(v ir.Value, info *analysis.Info) (valRef, bool) {
 }
 
 // operandPool lazily indexes the constants and global refs appearing as
-// operands of a function, for decoding payload-encoded values onto the
-// concrete ir.Value objects of that function.
+// operands of a function by their encoded (type, literal) pair, the bytes
+// encodeVal's reference writes after its index, so that a payload's
+// reference is looked up as it sits in the payload.
 type operandPool struct {
 	info    *analysis.Info
 	built   bool
-	consts  map[[2]string]*ir.Const
-	globals map[[2]string]*ir.GlobalRef
+	consts  map[string]ir.Value
+	globals map[string]ir.Value
 }
 
 func (p *operandPool) build() {
@@ -344,48 +345,65 @@ func (p *operandPool) build() {
 		return
 	}
 	p.built = true
-	p.consts = map[[2]string]*ir.Const{}
-	p.globals = map[[2]string]*ir.GlobalRef{}
+	p.consts = map[string]ir.Value{}
+	p.globals = map[string]ir.Value{}
+	var key []byte
 	for _, in := range p.info.Instrs {
 		for _, op := range in.Ops {
+			m := p.consts
 			switch t := op.(type) {
 			case *ir.Const:
-				key := [2]string{t.Ty.String(), t.Operand()}
-				if _, ok := p.consts[key]; !ok {
-					p.consts[key] = t
-				}
+				key = appendSpillString(appendSpillString(key[:0], t.Ty.String()), t.Operand())
 			case *ir.GlobalRef:
-				key := [2]string{t.Ty.String(), t.Ident}
-				if _, ok := p.globals[key]; !ok {
-					p.globals[key] = t
-				}
+				key, m = appendSpillString(appendSpillString(key[:0], t.Ty.String()), t.Ident), p.globals
+			default:
+				continue
+			}
+			if _, ok := m[string(key)]; !ok {
+				m[string(key)] = op
 			}
 		}
 	}
 }
 
-func decodeVal(r valRef, info *analysis.Info, pool *operandPool) (ir.Value, bool) {
-	switch r.kind {
+// decodeVal resolves one position-encoded reference onto info: its kind and
+// index as read, and operand its encoded (type, literal) pair. It accepts
+// only a reference that encodeVal writes back byte for byte: an instruction
+// or argument whose index is its own, the unconstrained marker with index
+// 0, each with an empty type and literal, or a constant or global of the
+// function with index 0.
+func decodeVal(kind valRefKind, idx int, operand []byte, info *analysis.Info, pool *operandPool) (ir.Value, bool) {
+	if kind == refConst || kind == refGlobal {
+		if idx != 0 {
+			return nil, false
+		}
+		pool.build()
+		m := pool.consts
+		if kind == refGlobal {
+			m = pool.globals
+		}
+		v, ok := m[string(operand)]
+		return v, ok
+	}
+	if string(operand) != "\x00\x00" { // an empty type and an empty literal
+		return nil, false
+	}
+	switch kind {
 	case refUnconstrained:
-		return Unconstrained, true
+		return Unconstrained, idx == 0
 	case refInstr:
-		if r.idx < 0 || r.idx >= len(info.Instrs) {
+		if idx < 0 || idx >= len(info.Instrs) {
 			return nil, false
 		}
-		return info.Instrs[r.idx], true
+		in := info.Instrs[idx]
+		i, ok := info.Index[in]
+		return in, ok && i == idx
 	case refArg:
-		if r.idx < 0 || r.idx >= len(info.Fn.Args) {
+		if idx < 0 || idx >= len(info.Fn.Args) {
 			return nil, false
 		}
-		return info.Fn.Args[r.idx], true
-	case refConst:
-		pool.build()
-		v, ok := pool.consts[[2]string{r.ty, r.lit}]
-		return v, ok
-	case refGlobal:
-		pool.build()
-		v, ok := pool.globals[[2]string{r.ty, r.lit}]
-		return v, ok
+		arg := info.Fn.Args[idx]
+		return arg, arg.Index == idx
 	}
 	return nil, false
 }

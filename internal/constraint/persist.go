@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -120,8 +121,9 @@ const (
 // out of order, a value that is not in info or does not re-encode to the
 // reference read, trailing bytes — so a corrupt or foreign payload is a
 // cache miss, never a wrong answer, and every accepted payload is the one
-// encoding of its outcome.
-func decodePayload(payload []byte, info *analysis.Info) (sols []Solution, steps int, ok bool) {
+// encoding of its outcome. Binding names are syms' strings where it holds
+// them (syms may be nil), so a hit does not allocate its names.
+func decodePayload(payload []byte, info *analysis.Info, syms *symtab) (sols []Solution, steps int, ok bool) {
 	d := spillDecoder{buf: payload}
 	if d.u8() != memoPayloadVersion {
 		return nil, 0, false
@@ -139,25 +141,22 @@ func decodePayload(payload []byte, info *analysis.Info) (sols []Solution, steps 
 			return nil, 0, false
 		}
 		sol := make(Solution, nb)
-		prev := ""
+		var prev []byte
 		for j := uint64(0); j < nb; j++ {
-			name := d.str()
+			name := d.bytes()
 			kind := valRefKind(d.u8())
 			idx := d.uvarint()
-			ty := d.str()
-			lit := d.str()
-			if d.failed || kind > refUnconstrained || idx > spillSanityMax || j > 0 && name <= prev {
+			start := d.off
+			d.bytes() // type
+			d.bytes() // literal
+			if d.failed || kind > refUnconstrained || idx > spillSanityMax || j > 0 && bytes.Compare(name, prev) <= 0 {
 				return nil, 0, false
 			}
-			ref := valRef{kind: kind, idx: int(idx), ty: ty, lit: lit}
-			v, ok := decodeVal(ref, info, pool)
+			v, ok := decodeVal(kind, int(idx), payload[start:d.off], info, pool)
 			if !ok {
 				return nil, 0, false
 			}
-			if back, ok := encodeVal(v, info); !ok || back != ref {
-				return nil, 0, false
-			}
-			sol[name] = v
+			sol[syms.name(name)] = v
 			prev = name
 		}
 		sols = append(sols, sol)
@@ -207,13 +206,14 @@ func (d *spillDecoder) uvarint() uint64 {
 	return v
 }
 
-func (d *spillDecoder) str() string {
+// bytes reads a length-prefixed string, returning it in place.
+func (d *spillDecoder) bytes() []byte {
 	n := d.uvarint()
 	if d.failed || n > d.left() {
 		d.failed = true
-		return ""
+		return nil
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
 }

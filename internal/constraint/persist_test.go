@@ -86,7 +86,7 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 		t.Fatal("encodePayload failed on a plain solve outcome")
 	}
 	info2 := analyzeC(t, memoTestC, "example")
-	got, steps, ok := decodePayload(payload, info2)
+	got, steps, ok := decodePayload(payload, info2, nil)
 	if !ok {
 		t.Fatal("decodePayload rejected its own encoding")
 	}
@@ -124,7 +124,7 @@ func TestDecodePayloadRejectsMalformed(t *testing.T) {
 			1, 'a', byte(refUnconstrained), 1, 0, 0},
 	}
 	for name, payload := range cases {
-		if _, _, ok := decodePayload(payload, info); ok {
+		if _, _, ok := decodePayload(payload, info, nil); ok {
 			t.Errorf("%s payload decoded as valid", name)
 		}
 	}

@@ -31,7 +31,7 @@ func (s Solution) String() string {
 }
 
 // tribool is the three-valued logic the partial evaluator uses.
-type tribool int
+type tribool uint8
 
 const (
 	triFalse tribool = iota
@@ -56,9 +56,10 @@ type Solver struct {
 	// indexed by slot; nil means unbound.
 	assign []ir.Value
 
-	// node evaluation cache (invalidated per variable via idx.varNodes).
-	nodeVal   []tribool
-	nodeKnown []bool
+	// ev holds every formula node's value under assign, kept current by
+	// bind and restored by unbind; it is drawn from the index's pool for
+	// the length of one search.
+	ev *evalState
 
 	// rows are the solutions found, indexed by slot; solKeys deduplicates
 	// them by key (see appendKey).
@@ -109,6 +110,26 @@ type Solver struct {
 	Cancel <-chan struct{}
 }
 
+// evalState is one search's node values and the trail that undoes them.
+type evalState struct {
+	nodes []nodeState // node id -> state
+	trail []trailEntry
+}
+
+// nodeState is a node's value under the current partial assignment. A
+// conjunction also counts its false and unknown kids, a disjunction its true
+// and unknown kids: dec counts the kids whose value decides the node.
+type nodeState struct {
+	val      tribool
+	dec, unk int32
+}
+
+// trailEntry records the state a change overwrote.
+type trailEntry struct {
+	id   int32
+	prev nodeState
+}
+
 type collectResult struct {
 	ok       bool
 	bindings []binding
@@ -121,41 +142,49 @@ type binding struct {
 
 // NewSolver prepares a solver for one function.
 func NewSolver(prob *Problem, info *analysis.Info) *Solver {
-	s := &Solver{info: info, fn: newFuncData(info)}
-	s.attachIndex(prob.index())
+	s := &Solver{info: info, fn: newFuncData(info), idx: prob.index()}
 	s.assign = make([]ir.Value, len(s.idx.syms.list()))
 	return s
 }
 
-// attachIndex installs a slot form and resets the evaluation cache.
-func (s *Solver) attachIndex(idx *probIndex) {
-	s.idx = idx
-	n := len(idx.nodes)
-	s.nodeVal = slices.Grow(s.nodeVal[:0], n)[:n]
-	s.nodeKnown = slices.Grow(s.nodeKnown[:0], n)[:n]
-	clear(s.nodeKnown)
-}
+// checkState, when set, is called after every bind, unbind, canonicalization
+// step and finish with the operation's name. Tests install it to compare the
+// maintained node values with a from-scratch evaluation.
+var checkState func(s *Solver, op string)
 
-// bind assigns a variable and invalidates affected node caches.
-func (s *Solver) bind(slot int, val ir.Value) {
+// bind assigns a variable and brings the node values up to date, returning
+// the trail mark that the matching unbind restores. When the bind turns the
+// root false it stops there, leaving the variable's remaining atoms stale:
+// the caller prunes the candidate and unbinds at once. A root that was false
+// already (a formula false before any binding, whose irrelevant variables
+// step still binds) is propagated in full.
+func (s *Solver) bind(slot int, val ir.Value) int {
 	if s.cancelled {
 		// Search effort spent after the abort was observed. The per-candidate
 		// cancel checks keep this at zero; tracked so tests can pin it.
 		s.lateBinds++
 	}
+	mark := len(s.ev.trail)
+	live := s.value(0) != triFalse
 	s.assign[slot] = val
-	s.invalidate(slot)
+	s.update(slot, live)
+	if checkState != nil {
+		op := "bind"
+		if live && s.value(0) == triFalse {
+			op = "pruning bind"
+		}
+		checkState(s, op)
+	}
+	return mark
 }
 
-// unbind removes a variable assignment and invalidates node caches.
-func (s *Solver) unbind(slot int) {
+// unbind removes a variable assignment and restores the node values the
+// matching bind found; nothing is re-evaluated.
+func (s *Solver) unbind(slot, mark int) {
 	s.assign[slot] = nil
-	s.invalidate(slot)
-}
-
-func (s *Solver) invalidate(slot int) {
-	for _, id := range s.idx.varNodes[s.idx.varOf[slot]] {
-		s.nodeKnown[id] = false
+	s.undo(mark)
+	if checkState != nil {
+		checkState(s, "unbind")
 	}
 }
 
@@ -183,7 +212,12 @@ func (s *Solver) search() {
 		s.solKeys = map[string]struct{}{}
 	}
 	clear(s.solKeys)
+	s.ev = s.idx.states.Get().(*evalState)
+	s.evaluate()
 	s.step(0)
+	// Every bind has been undone: the state goes back with an empty trail.
+	s.idx.states.Put(s.ev)
+	s.ev = nil
 }
 
 // Cancelled reports whether the last Solve was aborted through Cancel before
@@ -216,7 +250,7 @@ func (s *Solver) step(k int) {
 	v := s.idx.vars[k]
 	if s.assign[v] != nil {
 		// Bound through an alias earlier; just verify and continue.
-		if s.evalNode(0) != triFalse {
+		if s.value(0) != triFalse {
 			s.step(k + 1)
 		}
 		return
@@ -225,9 +259,9 @@ func (s *Solver) step(k int) {
 		// Every occurrence of v lies under an already-satisfied
 		// disjunction: its value cannot affect the formula. Bind the
 		// canonical marker so equivalent solutions collapse.
-		s.bind(v, Unconstrained)
+		mark := s.bind(v, Unconstrained)
 		s.step(k + 1)
-		s.unbind(v)
+		s.unbind(v, mark)
 		return
 	}
 	mark := len(s.arena)
@@ -261,57 +295,118 @@ func (s *Solver) candidateList(k int) []ir.Value {
 // the formula stays satisfiable, and unbinds: the per-candidate body of step.
 func (s *Solver) tryCandidate(k int, c ir.Value) {
 	v := s.idx.vars[k]
-	s.bind(v, c)
-	if s.evalNode(0) != triFalse {
+	mark := s.bind(v, c)
+	if s.value(0) != triFalse {
 		s.step(k + 1)
 	}
-	s.unbind(v)
+	s.unbind(v, mark)
 }
 
-// evalNode is the cached three-valued evaluation of a formula node under the
-// current partial assignment. Collects never prune the partial search; they
-// are resolved in evalFinal.
-func (s *Solver) evalNode(id int) tribool {
-	if s.nodeKnown[id] {
-		return s.nodeVal[id]
+// value is node id's three-valued value under the current partial
+// assignment. Collects never prune the partial search; they are resolved in
+// evalFinal.
+func (s *Solver) value(id int) tribool { return s.ev.nodes[id].val }
+
+// junction returns the kid value that decides a conjunction (false) or a
+// disjunction (true), and the node's value when no kid decides it and none
+// is unknown.
+func junction(kind nodeKind) (decisive, otherwise tribool) {
+	if kind == kOr {
+		return triTrue, triFalse
 	}
-	var out tribool
-	n := &s.idx.nodes[id]
-	switch n.kind {
-	case kAnd:
-		out = triTrue
-		for _, kid := range n.kids {
-			switch s.evalNode(kid) {
-			case triFalse:
-				out = triFalse
-			case triUnknown:
-				out = triUnknown
+	return triFalse, triTrue
+}
+
+// tally adds d to the count that a kid of value v falls in.
+func (st *nodeState) tally(v, decisive tribool, d int32) {
+	switch v {
+	case decisive:
+		st.dec += d
+	case triUnknown:
+		st.unk += d
+	}
+}
+
+// derive returns a conjunction's or disjunction's value from its counts.
+func (st *nodeState) derive(decisive, otherwise tribool) tribool {
+	switch {
+	case st.dec > 0:
+		return decisive
+	case st.unk > 0:
+		return triUnknown
+	}
+	return otherwise
+}
+
+// evaluate readies the search's node values: every node is evaluated once,
+// bottom-up, under the assignment the search starts from (all unbound, or a
+// collect body's bound outer names).
+func (s *Solver) evaluate() {
+	e := s.ev
+	// Pre-order numbering puts every kid after its parent.
+	for id := len(s.idx.nodes) - 1; id >= 0; id-- {
+		n := &s.idx.nodes[id]
+		var st nodeState
+		switch n.kind {
+		case kAnd, kOr:
+			decisive, otherwise := junction(n.kind)
+			for _, kid := range n.kids {
+				st.tally(e.nodes[kid].val, decisive, 1)
 			}
-			if out == triFalse {
-				break
+			st.val = st.derive(decisive, otherwise)
+		case kAtom:
+			st.val = s.evalAtom(n.atom, false)
+		case kCollect:
+			st.val = triUnknown
+		}
+		e.nodes[id] = st
+	}
+}
+
+// update re-evaluates the atoms naming slot's variable, in pre-order, and
+// carries each change up to the root. With stop set it returns as soon as
+// the root is false.
+func (s *Solver) update(slot int, stop bool) {
+	e := s.ev
+	for _, id := range s.idx.varAtoms[s.idx.varOf[slot]] {
+		if v := s.evalAtom(s.idx.nodes[id].atom, false); v != e.nodes[id].val {
+			s.set(id, v)
+			if stop && e.nodes[0].val == triFalse {
+				return
 			}
 		}
-	case kOr:
-		out = triFalse
-		for _, kid := range n.kids {
-			switch s.evalNode(kid) {
-			case triTrue:
-				out = triTrue
-			case triUnknown:
-				out = triUnknown
-			}
-			if out == triTrue {
-				break
-			}
-		}
-	case kAtom:
-		out = s.evalAtom(n.atom, false)
-	case kCollect:
-		out = triUnknown
 	}
-	s.nodeKnown[id] = true
-	s.nodeVal[id] = out
-	return out
+}
+
+// set gives node id the value v and passes the change up through its
+// ancestors' kid counts until an ancestor's value holds. Every state it
+// overwrites goes on the trail.
+func (s *Solver) set(id int, v tribool) {
+	e := s.ev
+	old := e.nodes[id].val
+	e.trail = append(e.trail, trailEntry{int32(id), e.nodes[id]})
+	e.nodes[id].val = v
+	for p := s.idx.parent[id]; p >= 0; p = s.idx.parent[p] {
+		st := &e.nodes[p]
+		e.trail = append(e.trail, trailEntry{int32(p), *st})
+		decisive, otherwise := junction(s.idx.nodes[p].kind)
+		st.tally(old, decisive, -1)
+		st.tally(v, decisive, 1)
+		next := st.derive(decisive, otherwise)
+		if next == st.val {
+			return
+		}
+		old, v, st.val = st.val, next, next
+	}
+}
+
+// undo pops the trail back to mark, restoring the states it recorded.
+func (s *Solver) undo(mark int) {
+	e := s.ev
+	for i := len(e.trail) - 1; i >= mark; i-- {
+		e.nodes[e.trail[i].id] = e.trail[i].prev
+	}
+	e.trail = e.trail[:mark]
 }
 
 // relevantID reports whether variable vid can still influence the truth of
@@ -319,7 +414,7 @@ func (s *Solver) evalNode(id int) tribool {
 // is monotone in assignments — decided nodes (true or false) stay decided —
 // so only Unknown regions of the formula can be affected by the variable.
 func (s *Solver) relevantID(id int, vid int) bool {
-	if !s.idx.varIn[id][vid] || s.evalNode(id) != triUnknown {
+	if !s.idx.varIn[id][vid] || s.value(id) != triUnknown {
 		return false
 	}
 	n := &s.idx.nodes[id]
@@ -342,20 +437,29 @@ func (s *Solver) relevantID(id int, vid int) bool {
 func (s *Solver) finish() {
 	// Canonicalize: variables whose assignment no longer influences the
 	// formula (their occurrences all sit in decided subformulas) are reset
-	// to the Unconstrained marker so equivalent solutions collapse. The
-	// original values are restored before returning to the search.
+	// to the Unconstrained marker so equivalent solutions collapse. Each
+	// change propagates in full, and one undo to mark restores the node
+	// values before returning to the search.
+	mark := len(s.ev.trail)
 	s.saved = s.saved[:0]
 	for k, v := range s.idx.vars {
 		val := s.assign[v]
 		if val == nil || val == Unconstrained {
 			continue
 		}
-		s.unbind(v)
+		held := len(s.ev.trail)
+		s.assign[v] = nil
+		s.update(v, false)
 		if s.relevantID(0, k) {
-			s.bind(v, val)
+			s.assign[v] = val
+			s.undo(held)
 		} else {
 			s.saved = append(s.saved, binding{v, val})
-			s.bind(v, Unconstrained)
+			s.assign[v] = Unconstrained
+			s.update(v, false)
+		}
+		if checkState != nil {
+			checkState(s, "canonicalize")
 		}
 	}
 
@@ -374,8 +478,12 @@ func (s *Solver) finish() {
 			}
 		}
 	}
+	s.undo(mark)
 	for _, b := range s.saved {
-		s.bind(b.slot, b.val)
+		s.assign[b.slot] = b.val
+	}
+	if checkState != nil {
+		checkState(s, "finish")
 	}
 	// Deduplicate identical solutions arising from overlapping disjunctions.
 	if ok != triTrue {
@@ -522,7 +630,7 @@ func (s *Solver) subSolver(idx *probIndex) *Solver {
 		sub = &Solver{info: s.info, fn: s.fn}
 		s.sub = sub
 	}
-	sub.attachIndex(idx)
+	sub.idx = idx
 	sub.assign = append(sub.assign[:0], s.assign...)
 	clear(sub.collectMemo)
 	sub.Cancel, sub.cancelled, sub.lateBinds, sub.Steps = s.Cancel, false, 0, 0

@@ -368,16 +368,12 @@ func (a *APICall) Retarget(mod *ir.Module, backend string) {
 	}
 }
 
-// String renders the call like the paper's Figure 6.
+// String renders the call like the paper's Figure 6. The rendering is
+// allocated at its exact length, since plans keep it.
 func (a *APICall) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s(", a.Extern)
+	args := make([]string, len(a.Call.Ops)-1)
 	for i, op := range a.Call.Ops[1:] {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(op.Operand())
+		args[i] = op.Operand()
 	}
-	sb.WriteString(")")
-	return sb.String()
+	return a.Extern + "(" + strings.Join(args, ", ") + ")"
 }
