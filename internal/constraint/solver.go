@@ -451,6 +451,7 @@ func (s *Solver) finish() {
 		s.assign[v] = nil
 		s.update(v, false)
 		if s.relevantID(0, k) {
+			// The states before the unbind are those of val.
 			s.assign[v] = val
 			s.undo(held)
 		} else {
