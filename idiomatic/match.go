@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/analysis"
@@ -250,16 +251,27 @@ func planInstances(mod *ir.Module, instances []detect.Instance, target string) [
 		}
 		pc.Offload = offloadFor(inst.Idiom.Kind, tdev, anyDevice, branchy)
 		pc.Backend = backend
-		pc.Extern = call.Extern
+		pc.Rendering, pc.Extern = renderCall(call)
 		if call.Kernel != nil {
+			// The extern ends in "#"+kernel for outlined DSL kernels.
 			pc.Kernel = call.Kernel.Ident
+			if rest, ok := strings.CutSuffix(pc.Extern, "#"+pc.Kernel); ok {
+				pc.Kernel = pc.Extern[len(rest)+1:]
+			}
 		}
 		pc.Unsound = call.Unsound
 		pc.RuntimeChecks = append([]string(nil), call.RuntimeChecks...)
-		pc.Rendering = call.String()
 		plans = append(plans, pc)
 	}
 	return plans
+}
+
+// renderCall renders an applied call like the paper's Figure 6 and returns
+// its extern as the prefix of that rendering, so that a plan holding both
+// keeps one string.
+func renderCall(call *transform.APICall) (rendering, extern string) {
+	rendering = call.String()
+	return rendering, rendering[:len(call.Extern)]
 }
 
 // MatchResult renders the task's outcome as a v1 match result under the
@@ -528,10 +540,11 @@ func (s *Service) Accelerate(ctx context.Context, p *Program, d *Detection) ([]A
 		if err != nil {
 			return nil, fmt.Errorf("idiomatic: %s in %s: %w", inst.Idiom, inst.Function, err)
 		}
+		rendering, extern := renderCall(call)
 		out = append(out, APICall{
-			Extern: call.Extern, Unsound: call.Unsound,
+			Extern: extern, Unsound: call.Unsound,
 			RuntimeChecks: append([]string(nil), call.RuntimeChecks...),
-			Rendering:     call.String(),
+			Rendering:     rendering,
 		})
 	}
 	if err := ir.VerifyModule(p.Module); err != nil {

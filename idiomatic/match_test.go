@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"repro/idiomatic"
 )
@@ -155,5 +156,45 @@ func TestMatchPlansGolden(t *testing.T) {
 				t.Errorf("wire plans drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 			}
 		})
+	}
+}
+
+// TestPlanStringsShareRendering: a plan's Extern and Kernel are slices of
+// its Rendering, which begins with the extern, so a client holding many
+// results keeps one string per plan, not three.
+func TestPlanStringsShareRendering(t *testing.T) {
+	ctx := context.Background()
+	svc, err := idiomatic.NewService(idiomatic.ServiceOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	within := func(part, whole string) bool {
+		p, w := uintptr(unsafe.Pointer(unsafe.StringData(part))), uintptr(unsafe.Pointer(unsafe.StringData(whole)))
+		return p >= w && p+uintptr(len(part)) <= w+uintptr(len(whole))
+	}
+	kernels := 0
+	for _, tc := range planGoldens {
+		res, err := svc.Match(ctx, tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Plans {
+			if p.Err != "" {
+				continue
+			}
+			if unsafe.StringData(p.Extern) != unsafe.StringData(p.Rendering) {
+				t.Errorf("%s: extern %q is not the start of rendering %q", tc.name, p.Extern, p.Rendering)
+			}
+			if p.Kernel != "" {
+				kernels++
+				if !within(p.Kernel, p.Rendering) {
+					t.Errorf("%s: kernel %q lies outside rendering %q", tc.name, p.Kernel, p.Rendering)
+				}
+			}
+		}
+	}
+	if kernels == 0 {
+		t.Fatal("no plan outlined a kernel; the check shows nothing")
 	}
 }

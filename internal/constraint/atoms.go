@@ -374,13 +374,23 @@ func (s *Solver) evalOperandsFrom(v ir.Value, list []listRef, begin ir.Value) bo
 // candidates derives a sound candidate set for variable vid from the
 // subformula at node id: any satisfying assignment must draw the variable
 // from the returned set. AND nodes may use any child's set (the tightest is
-// chosen); OR nodes need every child to produce one. Sets are built in the
-// arena or shared read-only with the function's tables. A subtree that neither
-// mentions the variable nor holds an empty disjunction yields no set, so it
-// is skipped unvisited.
+// chosen); OR nodes unite the sets of their kids that are not already false,
+// and need each of those to produce one. Sets are built in the arena or
+// shared read-only with the function's tables. A subtree that does not
+// mention the variable yields no set, so it is skipped unvisited.
+//
+// The rule for OR reads the maintained node values, which are current here:
+// step derives candidates only after a bind that left the root not false,
+// and a bind that turned it false has been undone before the next one.
+// Three-valued evaluation is monotone, so a kid that is false now stays false
+// under every extension of the assignment, and a solution satisfies the OR
+// through one of the kids still alive. The recursion only ever reaches nodes
+// that are not false (the root is not, nor is any kid of an AND that is not,
+// and an OR passes only its live kids down), so an empty disjunction, which
+// is false, is never visited.
 func (s *Solver) candidates(id, vid int) ([]ir.Value, bool) {
 	n := &s.idx.nodes[id]
-	if !s.idx.varIn[id][vid] && !n.emptyOr {
+	if !s.idx.varIn[id][vid] {
 		return nil, false
 	}
 	switch n.kind {
@@ -399,6 +409,9 @@ func (s *Solver) candidates(id, vid int) ([]ir.Value, bool) {
 	case kOr:
 		base := len(s.sets)
 		for _, kid := range n.kids {
+			if s.value(kid) == triFalse {
+				continue
+			}
 			set, ok := s.candidates(kid, vid)
 			if !ok {
 				s.sets = s.sets[:base]

@@ -151,3 +151,25 @@ func referenceValues(s *Solver, buf []tribool) []tribool {
 	eval(0)
 	return vals
 }
+
+// CountBindsForTest makes every solver, until the returned func is called,
+// count its binds and, among them, the pruning binds: those that turned the
+// root false, so that the candidate was rejected at once.
+// Solves must not run concurrently while the count is installed.
+func CountBindsForTest() (counts func() (binds, pruning int), remove func()) {
+	var binds, pruning int
+	checkState = func(_ *Solver, op string) {
+		switch op {
+		case "bind":
+			binds++
+		case "pruning bind":
+			binds++
+			pruning++
+		}
+	}
+	return func() (int, int) { return binds, pruning }, func() { checkState = nil }
+}
+
+// CanonicalKeyForTest renders a solution as a stable string, for comparing
+// solution sets across solves.
+var CanonicalKeyForTest = canonicalKey

@@ -115,9 +115,6 @@ type lnode struct {
 	atom  *atom
 	coll  *collect
 	slots []int // names the node itself mentions: atom arguments and varlist names, collect body variables
-	// emptyOr marks a subtree holding an empty disjunction, which bounds
-	// every variable's candidates (to nothing) whether it mentions it or not.
-	emptyOr bool
 }
 
 // collect is an NCollect lowered for resolution: its prototype instance (the
@@ -196,7 +193,7 @@ func (t *symtab) lower(root Node) []lnode {
 		case *NAnd:
 			ln.kind, kids = kAnd, x.Kids
 		case *NOr:
-			ln.kind, kids, ln.emptyOr = kOr, x.Kids, len(x.Kids) == 0
+			ln.kind, kids = kOr, x.Kids
 		case *NAtom:
 			ln.kind, ln.atom = kAtom, t.lowerAtom(x)
 			ln.slots = slices.Clone(ln.atom.args)
@@ -212,7 +209,6 @@ func (t *symtab) lower(root Node) []lnode {
 		for _, k := range kids {
 			kid := walk(k)
 			ln.kids = append(ln.kids, kid)
-			ln.emptyOr = ln.emptyOr || nodes[kid].emptyOr
 		}
 		nodes[id] = ln
 		return id

@@ -1,5 +1,10 @@
 package hetero
 
+import (
+	"maps"
+	"sync"
+)
+
 // APIProfile describes one heterogeneous API: which devices it targets,
 // which idioms it implements, and how efficiently (fraction of the device's
 // peak it attains). The profiles reproduce the availability matrix and the
@@ -39,8 +44,30 @@ func merged(ms ...map[string]float64) map[string]float64 {
 	return out
 }
 
-// APIs returns every targeted API profile.
+// APIs returns every targeted API profile, as a fresh copy the caller may
+// modify.
 func APIs() []APIProfile {
+	out := make([]APIProfile, len(apiTable()))
+	for i, a := range apiTable() {
+		out[i] = a.clone()
+	}
+	return out
+}
+
+// apiTable is the profile table, built once. Selection and timing loops
+// read it on every plan; nothing may modify it.
+var apiTable = sync.OnceValue(profiles)
+
+// clone copies the profile's efficiency maps.
+func (a APIProfile) clone() APIProfile {
+	a.Eff = maps.Clone(a.Eff)
+	for dev, kinds := range a.Eff {
+		a.Eff[dev] = maps.Clone(kinds)
+	}
+	return a
+}
+
+func profiles() []APIProfile {
 	return []APIProfile{
 		{
 			Name: "mkl",
@@ -125,11 +152,11 @@ func APIs() []APIProfile {
 	}
 }
 
-// APIByName returns the profile for name, or nil.
+// APIByName returns a copy of the profile for name, or nil.
 func APIByName(name string) *APIProfile {
-	for _, a := range APIs() {
+	for _, a := range apiTable() {
 		if a.Name == name {
-			p := a
+			p := a.clone()
 			return &p
 		}
 	}
@@ -150,7 +177,7 @@ func (a *APIProfile) Supports(dev DeviceKind, apiKind string) (float64, bool) {
 // CandidateAPIs lists APIs that implement the given idiom kind on a device.
 func CandidateAPIs(dev DeviceKind, apiKind string) []string {
 	var out []string
-	for _, a := range APIs() {
+	for _, a := range apiTable() {
 		if _, ok := a.Supports(dev, apiKind); ok {
 			out = append(out, a.Name)
 		}

@@ -1,6 +1,7 @@
 package hetero
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -294,5 +295,31 @@ func TestReferenceModels(t *testing.T) {
 	seqMem := SequentialSeconds(memBound)
 	if omp := likeForLike.OpenMPSeconds(memBound); omp < seqMem*0.9 {
 		t.Errorf("OpenMP %g cannot beat DRAM bandwidth (seq %g)", omp, seqMem)
+	}
+}
+
+// TestSelectionAllocations: backend selection runs for every plan, so it
+// reads the profile table built once rather than rebuilding every profile
+// map per call. What it allocates is its own ranking.
+func TestSelectionAllocations(t *testing.T) {
+	rank := testing.AllocsPerRun(100, func() { RankOnDevice(GPU, "gemm", false) })
+	sel := testing.AllocsPerRun(100, func() { SelectBackend("stencil2", 0, true, true) })
+	if rank > 3 || sel > 9 {
+		t.Errorf("RankOnDevice allocates %.0f times, SelectBackend %.0f; want at most 3 and 9", rank, sel)
+	}
+}
+
+// TestAPIsReturnsFreshCopy: a caller may modify what APIs returns without
+// changing what selection ranks.
+func TestAPIsReturnsFreshCopy(t *testing.T) {
+	before := RankOnDevice(CPU, "gemm", false)
+	for _, a := range APIs() {
+		for _, kinds := range a.Eff {
+			clear(kinds)
+		}
+	}
+	APIByName("mkl").Eff[CPU]["gemm"] = 0
+	if after := RankOnDevice(CPU, "gemm", false); !reflect.DeepEqual(before, after) {
+		t.Errorf("ranking moved after callers modified their copies: %v, then %v", before, after)
 	}
 }

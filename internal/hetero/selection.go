@@ -1,6 +1,9 @@
 package hetero
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // RankedAPI is one API choice for an idiom kind on one device, with the
 // profile efficiency and the resulting effective throughput — the static
@@ -25,7 +28,7 @@ type RankedAPI struct {
 func RankOnDevice(dev DeviceKind, kind string, branchyKernel bool) []RankedAPI {
 	d := DeviceByKind(dev)
 	var out []RankedAPI
-	for _, a := range APIs() {
+	for _, a := range apiTable() {
 		if a.NeedsStraightLineKernel && branchyKernel {
 			continue
 		}
@@ -37,11 +40,11 @@ func RankOnDevice(dev DeviceKind, kind string, branchyKernel bool) []RankedAPI {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Efficiency != out[j].Efficiency {
-			return out[i].Efficiency > out[j].Efficiency
+	slices.SortFunc(out, func(x, y RankedAPI) int {
+		if c := cmp.Compare(y.Efficiency, x.Efficiency); c != 0 {
+			return c
 		}
-		return out[i].API < out[j].API
+		return cmp.Compare(x.API, y.API)
 	})
 	return out
 }

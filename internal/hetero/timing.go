@@ -96,9 +96,9 @@ func DistinctStencilKernels(rc RunCost) int {
 // device (the per-idiom fallback when the primary API lacks a kind).
 func bestEffFor(dev DeviceKind, call *CallRecord, distinctStencils int) (float64, bool) {
 	best, found := 0.0, false
-	for _, a := range APIs() {
-		a := a
-		if eff, ok := callSupported(&a, dev, call, distinctStencils); ok && eff > best {
+	table := apiTable()
+	for i := range table {
+		if eff, ok := callSupported(&table[i], dev, call, distinctStencils); ok && eff > best {
 			best, found = eff, true
 		}
 	}
@@ -194,14 +194,14 @@ type BestChoice struct {
 func BestOnDevice(rc RunCost, dev Device, opts TimingOptions) (BestChoice, bool) {
 	best := BestChoice{}
 	found := false
-	for _, a := range APIs() {
-		a := a
-		t, err := Estimate(rc, dev, &a, opts)
+	table := apiTable()
+	for i := range table {
+		t, err := Estimate(rc, dev, &table[i], opts)
 		if err != nil {
 			continue
 		}
 		if !found || t < best.Seconds {
-			best = BestChoice{API: a.Name, Seconds: t}
+			best = BestChoice{API: table[i].Name, Seconds: t}
 			found = true
 		}
 	}
@@ -211,13 +211,13 @@ func BestOnDevice(rc RunCost, dev Device, opts TimingOptions) (BestChoice, bool)
 // AllChoices evaluates every applicable API on the device, for Table 3.
 func AllChoices(rc RunCost, dev Device, opts TimingOptions) []BestChoice {
 	var out []BestChoice
-	for _, a := range APIs() {
-		a := a
-		t, err := Estimate(rc, dev, &a, opts)
+	table := apiTable()
+	for i := range table {
+		t, err := Estimate(rc, dev, &table[i], opts)
 		if err != nil {
 			continue
 		}
-		out = append(out, BestChoice{API: a.Name, Seconds: t})
+		out = append(out, BestChoice{API: table[i].Name, Seconds: t})
 	}
 	return out
 }
