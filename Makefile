@@ -84,19 +84,20 @@ fleet-smoke:
 # codec, which reads blobs from disk and snapshots from other replicas, the
 # C frontend, which compiles tenant source, idiom-pack compilation, which
 # parses and flattens tenant IDL, the HTTP request decoder, which reads
-# every batch body and X-Deadline-Ms header, and the state directory's two
-# on-disk readers, the blob container and the pack-log replay. A failing
-# input is saved under the package's testdata/fuzz and replays in every
-# `go test` run. Minimizing a new payload-, module-, pack- or log-sized
-# corpus entry takes the default minute of the run, so every target
-# minimizes for one second.
+# every batch body and X-Deadline-Ms header, the state directory's blob
+# container, boot's restore of the packs file, and the ingest of a memo
+# snapshot from another replica. A failing input is saved under the
+# package's testdata/fuzz and replays in every `go test` run. Minimizing a
+# new payload-, module-, pack- or snapshot-sized corpus entry takes the
+# default minute of the run, so every target minimizes for one second.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/constraint
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/cc
 	$(GO) test -run '^$$' -fuzz '^FuzzCompilePack$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/idioms
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenContainer$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/store
-	$(GO) test -run '^$$' -fuzz '^FuzzReplayPacks$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzRestorePacks$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./idiomatic
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestMemoSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./idiomatic
 
 fmt:
 	gofmt -w .

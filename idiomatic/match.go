@@ -380,18 +380,23 @@ func packInfo(p *idioms.Pack) PackInfo {
 // different source is never served the old one's cached solves. Validation
 // is the exact code path of `idlc -pack`, so CLI and HTTP report identical
 // errors.
-// With a state dir the registration is also appended to the pack log, so a
-// restarted process replays it through this same compile path — packs
-// survive restarts with no client re-registration.
+// With a state dir the registry's current pack set is then saved as the
+// packs file, under the same lock as the registration, so a restarted
+// process restores exactly the live set through this same compile path —
+// packs survive restarts with no client re-registration.
 func (s *Service) RegisterPack(name, idlSource string, tops []TopSpec) (PackInfo, error) {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
 	p, err := s.reg.Register(name, idlSource, tops)
 	if err != nil {
 		return PackInfo{}, err
 	}
-	if err := s.persistPack(name, idlSource, tops); err != nil {
-		// The pack is live in memory; surface the durability failure so the
-		// caller knows a restart would lose it.
-		return PackInfo{}, err
+	if s.store != nil {
+		if err := s.savePacks(); err != nil {
+			// The pack is live in memory; surface the durability failure so
+			// the caller knows a restart would lose it.
+			return PackInfo{}, fmt.Errorf("idiomatic: pack %q registered but not persisted: %w", name, err)
+		}
 	}
 	return packInfo(p), nil
 }

@@ -60,9 +60,9 @@ type ServiceOptions struct {
 	// (idiomd -state-dir): the solve memo spills to a content-addressed
 	// blob store under the directory — with build-cache semantics, so a
 	// restarted process re-serves prior solves byte-identically without
-	// re-solving — and pack registrations append to a log replayed through
-	// the identical CompilePack path at boot. Ignored memo-wise when NoMemo
-	// is set; pack durability still applies.
+	// re-solving — and every pack registration saves the registered pack
+	// set, restored through the identical CompilePack path at boot. Ignored
+	// memo-wise when NoMemo is set; pack durability still applies.
 	StateDir string
 }
 
@@ -102,18 +102,17 @@ type Service struct {
 	// reg holds runtime-registered idiom packs (copy-on-write snapshots;
 	// see idioms.Registry). Requests naming a pack resolve their roster
 	// against the snapshot current at intake and keep it for their whole
-	// lifetime.
-	reg *idioms.Registry
+	// lifetime. It is the only record of the registered packs: the packs
+	// file is its current set. regMu serializes RegisterPack so the set
+	// reaches disk in the order it reached the registry.
+	reg   *idioms.Registry
+	regMu sync.Mutex
 
 	// store is the durable warm-state layer (nil without
-	// ServiceOptions.StateDir). packLog mirrors the on-disk pack log in
-	// memory so snapshots can stream registrations without re-reading the
-	// file; packMu guards it after NewService returns.
-	store          *store.Store
-	packMu         sync.Mutex
-	packLog        []store.PackRecord
-	packsReplayed  int
-	packsAbandoned int
+	// ServiceOptions.StateDir); packsReplayed counts the packs restored
+	// from it at boot.
+	store         *store.Store
+	packsReplayed int
 }
 
 // NewService builds a service: the solver pool starts and the solve cache
@@ -172,7 +171,7 @@ func NewService(o ServiceOptions) (*Service, error) {
 		if s.memo != nil {
 			s.memo.AttachStore(st)
 		}
-		if _, err := s.replayPacks(); err != nil {
+		if err := s.restorePacks(o.StateDir); err != nil {
 			s.stream.Close()
 			st.Close()
 			return nil, err
@@ -707,8 +706,11 @@ func (s *Service) Idioms() []IdiomInfo {
 // and compile onto that pool: detect_slots and detect_active are gone,
 // ready_queue (global and per client) counts stage tasks queued in the pool,
 // compile_queue counts requests whose compile task is queued or running, and
-// panics counts pool tasks that panicked.
-const StatsSchemaVersion = 8
+// panics counts pool tasks that panicked. v9 replaced the pack log with one
+// packs file holding the registered set: store.packs_logged and
+// store.packs_abandoned are gone, and store.packs_replayed counts the packs
+// restored at boot.
+const StatsSchemaVersion = 9
 
 // StatsResponse is the versioned /statsz wire payload: queue depth, worker
 // utilization, memoization state and per-client fairness gauges. Fields are
@@ -745,9 +747,9 @@ type StatsResponse struct {
 	Packs int `json:"packs"`
 	// Memo is the solve-cache snapshot (hit rate, entries, evictions).
 	Memo MemoSnapshot `json:"memo"`
-	// Store is the persistence block (schema v3): disk-spill and pack-log
-	// gauges, zero-valued with Enabled false when the service runs without
-	// a state dir.
+	// Store is the persistence block (schema v3): disk-spill and pack
+	// restore gauges, zero-valued with Enabled false when the service runs
+	// without a state dir.
 	Store StoreStats `json:"store"`
 	// Clients holds one fairness row per tenant seen since start, in
 	// first-seen order (the anonymous tier appears with an empty name).

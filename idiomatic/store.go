@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 
 	"repro/internal/constraint"
+	"repro/internal/idioms"
 	"repro/internal/store"
 )
 
@@ -18,13 +20,35 @@ var ErrNoStore = errors.New("idiomatic: service has no state dir")
 
 // MemoSnapshotSchemaVersion versions the snapshot stream produced by
 // WriteMemoSnapshot (GET /v1/memo/snapshot): an NDJSON header line carrying
-// the pack log, then one line per verified memo blob.
+// the registered packs, then one line per verified memo blob.
 const MemoSnapshotSchemaVersion = 1
 
 // snapshotHeader is the snapshot's first NDJSON line.
 type snapshotHeader struct {
-	Schema int                `json:"schema"`
-	Packs  []store.PackRecord `json:"packs"`
+	Schema int          `json:"schema"`
+	Packs  []packRecord `json:"packs"`
+}
+
+// packRecord is one registered pack as the packs file and the snapshot
+// header carry it: the registration as received, so boot and ingest
+// re-register it through the identical CompilePack path.
+type packRecord struct {
+	Schema int       `json:"schema"`
+	Name   string    `json:"name"`
+	Source string    `json:"source"`
+	Idioms []TopSpec `json:"idioms"`
+}
+
+// packRecordSchema versions packRecord.
+const packRecordSchema = 1
+
+// packRecords lists packs as records, nil for none.
+func packRecords(packs []*idioms.Pack) []packRecord {
+	var out []packRecord
+	for _, p := range packs {
+		out = append(out, packRecord{Schema: packRecordSchema, Name: p.Name, Source: p.Source, Idioms: p.Tops})
+	}
+	return out
 }
 
 // snapshotEntry is one memo blob: the hex spill key and the raw payload
@@ -48,11 +72,8 @@ func (s *Service) WriteMemoSnapshot(w io.Writer) error {
 		return ErrNoStore
 	}
 	s.store.Flush()
-	s.packMu.Lock()
-	packs := append([]store.PackRecord(nil), s.packLog...)
-	s.packMu.Unlock()
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(snapshotHeader{Schema: MemoSnapshotSchemaVersion, Packs: packs}); err != nil {
+	if err := enc.Encode(snapshotHeader{Schema: MemoSnapshotSchemaVersion, Packs: packRecords(s.reg.Packs())}); err != nil {
 		return err
 	}
 	return s.store.Entries(func(key constraint.SpillKey, payload []byte) error {
@@ -62,7 +83,7 @@ func (s *Service) WriteMemoSnapshot(w io.Writer) error {
 
 // IngestMemoSnapshot applies a WriteMemoSnapshot stream to this service:
 // packs are registered through the ordinary RegisterPack path (compiled,
-// persisted to this replica's own pack log) and memo blobs are written into
+// saved to this replica's own packs file) and memo blobs are written into
 // the local store, where the solve memo's read-through finds them. Returns
 // how many entries and pack registrations were applied.
 func (s *Service) IngestMemoSnapshot(r io.Reader) (entries, packs int, err error) {
@@ -78,11 +99,7 @@ func (s *Service) IngestMemoSnapshot(r io.Reader) (entries, packs int, err error
 		return 0, 0, fmt.Errorf("idiomatic: snapshot schema %d, want %d", hdr.Schema, MemoSnapshotSchemaVersion)
 	}
 	for _, rec := range hdr.Packs {
-		var tops []TopSpec
-		if err := json.Unmarshal(rec.Idioms, &tops); err != nil {
-			return entries, packs, fmt.Errorf("idiomatic: snapshot pack %q: %w", rec.Name, err)
-		}
-		if _, err := s.RegisterPack(rec.Name, rec.Source, tops); err != nil {
+		if _, err := s.RegisterPack(rec.Name, rec.Source, rec.Idioms); err != nil {
 			return entries, packs, fmt.Errorf("idiomatic: snapshot pack %q: %w", rec.Name, err)
 		}
 		packs++
@@ -109,50 +126,42 @@ func (s *Service) IngestMemoSnapshot(r io.Reader) (entries, packs int, err error
 	return entries, packs, nil
 }
 
-// replayPacks re-registers every pack from the state dir's log, in append
-// order (so a re-registration wins, exactly like the live path). The log
-// only ever contains packs that compiled when appended, so a replay failure
-// means the binary and the state dir disagree — boot fails loudly rather
-// than silently serving a subset.
-func (s *Service) replayPacks() (replayed int, err error) {
-	recs, skipped, err := s.store.ReplayPacks()
-	if err != nil {
-		return 0, err
+// restorePacks registers each pack of the state dir's packs file once.
+// The file only ever holds packs that compiled when saved, so a failure
+// means the binary and the state dir disagree — boot fails loudly, naming
+// the file, rather than silently serving a subset.
+func (s *Service) restorePacks(stateDir string) error {
+	payload, err := s.store.LoadPacks()
+	if err != nil || payload == nil {
+		return err
+	}
+	path := filepath.Join(stateDir, store.PacksFile)
+	var recs []packRecord
+	if err := json.Unmarshal(payload, &recs); err != nil {
+		return fmt.Errorf("idiomatic: decoding %s: %w", path, err)
 	}
 	for _, rec := range recs {
-		var tops []TopSpec
-		if err := json.Unmarshal(rec.Idioms, &tops); err != nil {
-			return replayed, fmt.Errorf("idiomatic: replaying pack %q: %w", rec.Name, err)
+		if rec.Schema != packRecordSchema {
+			return fmt.Errorf("idiomatic: %s: pack %q has record schema %d, want %d", path, rec.Name, rec.Schema, packRecordSchema)
 		}
-		if _, err := s.reg.Register(rec.Name, rec.Source, tops); err != nil {
-			return replayed, fmt.Errorf("idiomatic: replaying pack %q: %w", rec.Name, err)
+		if _, err := s.reg.Register(rec.Name, rec.Source, rec.Idioms); err != nil {
+			return fmt.Errorf("idiomatic: restoring pack %q from %s: %w", rec.Name, path, err)
 		}
-		s.packLog = append(s.packLog, rec)
-		replayed++
 	}
-	s.packsReplayed = replayed
-	s.packsAbandoned = skipped
-	return replayed, nil
+	if n := len(s.reg.Packs()); n != len(recs) {
+		return fmt.Errorf("idiomatic: %s lists %d packs under %d names", path, len(recs), n)
+	}
+	s.packsReplayed = len(recs)
+	return nil
 }
 
-// persistPack appends one successful registration to the pack log (and the
-// in-memory mirror snapshots stream from). No-op without a state dir beyond
-// the mirror.
-func (s *Service) persistPack(name, idlSource string, tops []TopSpec) error {
-	raw, err := json.Marshal(tops)
+// savePacks replaces the packs file with the registry's current set.
+func (s *Service) savePacks() error {
+	payload, err := json.Marshal(packRecords(s.reg.Packs()))
 	if err != nil {
-		return fmt.Errorf("idiomatic: encoding pack %q: %w", name, err)
+		return err
 	}
-	rec := store.PackRecord{Schema: store.PackLogSchemaVersion, Name: name, Source: idlSource, Idioms: raw}
-	if s.store != nil {
-		if err := s.store.AppendPack(rec); err != nil {
-			return fmt.Errorf("idiomatic: pack %q registered but not persisted: %w", name, err)
-		}
-	}
-	s.packMu.Lock()
-	s.packLog = append(s.packLog, rec)
-	s.packMu.Unlock()
-	return nil
+	return s.store.SavePacks(payload)
 }
 
 // StoreStats is the /statsz persistence block (stats schema v3). Zero-valued
@@ -178,12 +187,8 @@ type StoreStats struct {
 	SpillHits    int64 `json:"spill_hits"`
 	SpillMisses  int64 `json:"spill_misses"`
 	DecodeErrors int64 `json:"decode_errors"`
-	// PacksLogged counts registrations appended this run; PacksReplayed is
-	// how many the boot replay applied, PacksAbandoned how many trailing
-	// log lines it abandoned as torn or unknown.
-	PacksLogged    int64 `json:"packs_logged"`
-	PacksReplayed  int   `json:"packs_replayed"`
-	PacksAbandoned int   `json:"packs_abandoned"`
+	// PacksReplayed counts the packs restored from the packs file at boot.
+	PacksReplayed int `json:"packs_replayed"`
 }
 
 func (s *Service) storeStats() StoreStats {
@@ -192,17 +197,15 @@ func (s *Service) storeStats() StoreStats {
 	}
 	st := s.store.Stats()
 	out := StoreStats{
-		Enabled:        true,
-		SchemaVersion:  store.BlobSchemaVersion,
-		Entries:        st.Entries,
-		Writes:         st.Writes,
-		WriteErrors:    st.WriteErrors,
-		Loads:          st.Loads,
-		LoadErrors:     st.LoadErrors,
-		AsyncDrops:     st.AsyncDrops,
-		PacksLogged:    st.PacksAppended,
-		PacksReplayed:  s.packsReplayed,
-		PacksAbandoned: s.packsAbandoned,
+		Enabled:       true,
+		SchemaVersion: store.BlobSchemaVersion,
+		Entries:       st.Entries,
+		Writes:        st.Writes,
+		WriteErrors:   st.WriteErrors,
+		Loads:         st.Loads,
+		LoadErrors:    st.LoadErrors,
+		AsyncDrops:    st.AsyncDrops,
+		PacksReplayed: s.packsReplayed,
 	}
 	if s.memo != nil {
 		sp := s.memo.SpillStats()

@@ -3,10 +3,18 @@ package idiomatic
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
+	"weak"
+
+	"repro/internal/store"
 )
 
 const storeDotSource = `
@@ -15,6 +23,10 @@ double dot(double* x, double* y, int n) {
     for (int i = 0; i < n; i++) { s = s + x[i]*y[i]; }
     return s;
 }`
+
+// tinyIDL is a one-constraint pack source that compiles in microseconds,
+// for tests that register many times.
+const tinyIDL = "Constraint X ( {v} is add instruction ) End"
 
 func newStateService(t *testing.T, dir string) *Service {
 	t.Helper()
@@ -81,9 +93,10 @@ func TestServiceWarmRestart(t *testing.T) {
 	}
 }
 
-// TestServicePackDurability pins the registration log: packs registered over
-// the live API survive a restart without client re-registration, replayed
-// through the identical CompilePack path in append order (last-writer-wins).
+// TestServicePackDurability pins the packs file: packs registered over the
+// live API survive a restart without client re-registration, restored
+// through the identical CompilePack path, one record per name holding the
+// latest registration.
 func TestServicePackDurability(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -94,7 +107,7 @@ func TestServicePackDurability(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Re-registration appends; replay must yield the later roster.
+	// Re-registration replaces; the restart must restore the later roster.
 	if _, err := svc1.RegisterPack("durable", LibrarySource(), []TopSpec{
 		{Name: "Dot", Top: "Reduction", Class: "Scalar Reduction", Scheme: "reduction", Kind: "reduction"},
 	}); err != nil {
@@ -115,8 +128,8 @@ func TestServicePackDurability(t *testing.T) {
 	if len(info.Idioms) != 1 || info.Idioms[0].Name != "Dot" {
 		t.Fatalf("replayed roster = %+v; want the later registration (Dot)", info.Idioms)
 	}
-	if st := svc2.Stats().Store; st.PacksReplayed != 2 || st.PacksAbandoned != 0 {
-		t.Fatalf("store stats = %+v; want 2 replayed pack records", st)
+	if st := svc2.Stats().Store; st.PacksReplayed != 1 {
+		t.Fatalf("store stats = %+v; want 1 restored pack", st)
 	}
 	r2, err := svc2.Detect(ctx, DetectRequest{Name: "dot.c", Source: storeDotSource, Pack: "durable"})
 	if err != nil {
@@ -277,5 +290,162 @@ func TestSnapshotRequiresStore(t *testing.T) {
 	}
 	if _, _, err := svc.IngestMemoSnapshot(strings.NewReader("{}")); err != ErrNoStore {
 		t.Errorf("IngestMemoSnapshot = %v; want ErrNoStore", err)
+	}
+}
+
+// liveIdiom returns the one idiom name of the pack registered under name;
+// these tests give each registration a distinct one.
+func liveIdiom(t *testing.T, svc *Service, name string) string {
+	t.Helper()
+	info, ok := svc.PackByName(name)
+	if !ok || len(info.Idioms) != 1 {
+		t.Fatalf("pack %q = %+v, %v; want one idiom", name, info, ok)
+	}
+	return info.Idioms[0].Name
+}
+
+// TestConcurrentRegistrationsRestoreLastLive pins that the packs file
+// follows the registry's order: after concurrent registrations of one name,
+// a restart restores the pack the live service last served. A save taken
+// outside the registration's lock can reach disk after a later one.
+func TestConcurrentRegistrationsRestoreLastLive(t *testing.T) {
+	const trials, writers, each = 40, 4, 5
+	for trial := range trials {
+		dir := t.TempDir()
+		svc, err := NewService(ServiceOptions{Workers: 1, NoMemo: true, StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range each {
+					tops := []TopSpec{{Name: fmt.Sprintf("W%dR%d", w, i), Top: "X"}}
+					if _, err := svc.RegisterPack("race", tinyIDL, tops); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		live := liveIdiom(t, svc, "race")
+		svc.Close()
+
+		svc2, err := NewService(ServiceOptions{Workers: 1, NoMemo: true, StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := liveIdiom(t, svc2, "race")
+		replayed := svc2.Stats().Store.PacksReplayed
+		svc2.Close()
+		if restored != live || replayed != 1 {
+			t.Fatalf("trial %d: restart restored %s (%d packs); the live service served %s", trial, restored, replayed, live)
+		}
+	}
+}
+
+// TestReregistrationKeepsOneRecord pins that pack state is bounded by the
+// registry: 200 re-registrations of one name leave one record on disk, and
+// a restart restores one pack, the last.
+func TestReregistrationKeepsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := NewService(ServiceOptions{Workers: 1, NoMemo: true, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 200 {
+		if _, err := svc.RegisterPack("churn", tinyIDL, []TopSpec{{Name: fmt.Sprintf("V%d", i), Top: "X"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload, err := svc.store.LoadPacks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []packRecord
+	if err := json.Unmarshal(payload, &recs); err != nil || len(recs) != 1 {
+		t.Fatalf("packs file holds %d records (err %v); want 1", len(recs), err)
+	}
+	svc.Close()
+
+	svc2, err := NewService(ServiceOptions{Workers: 1, NoMemo: true, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	if n := svc2.Stats().Store.PacksReplayed; n != 1 {
+		t.Errorf("restart restored %d packs; want 1", n)
+	}
+	if got := liveIdiom(t, svc2, "churn"); got != "V199" {
+		t.Errorf("restart restored %s; want the last registration V199", got)
+	}
+}
+
+// TestStatelessReplacedRegistrationIsCollectable pins that a service
+// without a state dir keeps nothing of a replaced registration: its IDL
+// source is unreachable once the registry moves on.
+func TestStatelessReplacedRegistrationIsCollectable(t *testing.T) {
+	svc, err := NewService(ServiceOptions{Workers: 1, NoMemo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	register := func(src string) {
+		if _, err := svc.RegisterPack("p", src, []TopSpec{{Top: "Reduction"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := strings.Clone(LibrarySource())
+	old := weak.Make(unsafe.StringData(src))
+	register(src)
+	src = ""
+	register(LibrarySource())
+	runtime.GC()
+	if old.Value() != nil {
+		t.Fatal("a replaced registration's IDL source is still reachable")
+	}
+}
+
+// TestBootRejectsCorruptPacks pins that a packs file failing its integrity
+// check fails boot, naming the file: a rename never tears it, so the damage
+// is to tenant state, which must not be served as an empty set.
+func TestBootRejectsCorruptPacks(t *testing.T) {
+	dir := t.TempDir()
+	svc := newStateService(t, dir)
+	if _, err := svc.RegisterPack("p", tinyIDL, []TopSpec{{Top: "X"}}); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	path := filepath.Join(dir, store.PacksFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if svc, err := NewService(ServiceOptions{Workers: 1, StateDir: dir}); err == nil || !strings.Contains(err.Error(), path) {
+		if svc != nil {
+			svc.Close()
+		}
+		t.Fatalf("NewService over a torn packs file = %v; want an error naming %s", err, path)
+	}
+}
+
+// TestBootRejectsLegacyPackLog pins that a state dir holding the pack log
+// of an older build fails boot rather than silently dropping its packs.
+func TestBootRejectsLegacyPackLog(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "packs.log")
+	if err := os.WriteFile(legacy, []byte(`{"schema":1,"name":"old","source":"src","idioms":[{"top":"X"}]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if svc, err := NewService(ServiceOptions{Workers: 1, StateDir: dir}); err == nil || !strings.Contains(err.Error(), "re-register") {
+		if svc != nil {
+			svc.Close()
+		}
+		t.Fatalf("NewService beside a legacy pack log = %v; want an error asking to re-register", err)
 	}
 }

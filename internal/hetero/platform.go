@@ -31,7 +31,7 @@ func (k DeviceKind) String() string {
 // are calibrated to the published specifications of the paper's hardware —
 // this is the documented substitution for the machines we do not have.
 type Device struct {
-	Kind Device0Kind
+	Kind DeviceKind
 	Name string
 	// SeqGFLOPS is the effective single-thread scalar rate used for host
 	// (sequential) execution.
@@ -46,9 +46,6 @@ type Device struct {
 	// LaunchUs is per-kernel launch overhead in microseconds.
 	LaunchUs float64
 }
-
-// Device0Kind aliases DeviceKind (kept for struct field clarity).
-type Device0Kind = DeviceKind
 
 // Devices returns the three platform models of the paper's §7:
 // an AMD A10-7850K multicore CPU, its integrated Radeon R7 GPU, and an

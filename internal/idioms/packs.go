@@ -43,6 +43,10 @@ type TopSpec struct {
 type Pack struct {
 	Name    string
 	Version uint64
+	// Source and Tops are the registration as received: the IDL source
+	// text and the idiom declarations CompilePack compiled.
+	Source string
+	Tops   []TopSpec
 	// Idioms is the pack roster in precedence order.
 	Idioms []Idiom
 	// Lines is the pack's non-empty IDL line count.
@@ -119,6 +123,8 @@ func CompilePack(name, idlSource string, tops []TopSpec, version uint64) (*Pack,
 	pack := &Pack{
 		Name:     name,
 		Version:  version,
+		Source:   idlSource,
+		Tops:     append([]TopSpec(nil), tops...),
 		Lines:    countLines(idlSource),
 		problems: make(map[string]*constraint.Problem, len(tops)),
 		sigs:     make(map[string]*similarity.Signature, len(tops)),

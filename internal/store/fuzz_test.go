@@ -2,9 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis"
@@ -93,72 +90,4 @@ func FuzzOpenContainer(f *testing.F) {
 			t.Fatalf("accepted blob re-seals differently:\n  in:  %x\n  out: %x", raw, sealContainer(payload))
 		}
 	})
-}
-
-// FuzzReplayPacks feeds the pack-log replay arbitrary bytes as packs.log, as
-// a crash mid-append or a damaged disk would leave it. Replay must never
-// panic; every record it returns must carry the known schema and a name;
-// and appending those records to a fresh store and replaying it must give
-// the same records back.
-//
-//	go test ./internal/store -run '^$' -fuzz '^FuzzReplayPacks$' -fuzztime 10s
-func FuzzReplayPacks(f *testing.F) {
-	f.Add([]byte(`{"schema":1,"name":"alpha","source":"idiom A {}","idioms":[{"top":"A"}]}` + "\n" +
-		`{"schema":1,"name":"beta","source":"idiom B {}","idioms":[{"top":"B"}]}` + "\n"))
-	f.Add([]byte(`{"schema":1,"name":"keep","source":"src","idioms":null}` + "\n" +
-		"{\"schema\":1,\"name\":\"to\n" +
-		`{"schema":1,"name":"after-tear","source":"s"}` + "\n"))
-	f.Add([]byte(`{"schema":1,"name":"old","source":"src"}` + "\n" + `{"schema":99,"name":"future","source":"s"}` + "\n"))
-	f.Add([]byte("\n\n" + `{"schema":1,"name":"x"}`))
-	f.Fuzz(func(t *testing.T, log []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "packs.log"), log, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		recs := replay(t, dir)
-		for i, r := range recs {
-			if r.Schema != PackLogSchemaVersion || r.Name == "" {
-				t.Fatalf("record %d replayed with schema %d, name %q", i, r.Schema, r.Name)
-			}
-		}
-		fresh := t.TempDir()
-		s, err := Open(fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			if err := s.AppendPack(r); err != nil {
-				t.Fatalf("re-appending %q: %v", r.Name, err)
-			}
-		}
-		s.Close()
-		again := replay(t, fresh)
-		if len(again) != len(recs) {
-			t.Fatalf("re-appended log replays %d records, want %d", len(again), len(recs))
-		}
-		for i := range recs {
-			// Compare encoded forms: a RawMessage written back is compacted,
-			// and an absent idioms field comes back as JSON null.
-			a, _ := json.Marshal(recs[i])
-			b, _ := json.Marshal(again[i])
-			if !bytes.Equal(a, b) {
-				t.Fatalf("record %d changed across a re-append:\n  first: %s\n  again: %s", i, a, b)
-			}
-		}
-	})
-}
-
-// replay opens dir as a store and replays its pack log.
-func replay(t *testing.T, dir string) []PackRecord {
-	t.Helper()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	recs, _, err := s.ReplayPacks()
-	if err != nil {
-		t.Fatalf("replaying a readable log: %v", err)
-	}
-	return recs
 }

@@ -1,11 +1,13 @@
 // Package store is idiomd's persistence subsystem: a content-addressed blob
 // store for spilled solve-memo entries (build-cache semantics — warm starts
-// survive restarts) and an append-only pack log replayed at boot. Everything
-// is crash-safe by construction: blobs are written to a temp file and
-// renamed into place, each carries an integrity container (magic, schema
-// version, length, SHA-256), and anything that fails verification is treated
-// as a miss and removed — corruption can cost a re-solve, never a wrong
-// answer.
+// survive restarts) and one packs file holding the registered pack set,
+// whose bytes the service encodes. Everything is crash-safe by
+// construction: each file is written to a temp file, fsynced and renamed
+// into place, and carries an integrity container (magic, schema version,
+// length, SHA-256). A memo blob that fails verification is treated as a
+// miss and removed — corruption can cost a re-solve, never a wrong answer.
+// A packs file that fails it is an error: a rename never leaves it torn, so
+// the damage is to tenant state that cannot be re-derived.
 package store
 
 import (
@@ -14,6 +16,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,33 +37,36 @@ const (
 	BlobSchemaVersion = blobVersion
 
 	blobHeaderLen = 4 + 1 + 4 + sha256.Size
-	// maxBlobLen bounds what Load will read back; a well-formed memo entry
-	// is a few KB, so anything larger is corruption.
+	// maxBlobLen bounds every sealed payload, memo entry and pack set
+	// alike; a well-formed memo entry is a few KB, so a larger one read
+	// back is corruption.
 	maxBlobLen = 64 << 20
+
+	// PacksFile is the state-dir file holding the registered pack set.
+	PacksFile = "packs"
+	// legacyPackLog is the append-only pack log of older builds, which no
+	// longer has a reader.
+	legacyPackLog = "packs.log"
 )
 
 // Store is one state directory: memo blobs under <dir>/memo/<xx>/<key>.entry
-// (fanned out by the first key byte) and the pack log at <dir>/packs.log.
+// (fanned out by the first key byte) and the pack set at <dir>/packs.
 // It implements constraint.SpillStore.
 type Store struct {
 	dir string
 
 	writer *asyncWriter
 
-	packMu   sync.Mutex
-	packFile *os.File
-
-	entries       atomic.Int64 // gauge: blob files believed on disk
-	writes        atomic.Int64
-	writeErrs     atomic.Int64
-	loads         atomic.Int64
-	loadErrs      atomic.Int64 // integrity failures (file removed)
-	asyncDrops    atomic.Int64
-	packsAppended atomic.Int64
+	entries    atomic.Int64 // gauge: blob files believed on disk
+	writes     atomic.Int64
+	writeErrs  atomic.Int64
+	loads      atomic.Int64
+	loadErrs   atomic.Int64 // integrity failures (file removed)
+	asyncDrops atomic.Int64
 }
 
 // Open opens (creating if needed) a state directory, sweeps stale temp files
-// left by a crash mid-write, and counts the surviving entries.
+// left by a crash mid-write, and counts the surviving memo entries.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty state dir")
@@ -74,19 +80,14 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	s.entries.Store(int64(n))
-	pf, err := os.OpenFile(s.packLogPath(), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s.packFile = pf
 	s.writer = newAsyncWriter(s)
 	return s, nil
 }
 
-// sweep removes temp files from interrupted writes and counts entries.
+// sweep removes temp files from interrupted writes, of memo blobs and of
+// the packs file alike, and counts memo entries.
 func (s *Store) sweep() (entries int, err error) {
-	root := filepath.Join(s.dir, "memo")
-	werr := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+	werr := filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -100,7 +101,7 @@ func (s *Store) sweep() (entries int, err error) {
 		return nil
 	})
 	if werr != nil {
-		return 0, fmt.Errorf("store: sweeping %s: %w", root, werr)
+		return 0, fmt.Errorf("store: sweeping %s: %w", s.dir, werr)
 	}
 	return entries, nil
 }
@@ -170,39 +171,83 @@ func (s *Store) Write(key constraint.SpillKey, payload []byte) error {
 }
 
 func (s *Store) write(key constraint.SpillKey, payload []byte) error {
-	if len(payload) > maxBlobLen {
-		return fmt.Errorf("store: payload %d bytes exceeds blob bound", len(payload))
+	fresh, err := writeSealed(s.blobPath(key), payload)
+	if err != nil {
+		return err
 	}
-	path := s.blobPath(key)
+	s.writes.Add(1)
+	if fresh {
+		s.entries.Add(1)
+	}
+	return nil
+}
+
+// writeSealed seals payload and puts it at path through a temp file in the
+// same directory, fsynced before the rename. fresh reports that no file
+// was there before.
+func writeSealed(path string, payload []byte) (fresh bool, err error) {
+	if len(payload) > maxBlobLen {
+		return false, fmt.Errorf("store: payload %d bytes exceeds blob bound", len(payload))
+	}
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return false, err
 	}
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(sealContainer(payload)); err != nil {
 		tmp.Close()
-		return err
+		return false, err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return err
+		return false, err
 	}
 	if err := tmp.Close(); err != nil {
-		return err
+		return false, err
 	}
 	_, statErr := os.Stat(path)
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
+		return false, err
 	}
-	s.writes.Add(1)
-	if statErr != nil { // fresh entry, not an overwrite
-		s.entries.Add(1)
+	return statErr != nil, nil
+}
+
+// SavePacks replaces the packs file with payload, the encoded pack set.
+// The write is the blob path's temp file, fsync and rename, so a crash
+// leaves the previous set or this one. It does not count as a memo write.
+func (s *Store) SavePacks(payload []byte) error {
+	if _, err := writeSealed(filepath.Join(s.dir, PacksFile), payload); err != nil {
+		return fmt.Errorf("store: saving packs: %w", err)
 	}
 	return nil
+}
+
+// LoadPacks returns the packs file's payload, or nil when no pack set was
+// ever saved. A packs file that fails its integrity check, or a pack log
+// left by an older build, is an error naming the file: neither can be
+// read back as the registered set.
+func (s *Store) LoadPacks() ([]byte, error) {
+	legacy := filepath.Join(s.dir, legacyPackLog)
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, fmt.Errorf("store: %s is a pack log from an older build, which this build does not read; remove it and re-register its packs", legacy)
+	}
+	path := filepath.Join(s.dir, PacksFile)
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	payload, ok := openContainer(raw)
+	if !ok {
+		return nil, fmt.Errorf("store: %s fails its integrity check", path)
+	}
+	return payload, nil
 }
 
 // WriteAsync enqueues a write on the single writer goroutine; see
@@ -218,17 +263,10 @@ func (s *Store) WriteAsync(key constraint.SpillKey, payload []byte, done func(er
 // Flush blocks until every async write enqueued so far has been attempted.
 func (s *Store) Flush() { s.writer.flush() }
 
-// Close flushes pending async writes, stops the writer, and closes the pack
-// log. The store must not be used afterwards.
+// Close flushes pending async writes and stops the writer. The store must
+// not be used afterwards.
 func (s *Store) Close() error {
 	s.writer.close()
-	s.packMu.Lock()
-	defer s.packMu.Unlock()
-	if s.packFile != nil {
-		err := s.packFile.Close()
-		s.packFile = nil
-		return err
-	}
 	return nil
 }
 
@@ -265,25 +303,23 @@ func (s *Store) Entries(fn func(key constraint.SpillKey, payload []byte) error) 
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
-	Entries       int64 // gauge: memo blobs on disk
-	Writes        int64
-	WriteErrors   int64
-	Loads         int64
-	LoadErrors    int64 // integrity failures (file removed, served as miss)
-	AsyncDrops    int64 // async writes refused by a full queue
-	PacksAppended int64
+	Entries     int64 // gauge: memo blobs on disk
+	Writes      int64
+	WriteErrors int64
+	Loads       int64
+	LoadErrors  int64 // integrity failures (file removed, served as miss)
+	AsyncDrops  int64 // async writes refused by a full queue
 }
 
 // Stats reports the store's cumulative counters and entry gauge.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Entries:       s.entries.Load(),
-		Writes:        s.writes.Load(),
-		WriteErrors:   s.writeErrs.Load(),
-		Loads:         s.loads.Load(),
-		LoadErrors:    s.loadErrs.Load(),
-		AsyncDrops:    s.asyncDrops.Load(),
-		PacksAppended: s.packsAppended.Load(),
+		Entries:     s.entries.Load(),
+		Writes:      s.writes.Load(),
+		WriteErrors: s.writeErrs.Load(),
+		Loads:       s.loads.Load(),
+		LoadErrors:  s.loadErrs.Load(),
+		AsyncDrops:  s.asyncDrops.Load(),
 	}
 }
 

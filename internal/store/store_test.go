@@ -2,9 +2,9 @@ package store
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/constraint"
@@ -209,92 +209,87 @@ func TestEntriesWalkSkipsCorrupt(t *testing.T) {
 	}
 }
 
-func TestPackLogRoundtrip(t *testing.T) {
+// TestPacksRoundtrip pins the packs file: a save replaces the whole set,
+// reads back after a reopen, and leaves the memo gauges alone.
+func TestPacksRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	recs := []PackRecord{
-		{Name: "alpha", Source: "idiom A {}", Idioms: json.RawMessage(`[{"top":"A"}]`)},
-		{Name: "beta", Source: "idiom B {}", Idioms: json.RawMessage(`[{"top":"B"}]`)},
+	if got, err := s.LoadPacks(); got != nil || err != nil {
+		t.Fatalf("LoadPacks before any save = %q, %v; want nil, nil", got, err)
 	}
-	for _, r := range recs {
-		if err := s.AppendPack(r); err != nil {
-			t.Fatalf("AppendPack(%s): %v", r.Name, err)
+	for _, payload := range []string{`[{"name":"old"}]`, `[{"name":"alpha"},{"name":"beta"}]`} {
+		if err := s.SavePacks([]byte(payload)); err != nil {
+			t.Fatalf("SavePacks: %v", err)
 		}
 	}
+	if st := s.Stats(); st.Entries != 0 || st.Writes != 0 {
+		t.Fatalf("stats after pack saves = %+v; want the memo gauges untouched", st)
+	}
 	s.Close()
 
 	s2 := mustOpen(t, dir)
-	got, skipped, err := s2.ReplayPacks()
-	if err != nil || skipped != 0 {
-		t.Fatalf("ReplayPacks: err=%v skipped=%d", err, skipped)
-	}
-	if len(got) != 2 || got[0].Name != "alpha" || got[1].Name != "beta" {
-		t.Fatalf("replayed %+v; want alpha then beta in append order", got)
-	}
-	if got[0].Schema != PackLogSchemaVersion || got[0].Source != "idiom A {}" {
-		t.Fatalf("record fields not preserved: %+v", got[0])
+	got, err := s2.LoadPacks()
+	if err != nil || string(got) != `[{"name":"alpha"},{"name":"beta"}]` {
+		t.Fatalf("LoadPacks after reopen = %q, %v; want the last saved set", got, err)
 	}
 }
 
-// TestPackLogTornTail pins the recovery rule: a corrupt line (crash
-// mid-append) abandons itself and everything after it — replay never applies
-// records beyond a tear.
-func TestPackLogTornTail(t *testing.T) {
+// TestLoadPacksRejectsCorrupt pins that a packs file failing its integrity
+// check is an error naming the file, never an empty or partial set.
+func TestLoadPacksRejectsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if err := s.AppendPack(PackRecord{Name: "keep", Source: "src"}); err != nil {
+	if err := s.SavePacks([]byte(`[{"name":"alpha"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-
-	f, err := os.OpenFile(filepath.Join(dir, "packs.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+	path := filepath.Join(dir, PacksFile)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A torn JSON line, then a well-formed record that must NOT be applied.
-	if _, err := f.WriteString("{\"schema\":1,\"name\":\"to\n"); err != nil {
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"schema":1,"name":"after-tear","source":"s"}` + "\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2 := mustOpen(t, dir)
-	recs, skipped, err := s2.ReplayPacks()
-	if err != nil {
-		t.Fatalf("ReplayPacks: %v", err)
-	}
-	if len(recs) != 1 || recs[0].Name != "keep" {
-		t.Fatalf("replayed %+v; want only the pre-tear record", recs)
-	}
-	if skipped != 2 {
-		t.Fatalf("skipped = %d; want 2 (the tear and the line after it)", skipped)
+	if got, err := s.LoadPacks(); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("LoadPacks of a corrupt file = %q, %v; want an error naming %s", got, err, path)
 	}
 }
 
-// TestPackLogUnknownSchemaAbandons covers a downgrade: records written by a
-// newer binary end the replay rather than being half-understood.
-func TestPackLogUnknownSchemaAbandons(t *testing.T) {
+// TestLoadPacksRejectsLegacyLog pins that a pack log left by an older build
+// is an error naming it: its packs would otherwise vanish silently.
+func TestLoadPacksRejectsLegacyLog(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "packs.log")
+	if err := os.WriteFile(legacy, []byte(`{"schema":1,"name":"old","source":"src"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir)
+	if _, err := s.LoadPacks(); err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("LoadPacks beside a legacy log = %v; want an error naming %s", err, legacy)
+	}
+}
+
+// TestOpenSweepsPacksTemp simulates a crash mid-save: the packs file's temp
+// is swept at the next Open and the previous set survives.
+func TestOpenSweepsPacksTemp(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if err := s.AppendPack(PackRecord{Name: "old", Source: "src"}); err != nil {
+	if err := s.SavePacks([]byte(`[{"name":"kept"}]`)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	f, err := os.OpenFile(filepath.Join(dir, "packs.log"), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
+	tmp := filepath.Join(dir, PacksFile+".tmp12345")
+	if err := os.WriteFile(tmp, []byte("torn half-write"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"schema":99,"name":"future","source":"s"}` + "\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	s2 := mustOpen(t, dir)
-	recs, skipped, err := s2.ReplayPacks()
-	if err != nil || len(recs) != 1 || recs[0].Name != "old" || skipped != 1 {
-		t.Fatalf("recs=%+v skipped=%d err=%v; want only the v1 record, 1 skipped", recs, skipped, err)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("packs temp file not swept at Open: stat err = %v", err)
+	}
+	if got, err := s2.LoadPacks(); err != nil || string(got) != `[{"name":"kept"}]` {
+		t.Fatalf("LoadPacks after the sweep = %q, %v; want the previous set", got, err)
 	}
 }
 

@@ -169,8 +169,8 @@ case "$STATS" in
     ;;
 esac
 # Schema v7 removed the prescreen scheduler's gauges and the memo cost table;
-# v8 removed the admission-slot gauges.
-for gone in '"prune_mode"' '"cost_entries"' '"detect_slots"' '"detect_active"'; do
+# v8 removed the admission-slot gauges; v9 removed the pack-log counters.
+for gone in '"prune_mode"' '"cost_entries"' '"detect_slots"' '"detect_active"' '"packs_logged"' '"packs_abandoned"'; do
     case "$STATS" in
     *$gone*)
         echo "serve_smoke: /statsz still reports the removed $gone field: $STATS" >&2
@@ -180,7 +180,7 @@ for gone in '"prune_mode"' '"cost_entries"' '"detect_slots"' '"detect_active"'; 
 done
 
 # Top-level fields sit at two-space indent; per-client rows nest deeper.
-for want in '"schema": 8' '"in_flight": 0' '"compile_queue": 0' '"ready_queue": 0' '"panics": 0'; do
+for want in '"schema": 9' '"in_flight": 0' '"compile_queue": 0' '"ready_queue": 0' '"panics": 0'; do
     if ! printf '%s\n' "$STATS" | grep -q "^  $want,\{0,1\}\$"; then
         echo "serve_smoke: /statsz lacks $want after every request finished: $STATS" >&2
         exit 1
