@@ -85,7 +85,7 @@ fleet-smoke:
 # C frontend, which compiles tenant source, idiom-pack compilation, which
 # parses and flattens tenant IDL, the HTTP request decoder, which reads
 # every batch body and X-Deadline-Ms header, the state directory's blob
-# container, boot's restore of the packs file, and the ingest of a memo
+# container, boot's restore of a pack file, and the ingest of a memo
 # snapshot from another replica. A failing input is saved under the
 # package's testdata/fuzz and replays in every `go test` run. Minimizing a
 # new payload-, module-, pack- or snapshot-sized corpus entry takes the

@@ -13,7 +13,7 @@
 //	idiomd -keys keys.txt          # API-key auth (keyfile: "<key> <name> [weight] [admin]")
 //	idiomd -client-queue 64        # per-client in-flight bound (named clients)
 //	idiomd -client-rate 10         # per-client token bucket: rate*weight req/s
-//	idiomd -state-dir /var/idiomd  # durable warm state: memo spill + packs file
+//	idiomd -state-dir /var/idiomd  # durable warm state: memo spill + pack files
 //	idiomd -state-dir d -warm-from http://replica:8173   # inherit a warm memo
 //
 // Endpoints:

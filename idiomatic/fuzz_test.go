@@ -7,30 +7,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/constraint"
 	"repro/internal/store"
 )
 
-// FuzzRestorePacks feeds boot arbitrary bytes as the packs file's payload.
+// FuzzRestorePacks feeds boot arbitrary bytes as a pack file's payload.
 // The payload is sealed through the store's own save path: the integrity
 // container around it is FuzzOpenContainer's target, and a checksum the
 // fuzzer cannot forge would stop every input short of the decoder. Boot
-// must never panic; it either restores exactly the decoded packs or fails.
+// must never panic; it either restores exactly the decoded pack or fails.
 //
 //	go test ./idiomatic -run '^$' -fuzz '^FuzzRestorePacks$' -fuzztime 10s
 func FuzzRestorePacks(f *testing.F) {
 	src, _ := json.Marshal(tinyIDL)
-	rec := func(schema int, name, idioms string) string {
-		return fmt.Sprintf(`{"schema":%d,"name":%q,"source":%s,"idioms":%s}`, schema, name, src, idioms)
+	rec := func(schema int, name, idioms string, version int) string {
+		return fmt.Sprintf(`{"schema":%d,"name":%q,"source":%s,"idioms":%s,"version":%d}`, schema, name, src, idioms, version)
 	}
-	f.Add([]byte(`[` + rec(1, "alpha", `[{"top":"X"}]`) + `,` + rec(1, "beta", `[{"name":"B","top":"X","kind":"map"}]`) + `]`))
-	f.Add([]byte(`[` + rec(1, "twice", `[{"top":"X"}]`) + `,` + rec(1, "twice", `[{"top":"X"}]`) + `]`))
-	f.Add([]byte(`[` + rec(2, "future", `[{"top":"X"}]`) + `]`))
-	f.Add([]byte(`[` + rec(1, "broken", `[{"top":"Missing"}]`) + `]`))
+	f.Add([]byte(rec(1, "alpha", `[{"top":"X"}]`, 1)))
+	f.Add([]byte(rec(1, "beta", `[{"name":"B","top":"X","kind":"map"}]`, 7)))
+	f.Add([]byte(rec(2, "future", `[{"top":"X"}]`, 1)))
+	f.Add([]byte(rec(1, "broken", `[{"top":"Missing"}]`, 1)))
+	f.Add([]byte(rec(1, "unversioned", `[{"top":"X"}]`, 0)))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		dir := t.TempDir()
@@ -38,7 +37,7 @@ func FuzzRestorePacks(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = st.SavePacks(payload)
+		err = st.SavePack("fuzz", payload)
 		st.Close()
 		if err != nil {
 			return // larger than the container bound
@@ -48,17 +47,20 @@ func FuzzRestorePacks(f *testing.F) {
 			return
 		}
 		defer svc.Close()
-		var want []packRecord
+		var want savedPack
 		if err := json.Unmarshal(payload, &want); err != nil {
-			t.Fatalf("boot restored packs from a payload that does not decode: %v", err)
+			t.Fatalf("boot restored a pack from a payload that does not decode: %v", err)
 		}
-		slices.SortFunc(want, func(a, b packRecord) int { return strings.Compare(a.Name, b.Name) })
-		got := packRecords(svc.reg.Packs())
-		if !slices.EqualFunc(got, want, func(a, b packRecord) bool { return reflect.DeepEqual(a, b) }) {
+		packs := svc.reg.Packs()
+		if len(packs) != 1 {
+			t.Fatalf("boot restored %d packs from one file", len(packs))
+		}
+		got := savedPack{recordOf(packs[0]), packs[0].Version}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("boot restored %+v; the payload decodes to %+v", got, want)
 		}
-		if n := svc.Stats().Store.PacksReplayed; n != len(want) {
-			t.Fatalf("PacksReplayed = %d; want %d", n, len(want))
+		if n := svc.Stats().Store.PacksReplayed; n != 1 {
+			t.Fatalf("PacksReplayed = %d; want 1", n)
 		}
 	})
 }

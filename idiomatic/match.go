@@ -380,10 +380,10 @@ func packInfo(p *idioms.Pack) PackInfo {
 // different source is never served the old one's cached solves. Validation
 // is the exact code path of `idlc -pack`, so CLI and HTTP report identical
 // errors.
-// With a state dir the registry's current pack set is then saved as the
-// packs file, under the same lock as the registration, so a restarted
-// process restores exactly the live set through this same compile path —
-// packs survive restarts with no client re-registration.
+// With a state dir the pack is then saved as its name's file, under the
+// same lock as the registration, so a restarted process restores exactly
+// the live set through this same compile path — packs survive restarts
+// with no client re-registration.
 func (s *Service) RegisterPack(name, idlSource string, tops []TopSpec) (PackInfo, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -392,7 +392,7 @@ func (s *Service) RegisterPack(name, idlSource string, tops []TopSpec) (PackInfo
 		return PackInfo{}, err
 	}
 	if s.store != nil {
-		if err := s.savePacks(); err != nil {
+		if err := s.savePack(p); err != nil {
 			// The pack is live in memory; surface the durability failure so
 			// the caller knows a restart would lose it.
 			return PackInfo{}, fmt.Errorf("idiomatic: pack %q registered but not persisted: %w", name, err)

@@ -102,9 +102,10 @@ type Service struct {
 	// reg holds runtime-registered idiom packs (copy-on-write snapshots;
 	// see idioms.Registry). Requests naming a pack resolve their roster
 	// against the snapshot current at intake and keep it for their whole
-	// lifetime. It is the only record of the registered packs: the packs
-	// file is its current set. regMu serializes RegisterPack so the set
-	// reaches disk in the order it reached the registry.
+	// lifetime. It is the only record of the registered packs: each name's
+	// pack file holds its current registration. regMu serializes
+	// RegisterPack so registrations reach disk in the order they reached
+	// the registry.
 	reg   *idioms.Registry
 	regMu sync.Mutex
 
@@ -171,7 +172,7 @@ func NewService(o ServiceOptions) (*Service, error) {
 		if s.memo != nil {
 			s.memo.AttachStore(st)
 		}
-		if err := s.restorePacks(o.StateDir); err != nil {
+		if err := s.restorePacks(); err != nil {
 			s.stream.Close()
 			st.Close()
 			return nil, err
@@ -707,7 +708,7 @@ func (s *Service) Idioms() []IdiomInfo {
 // ready_queue (global and per client) counts stage tasks queued in the pool,
 // compile_queue counts requests whose compile task is queued or running, and
 // panics counts pool tasks that panicked. v9 replaced the pack log with one
-// packs file holding the registered set: store.packs_logged and
+// file per registered pack name: store.packs_logged and
 // store.packs_abandoned are gone, and store.packs_replayed counts the packs
 // restored at boot.
 const StatsSchemaVersion = 9

@@ -2,12 +2,12 @@ package idiomatic
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"repro/internal/constraint"
 	"repro/internal/idioms"
@@ -29,7 +29,7 @@ type snapshotHeader struct {
 	Packs  []packRecord `json:"packs"`
 }
 
-// packRecord is one registered pack as the packs file and the snapshot
+// packRecord is one registered pack as its pack file and the snapshot
 // header carry it: the registration as received, so boot and ingest
 // re-register it through the identical CompilePack path.
 type packRecord struct {
@@ -42,11 +42,15 @@ type packRecord struct {
 // packRecordSchema versions packRecord.
 const packRecordSchema = 1
 
+func recordOf(p *idioms.Pack) packRecord {
+	return packRecord{Schema: packRecordSchema, Name: p.Name, Source: p.Source, Idioms: p.Tops}
+}
+
 // packRecords lists packs as records, nil for none.
 func packRecords(packs []*idioms.Pack) []packRecord {
 	var out []packRecord
 	for _, p := range packs {
-		out = append(out, packRecord{Schema: packRecordSchema, Name: p.Name, Source: p.Source, Idioms: p.Tops})
+		out = append(out, recordOf(p))
 	}
 	return out
 }
@@ -83,7 +87,7 @@ func (s *Service) WriteMemoSnapshot(w io.Writer) error {
 
 // IngestMemoSnapshot applies a WriteMemoSnapshot stream to this service:
 // packs are registered through the ordinary RegisterPack path (compiled,
-// saved to this replica's own packs file) and memo blobs are written into
+// saved to this replica's own pack files) and memo blobs are written into
 // the local store, where the solve memo's read-through finds them. Returns
 // how many entries and pack registrations were applied.
 func (s *Service) IngestMemoSnapshot(r io.Reader) (entries, packs int, err error) {
@@ -126,42 +130,53 @@ func (s *Service) IngestMemoSnapshot(r io.Reader) (entries, packs int, err error
 	return entries, packs, nil
 }
 
-// restorePacks registers each pack of the state dir's packs file once.
-// The file only ever holds packs that compiled when saved, so a failure
-// means the binary and the state dir disagree — boot fails loudly, naming
-// the file, rather than silently serving a subset.
-func (s *Service) restorePacks(stateDir string) error {
-	payload, err := s.store.LoadPacks()
-	if err != nil || payload == nil {
-		return err
-	}
-	path := filepath.Join(stateDir, store.PacksFile)
-	var recs []packRecord
-	if err := json.Unmarshal(payload, &recs); err != nil {
-		return fmt.Errorf("idiomatic: decoding %s: %w", path, err)
-	}
-	for _, rec := range recs {
-		if rec.Schema != packRecordSchema {
-			return fmt.Errorf("idiomatic: %s: pack %q has record schema %d, want %d", path, rec.Name, rec.Schema, packRecordSchema)
+// savedPack is one pack file: the registration as received plus the
+// version the registry gave it, so a restart keeps pack_version.
+type savedPack struct {
+	packRecord
+	Version uint64 `json:"version"`
+}
+
+// restorePacks registers each saved pack once, at its saved version. The
+// files only ever hold packs that compiled when saved, so a failure means
+// the binary and the state dir disagree — boot fails loudly, naming the
+// file, rather than silently serving a subset.
+func (s *Service) restorePacks() error {
+	n := 0
+	err := s.store.LoadPacks(func(payload []byte) error {
+		var rec savedPack
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return fmt.Errorf("decoding pack: %w", err)
 		}
-		if _, err := s.reg.Register(rec.Name, rec.Source, rec.Idioms); err != nil {
-			return fmt.Errorf("idiomatic: restoring pack %q from %s: %w", rec.Name, path, err)
+		if rec.Schema != packRecordSchema || rec.Version == 0 {
+			return fmt.Errorf("pack %q has record schema %d at version %d, want schema %d at a version", rec.Name, rec.Schema, rec.Version, packRecordSchema)
 		}
+		if _, dup := s.reg.Pack(rec.Name); dup {
+			return fmt.Errorf("pack %q is saved twice", rec.Name)
+		}
+		if _, err := s.reg.Restore(rec.Name, rec.Source, rec.Idioms, rec.Version); err != nil {
+			return fmt.Errorf("restoring pack %q: %w", rec.Name, err)
+		}
+		n++
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("idiomatic: %w", err)
 	}
-	if n := len(s.reg.Packs()); n != len(recs) {
-		return fmt.Errorf("idiomatic: %s lists %d packs under %d names", path, len(recs), n)
-	}
-	s.packsReplayed = len(recs)
+	s.packsReplayed = n
 	return nil
 }
 
-// savePacks replaces the packs file with the registry's current set.
-func (s *Service) savePacks() error {
-	payload, err := json.Marshal(packRecords(s.reg.Packs()))
-	if err != nil {
+// savePack replaces p's file with its registration. HTML escaping is off,
+// so the file stays within twice the request body that registered it.
+func (s *Service) savePack(p *idioms.Pack) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(savedPack{recordOf(p), p.Version}); err != nil {
 		return err
 	}
-	return s.store.SavePacks(payload)
+	return s.store.SavePack(p.Name, buf.Bytes())
 }
 
 // StoreStats is the /statsz persistence block (stats schema v3). Zero-valued
@@ -187,7 +202,7 @@ type StoreStats struct {
 	SpillHits    int64 `json:"spill_hits"`
 	SpillMisses  int64 `json:"spill_misses"`
 	DecodeErrors int64 `json:"decode_errors"`
-	// PacksReplayed counts the packs restored from the packs file at boot.
+	// PacksReplayed counts the packs restored from their files at boot.
 	PacksReplayed int `json:"packs_replayed"`
 }
 

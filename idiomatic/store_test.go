@@ -13,8 +13,6 @@ import (
 	"testing"
 	"unsafe"
 	"weak"
-
-	"repro/internal/store"
 )
 
 const storeDotSource = `
@@ -360,13 +358,17 @@ func TestReregistrationKeepsOneRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	payload, err := svc.store.LoadPacks()
-	if err != nil {
-		t.Fatal(err)
+	if files := packFiles(t, dir); len(files) != 1 {
+		t.Fatalf("state dir holds pack files %q; want 1", files)
 	}
-	var recs []packRecord
-	if err := json.Unmarshal(payload, &recs); err != nil || len(recs) != 1 {
-		t.Fatalf("packs file holds %d records (err %v); want 1", len(recs), err)
+	var recs []savedPack
+	err = svc.store.LoadPacks(func(payload []byte) error {
+		var rec savedPack
+		recs = append(recs, rec)
+		return json.Unmarshal(payload, &recs[len(recs)-1])
+	})
+	if err != nil || len(recs) != 1 || recs[0].Name != "churn" || recs[0].Version != 200 {
+		t.Fatalf("pack files hold %+v (err %v); want one record of churn at version 200", recs, err)
 	}
 	svc.Close()
 
@@ -408,7 +410,7 @@ func TestStatelessReplacedRegistrationIsCollectable(t *testing.T) {
 	}
 }
 
-// TestBootRejectsCorruptPacks pins that a packs file failing its integrity
+// TestBootRejectsCorruptPacks pins that a pack file failing its integrity
 // check fails boot, naming the file: a rename never tears it, so the damage
 // is to tenant state, which must not be served as an empty set.
 func TestBootRejectsCorruptPacks(t *testing.T) {
@@ -418,7 +420,7 @@ func TestBootRejectsCorruptPacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Close()
-	path := filepath.Join(dir, store.PacksFile)
+	path := packFiles(t, dir)[0]
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -430,12 +432,13 @@ func TestBootRejectsCorruptPacks(t *testing.T) {
 		if svc != nil {
 			svc.Close()
 		}
-		t.Fatalf("NewService over a torn packs file = %v; want an error naming %s", err, path)
+		t.Fatalf("NewService over a torn pack file = %v; want an error naming %s", err, path)
 	}
 }
 
-// TestBootRejectsLegacyPackLog pins that a state dir holding the pack log
-// of an older build fails boot rather than silently dropping its packs.
+// TestBootRejectsLegacyPackLog pins that a state dir holding a non-empty
+// pack log of an older build fails boot rather than silently dropping its
+// packs.
 func TestBootRejectsLegacyPackLog(t *testing.T) {
 	dir := t.TempDir()
 	legacy := filepath.Join(dir, "packs.log")
@@ -447,5 +450,89 @@ func TestBootRejectsLegacyPackLog(t *testing.T) {
 			svc.Close()
 		}
 		t.Fatalf("NewService beside a legacy pack log = %v; want an error asking to re-register", err)
+	}
+}
+
+// packFiles lists the pack files of a state dir.
+func packFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "packs", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestBootRemovesEmptyLegacyPackLog pins the upgrade of a state dir from an
+// older build, which created an empty packs.log at every open: boot removes
+// it and serves the warm memo and the saved packs.
+func TestBootRemovesEmptyLegacyPackLog(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	req := DetectRequest{Name: "dot.c", Source: storeDotSource}
+	svc1 := newStateService(t, dir)
+	if _, err := svc1.Detect(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc1.RegisterPack("p", tinyIDL, []TopSpec{{Top: "X"}}); err != nil {
+		t.Fatal(err)
+	}
+	svc1.Close()
+	legacy := filepath.Join(dir, "packs.log")
+	if err := os.WriteFile(legacy, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := newStateService(t, dir)
+	defer svc2.Close()
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("empty legacy pack log not removed at boot: stat err = %v", err)
+	}
+	if _, ok := svc2.PackByName("p"); !ok {
+		t.Fatal("saved pack not restored beside an empty legacy pack log")
+	}
+	if _, err := svc2.Detect(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if m := svc2.Stats().Memo; m.Misses != 0 {
+		t.Fatalf("restart beside an empty legacy pack log missed %d solves; want the warm memo", m.Misses)
+	}
+}
+
+// TestRestartKeepsPackVersion pins that pack_version survives a restart:
+// each pack comes back at the version it was registered under, and the
+// next registration continues past the highest.
+func TestRestartKeepsPackVersion(t *testing.T) {
+	dir := t.TempDir()
+	svc1, err := NewService(ServiceOptions{Workers: 1, NoMemo: true, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{}
+	for _, name := range []string{"a", "b", "a", "a", "c"} {
+		info, err := svc1.RegisterPack(name, tinyIDL, []TopSpec{{Top: "X"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = info.Version
+	}
+	svc1.Close()
+	if files := packFiles(t, dir); len(files) != len(want) {
+		t.Fatalf("state dir holds pack files %q; want one per name", files)
+	}
+
+	svc2, err := NewService(ServiceOptions{Workers: 1, NoMemo: true, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	for name, v := range want {
+		if info, _ := svc2.PackByName(name); info.Version != v {
+			t.Errorf("pack %s restored at version %d; want %d", name, info.Version, v)
+		}
+	}
+	info, err := svc2.RegisterPack("d", tinyIDL, []TopSpec{{Top: "X"}})
+	if err != nil || info.Version != 6 {
+		t.Fatalf("first registration after the restart = version %d, %v; want 6", info.Version, err)
 	}
 }

@@ -205,16 +205,27 @@ func NewRegistrySize(max int) *Registry {
 // with identical source and tops keeps its IDs and reuses their cached
 // solves. Registration failures install nothing.
 func (r *Registry) Register(name, idlSource string, tops []TopSpec) (*Pack, error) {
+	return r.Restore(name, idlSource, tops, 0)
+}
+
+// Restore installs a pack at the version an earlier process registered it
+// under, as boot does from a state dir (0 takes the next version, as
+// Register does), and moves the registration counter past it: a later
+// registration never repeats a version clients have seen.
+func (r *Registry) Restore(name, idlSource string, tops []TopSpec, version uint64) (*Pack, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, replacing := (*r.packs.Load())[name]; !replacing && r.limit > 0 && len(*r.packs.Load()) >= r.limit {
 		return nil, fmt.Errorf("idioms: registry full (%d packs); replace an existing pack or raise the bound", r.limit)
 	}
-	pack, err := CompilePack(name, idlSource, tops, r.version+1)
+	if version == 0 {
+		version = r.version + 1
+	}
+	pack, err := CompilePack(name, idlSource, tops, version)
 	if err != nil {
 		return nil, err
 	}
-	r.version++
+	r.version = max(r.version, version)
 	old := *r.packs.Load()
 	next := make(map[string]*Pack, len(old)+1)
 	for k, v := range old {

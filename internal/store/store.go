@@ -1,13 +1,13 @@
 // Package store is idiomd's persistence subsystem: a content-addressed blob
 // store for spilled solve-memo entries (build-cache semantics — warm starts
-// survive restarts) and one packs file holding the registered pack set,
-// whose bytes the service encodes. Everything is crash-safe by
-// construction: each file is written to a temp file, fsynced and renamed
-// into place, and carries an integrity container (magic, schema version,
-// length, SHA-256). A memo blob that fails verification is treated as a
-// miss and removed — corruption can cost a re-solve, never a wrong answer.
-// A packs file that fails it is an error: a rename never leaves it torn, so
-// the damage is to tenant state that cannot be re-derived.
+// survive restarts) and one file per registered pack name, whose bytes the
+// service encodes. Everything is crash-safe by construction: each file is
+// written to a temp file, fsynced and renamed into place, and carries an
+// integrity container (magic, schema version, length, SHA-256). A memo blob
+// that fails verification is treated as a miss and removed — corruption can
+// cost a re-solve, never a wrong answer. A pack file that fails it is an
+// error: a rename never leaves it torn, so the damage is to tenant state
+// that cannot be re-derived.
 package store
 
 import (
@@ -37,20 +37,22 @@ const (
 	BlobSchemaVersion = blobVersion
 
 	blobHeaderLen = 4 + 1 + 4 + sha256.Size
-	// maxBlobLen bounds every sealed payload, memo entry and pack set
-	// alike; a well-formed memo entry is a few KB, so a larger one read
-	// back is corruption.
+	// maxBlobLen bounds every sealed payload, memo entry and pack alike; a
+	// well-formed memo entry is a few KB and a pack one registration body,
+	// so a larger one read back is corruption.
 	maxBlobLen = 64 << 20
 
-	// PacksFile is the state-dir file holding the registered pack set.
-	PacksFile = "packs"
+	// packsDir is the state-dir directory holding one file per registered
+	// pack name.
+	packsDir = "packs"
 	// legacyPackLog is the append-only pack log of older builds, which no
 	// longer has a reader.
 	legacyPackLog = "packs.log"
 )
 
 // Store is one state directory: memo blobs under <dir>/memo/<xx>/<key>.entry
-// (fanned out by the first key byte) and the pack set at <dir>/packs.
+// (fanned out by the first key byte) and the registered packs under
+// <dir>/packs/<sha256(name)>.
 // It implements constraint.SpillStore.
 type Store struct {
 	dir string
@@ -85,9 +87,10 @@ func Open(dir string) (*Store, error) {
 }
 
 // sweep removes temp files from interrupted writes, of memo blobs and of
-// the packs file alike, and counts memo entries.
+// pack files alike, and counts memo entries.
 func (s *Store) sweep() (entries int, err error) {
-	werr := filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
+	root := filepath.Join(s.dir, "memo")
+	werr := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -101,7 +104,11 @@ func (s *Store) sweep() (entries int, err error) {
 		return nil
 	})
 	if werr != nil {
-		return 0, fmt.Errorf("store: sweeping %s: %w", s.dir, werr)
+		return 0, fmt.Errorf("store: sweeping %s: %w", root, werr)
+	}
+	temps, _ := filepath.Glob(filepath.Join(s.dir, packsDir, "*.tmp*"))
+	for _, path := range temps {
+		os.Remove(path)
 	}
 	return entries, nil
 }
@@ -216,38 +223,52 @@ func writeSealed(path string, payload []byte) (fresh bool, err error) {
 	return statErr != nil, nil
 }
 
-// SavePacks replaces the packs file with payload, the encoded pack set.
-// The write is the blob path's temp file, fsync and rename, so a crash
-// leaves the previous set or this one. It does not count as a memo write.
-func (s *Store) SavePacks(payload []byte) error {
-	if _, err := writeSealed(filepath.Join(s.dir, PacksFile), payload); err != nil {
-		return fmt.Errorf("store: saving packs: %w", err)
+func (s *Store) packPath(name string) string {
+	sum := sha256.Sum256([]byte(name))
+	return filepath.Join(s.dir, packsDir, hex.EncodeToString(sum[:]))
+}
+
+// SavePack replaces name's pack file with payload through the blob path's
+// temp file, fsync and rename: a crash leaves the previous registration or
+// this one. It bounds each pack, not the set, and is not a memo write.
+func (s *Store) SavePack(name string, payload []byte) error {
+	if _, err := writeSealed(s.packPath(name), payload); err != nil {
+		return fmt.Errorf("store: saving pack %q: %w", name, err)
 	}
 	return nil
 }
 
-// LoadPacks returns the packs file's payload, or nil when no pack set was
-// ever saved. A packs file that fails its integrity check, or a pack log
-// left by an older build, is an error naming the file: neither can be
-// read back as the registered set.
-func (s *Store) LoadPacks() ([]byte, error) {
+// LoadPacks calls fn with each saved pack's payload, in file-name order.
+// A pack file that fails its integrity check or that fn rejects, or a
+// non-empty pack log left by an older build, is an error naming the file:
+// none can be read back as a registered pack. An empty legacy log holds no
+// packs and is removed.
+func (s *Store) LoadPacks(fn func(payload []byte) error) error {
 	legacy := filepath.Join(s.dir, legacyPackLog)
-	if _, err := os.Stat(legacy); err == nil {
-		return nil, fmt.Errorf("store: %s is a pack log from an older build, which this build does not read; remove it and re-register its packs", legacy)
+	if fi, err := os.Stat(legacy); err == nil && fi.Size() > 0 {
+		return fmt.Errorf("store: %s is a pack log from an older build, which this build does not read; remove it and re-register its packs", legacy)
 	}
-	path := filepath.Join(s.dir, PacksFile)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+	os.Remove(legacy)
+	dir := filepath.Join(s.dir, packsDir)
+	ents, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: %w", err)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	for _, ent := range ents {
+		path := filepath.Join(dir, ent.Name())
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		payload, ok := openContainer(raw)
+		if !ok {
+			return fmt.Errorf("store: %s fails its integrity check", path)
+		}
+		if err := fn(payload); err != nil {
+			return fmt.Errorf("store: %s: %w", path, err)
+		}
 	}
-	payload, ok := openContainer(raw)
-	if !ok {
-		return nil, fmt.Errorf("store: %s fails its integrity check", path)
-	}
-	return payload, nil
+	return nil
 }
 
 // WriteAsync enqueues a write on the single writer goroutine; see

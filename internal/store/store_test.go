@@ -2,8 +2,11 @@ package store
 
 import (
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,17 +212,27 @@ func TestEntriesWalkSkipsCorrupt(t *testing.T) {
 	}
 }
 
-// TestPacksRoundtrip pins the packs file: a save replaces the whole set,
-// reads back after a reopen, and leaves the memo gauges alone.
+// loadPacks collects every saved pack payload as a string.
+func loadPacks(s *Store) ([]string, error) {
+	var out []string
+	err := s.LoadPacks(func(payload []byte) error {
+		out = append(out, string(payload))
+		return nil
+	})
+	return out, err
+}
+
+// TestPacksRoundtrip pins the pack files: a save replaces its name's file
+// only, reads back after a reopen, and leaves the memo gauges alone.
 func TestPacksRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if got, err := s.LoadPacks(); got != nil || err != nil {
-		t.Fatalf("LoadPacks before any save = %q, %v; want nil, nil", got, err)
+	if got, err := loadPacks(s); got != nil || err != nil {
+		t.Fatalf("LoadPacks before any save = %q, %v; want nothing", got, err)
 	}
-	for _, payload := range []string{`[{"name":"old"}]`, `[{"name":"alpha"},{"name":"beta"}]`} {
-		if err := s.SavePacks([]byte(payload)); err != nil {
-			t.Fatalf("SavePacks: %v", err)
+	for _, save := range [][2]string{{"alpha", "alpha v1"}, {"beta", "beta v1"}, {"alpha", "alpha v2"}} {
+		if err := s.SavePack(save[0], []byte(save[1])); err != nil {
+			t.Fatalf("SavePack: %v", err)
 		}
 	}
 	if st := s.Stats(); st.Entries != 0 || st.Writes != 0 {
@@ -228,21 +241,54 @@ func TestPacksRoundtrip(t *testing.T) {
 	s.Close()
 
 	s2 := mustOpen(t, dir)
-	got, err := s2.LoadPacks()
-	if err != nil || string(got) != `[{"name":"alpha"},{"name":"beta"}]` {
-		t.Fatalf("LoadPacks after reopen = %q, %v; want the last saved set", got, err)
+	got, err := loadPacks(s2)
+	slices.Sort(got)
+	if err != nil || !slices.Equal(got, []string{"alpha v2", "beta v1"}) {
+		t.Fatalf("LoadPacks after reopen = %q, %v; want each name's last save", got, err)
+	}
+	wantErr := errors.New("rejected")
+	if err := s2.LoadPacks(func([]byte) error { return wantErr }); !errors.Is(err, wantErr) || !strings.Contains(err.Error(), s2.packPath("alpha")) {
+		t.Fatalf("LoadPacks with a rejecting callback = %v; want its error naming %s", err, s2.packPath("alpha"))
 	}
 }
 
-// TestLoadPacksRejectsCorrupt pins that a packs file failing its integrity
-// check is an error naming the file, never an empty or partial set.
-func TestLoadPacksRejectsCorrupt(t *testing.T) {
+// TestPacksBeyondBlobBound pins that the blob bound applies to each pack,
+// not to the registered set: packs whose total passes it all save and
+// read back.
+func TestPacksBeyondBlobBound(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if err := s.SavePacks([]byte(`[{"name":"alpha"}]`)); err != nil {
+	payload := make([]byte, maxBlobLen/4)
+	const packs = 5
+	for i := range packs {
+		payload[0] = byte(i)
+		if err := s.SavePack(fmt.Sprintf("p%d", i), payload); err != nil {
+			t.Fatalf("SavePack %d of %d-byte packs: %v", i, len(payload), err)
+		}
+	}
+	s.Close()
+
+	n := 0
+	err := mustOpen(t, dir).LoadPacks(func(got []byte) error {
+		if len(got) != len(payload) {
+			return fmt.Errorf("read back %d bytes; want %d", len(got), len(payload))
+		}
+		n++
+		return nil
+	})
+	if err != nil || n != packs {
+		t.Fatalf("LoadPacks = %d packs, %v; want %d", n, err, packs)
+	}
+}
+
+// TestLoadPacksRejectsCorrupt pins that a pack file failing its integrity
+// check is an error naming the file, never a silently missing pack.
+func TestLoadPacksRejectsCorrupt(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	if err := s.SavePack("alpha", []byte(`{"name":"alpha"}`)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, PacksFile)
+	path := s.packPath("alpha")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -251,13 +297,14 @@ func TestLoadPacksRejectsCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.LoadPacks(); err == nil || !strings.Contains(err.Error(), path) {
+	if got, err := loadPacks(s); err == nil || !strings.Contains(err.Error(), path) {
 		t.Fatalf("LoadPacks of a corrupt file = %q, %v; want an error naming %s", got, err, path)
 	}
 }
 
-// TestLoadPacksRejectsLegacyLog pins that a pack log left by an older build
-// is an error naming it: its packs would otherwise vanish silently.
+// TestLoadPacksRejectsLegacyLog pins that a non-empty pack log left by an
+// older build is an error naming it: its packs would otherwise vanish
+// silently.
 func TestLoadPacksRejectsLegacyLog(t *testing.T) {
 	dir := t.TempDir()
 	legacy := filepath.Join(dir, "packs.log")
@@ -265,31 +312,60 @@ func TestLoadPacksRejectsLegacyLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustOpen(t, dir)
-	if _, err := s.LoadPacks(); err == nil || !strings.Contains(err.Error(), legacy) {
+	if _, err := loadPacks(s); err == nil || !strings.Contains(err.Error(), legacy) {
 		t.Fatalf("LoadPacks beside a legacy log = %v; want an error naming %s", err, legacy)
 	}
 }
 
-// TestOpenSweepsPacksTemp simulates a crash mid-save: the packs file's temp
-// is swept at the next Open and the previous set survives.
+// TestLoadPacksRemovesEmptyLegacyLog pins that the empty pack log every
+// older build created at open holds nothing to lose: it is removed and the
+// saved packs load.
+func TestLoadPacksRemovesEmptyLegacyLog(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "packs.log")
+	if err := os.WriteFile(legacy, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir)
+	if err := s.SavePack("alpha", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := loadPacks(s); err != nil || !slices.Equal(got, []string{"a"}) {
+		t.Fatalf("LoadPacks beside an empty legacy log = %q, %v; want the saved pack", got, err)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("empty legacy log not removed: stat err = %v", err)
+	}
+}
+
+// TestOpenSweepsPacksTemp simulates a crash mid-save: the pack file's temp
+// is swept at the next Open and the previous registration survives. Files
+// outside memo/ and packs/ are left alone.
 func TestOpenSweepsPacksTemp(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if err := s.SavePacks([]byte(`[{"name":"kept"}]`)); err != nil {
+	if err := s.SavePack("kept", []byte("kept v1")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	tmp := filepath.Join(dir, PacksFile+".tmp12345")
+	tmp := s.packPath("kept") + ".tmp12345"
 	if err := os.WriteFile(tmp, []byte("torn half-write"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	foreign := filepath.Join(dir, "notes.tmp")
+	if err := os.WriteFile(foreign, []byte("an operator's file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := mustOpen(t, dir)
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("packs temp file not swept at Open: stat err = %v", err)
+		t.Fatalf("pack temp file not swept at Open: stat err = %v", err)
 	}
-	if got, err := s2.LoadPacks(); err != nil || string(got) != `[{"name":"kept"}]` {
-		t.Fatalf("LoadPacks after the sweep = %q, %v; want the previous set", got, err)
+	if _, err := os.Stat(foreign); err != nil {
+		t.Fatalf("Open removed a file outside memo/ and packs/: %v", err)
+	}
+	if got, err := loadPacks(s2); err != nil || !slices.Equal(got, []string{"kept v1"}) {
+		t.Fatalf("LoadPacks after the sweep = %q, %v; want the previous registration", got, err)
 	}
 }
 
