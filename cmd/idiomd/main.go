@@ -72,7 +72,7 @@ func main() {
 	clientQueue := flag.Int("client-queue", 0, "per-client in-flight bound for named clients (0 = unbounded)")
 	clientRate := flag.Float64("client-rate", 0, "per-client token bucket: rate*weight requests/sec for named clients (0 = unlimited)")
 	clientBurst := flag.Float64("client-burst", 0, "per-client token-bucket burst capacity (0 = max(1, rate))")
-	stateDir := flag.String("state-dir", "", "durable state directory: the solve memo spills to disk (build-cache semantics, warm restarts) and pack registrations are logged and replayed at boot (empty = in-memory only)")
+	stateDir := flag.String("state-dir", "", "durable state directory: the solve memo spills to disk (build-cache semantics, warm restarts) and each registered pack is saved as its own pack file and restored at boot (empty = in-memory only)")
 	warmFrom := flag.String("warm-from", "", "base URL of a running replica to inherit warm state from at boot via GET /v1/memo/snapshot (requires -state-dir)")
 	warmKey := flag.String("warm-key", "", "admin API key presented to the -warm-from replica (empty = unauthenticated)")
 	flag.Parse()

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	idiomfront -replicas http://127.0.0.1:8181,http://127.0.0.1:8182
-//	idiomfront -addr :8174 -replicas ... -vnodes 64 -health-interval 2s
+//	idiomfront -addr :8174 -replicas ... -health-interval 2s
 //
 // The front holds no warm state of its own: restart it freely, scale it by
 // running several with identical -replicas lists (the hash ring is a pure
@@ -33,8 +33,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8174", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated idiomd base URLs (required), e.g. http://127.0.0.1:8181,http://127.0.0.1:8182")
-	vnodes := flag.Int("vnodes", fleet.DefaultVnodes, "ring points per replica")
-	interval := flag.Duration("health-interval", 2*time.Second, "replica health-probe period")
+	interval := flag.Duration("health-interval", 2*time.Second, "replica health-probe period; also bounds each control-plane GET to a replica")
 	flag.Parse()
 
 	var list []string
@@ -45,7 +44,6 @@ func main() {
 	}
 	front, err := fleet.New(fleet.Options{
 		Replicas:       list,
-		Vnodes:         *vnodes,
 		HealthInterval: *interval,
 	})
 	if err != nil {

@@ -60,9 +60,10 @@ type ServiceOptions struct {
 	// (idiomd -state-dir): the solve memo spills to a content-addressed
 	// blob store under the directory — with build-cache semantics, so a
 	// restarted process re-serves prior solves byte-identically without
-	// re-solving — and every pack registration saves the registered pack
-	// set, restored through the identical CompilePack path at boot. Ignored
-	// memo-wise when NoMemo is set; pack durability still applies.
+	// re-solving — and every pack registration saves that pack as its
+	// name's own pack file, restored through the identical CompilePack path
+	// at boot. Ignored memo-wise when NoMemo is set; pack durability still
+	// applies.
 	StateDir string
 }
 

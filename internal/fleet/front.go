@@ -2,18 +2,18 @@
 // replicas into one service (cmd/idiomfront). Requests are routed by module
 // identity — the SHA-256 of the request's source text — so every module
 // lands on the same replica run after run, keeping each shard's solve memo
-// (and its disk spill) hot. The front forwards the v1 wire model untouched:
-// auth headers, deadlines and NDJSON sequence numbering all mean exactly
-// what they mean against a single replica.
+// (and its disk spill) hot. An answer through the front is byte-identical to
+// a single replica's: auth headers, deadlines and NDJSON sequence numbering
+// all mean exactly what they mean against a single replica.
 //
-//	POST /v1/detect|match          batches are split per routed replica,
-//	                               forwarded as sub-batches, and merged back
-//	                               in global submit order.
-//	POST /v1/detect|match/stream   sub-streams run concurrently; each line's
-//	                               seq is rewritten to the global submit
-//	                               index, so reassembling by seq reproduces
-//	                               the batch order exactly as with one
-//	                               replica.
+//	POST /v1/detect|match[/stream] the body is decoded with the replicas' own
+//	                               decoder (httpapi.DecodeBatch), split into
+//	                               one group per routed replica, and every
+//	                               group is forwarded to its replica's NDJSON
+//	                               stream endpoint. Each line's seq is
+//	                               rewritten to the global submit index; a
+//	                               stream emits lines as they land, a batch
+//	                               collects them in submit order.
 //	POST /v1/idioms                broadcast to every live replica (a pack
 //	                               must exist wherever its requests land).
 //	GET  /v1/idioms|/v1/backends   answered by the first live replica.
@@ -22,15 +22,24 @@
 //	GET  /statsz                   per-replica StatsResponse plus fleet sums.
 //	GET  /healthz                  200 while at least one replica is live.
 //
+// A routed request is rejected the way one replica rejects it. A body the
+// decoder refuses gets the replica's status and envelope before any replica
+// sees work. Once every group's replica has answered its headers, a non-200
+// from any of them fails the whole request with that envelope relayed
+// verbatim: the group holding the earliest submitted request wins and the
+// other groups are cancelled, on batch and stream alike.
+//
 // Replicas are health-checked in the background; a replica that fails a
 // forward is marked down immediately and retried by the prober. A routed
-// group fails over to the next replica on the ring, and when every replica
+// group fails over along its owner's failover order (the owner, then each
+// distinct replica met walking the ring on from it), and when every replica
 // is down the outcome is reported in-band per module (the Err field), the
-// same way deadline expiry is — never as a torn response. A replica reply
-// that skips, repeats or mis-numbers a result is repaired the same way:
-// every request gets exactly one result. Body bounds, error envelopes and
-// method dispatch are internal/httpapi's own, so the front rejects a request
-// with the same status and envelope a replica would.
+// same way deadline expiry is — never as a torn response. A replica stream
+// that skips, repeats, mis-numbers, breaks off or ends short is repaired the
+// same way: every request gets exactly one result. Control-plane GETs are
+// bounded by the health interval, so a replica that stalls counts as
+// unreachable instead of hanging them. Body bounds, error envelopes and
+// method dispatch are internal/httpapi's own.
 package fleet
 
 import (
@@ -58,22 +67,24 @@ type Options struct {
 	// Replicas are the idiomd base URLs (e.g. http://127.0.0.1:8173). At
 	// least one is required; the set is static for the front's lifetime.
 	Replicas []string
-	// Vnodes is the number of ring points per replica (default 64): enough
-	// that the module space splits near-evenly even with two replicas.
-	Vnodes int
-	// HealthInterval is the background probe period (default 2s).
+	// HealthInterval is the background probe period (default 2s). It also
+	// bounds every control-plane GET the front sends a replica.
 	HealthInterval time.Duration
-	// Client issues the forwarded requests. Default: no timeout (streams
-	// are long-lived; cancellation rides the caller's request context).
-	Client *http.Client
 }
 
 // Front is the router. Create with New, serve Handler, release with Close.
 type Front struct {
 	replicas []*replica
 	ring     []ringNode
-	client   *http.Client
-	probe    *http.Client
+	// failover[i] is the order a group owned by replica i tries replicas
+	// in: i itself, then each distinct replica met walking the ring on from
+	// i's first point.
+	failover [][]int
+	// probe sends health probes and control-plane GETs; its timeout is the
+	// health interval. Routed groups and pack broadcasts go through
+	// http.DefaultClient, with no timeout: streams are long-lived and
+	// cancellation rides the caller's request context.
+	probe *http.Client
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -90,8 +101,9 @@ type ringNode struct {
 	idx  int
 }
 
-// DefaultVnodes is the per-replica ring-point count.
-const DefaultVnodes = 64
+// vnodes is the per-replica ring-point count: enough that the module space
+// splits near-evenly even with two replicas.
+const vnodes = 64
 
 // New builds a front over the given replica base URLs. Replicas start
 // optimistically live (the first failed forward or probe marks them down),
@@ -100,22 +112,13 @@ func New(o Options) (*Front, error) {
 	if len(o.Replicas) == 0 {
 		return nil, errors.New("fleet: at least one replica required")
 	}
-	vnodes := o.Vnodes
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
 	interval := o.HealthInterval
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	client := o.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	f := &Front{
-		client: client,
-		probe:  &http.Client{Timeout: interval},
-		stop:   make(chan struct{}),
+		probe: &http.Client{Timeout: interval},
+		stop:  make(chan struct{}),
 	}
 	seen := map[string]bool{}
 	for _, base := range o.Replicas {
@@ -132,10 +135,25 @@ func New(o Options) (*Front, error) {
 	}
 	for i, rep := range f.replicas {
 		for v := 0; v < vnodes; v++ {
-			f.ring = append(f.ring, ringNode{hash: point(rep.base + "#" + strconv.Itoa(v)), idx: i})
+			f.ring = append(f.ring, ringNode{hash: RouteKey(rep.base + "#" + strconv.Itoa(v)), idx: i})
 		}
 	}
 	sort.Slice(f.ring, func(a, b int) bool { return f.ring[a].hash < f.ring[b].hash })
+	f.failover = make([][]int, len(f.replicas))
+	for start, n := range f.ring {
+		if f.failover[n.idx] != nil {
+			continue // not the replica's first point
+		}
+		order := make([]int, 0, len(f.replicas))
+		met := make([]bool, len(f.replicas))
+		for i := start; len(order) < len(f.replicas); i++ {
+			if idx := f.ring[i%len(f.ring)].idx; !met[idx] {
+				met[idx] = true
+				order = append(order, idx)
+			}
+		}
+		f.failover[n.idx] = order
+	}
 	f.wg.Add(1)
 	go f.healthLoop(interval)
 	return f, nil
@@ -147,39 +165,26 @@ func (f *Front) Close() {
 	f.wg.Wait()
 }
 
-func point(s string) uint64 {
+// RouteKey hashes a string onto the ring. A module routes on its source text
+// — name is excluded deliberately, so renaming a module keeps hitting the
+// replica whose memo already holds its shape — and a ring point on its
+// replica's base URL and vnode number.
+func RouteKey(s string) uint64 {
 	h := sha256.Sum256([]byte(s))
 	return binary.BigEndian.Uint64(h[:8])
 }
 
-// RouteKey hashes a module's source text onto the ring — name is excluded
-// deliberately, so renaming a module keeps hitting the replica whose memo
-// already holds its shape.
-func RouteKey(source string) uint64 {
-	h := sha256.Sum256([]byte(source))
-	return binary.BigEndian.Uint64(h[:8])
-}
-
-// candidates returns replica indices in ring-preference order for a key:
-// the owner first, then each distinct successor — the failover sequence.
-func (f *Front) candidates(key uint64) []int {
-	start := sort.Search(len(f.ring), func(i int) bool { return f.ring[i].hash >= key })
-	out := make([]int, 0, len(f.replicas))
-	seen := make([]bool, len(f.replicas))
-	for i := 0; i < len(f.ring) && len(out) < len(f.replicas); i++ {
-		idx := f.ring[(start+i)%len(f.ring)].idx
-		if !seen[idx] {
-			seen[idx] = true
-			out = append(out, idx)
-		}
-	}
-	return out
+// owner returns the index of the replica owning a key: the one holding the
+// first ring point at or after it, wrapping around.
+func (f *Front) owner(key uint64) int {
+	i := sort.Search(len(f.ring), func(i int) bool { return f.ring[i].hash >= key })
+	return f.ring[i%len(f.ring)].idx
 }
 
 // Route reports which replica base URL a source text routes to (ignoring
 // liveness) — exposed for tests and for operators debugging shard locality.
 func (f *Front) Route(source string) string {
-	return f.replicas[f.candidates(RouteKey(source))[0]].base
+	return f.replicas[f.owner(RouteKey(source))].base
 }
 
 func (f *Front) healthLoop(interval time.Duration) {
@@ -191,21 +196,14 @@ func (f *Front) healthLoop(interval time.Duration) {
 		case <-f.stop:
 			return
 		case <-tick.C:
-			for _, rep := range f.replicas {
-				resp, err := f.probe.Get(rep.base + "/healthz")
-				ok := err == nil && resp.StatusCode == http.StatusOK
-				if resp != nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-				rep.up.Store(ok)
-			}
+			f.CheckNow()
 		}
 	}
 }
 
-// CheckNow probes every replica once, synchronously — used by tests and at
-// idiomfront boot so the first request doesn't pay for a dead replica.
+// CheckNow probes every replica once, synchronously — the health loop's
+// tick, also run by tests and at idiomfront boot so the first request
+// doesn't pay for a dead replica.
 func (f *Front) CheckNow() {
 	for _, rep := range f.replicas {
 		resp, err := f.probe.Get(rep.base + "/healthz")
@@ -241,7 +239,9 @@ func copyHeaders(dst http.Header, src http.Header) {
 }
 
 // forward issues one request to a replica, relaying the caller's identity
-// headers and context. A transport-level failure marks the replica down.
+// headers and context. A GET goes through the probe client, so a replica that
+// stalls fails it within the health interval. A transport-level failure marks
+// the replica down.
 func (f *Front) forward(ctx context.Context, idx int, method, path string, hdr http.Header, body []byte) (*http.Response, error) {
 	rep := f.replicas[idx]
 	var rd io.Reader
@@ -253,7 +253,11 @@ func (f *Front) forward(ctx context.Context, idx int, method, path string, hdr h
 		return nil, err
 	}
 	copyHeaders(req.Header, hdr)
-	resp, err := f.client.Do(req)
+	client := http.DefaultClient
+	if method == http.MethodGet {
+		client = f.probe
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {
 			rep.up.Store(false)
@@ -263,10 +267,33 @@ func (f *Front) forward(ctx context.Context, idx int, method, path string, hdr h
 	return resp, nil
 }
 
+// endpoint describes one routed endpoint pair's request type Q and result
+// type R: the replica stream path its groups are forwarded to, the request
+// fields the front reads, and the DetectResult embedded in a result.
+type endpoint[Q, R any] struct {
+	stream   string
+	deadline func(*Q) *int64
+	route    func(*Q) (name, source string)
+	core     func(*R) *idiomatic.DetectResult
+}
+
+var (
+	detectEndpoint = endpoint[idiomatic.DetectRequest, idiomatic.DetectResult]{
+		stream:   "/v1/detect/stream",
+		deadline: func(q *idiomatic.DetectRequest) *int64 { return &q.DeadlineMs },
+		route:    func(q *idiomatic.DetectRequest) (string, string) { return q.Name, q.Source },
+		core:     func(r *idiomatic.DetectResult) *idiomatic.DetectResult { return r },
+	}
+	matchEndpoint = endpoint[idiomatic.MatchRequest, idiomatic.MatchResult]{
+		stream:   "/v1/match/stream",
+		deadline: func(q *idiomatic.MatchRequest) *int64 { return &q.DeadlineMs },
+		route:    func(q *idiomatic.MatchRequest) (string, string) { return q.Name, q.Source },
+		core:     func(r *idiomatic.MatchResult) *idiomatic.DetectResult { return &r.DetectResult },
+	}
+)
+
 // Handler returns the front's HTTP handler.
 func (f *Front) Handler() http.Handler {
-	detect := func(r *idiomatic.DetectResult) *idiomatic.DetectResult { return r }
-	match := func(r *idiomatic.MatchResult) *idiomatic.DetectResult { return &r.DetectResult }
 	post := func(h http.HandlerFunc) http.HandlerFunc {
 		return httpapi.Methods(map[string]http.HandlerFunc{http.MethodPost: h})
 	}
@@ -274,10 +301,10 @@ func (f *Front) Handler() http.Handler {
 		return httpapi.Methods(map[string]http.HandlerFunc{http.MethodGet: h})
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/detect", post(proxyBatch(f, "/v1/detect", detect)))
-	mux.HandleFunc("/v1/match", post(proxyBatch(f, "/v1/match", match)))
-	mux.HandleFunc("/v1/detect/stream", post(proxyStream(f, "/v1/detect/stream", detect)))
-	mux.HandleFunc("/v1/match/stream", post(proxyStream(f, "/v1/match/stream", match)))
+	mux.HandleFunc("/v1/detect", post(routed(f, detectEndpoint, false)))
+	mux.HandleFunc("/v1/match", post(routed(f, matchEndpoint, false)))
+	mux.HandleFunc("/v1/detect/stream", post(routed(f, detectEndpoint, true)))
+	mux.HandleFunc("/v1/match/stream", post(routed(f, matchEndpoint, true)))
 	mux.HandleFunc("/v1/idioms", httpapi.Methods(map[string]http.HandlerFunc{
 		http.MethodPost: f.broadcastPack,
 		http.MethodGet:  f.relayFirstLive,
@@ -299,151 +326,83 @@ func (f *Front) Handler() http.Handler {
 	return mux
 }
 
-// --- batch routing ---
+// --- routed endpoints ---
 
-// routedItem is one request of a batch: its raw JSON, the name that labels
-// its in-band errors, its routed owner and its global submit index.
+// routedItem is one request of a group: the name that labels its in-band
+// errors and its global submit index.
 type routedItem struct {
-	raw    json.RawMessage
 	name   string
-	owner  int
 	global int
 }
 
-// routePeek is the subset of a request the router reads. Source drives the
-// ring placement; Name labels in-band failover errors.
-type routePeek struct {
-	Name   string `json:"name"`
-	Source string `json:"source"`
+// group is the requests of one body owned by the same replica, in submit
+// order (the replica's seq is the index in the group), with the response
+// that opened its replica stream or the error that no replica answered.
+type group struct {
+	owner int
+	items []routedItem
+	body  []byte
+	resp  *http.Response
+	err   error
 }
 
-// decodeRouted splits the request body (one object or an array — the same
-// contract, body bound and error envelopes as the replicas) into routable
-// items.
-func (f *Front) decodeRouted(w http.ResponseWriter, r *http.Request) ([]routedItem, bool) {
-	body, ok := httpapi.ReadBody(w, r)
-	if !ok {
-		return nil, false
-	}
-	body = bytes.TrimLeft(body, " \t\r\n")
-	var raws []json.RawMessage
-	if len(body) > 0 && body[0] == '[' {
-		if err := json.Unmarshal(body, &raws); err != nil {
-			invalid(w, fmt.Sprintf("invalid request array: %v", err))
-			return nil, false
-		}
-		if len(raws) == 0 {
-			invalid(w, "empty request batch")
-			return nil, false
-		}
-	} else {
-		raws = []json.RawMessage{json.RawMessage(body)}
-	}
-	items := make([]routedItem, len(raws))
-	for i, raw := range raws {
-		var peek routePeek
-		if err := json.Unmarshal(raw, &peek); err != nil {
-			invalid(w, fmt.Sprintf("invalid request: %v", err))
-			return nil, false
-		}
-		name := peek.Name
+// split buckets decoded requests by their routed owner and re-encodes each
+// bucket as the sub-batch its replica receives. Groups come in the order of
+// their first request.
+func split[Q, R any](f *Front, e endpoint[Q, R], reqs []Q) []*group {
+	var groups []*group
+	var subs [][]Q
+	at := map[int]int{}
+	for i := range reqs {
+		name, source := e.route(&reqs[i])
 		if name == "" {
 			name = "input.c"
 		}
-		owner := f.candidates(RouteKey(peek.Source))[0]
-		items[i] = routedItem{raw: raw, name: name, owner: owner, global: i}
+		owner := f.owner(RouteKey(source))
+		j, ok := at[owner]
+		if !ok {
+			j = len(groups)
+			at[owner] = j
+			groups = append(groups, &group{owner: owner})
+			subs = append(subs, nil)
+		}
+		groups[j].items = append(groups[j].items, routedItem{name: name, global: i})
+		subs[j] = append(subs[j], reqs[i])
 	}
-	return items, true
-}
-
-func invalid(w http.ResponseWriter, msg string) {
-	httpapi.WriteError(w, http.StatusBadRequest, idiomatic.CodeInvalidRequest, msg)
-}
-
-// groupByReplica buckets items by their routed owner, preserving submit
-// order inside each bucket (sub-batch seq = index in bucket).
-func groupByReplica(items []routedItem) map[int][]routedItem {
-	groups := map[int][]routedItem{}
-	for _, it := range items {
-		groups[it.owner] = append(groups[it.owner], it)
+	for j, g := range groups {
+		// Marshal cannot fail: the requests were just decoded from JSON.
+		g.body, _ = json.Marshal(subs[j])
 	}
 	return groups
 }
 
-// encodeGroup renders one bucket as the sub-batch array a replica receives.
-func encodeGroup(items []routedItem) []byte {
-	raws := make([]json.RawMessage, len(items))
-	for i, it := range items {
-		raws[i] = it.raw
-	}
-	body, _ := json.Marshal(raws)
-	return body
-}
-
-// forwardGroup sends one bucket to its owner, failing over once per distinct
-// replica along the ring. Returns the response of the first replica that
-// answered (any status), or an error when none was reachable.
-func (f *Front) forwardGroup(ctx context.Context, owner int, path string, hdr http.Header, body []byte) (*http.Response, error) {
-	cands := f.candidates(f.ring[ownerRingStart(f, owner)].hash)
-	// candidates() keyed off the owner's first vnode reproduces owner-first
-	// order; make that explicit instead of depending on vnode layout.
-	ordered := append([]int{owner}, without(cands, owner)...)
-	var lastErr error
+// forwardGroup opens one group's replica stream, trying its owner's failover
+// order: live replicas first, then everyone, since liveness is advisory and
+// may be stale. It keeps the response of the first replica that answered
+// (any status), or the error when none was reachable.
+func (f *Front) forwardGroup(ctx context.Context, g *group, path string, hdr http.Header) {
 	for pass := 0; pass < 2; pass++ {
-		for _, idx := range ordered {
-			// First pass: live replicas only. Second pass: try everyone —
-			// liveness is advisory and may be stale.
+		for _, idx := range f.failover[g.owner] {
 			if pass == 0 && !f.replicas[idx].up.Load() {
 				continue
 			}
-			resp, err := f.forward(ctx, idx, http.MethodPost, path, hdr, body)
-			if err == nil {
-				return resp, nil
-			}
-			lastErr = err
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
+			g.resp, g.err = f.forward(ctx, idx, http.MethodPost, path, hdr, g.body)
+			if g.err == nil || ctx.Err() != nil {
+				return
 			}
 		}
 	}
-	if lastErr == nil {
-		lastErr = errors.New("fleet: no replica reachable")
-	}
-	return nil, lastErr
 }
 
-func ownerRingStart(f *Front, owner int) int {
-	for i, n := range f.ring {
-		if n.idx == owner {
-			return i
-		}
-	}
-	return 0
-}
-
-func without(xs []int, drop int) []int {
-	out := make([]int, 0, len(xs))
-	for _, x := range xs {
-		if x != drop {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// delivery makes one routed group answer exactly one result per item, for
-// the batch and the stream path alike. R is the endpoint's wire result type
-// and core reaches its embedded DetectResult: the field deliver re-sequences
-// and the one miss fills with an in-band error.
+// delivery makes one routed group answer exactly one result per item. R is
+// the endpoint's wire result type and core reaches its embedded
+// DetectResult: the field deliver re-sequences and the one miss fills with
+// an in-band error.
 type delivery[R any] struct {
 	group     []routedItem
 	core      func(*R) *idiomatic.DetectResult
 	emit      func(R)
 	delivered []bool
-}
-
-func newDelivery[R any](group []routedItem, core func(*R) *idiomatic.DetectResult, emit func(R)) *delivery[R] {
-	return &delivery[R]{group: group, core: core, emit: emit, delivered: make([]bool, len(group))}
 }
 
 // deliver decodes one replica result, rewrites its sub-batch seq to the
@@ -477,131 +436,15 @@ func (d *delivery[R]) miss(msg string) {
 	}
 }
 
-// relayed is a replica's non-200 answer to a sub-batch, passed through
-// verbatim.
-type relayed struct {
-	status      int
-	contentType string
-	body        []byte
-}
-
-// proxyBatch serves POST /v1/detect and /v1/match: split, forward, merge in
-// global submit order. A replica answering non-200 for its sub-batch fails
-// the whole request with that replica's envelope relayed verbatim (the same
-// all-or-nothing contract a single replica gives a batch); an unreachable
-// shard degrades in-band per module instead.
-func proxyBatch[R any](f *Front, path string, core func(*R) *idiomatic.DetectResult) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		items, ok := f.decodeRouted(w, r)
-		if !ok {
-			return
-		}
-		merged := make([]R, len(items))
-		// Indexed by each group's first global seq, so the failing group
-		// holding the earliest submitted request wins deterministically.
-		relays := make([]*relayed, len(items))
-		var wg sync.WaitGroup
-		for owner, group := range groupByReplica(items) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				emit := func(res R) { merged[core(&res).Seq] = res }
-				relays[group[0].global] = runGroup(r.Context(), f, owner, group, path, r.Header, newDelivery(group, core, emit))
-			}()
-		}
-		wg.Wait()
-		for _, rl := range relays {
-			if rl != nil {
-				relay(w, rl.status, rl.contentType, rl.body)
-				return
-			}
-		}
-		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": merged})
-	}
-}
-
-// runGroup forwards one bucket and delivers its results, with an in-band
-// error for every item the replica's reply lacks (or for all of them when no
-// replica was reachable). A non-200 reply is returned for relaying instead.
-func runGroup[R any](ctx context.Context, f *Front, owner int, group []routedItem, path string, hdr http.Header, d *delivery[R]) *relayed {
-	resp, err := f.forwardGroup(ctx, owner, path, hdr, encodeGroup(group))
-	if err != nil {
-		d.miss("fleet: no replica reachable: " + err.Error())
-		return nil
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		d.miss("fleet: reading replica response: " + err.Error())
-		return nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return &relayed{resp.StatusCode, resp.Header.Get("Content-Type"), body}
-	}
-	var envelope struct {
-		Results []json.RawMessage `json:"results"`
-	}
-	if err := json.Unmarshal(body, &envelope); err != nil {
-		d.miss("fleet: malformed replica response")
-		return nil
-	}
-	for _, raw := range envelope.Results {
-		d.deliver(raw)
-	}
-	d.miss("fleet: replica response lacked this result")
-	return nil
-}
-
-// proxyStream serves the NDJSON endpoints: every bucket streams from its
-// replica concurrently, each line re-sequenced to the global submit index
-// and flushed as it lands — completion order across the whole fleet, exactly
-// the single-replica stream contract.
-func proxyStream[R any](f *Front, path string, core func(*R) *idiomatic.DetectResult) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		items, ok := f.decodeRouted(w, r)
-		if !ok {
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		var wmu sync.Mutex
-		emit := func(res R) {
-			wmu.Lock()
-			defer wmu.Unlock()
-			if enc.Encode(res) == nil && flusher != nil {
-				flusher.Flush()
-			}
-		}
-		var wg sync.WaitGroup
-		for owner, group := range groupByReplica(items) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				streamGroup(r.Context(), f, owner, group, path, r.Header, newDelivery(group, core, emit))
-			}()
-		}
-		wg.Wait()
-	}
-}
-
-// streamGroup relays one bucket's replica stream line by line. Once the
-// stream ends — broken, short or rejected — every item it did not deliver
+// drain delivers one opened group's stream line by line. Once the stream
+// ends — broken, short, or never opened — every item it did not deliver
 // gets an in-band error, unless the client is gone.
-func streamGroup[R any](ctx context.Context, f *Front, owner int, group []routedItem, path string, hdr http.Header, d *delivery[R]) {
-	resp, err := f.forwardGroup(ctx, owner, path, hdr, encodeGroup(group))
-	if err != nil {
-		d.miss("fleet: no replica reachable: " + err.Error())
+func (d *delivery[R]) drain(ctx context.Context, g *group) {
+	if g.err != nil {
+		d.miss("fleet: no replica reachable: " + g.err.Error())
 		return
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		d.miss(fmt.Sprintf("fleet: replica rejected sub-batch: %s: %s", resp.Status, bytes.TrimSpace(body)))
-		return
-	}
-	dec := json.NewDecoder(resp.Body)
+	dec := json.NewDecoder(g.resp.Body)
 	msg := "fleet: replica stream ended without this result"
 	for {
 		var raw json.RawMessage
@@ -619,12 +462,90 @@ func streamGroup[R any](ctx context.Context, f *Front, owner int, group []routed
 	d.miss(msg)
 }
 
+// routed serves one routed endpoint, batch or NDJSON stream. The body is
+// decoded as a replica decodes it, every group is forwarded to its
+// replica's stream endpoint, and once all of them have answered their
+// headers the first rejection (by earliest submitted request) is relayed
+// verbatim; otherwise every group's results are delivered — written as they
+// land for a stream, collected in submit order for a batch.
+func routed[Q, R any](f *Front, e endpoint[Q, R], stream bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reqs, ok := httpapi.DecodeBatch(w, r, e.deadline)
+		if !ok {
+			return
+		}
+		// Returning cancels every group still open, so a rejection sheds
+		// the other replicas' work.
+		ctx, cancel := context.WithCancel(r.Context())
+		groups := split(f, e, reqs)
+		defer func() {
+			cancel()
+			for _, g := range groups {
+				if g.resp != nil {
+					g.resp.Body.Close()
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		for _, g := range groups {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f.forwardGroup(ctx, g, e.stream, r.Header)
+			}()
+		}
+		wg.Wait()
+		for _, g := range groups {
+			if g.resp != nil && g.resp.StatusCode != http.StatusOK {
+				relay(w, g.resp)
+				return
+			}
+		}
+
+		var merged []R
+		var emit func(R)
+		if stream {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			flusher, _ := w.(http.Flusher)
+			if flusher != nil {
+				flusher.Flush()
+			}
+			enc := json.NewEncoder(w)
+			var wmu sync.Mutex
+			emit = func(res R) {
+				wmu.Lock()
+				defer wmu.Unlock()
+				if enc.Encode(res) == nil && flusher != nil {
+					flusher.Flush()
+				}
+			}
+		} else {
+			merged = make([]R, len(reqs))
+			emit = func(res R) { merged[e.core(&res).Seq] = res }
+		}
+		for _, g := range groups {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d := &delivery[R]{group: g.items, core: e.core, emit: emit, delivered: make([]bool, len(g.items))}
+				d.drain(ctx, g)
+			}()
+		}
+		wg.Wait()
+		if !stream {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": merged})
+		}
+	}
+}
+
 // --- control-plane endpoints ---
 
 // broadcastPack registers a pack on every replica: consistent-hash routing
 // can land a pack's requests anywhere, so a registration that skipped a
 // replica would surface as sporadic "unknown pack" errors. All-or-error:
-// the first failing replica's envelope is relayed with its status.
+// the first failing replica's envelope is relayed with its status, and
+// otherwise the last replica's answer.
 func (f *Front) broadcastPack(w http.ResponseWriter, r *http.Request) {
 	body, ok := httpapi.ReadBody(w, r)
 	if !ok {
@@ -635,39 +556,31 @@ func (f *Front) broadcastPack(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, "fleet: no live replicas")
 		return
 	}
-	var okBody []byte
-	var okType string
-	for _, idx := range live {
+	for i, idx := range live {
 		resp, err := f.forward(r.Context(), idx, http.MethodPost, "/v1/idioms", r.Header, body)
 		if err != nil {
 			httpapi.WriteError(w, http.StatusBadGateway, idiomatic.CodeUnavailable,
 				fmt.Sprintf("fleet: registering on %s: %v", f.replicas[idx].base, err))
 			return
 		}
-		rb, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			relay(w, resp.StatusCode, resp.Header.Get("Content-Type"), rb)
+		if resp.StatusCode != http.StatusOK || i == len(live)-1 {
+			relay(w, resp)
 			return
 		}
-		okBody, okType = rb, resp.Header.Get("Content-Type")
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
-	relay(w, http.StatusOK, okType, okBody)
 }
 
 // relayFirstLive forwards a read-only request, path and query, to the first
-// live replica (introspection data is identical fleet-wide once packs are
-// broadcast).
+// live replica that answers (introspection data is identical fleet-wide once
+// packs are broadcast).
 func (f *Front) relayFirstLive(w http.ResponseWriter, r *http.Request) {
 	for _, idx := range f.live() {
-		resp, err := f.forward(r.Context(), idx, http.MethodGet, r.URL.RequestURI(), r.Header, nil)
-		if err != nil {
-			continue
+		if resp, err := f.forward(r.Context(), idx, http.MethodGet, r.URL.RequestURI(), r.Header, nil); err == nil {
+			relay(w, resp)
+			return
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		relay(w, resp.StatusCode, resp.Header.Get("Content-Type"), body)
-		return
 	}
 	httpapi.WriteError(w, http.StatusServiceUnavailable, idiomatic.CodeUnavailable, "fleet: no live replicas")
 }
@@ -688,16 +601,16 @@ func (f *Front) aggregateClients(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			relay(w, resp.StatusCode, resp.Header.Get("Content-Type"), body)
+			relay(w, resp)
 			return
 		}
 		var payload struct {
 			Clients []httpapi.ClientInfo `json:"clients"`
 		}
-		if json.Unmarshal(body, &payload) != nil {
+		err = json.NewDecoder(resp.Body).Decode(&payload)
+		resp.Body.Close()
+		if err != nil {
 			continue
 		}
 		for _, row := range payload.Clients {
@@ -758,12 +671,14 @@ func (f *Front) aggregateStats(w http.ResponseWriter, r *http.Request) {
 	out := FleetStatsResponse{Schema: FleetStatsSchemaVersion, Replicas: len(f.replicas)}
 	for i, rep := range f.replicas {
 		row := ReplicaStats{Addr: rep.base, Up: rep.up.Load()}
+		// A replica that fails or stalls past the probe timeout is
+		// unreachable: its row carries no stats.
 		resp, err := f.forward(r.Context(), i, http.MethodGet, "/statsz", r.Header, nil)
 		if err == nil {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
 			var stats idiomatic.StatsResponse
-			if resp.StatusCode == http.StatusOK && json.Unmarshal(body, &stats) == nil {
+			err = json.NewDecoder(resp.Body).Decode(&stats)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK && err == nil {
 				row.Stats = &stats
 				out.Sums.InFlight += stats.InFlight
 				out.Sums.Submitted += stats.Submitted
@@ -784,11 +699,19 @@ func (f *Front) aggregateStats(w http.ResponseWriter, r *http.Request) {
 
 // --- response helpers ---
 
-func relay(w http.ResponseWriter, status int, contentType string, body []byte) {
+// relay answers with a replica's response as received — status, content type,
+// retry hint and body — and closes it.
+func relay(w http.ResponseWriter, resp *http.Response) {
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	contentType := resp.Header.Get("Content-Type")
 	if contentType == "" {
 		contentType = "application/json"
 	}
 	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(status)
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		w.Header().Set("Retry-After", ra)
+	}
+	w.WriteHeader(resp.StatusCode)
 	w.Write(body)
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/idiomatic"
 	"repro/internal/fleet"
@@ -406,42 +407,57 @@ func TestAggregatedSurfaces(t *testing.T) {
 	}
 }
 
+// replicaFaults are the ways a replica's NDJSON reply can misbehave: it
+// repeats a seq, carries an out-of-range one, breaks off mid-stream or ends
+// cleanly one line short. In each, the replica delivers item 0 first (with
+// SolverSteps 1) and never delivers item 1.
+var replicaFaults = []string{"repeated", "out-of-range", "broken", "short"}
+
+// faultyFront serves a front over one fake replica that answers every
+// forwarded group with the given fault, and returns the front's URL.
+func faultyFront(t *testing.T, fault, name string) string {
+	t.Helper()
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		enc.Encode(idiomatic.DetectResult{Seq: 0, Name: name, SolverSteps: 1})
+		w.(http.Flusher).Flush()
+		switch fault {
+		case "repeated":
+			enc.Encode(idiomatic.DetectResult{Seq: 0, Name: name, SolverSteps: 2})
+		case "out-of-range":
+			enc.Encode(idiomatic.DetectResult{Seq: 7, Name: name, SolverSteps: 2})
+		case "broken":
+			panic(http.ErrAbortHandler) // drop the connection mid-stream
+		}
+	}))
+	t.Cleanup(replica.Close)
+	front, err := fleet.New(fleet.Options{Replicas: []string{replica.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(front.Close)
+	front.CheckNow()
+	fs := httptest.NewServer(front.Handler())
+	t.Cleanup(fs.Close)
+	return fs.URL
+}
+
 // TestStreamOneLinePerRequest pins the front's NDJSON contract against a
-// misbehaving replica: whether the replica's stream breaks after one line or
-// ends cleanly one line short, the client still gets exactly one line per
-// request seq — the delivered result once, and an in-band error for the
-// missing one.
+// misbehaving replica: whatever the fault, the client still gets exactly one
+// line per request seq — the delivered result once, and an in-band error for
+// the missing one.
 func TestStreamOneLinePerRequest(t *testing.T) {
 	reqs := testSources()[:2]
-	for _, tc := range []struct {
-		name  string
-		abort bool
-	}{{"broken", true}, {"short", false}} {
-		t.Run(tc.name, func(t *testing.T) {
-			replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/healthz" {
-					return
-				}
-				io.Copy(io.Discard, r.Body)
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				json.NewEncoder(w).Encode(idiomatic.DetectResult{Seq: 0, Name: reqs[0].Name})
-				w.(http.Flusher).Flush()
-				if tc.abort {
-					panic(http.ErrAbortHandler) // drop the connection mid-stream
-				}
-			}))
-			defer replica.Close()
-			front, err := fleet.New(fleet.Options{Replicas: []string{replica.URL}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer front.Close()
-			front.CheckNow()
-			fs := httptest.NewServer(front.Handler())
-			defer fs.Close()
-
+	for _, fault := range replicaFaults {
+		t.Run(fault, func(t *testing.T) {
+			url := faultyFront(t, fault, reqs[0].Name)
 			body, _ := json.Marshal(reqs)
-			resp, err := http.Post(fs.URL+"/v1/detect/stream", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(url+"/v1/detect/stream", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,40 +490,17 @@ func TestStreamOneLinePerRequest(t *testing.T) {
 }
 
 // TestBatchOneResultPerRequest pins the single-shot merge against a
-// misbehaving replica: whether the replica's sub-batch reply repeats a seq or
-// carries an out-of-range one, the client gets exactly one non-null result per
-// global seq — the first delivered result for item 0, and an in-band error
-// naming item 1's module for the result the replica never sent.
+// misbehaving replica: whatever the fault in the replica stream a batch group
+// is forwarded to, the client gets exactly one non-null result per global
+// seq — the first delivered result for item 0, and an in-band error naming
+// item 1's module for the result the replica never sent.
 func TestBatchOneResultPerRequest(t *testing.T) {
 	reqs := testSources()[:2]
-	for _, tc := range []struct {
-		name string
-		seqs []int
-	}{{"repeated", []int{0, 0}}, {"out-of-range", []int{0, 7}}} {
-		t.Run(tc.name, func(t *testing.T) {
-			replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/healthz" {
-					return
-				}
-				io.Copy(io.Discard, r.Body)
-				var results []idiomatic.DetectResult
-				for i, seq := range tc.seqs {
-					results = append(results, idiomatic.DetectResult{Seq: seq, Name: reqs[0].Name, SolverSteps: i + 1})
-				}
-				json.NewEncoder(w).Encode(map[string]any{"results": results})
-			}))
-			defer replica.Close()
-			front, err := fleet.New(fleet.Options{Replicas: []string{replica.URL}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer front.Close()
-			front.CheckNow()
-			fs := httptest.NewServer(front.Handler())
-			defer fs.Close()
-
+	for _, fault := range replicaFaults {
+		t.Run(fault, func(t *testing.T) {
+			url := faultyFront(t, fault, reqs[0].Name)
 			body, _ := json.Marshal(reqs)
-			resp, err := http.Post(fs.URL+"/v1/detect", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(url+"/v1/detect", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -692,6 +685,217 @@ func TestMatchThroughFrontMatchesSingleReplica(t *testing.T) {
 	for i, b := range backs {
 		if b.svc.Stats().Completed == 0 {
 			t.Errorf("replica %d completed nothing; routing sent it no work", i)
+		}
+	}
+}
+
+// answer is a response as a client compares it: status, the headers an
+// error envelope carries, and the body bytes.
+type answer struct {
+	status             int
+	contentType, retry string
+	body               string
+}
+
+func postAnswer(t *testing.T, url, deadline string, body []byte) answer {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deadline != "" {
+		req.Header.Set("X-Deadline-Ms", deadline)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	return answer{resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("Retry-After"), string(data)}
+}
+
+// rejectingReplica is a fake replica that is healthy but answers every other
+// request with the given status and error envelope, as a replica's intake
+// does (with a retry hint on 429).
+func rejectingReplica(t *testing.T, status int, code, msg string) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		env := idiomatic.ErrorEnvelope{Error: idiomatic.ErrorBody{Code: code, Message: msg}}
+		if status == http.StatusTooManyRequests {
+			env.Error.RetryAfterMs = 1000
+			w.Header().Set("Retry-After", "1")
+		}
+		httpapi.WriteJSON(w, status, env)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// spanningBatch returns the test corpus, grown until it routes at least one
+// module to every replica of the front.
+func spanningBatch(t *testing.T, front *fleet.Front, replicas int) []idiomatic.DetectRequest {
+	t.Helper()
+	reqs := testSources()
+	for i := 0; ; i++ {
+		owners := map[string]bool{}
+		for _, r := range reqs {
+			owners[front.Route(r.Source)] = true
+		}
+		if len(owners) == replicas {
+			return reqs
+		}
+		if i == 100 {
+			t.Fatalf("100 extra modules never reached all %d replicas", replicas)
+		}
+		reqs = append(reqs, idiomatic.DetectRequest{
+			Name:   fmt.Sprintf("g%d.c", i),
+			Source: fmt.Sprintf("int g%d(int a) { return a + %d; }", i, i),
+		})
+	}
+}
+
+var routedPaths = []string{"/v1/detect", "/v1/detect/stream", "/v1/match", "/v1/match/stream"}
+
+// TestFrontRejectsWhatReplicaRejects pins the front's rejection policy to a
+// single replica's on every routed endpoint, batch and stream alike. A body
+// the replicas' decoder rejects gets the same status and envelope bytes from
+// the front, and no replica sees work. A replica that rejects its group fails
+// the whole request with its envelope relayed verbatim; when two reject, the
+// one owning the earliest submitted request wins.
+func TestFrontRejectsWhatReplicaRejects(t *testing.T) {
+	t.Run("decoder", func(t *testing.T) {
+		mono := newBackend(t, nil)
+		backs, _, fs := newFleet(t, 2, nil)
+		src := testSources()
+		valid, _ := json.Marshal(src[:2])
+		bodies := []struct {
+			name, deadline, body string
+		}{
+			{"idioms-number", "", fmt.Sprintf(`[{"name":"a.c","source":%q},{"name":"b.c","source":%q,"idioms":5}]`, src[0].Source, src[1].Source)},
+			{"non-object-item", "", `[1]`},
+			{"empty-batch", "", `[]`},
+			{"bad-deadline", "soon", string(valid)},
+		}
+		for _, b := range bodies {
+			for _, path := range routedPaths {
+				want := postAnswer(t, mono.ts.URL+path, b.deadline, []byte(b.body))
+				got := postAnswer(t, fs.URL+path, b.deadline, []byte(b.body))
+				if want.status != http.StatusBadRequest {
+					t.Fatalf("%s %s: replica answered %d, want 400: %s", b.name, path, want.status, want.body)
+				}
+				if got != want {
+					t.Errorf("%s %s: front answered %+v; a replica answers %+v", b.name, path, got, want)
+				}
+			}
+		}
+		for i, b := range append(backs, mono) {
+			if n := b.svc.Stats().Submitted; n != 0 {
+				t.Errorf("replica %d: %d requests submitted; a rejected body must reach no replica", i, n)
+			}
+		}
+	})
+
+	for _, kinds := range [][]string{{"live", "429"}, {"400", "live"}, {"429", "400"}} {
+		t.Run(strings.Join(kinds, "-"), func(t *testing.T) {
+			urls := make([]string, len(kinds))
+			rejects := map[string]bool{}
+			for i, kind := range kinds {
+				switch kind {
+				case "live":
+					urls[i] = newBackend(t, nil).ts.URL
+				case "429":
+					urls[i] = rejectingReplica(t, http.StatusTooManyRequests, idiomatic.CodeOverloaded, "idiomatic: service overloaded").URL
+				case "400":
+					urls[i] = rejectingReplica(t, http.StatusBadRequest, idiomatic.CodeInvalidRequest, `idiomatic: unknown pack "nope"`).URL
+				}
+				rejects[urls[i]] = kind != "live"
+			}
+			front, err := fleet.New(fleet.Options{Replicas: urls})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(front.Close)
+			front.CheckNow()
+			fs := httptest.NewServer(front.Handler())
+			t.Cleanup(fs.Close)
+			reqs := spanningBatch(t, front, len(urls))
+			// The expected answer is the rejecting replica's own, from the
+			// one owning the earliest submitted request when two reject.
+			var rejecter string
+			for _, r := range reqs {
+				if owner := front.Route(r.Source); rejects[owner] {
+					rejecter = owner
+					break
+				}
+			}
+			body, _ := json.Marshal(reqs)
+			for _, path := range routedPaths {
+				want := postAnswer(t, rejecter+path, "", body)
+				got := postAnswer(t, fs.URL+path, "", body)
+				if got != want {
+					t.Errorf("%s: front answered %+v; the rejecting replica answers %+v", path, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestStalledReplicaDoesNotHangControlPlane pins the bound on the front's
+// control-plane GETs: a replica that passes /healthz but stalls on every other
+// path costs them at most the health interval, and counts as unreachable (its
+// /statsz row has no stats).
+func TestStalledReplicaDoesNotHangControlPlane(t *testing.T) {
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(stalled.Close)
+	t.Cleanup(func() { close(release) })
+	live := newBackend(t, nil)
+	front, err := fleet.New(fleet.Options{
+		Replicas:       []string{stalled.URL, live.ts.URL},
+		HealthInterval: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(front.Close)
+	front.CheckNow()
+	fs := httptest.NewServer(front.Handler())
+	t.Cleanup(fs.Close)
+
+	client := &http.Client{Timeout: 3 * time.Second}
+	for _, path := range []string{"/statsz", "/v1/clients", "/v1/idioms", "/v1/backends"} {
+		resp, err := client.Get(fs.URL + path)
+		if err != nil {
+			t.Errorf("GET %s with a stalled replica: %v", path, err)
+			continue
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if path != "/statsz" {
+			continue
+		}
+		var stats fleet.FleetStatsResponse
+		if err := json.Unmarshal(data, &stats); err != nil || len(stats.Rows) != 2 {
+			t.Fatalf("statsz: %v (%s)", err, data)
+		}
+		if stats.Rows[0].Stats != nil {
+			t.Errorf("stalled replica's statsz row carries stats: %+v", stats.Rows[0])
+		}
+		if stats.Rows[1].Stats == nil {
+			t.Errorf("live replica's statsz row has no stats")
 		}
 	}
 }

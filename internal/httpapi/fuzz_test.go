@@ -13,7 +13,7 @@ import (
 )
 
 // FuzzDecodeBatch checks the request decoder every batch endpoint shares:
-// for any body and X-Deadline-Ms header, decodeBatch must never panic. A
+// for any body and X-Deadline-Ms header, DecodeBatch must never panic. A
 // body it accepts writes no response and yields at least one request, each
 // carrying the header's deadline unless it set its own; a body it rejects
 // gets a non-2xx status whose body decodes as the v1 ErrorEnvelope, with a
@@ -43,7 +43,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			r.Header.Set("X-Deadline-Ms", header)
 		}
 		w := httptest.NewRecorder()
-		reqs, ok := decodeBatch(w, r, deadline)
+		reqs, ok := DecodeBatch(w, r, deadline)
 		if ok {
 			if w.Body.Len() != 0 || len(reqs) == 0 {
 				t.Fatalf("accepted body wrote %q and decoded %d requests", w.Body.String(), len(reqs))

@@ -263,12 +263,13 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// decodeBatch accepts either a single request object or a JSON array of
+// DecodeBatch accepts either a single request object or a JSON array of
 // them, so `curl -d '{"name":...,"source":...}'` works without batch
 // ceremony, and applies the X-Deadline-Ms header to every request whose
 // deadline (read and written through deadline) is unset. It serves both the
-// detect and the match endpoints.
-func decodeBatch[Q any](w http.ResponseWriter, r *http.Request, deadline func(*Q) *int64) ([]Q, bool) {
+// detect and the match endpoints, here and in the fleet front. On failure it
+// has already answered with the error envelope.
+func DecodeBatch[Q any](w http.ResponseWriter, r *http.Request, deadline func(*Q) *int64) ([]Q, bool) {
 	body, ok := ReadBody(w, r)
 	if !ok {
 		return nil, false
@@ -325,7 +326,7 @@ func deadlineHeader(w http.ResponseWriter, r *http.Request) (int64, bool) {
 // submit order under "results".
 func serveBatch[Q, R any](run func(context.Context, []Q) ([]R, error), deadline func(*Q) *int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		reqs, ok := decodeBatch(w, r, deadline)
+		reqs, ok := DecodeBatch(w, r, deadline)
 		if !ok {
 			return
 		}
@@ -339,11 +340,12 @@ func serveBatch[Q, R any](run func(context.Context, []Q) ([]R, error), deadline 
 }
 
 // serveStream answers an NDJSON endpoint: the decoded requests run through
-// run (a Service stream method) and each result is written and flushed as
-// one line the moment it completes.
+// run (a Service stream method), the 200 headers are flushed as soon as
+// intake accepts the batch, and each result is written and flushed as one
+// line the moment it completes.
 func serveStream[Q, R any](run func(context.Context, []Q) (<-chan R, error), deadline func(*Q) *int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		reqs, ok := decodeBatch(w, r, deadline)
+		reqs, ok := DecodeBatch(w, r, deadline)
 		if !ok {
 			return
 		}
@@ -355,6 +357,9 @@ func serveStream[Q, R any](run func(context.Context, []Q) (<-chan R, error), dea
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
+		if flusher != nil {
+			flusher.Flush()
+		}
 		enc := json.NewEncoder(w)
 		for res := range ch {
 			if err := enc.Encode(res); err != nil {

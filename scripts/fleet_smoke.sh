@@ -9,10 +9,11 @@
 # Phase B (two replicas + idiomfront): the suite through the consistent-hash
 # front door, twice; pass 2 must add no per-replica misses (>= 99% warm is the
 # gate; zero is what we assert). The suite then goes through the front's
-# /v1/match/stream: one error-free line per module, seqs 0..N-1 once each. A
-# replica is then restarted on its state dir and must answer warm through the
-# router, and a third replica booted with -warm-from inherits phase A's memo
-# and answers the suite with zero solves.
+# /v1/match/stream: one error-free line per module, seqs 0..N-1 once each,
+# and a stream body with one malformed item gets the replica's 400
+# invalid_request envelope. A replica is then restarted on its state dir and
+# must answer warm through the router, and a third replica booted with
+# -warm-from inherits phase A's memo and answers the suite with zero solves.
 #
 # Phase C (fairness through the router): cmd/soak -addr drives two
 # authenticated -no-memo replicas behind a fresh front, asserting the
@@ -196,6 +197,18 @@ seq 0 $((N - 1)) | cmp -s - "$WORK/b_match.seqs" ||
     fail "phase B: /v1/match/stream via the front did not carry seqs 0..$((N - 1)) exactly once each"
 ! grep -q '"error"' "$WORK/b_match.ndjson" ||
     fail "phase B: /v1/match/stream via the front reported an error: $(grep -m1 '"error"' "$WORK/b_match.ndjson")"
+
+# One rejection policy: a stream body with one malformed item gets the
+# replica's own 400 invalid_request envelope from the front, byte for byte,
+# instead of a 200 stream that solves the valid module.
+BAD='[{"name":"ok.c","source":"int f(){return 0;}"},{"name":"bad.c","source":"int g(){return 1;}","idioms":5}]'
+CODE=$(curl -s -o "$WORK/b_bad_front.json" -w '%{http_code}' -X POST "http://$FRONT/v1/match/stream" -d "$BAD")
+[ "$CODE" -eq 400 ] || fail "phase B: malformed stream item via the front answered $CODE; want 400"
+grep -q '"code": "invalid_request"' "$WORK/b_bad_front.json" ||
+    fail "phase B: malformed stream item via the front: $(cat "$WORK/b_bad_front.json")"
+curl -s -o "$WORK/b_bad_replica.json" -X POST "http://$B1/v1/match/stream" -d "$BAD"
+cmp -s "$WORK/b_bad_front.json" "$WORK/b_bad_replica.json" ||
+    fail "phase B: the front's envelope for a malformed stream item differs from the replica's"
 
 # Restart replica 1 on its state dir: it must answer warm through the router.
 kill -TERM "$B1_PID"
